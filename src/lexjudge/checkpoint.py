@@ -119,6 +119,32 @@ def _parse_gat(graph_doc: dict) -> GatParams | None:
     return GatParams(layers)
 
 
+def _check_dimensions(
+    dim: int,
+    encoder_params: HashedEncoderParams | None,
+    vocabs: dict[Task, LabelVocab],
+    label_matrices: dict[Task, np.ndarray],
+) -> None:
+    """Reject matrices that disagree with ``meta.dim``, with their task's
+    vocabulary size, or that hold non-finite values. ``load_checkpoint``
+    reports the ValueError as a schema violation."""
+    if encoder_params is not None and encoder_params.output_dim != dim:
+        raise ValueError(
+            f"projection has {encoder_params.output_dim} rows but meta.dim is {dim}"
+        )
+    for task, matrix in label_matrices.items():
+        if task not in vocabs:
+            raise ValueError(f"{task.value} label matrix has no vocabulary")
+        expected = (vocabs[task].size, dim)
+        if matrix.shape != expected:
+            raise ValueError(
+                f"{task.value} label matrix has shape {matrix.shape}, expected {expected} "
+                "(vocabulary size, meta.dim)"
+            )
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError(f"{task.value} label matrix contains non-finite values")
+
+
 def load_checkpoint(path, load_table: bool = False) -> tuple[FittedModel, dict]:
     """Rebuild a FittedModel from a checkpoint file.
 
@@ -156,9 +182,10 @@ def load_checkpoint(path, load_table: bool = False) -> tuple[FittedModel, dict]:
             )
         graph_doc = doc["graph"]
         label_matrices = {
-            Task(name): np.asarray(matrix)
+            Task(name): np.asarray(matrix, dtype=np.float64)
             for name, matrix in graph_doc.get("label_matrices", {}).items()
         }
+        _check_dimensions(meta["dim"], encoder_params, vocabs, label_matrices)
         lexicon = (
             Lexicon.from_dict(meta["lexicon"]) if meta.get("lexicon") is not None else None
         )

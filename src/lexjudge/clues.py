@@ -258,23 +258,48 @@ def locate_search_area(process_text: str, templates: Sequence[AreaTemplate]) -> 
     return AreaSpan(0, len(process_text), process_text)
 
 
+def _bit_distances(text: str, term: str, anchored: bool) -> list[int]:
+    """Entry e is the edit distance between ``term`` and ``text[s:e]``, for
+    s = 0 when ``anchored`` and otherwise for the s <= e that minimizes it.
+
+    The edit-distance DP one text character (one column) at a time, each
+    column held as bit vectors of its +1/-1 steps down ``term`` in Python
+    ints (Myers 1999, in Hyyrö's formulation). The DP's top row is 0, 1, 2,
+    ... when anchored, and all zeros when a match may start anywhere.
+    """
+    mask = (1 << len(term)) - 1
+    top = 1 << (len(term) - 1)
+    carry = int(anchored)
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(term):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    pv, mv, score = mask, 0, len(term)
+    out = [score]
+    for ch in text:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        ph = ((ph << 1) | carry) & mask
+        mh = (mh << 1) & mask
+        pv = mh | (~(xv | ph) & mask)
+        mv = ph & xv
+        out.append(score)
+    return out
+
+
 def levenshtein(a: str, b: str) -> int:
     """Edit distance over Unicode scalar values (insert/delete/substitute)."""
     if a == b:
         return 0
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(min(
-                previous[j] + 1,
-                current[j - 1] + 1,
-                previous[j - 1] + (ca != cb),
-            ))
-        previous = current
-    return previous[-1]
+    if not a or not b:
+        return len(a) + len(b)
+    return _bit_distances(a, b, anchored=True)[-1]
 
 
 def fuzzy_score(a: str, b: str) -> float:
@@ -296,11 +321,21 @@ def match_element(
 
     Exact pass first: the earliest verbatim occurrence of any term wins
     (same start: longer term, then earlier term in the list). Failing
-    that, a fuzzy pass slides windows of length |term|-2 .. |term|+2 over
-    the area and keeps the window with the highest normalized Levenshtein
-    similarity, accepted only at or above ``threshold`` (ties: earliest
-    window, then earlier term, then shorter window). Returns None when
-    both passes fail.
+    that, a fuzzy pass considers windows of length |term|-2 .. |term|+2 at
+    every start and keeps the window with the highest normalized
+    Levenshtein similarity (``fuzzy_score``), accepted only at or above
+    ``threshold`` (ties: earliest window, then earlier term, then shorter
+    window). Returns None when both passes fail.
+
+    The fuzzy pass is bounded but its result is the same as scoring every
+    window. Per term, a cut-off caps the edit distance any window could be
+    accepted at, with one unit of slack for floating-point rounding. One
+    bit-vector pass over the area gives, for each end offset, a lower bound
+    on the distance of every window ending there; only starts with a window
+    ending within the cut-off are verified. Verification runs the same DP
+    anchored at each such start, which yields the distance of every width
+    at once. Windows within the cut-off are scored with ``fuzzy_score`` and
+    accepted as before.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
@@ -330,9 +365,22 @@ def match_element(
     for index, term in enumerate(terms):
         low = max(1, len(term) - 2)
         high = min(len(area), len(term) + 2)
-        for width in range(low, high + 1):
-            for start in range(0, len(area) - width + 1):
-                score = fuzzy_score(area[start : start + width], term)
+        # An accepted window has d / max(w, |t|) <= 1 - threshold up to
+        # rounding, and (1 - 0.8) * 10 == 1.9999999999999996: hence the + 1.
+        cutoff = int((1.0 - threshold) * max(high, len(term))) + 1
+        starts = {
+            start
+            for end, bound in enumerate(_bit_distances(area, term, anchored=False))
+            if bound <= cutoff
+            for start in range(max(0, end - high), end - low + 1)
+        }
+        for start in starts:
+            window = area[start : start + high]
+            distances = _bit_distances(window, term, anchored=True)
+            for width in range(low, len(window) + 1):
+                if distances[width] > cutoff:
+                    continue
+                score = fuzzy_score(window[:width], term)
                 if score < threshold:
                     continue
                 key = (-score, start, index, width)

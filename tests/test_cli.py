@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 
@@ -188,6 +189,53 @@ class TestEvaluateAndPredict:
             "evaluate", "--config", str(config_path),
             "--checkpoint", str(tmp_path / "nope.json"), "--split", "test",
         ]) == 2
+
+
+@pytest.fixture(scope="class")
+def trained_checkpoint(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("trained")
+    config_path, out_dir = write_config(tmp_path)
+    assert main(["train", "--config", str(config_path)]) == 0
+    doc = json.loads((out_dir / "checkpoint.json").read_text(encoding="utf-8"))
+    return tmp_path / "corpus.jsonl", doc
+
+
+class TestCheckpointValidation:
+    def predict_with(self, trained_checkpoint, tmp_path, corrupt):
+        corpus_path, doc = trained_checkpoint
+        doc = copy.deepcopy(doc)
+        corrupt(doc)
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return main([
+            "predict", "--checkpoint", str(path),
+            "--in", str(corpus_path), "--out", str(tmp_path / "preds.jsonl"),
+        ])
+
+    def test_intact_checkpoint_predicts(self, trained_checkpoint, tmp_path):
+        assert self.predict_with(trained_checkpoint, tmp_path, lambda doc: None) == 0
+
+    def test_extra_label_row_exits_3(self, trained_checkpoint, tmp_path, capsys):
+        def corrupt(doc):
+            rows = doc["graph"]["label_matrices"]["charge"]
+            rows.append(list(rows[0]))
+
+        assert self.predict_with(trained_checkpoint, tmp_path, corrupt) == 3
+        assert "charge label matrix has shape" in capsys.readouterr().err
+
+    def test_nan_in_label_matrix_exits_3(self, trained_checkpoint, tmp_path, capsys):
+        def corrupt(doc):
+            doc["graph"]["label_matrices"]["article"][0][0] = float("nan")
+
+        assert self.predict_with(trained_checkpoint, tmp_path, corrupt) == 3
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_mismatched_meta_dim_exits_3(self, trained_checkpoint, tmp_path, capsys):
+        def corrupt(doc):
+            doc["meta"]["dim"] += 1
+
+        assert self.predict_with(trained_checkpoint, tmp_path, corrupt) == 3
+        assert "meta.dim" in capsys.readouterr().err
 
 
 class TestScenarioFlow:

@@ -1,5 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+from clue_reference import levenshtein_reference, match_element_reference
 
 from lexjudge import (
     AreaTemplate,
@@ -100,6 +102,17 @@ class TestFuzzyScore:
         with pytest.raises(ValueError):
             fuzzy_score("", "a")
 
+    @settings(max_examples=300)
+    @given(
+        a=st.text(alphabet="ab中𝄞", max_size=12),
+        b=st.text(alphabet="ab中𝄞", max_size=12),
+    )
+    @example(a="", b="abc")
+    @example(a="abc", b="")
+    @example(a="ab" * 40, b="ba" * 35)  # wider than one 64-bit word
+    def test_levenshtein_matches_reference_dp(self, a, b):
+        assert levenshtein(a, b) == levenshtein_reference(a, b)
+
     @given(
         a=st.text(alphabet="abcde中文", min_size=1, max_size=8),
         b=st.text(alphabet="abcde中文", min_size=1, max_size=8),
@@ -161,6 +174,61 @@ class TestMatchElement:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             match_element("area", ["term"], 0.0)
+
+    def test_accepts_window_on_the_float_boundary(self):
+        # (1 - 0.8) * 10 == 1.9999999999999996, so a cut-off of
+        # floor((1 - θ) * max(w, |t|)) would allow 1 edit, yet the two
+        # substitutions score exactly 0.8 and are accepted.
+        found = match_element("xx abcdefgXYj xx", ["abcdefghij"], 0.8)
+        assert found.kind is Provenance.FUZZY
+        assert found.score == 0.8
+        assert found.span == (3, 13)
+        assert found.text == "abcdefgXYj"
+        # With the area no wider than the term, no wider window loosens the bound.
+        found = match_element("abcdefgXYj", ["abcdefghij"], 0.8)
+        assert (found.kind, found.score, found.span) == (Provenance.FUZZY, 0.8, (0, 10))
+
+
+# Small alphabets give many near hits; the non-ASCII ones check byte spans.
+ALPHABETS = ("ab", "abc ", "abcdefgh", "盗窃罪 ab", "aé中𝄞")
+
+
+@st.composite
+def matcher_inputs(draw):
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    area = draw(st.text(alphabet, max_size=24))
+    terms = draw(st.lists(st.text(alphabet, min_size=1, max_size=10), max_size=2))
+    if area:
+        # a slice of the area with up to two edits, so the fuzzy pass has work
+        start = draw(st.integers(0, len(area) - 1))
+        piece = area[start : start + draw(st.integers(1, 12))]
+        for _ in range(draw(st.integers(1, 2))):
+            at = draw(st.integers(0, len(piece)))
+            piece = piece[:at] + draw(st.text(alphabet, max_size=2)) + piece[at + 1 :]
+        terms.append(piece or alphabet[0])
+    if not terms or draw(st.booleans()):
+        terms.append(draw(st.sampled_from(terms)) if terms else alphabet[0])
+    threshold = draw(st.one_of(
+        st.sampled_from((0.5, 0.8, 1.0)),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    ))
+    return area, terms, threshold
+
+
+class TestMatchElementAgreesWithReference:
+    @settings(max_examples=500)
+    @given(matcher_inputs())
+    @example(("", ["abc"], 0.8))
+    @example(("ab", ["abcdefgh"], 0.5))
+    @example(("xbx", ["a", "b"], 0.5))
+    @example(("aXc aYc", ["abc", "abc"], 0.5))
+    @example(("盗窃 gread 盗", ["greed"], 0.8))
+    @example(("xx abcdefgXYj xx", ["abcdefghij"], 0.8))
+    def test_same_match_result(self, inputs):
+        area, terms, threshold = inputs
+        assert match_element(area, terms, threshold) == match_element_reference(
+            area, terms, threshold
+        )
 
 
 LEXICON = Lexicon(
