@@ -16,6 +16,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_run_config
 from .corpus import Corpus, Task, load_corpus, filter_scenario, split
 from .clues import load_lexicon
+from .contrastive import train_contrastive
 from .encoder import HashedEncoderParams, label_key, load_embedding_table
 from .errors import ConfigError, DataError, DivergenceError, LexjudgeError
 from .metrics import MetricsReport, ablation_table
@@ -228,28 +229,16 @@ def cmd_pretrain(args) -> int:
         train_cfg.use_clue_tracing,
     )
     train_part, _, _ = split(corpus, kwargs["split_spec"])
-    from .contrastive import train_contrastive
-
     params, history = train_contrastive(
         kwargs["encoder_params"], train_part, kwargs["contrastive_cfg"]
     )
-    model = FittedModel(
-        dim=params.output_dim,
-        tasks=train_cfg.tasks,
-        vocabs=dict(corpus.vocabs),
-        label_matrices={},
-        backend_kind="hashed",
+    model = FittedModel.trained(
+        train_cfg,
+        corpus.vocabs,
         encoder_params=params,
-        gat=None,
         lexicon=kwargs["lexicon"],
         anchors=kwargs["anchors"],
         threshold=cfg.threshold,
-        use_clue_tracing=train_cfg.use_clue_tracing,
-        use_contrastive=train_cfg.use_contrastive,
-        use_graph=train_cfg.use_graph,
-        heads=train_cfg.heads,
-        leaky_slope=train_cfg.leaky_slope,
-        seed=cfg.seed,
     )
     save_checkpoint(os.path.join(out_dir, "checkpoint.json"), model)
     _write_tsv(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .contrastive import ContrastiveConfig
@@ -49,6 +50,16 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
+@contextmanager
+def _section_values(name: str):
+    """Report a value that a section's config object rejects as a
+    ConfigError naming the section (used as a method decorator)."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {name} section: {exc}") from exc
+
+
 @dataclass
 class RunConfig:
     seed: int = 0
@@ -84,12 +95,14 @@ class RunConfig:
             "ngram_max": int(self.encoder.get("ngram_max", 3)),
         }
 
+    @_section_values("split")
     def split_spec(self) -> SplitSpec:
         return SplitSpec(
             train_fraction=float(self.split.get("train_fraction", 0.8)),
             seed=int(self.split.get("seed", derive(self.seed, "split"))),
         )
 
+    @_section_values("contrastive")
     def contrastive_config(self) -> ContrastiveConfig:
         return ContrastiveConfig(
             temperature=float(self.contrastive.get("temperature", 0.05)),
@@ -103,6 +116,7 @@ class RunConfig:
             seed=derive(self.seed, "contrastive"),
         )
 
+    @_section_values("train")
     def train_config(self, overrides: dict | None = None) -> TrainConfig:
         section = dict(self.train)
         if overrides:

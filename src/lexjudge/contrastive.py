@@ -10,16 +10,18 @@ the projection and bias.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Corpus
-from .encoder import DropoutSpec, HashedEncoderParams, clue_text, featurize
+from .encoder import (
+    DropoutSpec, HashedEncoderParams, apply_dropout_noise, clue_text, featurize,
+)
 from .errors import ConfigError, DataError, DivergenceError
-from .rng import SplitMix64, derive, stream_uniform
+from .rng import SplitMix64, derive
 from .validation import check_positive, check_seed, check_vector
 
 
@@ -79,13 +81,6 @@ def contrastive_loss(anchor, positive, negatives, temperature: float) -> float:
     return loss_from_similarities(pos, negs, temperature)
 
 
-def _dropout_matrix(features: np.ndarray, rate: float, seed: int) -> np.ndarray:
-    if rate == 0.0:
-        return features
-    u = stream_uniform(seed, features.size).reshape(features.shape)
-    return np.where(u >= rate, features / (1.0 - rate), 0.0)
-
-
 def _sample_negatives(n: int, count: int, seed: int) -> np.ndarray:
     idx = np.empty((n, count), dtype=np.intp)
     for anchor in range(n):
@@ -105,7 +100,7 @@ def _epoch_loss(
     count = cfg.negatives_per_anchor
     base = derive(cfg.dropout.seed, "contrastive-views", epoch)
     views = [
-        Tensor(_dropout_matrix(features, cfg.dropout.rate, derive(base, view)))
+        Tensor(apply_dropout_noise(features, replace(cfg.dropout, seed=derive(base, view))))
         for view in range(3)
     ]
     anchors = ad.l2_normalize_rows((views[0] @ projection.T + bias).tanh())

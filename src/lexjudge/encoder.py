@@ -123,7 +123,7 @@ class DropoutSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_unit_rate(self.rate, "dropout rate")
+        check_unit_rate(self.rate, "dropout_rate")
 
 
 def apply_dropout_noise(features: np.ndarray, spec: DropoutSpec) -> np.ndarray:
@@ -257,11 +257,6 @@ class HashedEncoder:
 
     def label_vector(self, task: "Task", label_id: int, surface: str) -> np.ndarray:
         return encode_label(surface, self.params)
-
-    def fact_features(self, case: "CriminalCase") -> np.ndarray:
-        if case.clues is None:
-            raise DataError(f"case {case.id} has no extracted clues")
-        return featurize(clue_text(case.clues), self.params)
 
 
 class PrecomputedEncoder:

@@ -18,7 +18,7 @@ operations directly and exists as an independent check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -100,12 +100,6 @@ class ReasoningGraph:
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    def node_index(self, node: NodeKind) -> int:
-        return self.nodes.index(node)
-
-    def fact_indices(self) -> list[int]:
-        return [i for i, n in enumerate(self.nodes) if isinstance(n, FactNode)]
-
     def label_indices(self, task: Task) -> list[int]:
         out = [
             (n.label_id, i)
@@ -176,6 +170,11 @@ def init_features(graph: ReasoningGraph, backend, vocabs: dict[Task, "LabelVocab
     check_finite(features, "graph features")
     graph.features = features
     return graph
+
+
+def param_key(layer: int, head: int, name: str) -> str:
+    """Name of one head parameter (``W`` or ``omega``) in a parameter mapping."""
+    return f"gat.layer{layer}.head{head}.{name}"
 
 
 @dataclass
@@ -265,8 +264,8 @@ class GatParams:
         out: dict[str, np.ndarray] = {}
         for li, layer in enumerate(self.layers):
             for hi, head in enumerate(layer.heads):
-                out[f"gat.layer{li}.head{hi}.W"] = head.W
-                out[f"gat.layer{li}.head{hi}.omega"] = head.omega
+                out[param_key(li, hi, "W")] = head.W
+                out[param_key(li, hi, "omega")] = head.omega
         return out
 
     def with_param_dict(self, params: dict[str, np.ndarray]) -> "GatParams":
@@ -274,8 +273,8 @@ class GatParams:
         for li, layer in enumerate(self.layers):
             heads = [
                 HeadParams(
-                    W=np.asarray(params[f"gat.layer{li}.head{hi}.W"], dtype=np.float64),
-                    omega=np.asarray(params[f"gat.layer{li}.head{hi}.omega"], dtype=np.float64),
+                    W=np.asarray(params[param_key(li, hi, "W")], dtype=np.float64),
+                    omega=np.asarray(params[param_key(li, hi, "omega")], dtype=np.float64),
                 )
                 for hi in range(len(layer.heads))
             ]
@@ -383,13 +382,19 @@ def _forward_layer(
 def gat_forward_tensors(
     features: Tensor,
     graph: ReasoningGraph,
-    params_t: list[list[tuple[Tensor, Tensor]]],
+    tensors: Mapping[str, Tensor],
     params: GatParams,
     collect: list | None = None,
 ) -> Tensor:
+    """Both layers as a differentiable function of ``tensors``, keyed as
+    ``GatParams.to_param_dict``; ``params`` supplies the layer structure."""
     x = features
-    for layer_no, (layer, heads_t) in enumerate(zip(params.layers, params_t)):
-        x = _forward_layer(x, graph, layer, heads_t, collect, layer_no)
+    for li, layer in enumerate(params.layers):
+        heads_t = [
+            (tensors[param_key(li, hi, "W")], tensors[param_key(li, hi, "omega")])
+            for hi in range(len(layer.heads))
+        ]
+        x = _forward_layer(x, graph, layer, heads_t, collect, li)
     return x
 
 
@@ -402,11 +407,9 @@ def gat_forward(
         raise ValueError("graph features are not initialized")
     if not np.all(np.isfinite(graph.features)):
         raise DataError("graph features contain non-finite values")
-    params_t = [
-        [(Tensor(h.W), Tensor(h.omega)) for h in layer.heads] for layer in params.layers
-    ]
+    tensors = {k: Tensor(v) for k, v in params.to_param_dict().items()}
     out = gat_forward_tensors(
-        Tensor(graph.features), graph, params_t, params, collect_attention
+        Tensor(graph.features), graph, tensors, params, collect_attention
     )
     result = out.data
     if not np.all(np.isfinite(result)):

@@ -24,10 +24,12 @@ from .clues import Lexicon, SectionAnchors, extract_clues, full_text_clues
 from .contrastive import ContrastiveConfig, train_contrastive
 from .corpus import Corpus, CriminalCase, LabelVocab, SplitSpec, Task, TASKS, split
 from .encoder import (
+    DropoutSpec,
     EmbeddingTable,
     HashedEncoder,
     HashedEncoderParams,
     PrecomputedEncoder,
+    apply_dropout_noise,
     clue_text,
     featurize,
 )
@@ -44,8 +46,8 @@ from .graph import (
 )
 from .metrics import MetricsReport, report
 from .predictor import ce_loss, predict_label, predict_proba, score_case
-from .rng import SplitMix64, derive, stream_uniform
-from .validation import check_seed
+from .rng import SplitMix64, derive
+from .validation import check_seed, check_unit_rate
 
 
 @dataclass(frozen=True)
@@ -131,6 +133,7 @@ class TrainConfig:
             raise ValueError("heads must be at least 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be positive when set")
+        check_unit_rate(self.dropout_rate, "dropout_rate")
         check_seed(self.seed)
 
 
@@ -168,6 +171,62 @@ def graph_loss_reference(
     return total_loss(fact_vectors, golds, label_matrices, tasks)
 
 
+def stage3_objective(
+    theta: Mapping[str, np.ndarray],
+    graph: ReasoningGraph,
+    golds: Mapping[Task, Sequence[int]],
+    tasks: Sequence[Task],
+    *,
+    gat: GatParams | None = None,
+    fact_vectors: np.ndarray | None = None,
+    encoder_inputs: tuple[np.ndarray, np.ndarray] | None = None,
+    rows: np.ndarray | None = None,
+    with_grads: bool = True,
+) -> tuple[float, dict[str, np.ndarray] | None]:
+    """Sum over ``tasks`` of the batch-mean cross-entropy of case-label dot
+    products, with gradients for every entry of ``theta`` when requested
+    (skipped for a non-finite value).
+
+    Labels are the graph forward pass's label rows when ``gat`` gives the
+    layer structure, else ``theta["labels.<task>"]``. Cases are the frozen
+    ``fact_vectors`` over ``graph.features``, or, given ``encoder_inputs``
+    (fact and label features), both are encoded through ``theta``'s
+    ``encoder.projection``/``encoder.bias`` and feed the graph. ``rows``
+    selects the minibatch."""
+    leaves = {k: Tensor(v, requires_grad=with_grads) for k, v in theta.items()}
+    if encoder_inputs is None:
+        facts = Tensor(fact_vectors)
+        nodes = Tensor(graph.features)
+    else:
+        projection, bias = leaves["encoder.projection"], leaves["encoder.bias"]
+        facts, labels = (
+            (Tensor(x) @ projection.T + bias).tanh() for x in encoder_inputs
+        )
+        nodes = ad.concat([facts, labels], axis=0)
+    if gat is None:
+        label_mats = {task: leaves[f"labels.{task.value}"] for task in tasks}
+    else:
+        out = gat_forward_tensors(nodes, graph, leaves, gat)
+        label_mats = {
+            task: ad.gather_rows(out, np.asarray(graph.label_indices(task), dtype=np.intp))
+            for task in tasks
+        }
+    if rows is not None:
+        facts = ad.gather_rows(facts, rows)
+    loss_t = None
+    for task in tasks:
+        ids = np.asarray(golds[task], dtype=np.intp)
+        mat = label_mats[task]
+        onehot = _onehot(ids if rows is None else ids[rows], mat.shape[0])
+        term = _mean_ce(facts @ mat.T, onehot)
+        loss_t = term if loss_t is None else loss_t + term
+    value = loss_t.item()
+    if not with_grads or not np.isfinite(value):
+        return value, None
+    loss_t.backward()
+    return value, {k: leaf.grad for k, leaf in leaves.items()}
+
+
 def graph_objective(
     graph: ReasoningGraph,
     gat_params: GatParams,
@@ -177,32 +236,12 @@ def graph_objective(
     with_grads: bool = True,
 ) -> tuple[float, dict[str, np.ndarray] | None]:
     """total_loss through the graph forward pass, with analytic gradients
-    for every attention projection and scoring vector when requested."""
-    leaves = {
-        k: Tensor(v, requires_grad=with_grads)
-        for k, v in gat_params.to_param_dict().items()
-    }
-    params_t = [
-        [
-            (leaves[f"gat.layer{li}.head{hi}.W"], leaves[f"gat.layer{li}.head{hi}.omega"])
-            for hi in range(len(layer.heads))
-        ]
-        for li, layer in enumerate(gat_params.layers)
-    ]
-    out = gat_forward_tensors(Tensor(graph.features), graph, params_t, gat_params)
-    hf = Tensor(np.asarray(fact_vectors, dtype=np.float64))
-    loss_t = None
-    for task in tasks:
-        ids = np.asarray(golds[task], dtype=np.intp)
-        label_mat = ad.gather_rows(out, np.asarray(graph.label_indices(task), dtype=np.intp))
-        logits = hf @ label_mat.T
-        term = _mean_ce(logits, _onehot(ids, label_mat.shape[0]))
-        loss_t = term if loss_t is None else loss_t + term
-    value = loss_t.item()
-    if not with_grads:
-        return value, None
-    loss_t.backward()
-    return value, {k: leaf.grad for k, leaf in leaves.items()}
+    for every attention projection and scoring vector when requested: the
+    frozen-encoder, full-batch case of ``stage3_objective``."""
+    return stage3_objective(
+        gat_params.to_param_dict(), graph, golds, tasks,
+        gat=gat_params, fact_vectors=fact_vectors, with_grads=with_grads,
+    )
 
 
 def prepare_clues(
@@ -215,12 +254,12 @@ def prepare_clues(
     """Populate ``case.clues`` for every case (stage 1). With tracing
     disabled the full fact text stands in for all three clues."""
     for case in cases:
-        if use_clue_tracing:
-            if lexicon is None:
-                raise ConfigError("clue tracing requires a lexicon")
-            extract_clues(case, lexicon, threshold, anchors)
-        else:
+        if not use_clue_tracing:
             case.clues = full_text_clues(case.fact_text)
+        elif lexicon is None:
+            raise ConfigError("clue tracing requires a lexicon")
+        else:
+            extract_clues(case, lexicon, threshold, anchors)
 
 
 @dataclass
@@ -246,6 +285,46 @@ class FittedModel:
     embeddings_path: str | None = None
     table: EmbeddingTable | None = None
 
+    @classmethod
+    def trained(
+        cls,
+        cfg: TrainConfig,
+        vocabs: Mapping[Task, LabelVocab],
+        *,
+        encoder_params: HashedEncoderParams | None = None,
+        table: EmbeddingTable | None = None,
+        embeddings_path: str | None = None,
+        label_matrices: dict[Task, np.ndarray] | None = None,
+        gat: GatParams | None = None,
+        lexicon: Lexicon | None = None,
+        anchors: SectionAnchors | None = None,
+        threshold: float = 0.8,
+    ) -> "FittedModel":
+        """The model a training run produces: toggles, heads, slope and seed
+        come from ``cfg``; the backend is hashed when ``encoder_params`` is
+        given, otherwise the precomputed ``table``."""
+        hashed = encoder_params is not None
+        return cls(
+            dim=encoder_params.output_dim if hashed else table.dim,
+            tasks=tuple(cfg.tasks),
+            vocabs=dict(vocabs),
+            label_matrices=label_matrices if label_matrices is not None else {},
+            backend_kind="hashed" if hashed else "precomputed",
+            encoder_params=encoder_params,
+            gat=gat,
+            lexicon=lexicon,
+            anchors=anchors,
+            threshold=threshold,
+            use_clue_tracing=cfg.use_clue_tracing,
+            use_contrastive=cfg.use_contrastive,
+            use_graph=cfg.use_graph,
+            heads=cfg.heads,
+            leaky_slope=cfg.leaky_slope,
+            seed=cfg.seed,
+            embeddings_path=embeddings_path,
+            table=table,
+        )
+
     def backend(self):
         if self.backend_kind == "hashed":
             if self.encoder_params is None:
@@ -259,14 +338,10 @@ class FittedModel:
         return PrecomputedEncoder(self.table)
 
     def prepare_case(self, case: CriminalCase) -> CriminalCase:
-        if self.backend_kind != "hashed":
-            return case
-        if self.use_clue_tracing:
-            if self.lexicon is None:
-                raise ConfigError("model was fit with clue tracing but has no lexicon")
-            extract_clues(case, self.lexicon, self.threshold, self.anchors)
-        else:
-            case.clues = full_text_clues(case.fact_text)
+        if self.backend_kind == "hashed":
+            prepare_clues(
+                (case,), self.lexicon, self.anchors, self.threshold, self.use_clue_tracing
+            )
         return case
 
     def fact_vector(self, case: CriminalCase) -> np.ndarray:
@@ -287,7 +362,6 @@ class FittedModel:
 class FitResult:
     model: FittedModel
     loss_log: list[tuple[str, int, float]]
-    contrastive_history: list[float]
     attention: list[tuple]
     optimizer_state: AdamState | None
 
@@ -309,13 +383,6 @@ def _onehot(ids: np.ndarray, num_classes: int) -> np.ndarray:
 def _mean_ce(logits: Tensor, onehot: np.ndarray) -> Tensor:
     picked = (logits * Tensor(onehot)).sum(axis=1)
     return (ad.logsumexp(logits, axis=1) - picked).mean()
-
-
-def _dropout_view(features: np.ndarray, rate: float, seed: int) -> np.ndarray:
-    if rate == 0.0:
-        return features
-    u = stream_uniform(seed, features.size).reshape(features.shape)
-    return np.where(u >= rate, features / (1.0 - rate), 0.0)
 
 
 def fit_model(
@@ -342,51 +409,38 @@ def fit_model(
         raise ConfigError("exactly one of encoder_params or table must be given")
     if len(train_corpus) == 0:
         raise DataError("training corpus is empty")
-    backend_kind = "hashed" if encoder_params is not None else "precomputed"
+    hashed = encoder_params is not None
+    dim = encoder_params.output_dim if hashed else table.dim
+    if train_cfg.use_graph and dim % train_cfg.heads:
+        raise ConfigError(f"heads ({train_cfg.heads}) must divide the encoder dimension ({dim})")
     loss_log: list[tuple[str, int, float]] = []
-    contrastive_history: list[float] = []
 
-    if backend_kind == "hashed" and train_cfg.use_contrastive and contrastive_cfg.epochs > 0:
+    if hashed and train_cfg.use_contrastive and contrastive_cfg.epochs > 0:
         with _stage("contrastive"):
-            encoder_params, contrastive_history = train_contrastive(
+            encoder_params, history = train_contrastive(
                 encoder_params, train_corpus, contrastive_cfg
             )
-        loss_log.extend(
-            ("contrastive", epoch, value)
-            for epoch, value in enumerate(contrastive_history)
-        )
+        loss_log.extend(("contrastive", epoch, value) for epoch, value in enumerate(history))
 
     with _stage("graph"):
-        backend = (
-            HashedEncoder(encoder_params)
-            if backend_kind == "hashed"
-            else PrecomputedEncoder(table)
-        )
-        dim = backend.dim
+        backend = HashedEncoder(encoder_params) if hashed else PrecomputedEncoder(table)
         graph = build_graph(train_corpus)
         init_features(graph, backend, train_corpus.vocabs)
         n_train = len(train_corpus)
         tasks = train_cfg.tasks
         golds = {task: np.array(train_corpus.gold_ids(task), dtype=np.intp) for task in tasks}
-        onehots = {
-            task: _onehot(golds[task], train_corpus.vocab(task).size) for task in tasks
-        }
-        label_rows = {task: np.array(graph.label_indices(task), dtype=np.intp) for task in TASKS}
+        label_rows = {task: np.array(graph.label_indices(task), dtype=np.intp) for task in tasks}
 
-        unfrozen = (
-            backend_kind == "hashed" and not train_cfg.freeze_encoder_after_contrastive
-        )
+        unfrozen = hashed and not train_cfg.freeze_encoder_after_contrastive
         if unfrozen:
-            fact_features = np.stack(
+            case_features = np.stack(
                 [featurize(clue_text(case.clues), encoder_params) for case in train_corpus]
             )
-            label_features = []
-            for task in TASKS:
-                vocab = train_corpus.vocab(task)
-                label_features.extend(
-                    featurize(vocab.surface(i), encoder_params) for i in range(vocab.size)
-                )
-            label_features = np.stack(label_features)
+            label_features = np.stack([
+                featurize(train_corpus.vocab(task).surface(i), encoder_params)
+                for task in TASKS
+                for i in range(train_corpus.vocab(task).size)
+            ])
 
         theta: dict[str, np.ndarray] = {}
         gat: GatParams | None = None
@@ -396,9 +450,8 @@ def fit_model(
             )
             theta.update(gat.to_param_dict())
         else:
-            initial = graph.features
             for task in tasks:
-                theta[f"labels.{task.value}"] = initial[label_rows[task]].copy()
+                theta[f"labels.{task.value}"] = graph.features[label_rows[task]].copy()
         if unfrozen:
             theta["encoder.projection"] = encoder_params.projection.copy()
             theta["encoder.bias"] = encoder_params.bias.copy()
@@ -407,60 +460,26 @@ def fit_model(
         stage_name = "graph" if train_cfg.use_graph else "label_finetune"
 
         for epoch in range(train_cfg.epochs):
-            leaves = {k: Tensor(v, requires_grad=True) for k, v in theta.items()}
+            encoder_inputs = None
             if unfrozen:
-                projection = leaves["encoder.projection"]
-                bias = leaves["encoder.bias"]
-                view = _dropout_view(
-                    fact_features,
-                    train_cfg.dropout_rate,
-                    derive(train_cfg.seed, "stage3-dropout", epoch),
+                dropout = DropoutSpec(
+                    train_cfg.dropout_rate, derive(train_cfg.seed, "stage3-dropout", epoch)
                 )
-                fact_t = (Tensor(view) @ projection.T + bias).tanh()
-                label_t = (Tensor(label_features) @ projection.T + bias).tanh()
-                node_feats = ad.concat([fact_t, label_t], axis=0)
-                hf_t = fact_t
-            else:
-                node_feats = Tensor(graph.features)
-                hf_t = Tensor(graph.features[:n_train])
-
-            if train_cfg.use_graph:
-                params_t = [
-                    [
-                        (
-                            leaves[f"gat.layer{li}.head{hi}.W"],
-                            leaves[f"gat.layer{li}.head{hi}.omega"],
-                        )
-                        for hi in range(len(layer.heads))
-                    ]
-                    for li, layer in enumerate(gat.layers)
-                ]
-                out = gat_forward_tensors(node_feats, graph, params_t, gat)
-                label_mats_t = {
-                    task: ad.gather_rows(out, label_rows[task]) for task in tasks
-                }
-            else:
-                label_mats_t = {task: leaves[f"labels.{task.value}"] for task in tasks}
-
+                encoder_inputs = (apply_dropout_noise(case_features, dropout), label_features)
+            rows = None
             if train_cfg.batch_size is not None and train_cfg.batch_size < n_train:
                 order = list(range(n_train))
                 SplitMix64(derive(train_cfg.seed, "batch", epoch)).shuffle(order)
                 rows = np.array(sorted(order[: train_cfg.batch_size]), dtype=np.intp)
-                hf_batch = ad.gather_rows(hf_t, rows)
-            else:
-                rows = np.arange(n_train, dtype=np.intp)
-                hf_batch = hf_t
-
-            loss_t = None
-            for task in tasks:
-                logits = hf_batch @ label_mats_t[task].T
-                term = _mean_ce(logits, onehots[task][rows])
-                loss_t = term if loss_t is None else loss_t + term
-            value = loss_t.item()
+            value, grads = stage3_objective(
+                theta, graph, golds, tasks,
+                gat=gat,
+                fact_vectors=graph.features[:n_train],
+                encoder_inputs=encoder_inputs,
+                rows=rows,
+            )
             if not np.isfinite(value):
                 raise DivergenceError(f"training loss diverged at epoch {epoch}")
-            loss_t.backward()
-            grads = {k: leaf.grad for k, leaf in leaves.items()}
             theta, state = adam_step(theta, grads, state)
             loss_log.append((stage_name, epoch, value))
 
@@ -468,8 +487,7 @@ def fit_model(
             encoder_params = encoder_params.with_weights(
                 theta["encoder.projection"], theta["encoder.bias"]
             )
-            backend = HashedEncoder(encoder_params)
-            init_features(graph, backend, train_corpus.vocabs)
+            init_features(graph, HashedEncoder(encoder_params), train_corpus.vocabs)
 
         attention: list[tuple] = []
         if train_cfg.use_graph:
@@ -480,40 +498,27 @@ def fit_model(
         else:
             label_matrices = {task: theta[f"labels.{task.value}"].copy() for task in tasks}
 
-    model = FittedModel(
-        dim=dim,
-        tasks=tuple(tasks),
-        vocabs=dict(train_corpus.vocabs),
-        label_matrices=label_matrices,
-        backend_kind=backend_kind,
+    model = FittedModel.trained(
+        train_cfg,
+        train_corpus.vocabs,
         encoder_params=encoder_params,
-        gat=gat if train_cfg.use_graph else None,
+        table=table,
+        embeddings_path=embeddings_path,
+        label_matrices=label_matrices,
+        gat=gat,
         lexicon=lexicon,
         anchors=anchors,
         threshold=threshold,
-        use_clue_tracing=train_cfg.use_clue_tracing,
-        use_contrastive=train_cfg.use_contrastive,
-        use_graph=train_cfg.use_graph,
-        heads=train_cfg.heads,
-        leaky_slope=train_cfg.leaky_slope,
-        seed=train_cfg.seed,
-        embeddings_path=embeddings_path,
-        table=table,
     )
-    return FitResult(model, loss_log, contrastive_history, attention, state)
+    return FitResult(model, loss_log, attention, state)
 
 
 @dataclass
-class PipelineResult:
-    model: FittedModel
+class PipelineResult(FitResult):
     train: Corpus
     validation: Corpus
     test: Corpus
-    loss_log: list[tuple[str, int, float]]
-    contrastive_history: list[float]
     metrics: dict[Task, MetricsReport]
-    attention: list[tuple]
-    optimizer_state: AdamState | None
 
 
 def run_pipeline(
@@ -560,15 +565,7 @@ def run_pipeline(
         with _stage("evaluate"):
             metrics = evaluate_model(result.model, val_part)
     return PipelineResult(
-        model=result.model,
-        train=train_part,
-        validation=val_part,
-        test=test_part,
-        loss_log=result.loss_log,
-        contrastive_history=result.contrastive_history,
-        metrics=metrics,
-        attention=result.attention,
-        optimizer_state=result.optimizer_state,
+        **vars(result), train=train_part, validation=val_part, test=test_part, metrics=metrics
     )
 
 

@@ -125,6 +125,30 @@ class TestTrainCommand:
         config_path, _ = write_config(tmp_path, extra_section={"x": 1})
         assert main(["train", "--config", str(config_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("train", "epochs", -1),
+            ("train", "heads", 3),  # does not divide encoder.output_dim 16
+            ("train", "batch_size", 0),
+            ("train", "dropout_rate", 1.0),
+            ("train", "dropout_rate", -0.5),
+            ("contrastive", "temperature", 0),
+            ("contrastive", "dropout_rate", 1.0),
+            ("split", "train_fraction", 1.5),
+        ],
+    )
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, section, key, value):
+        defaults = {
+            "train": TRAIN_SECTION,
+            "contrastive": CONTRASTIVE_SECTION,
+            "split": {"train_fraction": 0.8, "seed": 13},
+        }
+        overrides = {section: {**defaults[section], key: value}}
+        config_path, _ = write_config(tmp_path, **overrides)
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert key in capsys.readouterr().err
+
     def test_divergence_exit_code(self, tmp_path, monkeypatch):
         config_path, _ = write_config(tmp_path)
 

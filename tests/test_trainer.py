@@ -26,6 +26,12 @@ from lexjudge import (
     save_checkpoint,
     total_loss,
 )
+from lexjudge.encoder import HashedEncoder, apply_dropout_noise
+from lexjudge.graph import (
+    FactNode, GatParams, LabelNode, ReasoningGraph, build_graph, init_features,
+)
+from lexjudge.rng import derive
+from lexjudge.trainer import graph_objective, stage3_objective
 
 
 def small_contrastive(epochs=3):
@@ -382,7 +388,8 @@ class TestPrecomputedBackend:
                 precomputed.model.label_matrices[task], model.label_matrices[task]
             )
             assert precomputed.metrics[task].acc == hashed.metrics[task].acc
-        assert not precomputed.contrastive_history  # nothing trainable to pre-train
+        # nothing trainable to pre-train
+        assert not [s for s, _, _ in precomputed.loss_log if s == "contrastive"]
 
 
 class TestTrainConfigValidation:
@@ -393,3 +400,123 @@ class TestTrainConfigValidation:
     def test_negative_epochs(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
+
+    @pytest.mark.parametrize("rate", [1.0, -0.5])
+    def test_dropout_rate_outside_unit_interval(self, rate):
+        with pytest.raises(ValueError, match="dropout_rate"):
+            TrainConfig(dropout_rate=rate)
+
+
+def stage3_instance(seed=123):
+    """3 fact nodes + 3 charge-label nodes, dim 8, 2 heads per layer, with
+    12-bucket encoder inputs for the unfrozen variant."""
+    rng = np.random.default_rng(seed)
+    nodes = [FactNode(f"f{i}") for i in range(3)] + [
+        LabelNode(Task.CHARGE, i) for i in range(3)
+    ]
+    neighbors = [
+        [0, 3], [1, 4], [2, 5],
+        [3, 0, 4, 5], [4, 1, 3, 5], [5, 2, 3, 4],
+    ]
+    graph = ReasoningGraph(nodes, neighbors)
+    graph.features = rng.normal(size=(6, 8)) * 0.8
+    gat = GatParams.initialize(dim=8, heads=2, seed=7)
+    encoder = {
+        "encoder.projection": rng.normal(size=(8, 12)) * 0.3,
+        "encoder.bias": rng.normal(size=8) * 0.1,
+    }
+    features = rng.uniform(0.0, 1.0, size=(6, 12))
+    return graph, gat, encoder, features, {Task.CHARGE: [0, 1, 2]}
+
+
+def worst_gradient_error(objective, theta, keys, step=1e-4):
+    """Largest relative error of the analytic gradient of ``objective``
+    against central differences, over every entry of ``keys``
+    (criterion 1's measure)."""
+    _, grads = objective(theta, True)
+    worst = 0.0
+    for key in keys:
+        flat = theta[key].reshape(-1)
+        for i in range(flat.size):
+            original = flat[i]
+            flat[i] = original + step
+            up, _ = objective(theta, False)
+            flat[i] = original - step
+            down, _ = objective(theta, False)
+            flat[i] = original
+            numeric = (up - down) / (2 * step)
+            rel = abs(grads[key].reshape(-1)[i] - numeric) / max(abs(numeric), 1e-6)
+            worst = max(worst, rel)
+    return worst
+
+
+class TestStage3Objective:
+    tasks = (Task.CHARGE,)
+
+    def test_unfrozen_encoder_gradients_with_fixed_dropout_mask(self):
+        graph, gat, encoder, features, golds = stage3_instance()
+        view = apply_dropout_noise(features[:3], DropoutSpec(rate=0.2, seed=21))
+        theta = {**gat.to_param_dict(), **{k: v.copy() for k, v in encoder.items()}}
+
+        def objective(theta, with_grads):
+            return stage3_objective(
+                theta, graph, golds, self.tasks, gat=gat,
+                encoder_inputs=(view, features[3:]), with_grads=with_grads,
+            )
+
+        assert worst_gradient_error(objective, theta, list(encoder)) <= 1e-4
+
+    def test_minibatch_row_gradients(self):
+        graph, gat, _, _, golds = stage3_instance()
+        hf = np.random.default_rng(5).normal(size=(3, 8)) * 0.8
+        theta = gat.to_param_dict()
+        rows = np.array([0, 2], dtype=np.intp)
+
+        def objective(theta, with_grads):
+            return stage3_objective(
+                theta, graph, golds, self.tasks, gat=gat, fact_vectors=hf,
+                rows=rows, with_grads=with_grads,
+            )
+
+        assert worst_gradient_error(objective, theta, list(theta)) <= 1e-4
+        full, _ = stage3_objective(theta, graph, golds, self.tasks, gat=gat, fact_vectors=hf)
+        batch, _ = objective(theta, False)
+        assert batch != full
+
+    def test_label_finetune_gradients(self):
+        graph, _, _, _, golds = stage3_instance()
+        rng = np.random.default_rng(6)
+        hf = rng.normal(size=(3, 8)) * 0.8
+        theta = {"labels.charge": rng.normal(size=(3, 8)) * 0.5}
+
+        def objective(theta, with_grads):
+            return stage3_objective(
+                theta, graph, golds, self.tasks, fact_vectors=hf, with_grads=with_grads
+            )
+
+        assert worst_gradient_error(objective, theta, list(theta)) <= 1e-4
+        expected = total_loss(hf, golds, {Task.CHARGE: theta["labels.charge"]}, self.tasks)
+        assert objective(theta, False)[0] == pytest.approx(expected, abs=1e-12)
+
+    def test_fit_model_logs_the_checked_objective(self):
+        """The first graph loss of a frozen, full-batch fit is
+        graph_objective's value on the same graph, parameters and golds."""
+        corpus, lexicon, anchors = prepared_corpus(cases_per_charge=3)
+        params = HashedEncoderParams.initialize(output_dim=8, bucket_count=128, seed=1)
+        train_cfg = TrainConfig(epochs=2, seed=3, heads=2)
+        result = fit_model(
+            corpus,
+            encoder_params=params,
+            lexicon=lexicon,
+            anchors=anchors,
+            contrastive_cfg=small_contrastive(epochs=0),
+            train_cfg=train_cfg,
+        )
+        graph = init_features(build_graph(corpus), HashedEncoder(params), corpus.vocabs)
+        gat = GatParams.initialize(8, 2, derive(train_cfg.seed, "gat-init"), 0.2)
+        golds = {task: corpus.gold_ids(task) for task in TASKS}
+        value, _ = graph_objective(
+            graph, gat, graph.features[: len(corpus)], golds, TASKS, with_grads=False
+        )
+        first = next(v for stage, _, v in result.loss_log if stage == "graph")
+        assert first == value
