@@ -93,6 +93,7 @@ from .trainer import (
     FittedModel,
     TrainConfig,
     adam_step,
+    case_clues,
     evaluate_model,
     fit_model,
     graph_loss_reference,

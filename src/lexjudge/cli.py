@@ -17,12 +17,13 @@ from .config import RunConfig, load_run_config
 from .corpus import Corpus, Task, load_corpus, filter_scenario, split
 from .clues import load_lexicon
 from .contrastive import train_contrastive
-from .encoder import HashedEncoderParams, label_key, load_embedding_table
+from .encoder import label_key, load_embedding_table
 from .errors import ConfigError, DataError, DivergenceError, LexjudgeError
 from .metrics import MetricsReport, ablation_table
 from .rng import derive
 from .trainer import (
     FittedModel,
+    case_clues,
     evaluate_model,
     predict_records,
     prepare_clues,
@@ -160,9 +161,7 @@ def _pipeline_kwargs(cfg: RunConfig, train_overrides: dict | None = None) -> dic
         lexicon, anchors = _load_lexicon(cfg)
         kwargs["lexicon"] = lexicon
         kwargs["anchors"] = anchors
-        kwargs["encoder_params"] = HashedEncoderParams.initialize(
-            seed=derive(cfg.seed, "encoder"), **cfg.encoder_args()
-        )
+        kwargs["encoder_params"] = cfg.encoder_params()
     else:
         embeddings_path = cfg.path("embeddings", required=True)
         kwargs["table"] = load_embedding_table(embeddings_path)
@@ -173,9 +172,8 @@ def _pipeline_kwargs(cfg: RunConfig, train_overrides: dict | None = None) -> dic
 def _write_embeddings(path: str, model: FittedModel, train_corpus: Corpus) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"#dim {model.dim}\n")
-        backend = model.backend()
         for case in train_corpus:
-            vec = backend.fact_vector(case)
+            vec = model.fact_vector(case)
             fh.write(case.id + "\t" + " ".join(repr(float(v)) for v in vec) + "\n")
         for task in model.tasks:
             matrix = model.label_matrices[task]
@@ -195,10 +193,9 @@ def cmd_trace(args) -> int:
     out_path = args.out
     if not out_path:
         out_path = os.path.join(_out_dir(cfg, None), "clues.jsonl")
-    prepare_clues(corpus.cases, lexicon, anchors, cfg.threshold, use_clue_tracing=True)
+    clue_sets = [case_clues(case, lexicon, anchors, cfg.threshold, True) for case in corpus]
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        for case in corpus:
-            clue = case.clues
+        for case, clue in zip(corpus, clue_sets):
             fh.write(
                 json.dumps(
                     {
@@ -224,11 +221,11 @@ def cmd_pretrain(args) -> int:
     kwargs = _pipeline_kwargs(cfg)
     corpus = _load_inputs(cfg)
     train_cfg = kwargs["train_cfg"]
+    train_part, _, _ = split(corpus, kwargs["split_spec"])
     prepare_clues(
-        corpus.cases, kwargs["lexicon"], kwargs["anchors"], cfg.threshold,
+        train_part.cases, kwargs["lexicon"], kwargs["anchors"], cfg.threshold,
         train_cfg.use_clue_tracing,
     )
-    train_part, _, _ = split(corpus, kwargs["split_spec"])
     params, history = train_contrastive(
         kwargs["encoder_params"], train_part, kwargs["contrastive_cfg"]
     )

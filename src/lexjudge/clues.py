@@ -422,24 +422,24 @@ def extract_clues(
     threshold: float = 0.8,
     anchors: SectionAnchors | None = None,
 ) -> ClueSet:
-    """Extract and store the clue set for one case.
+    """The clue set of one case; the case itself is left unchanged.
 
-    Uses the case's own sections when present, otherwise segments
-    ``fact_text`` with the given anchors.
+    Traces the case's own sections when present, otherwise a segmentation
+    of ``fact_text`` by the given anchors.
     """
-    if case.sections is None:
+    sections = case.sections
+    if sections is None:
         if anchors is None:
             raise ValueError(f"case {case.id} has no sections and no anchors were given")
-        case.sections = segment_sections(case.fact_text, anchors)
-    case.clues = trace_sections(case.sections, lexicon, threshold)
-    return case.clues
+        sections = segment_sections(case.fact_text, anchors)
+    return trace_sections(sections, lexicon, threshold)
 
 
 class ClueTracer(BaseEstimator):
     """Transformer extracting (motivation, action, harm) clue sets from documents.
 
-    ``transform`` accepts raw document strings or ``CriminalCase`` objects;
-    cases have their ``sections``/``clues`` populated in place.
+    ``transform`` accepts raw document strings or ``CriminalCase`` objects
+    and returns one clue set per item, leaving cases unchanged.
     """
 
     def __init__(self, lexicon=None, anchors=None, threshold: float = 0.8):

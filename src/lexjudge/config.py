@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .contrastive import ContrastiveConfig
 from .corpus import Corpus, ScenarioKind, ScenarioSpec, SplitSpec, Task, TASKS
-from .encoder import DropoutSpec
+from .encoder import DropoutSpec, HashedEncoderParams
 from .errors import ConfigError
 from .rng import derive
 from .trainer import TrainConfig
@@ -84,16 +84,23 @@ class RunConfig:
         return self.encoder.get("backend", "hashed")
 
     @property
+    @_section_values("tracer")
     def threshold(self) -> float:
-        return float(self.tracer.get("threshold", 0.8))
+        threshold = float(self.tracer.get("threshold", 0.8))
+        if not 0.0 < threshold <= 1.0:
+            raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
+        return threshold
 
-    def encoder_args(self) -> dict:
-        return {
-            "output_dim": int(self.encoder.get("output_dim", 256)),
-            "bucket_count": int(self.encoder.get("bucket_count", 4096)),
-            "ngram_min": int(self.encoder.get("ngram_min", 1)),
-            "ngram_max": int(self.encoder.get("ngram_max", 3)),
-        }
+    @_section_values("encoder")
+    def encoder_params(self) -> HashedEncoderParams:
+        """The hashed encoder's initial parameters, seeded from the master seed."""
+        return HashedEncoderParams.initialize(
+            output_dim=int(self.encoder.get("output_dim", 256)),
+            bucket_count=int(self.encoder.get("bucket_count", 4096)),
+            ngram_min=int(self.encoder.get("ngram_min", 1)),
+            ngram_max=int(self.encoder.get("ngram_max", 3)),
+            seed=derive(self.seed, "encoder"),
+        )
 
     @_section_values("split")
     def split_spec(self) -> SplitSpec:

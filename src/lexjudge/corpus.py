@@ -342,10 +342,7 @@ def filter_scenario(corpus: Corpus, spec: ScenarioSpec, seed: int = 0) -> Corpus
         }
         for case in kept
     ]
-    filtered = _build_corpus(records)
-    for new_case, old_case in zip(filtered.cases, kept):
-        new_case.clues = old_case.clues
-    return filtered
+    return _build_corpus(records)
 
 
 @dataclass(frozen=True)
@@ -385,24 +382,8 @@ def split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus]:
     return make(train_idx), make(val_idx), make(test_idx)
 
 
-def case_record(case: CriminalCase, vocabs: dict[Task, LabelVocab]) -> dict:
-    """Serialize a case back to the JSONL schema."""
-    rec: dict = {"id": case.id, "fact": case.fact_text}
-    if case.sections is not None:
-        rec["sections"] = {
-            "statement": case.sections.statement,
-            "date": case.sections.date,
-            "location": case.sections.location,
-            "process": case.sections.process,
-        }
-    rec["labels"] = {
-        task.value: vocabs[task].surface(case.labels.get(task)) for task in TASKS
-    }
-    return rec
-
-
 __all__ = [
     "Task", "TASKS", "JudgmentLabels", "CriminalCase", "LabelVocab", "Corpus",
     "load_corpus", "ScenarioKind", "ScenarioSpec", "filter_scenario",
-    "SplitSpec", "split", "case_record",
+    "SplitSpec", "split",
 ]

@@ -22,7 +22,7 @@ import numpy as np
 from .clues import ClueSet
 from .errors import DataError
 from .rng import derive, fnv1a_64, glorot_uniform, stream_uniform
-from .validation import check_finite, check_unit_rate
+from .validation import check_finite, check_positive, check_unit_rate
 
 if TYPE_CHECKING:
     from .corpus import CriminalCase, Task
@@ -65,6 +65,8 @@ class HashedEncoderParams:
                 f"projection must be (output_dim, {self.bucket_count}), "
                 f"got {self.projection.shape}"
             )
+        if self.projection.shape[0] == 0:
+            raise ValueError("projection has no rows: output_dim must be at least 1")
         if self.bias.shape != (self.projection.shape[0],):
             raise ValueError("bias length must match projection rows")
         check_finite(self.projection, "projection")
@@ -84,6 +86,8 @@ class HashedEncoderParams:
         seed: int = 0,
     ) -> "HashedEncoderParams":
         """Glorot-uniform projection, zero bias, from the seeded stream."""
+        check_positive(output_dim, "output_dim")
+        check_positive(bucket_count, "bucket_count")
         projection = glorot_uniform(
             (output_dim, bucket_count), bucket_count, output_dim,
             derive(seed, "encoder-projection"),

@@ -16,7 +16,7 @@ from .encoder import DropoutSpec, EmbeddingTable, HashedEncoderParams
 from .errors import ConfigError, NotFittedError
 from .predictor import predict_proba as _softmax
 from .rng import derive
-from .trainer import TrainConfig, evaluate_model, fit_model, prepare_clues
+from .trainer import TrainConfig, evaluate_model, fit_model
 
 
 def _as_task(task) -> Task:
@@ -118,10 +118,6 @@ class JudgmentClassifier(BaseEstimator):
                 ngram_min=self.ngram_min,
                 ngram_max=self.ngram_max,
                 seed=derive(self.seed, "encoder"),
-            )
-            prepare_clues(
-                corpus.cases, self.lexicon, self.anchors, self.threshold,
-                self.use_clue_tracing,
             )
         result = fit_model(
             corpus,

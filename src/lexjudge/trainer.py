@@ -3,6 +3,7 @@ against the summed per-task cross-entropies, with the staged pipeline
 (clue tracing, contrastive pre-training, graph-enhanced training) and the
 ablation toggles.
 
+Stage 1 has one call path, ``case_clues``, which never writes to a case.
 Inference-time fact vectors always come from the encoder; the graph only
 propagates case semantics into the label nodes, and unseen cases never
 join the transductive graph. With ``use_graph=False`` the per-task label
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .clues import Lexicon, SectionAnchors, extract_clues, full_text_clues
+from .clues import ClueSet, Lexicon, SectionAnchors, extract_clues, full_text_clues
 from .contrastive import ContrastiveConfig, train_contrastive
 from .corpus import Corpus, CriminalCase, LabelVocab, SplitSpec, Task, TASKS, split
 from .encoder import (
@@ -244,27 +245,41 @@ def graph_objective(
     )
 
 
+def case_clues(
+    case: CriminalCase,
+    lexicon: Lexicon | None,
+    anchors: SectionAnchors | None,
+    threshold: float,
+    use_clue_tracing: bool,
+) -> ClueSet:
+    """The stage-1 clue set of one case, which is left unchanged. With
+    tracing disabled the full fact text stands in for all three clues."""
+    if not use_clue_tracing:
+        return full_text_clues(case.fact_text)
+    if lexicon is None:
+        raise ConfigError("clue tracing requires a lexicon")
+    return extract_clues(case, lexicon, threshold, anchors)
+
+
 def prepare_clues(
-    cases: Sequence[CriminalCase],
+    cases: list[CriminalCase],
     lexicon: Lexicon | None,
     anchors: SectionAnchors | None,
     threshold: float,
     use_clue_tracing: bool,
 ) -> None:
-    """Populate ``case.clues`` for every case (stage 1). With tracing
-    disabled the full fact text stands in for all three clues."""
-    for case in cases:
-        if not use_clue_tracing:
-            case.clues = full_text_clues(case.fact_text)
-        elif lexicon is None:
-            raise ConfigError("clue tracing requires a lexicon")
-        else:
-            extract_clues(case, lexicon, threshold, anchors)
+    """Stage 1 over a case list: replace every entry with a copy carrying
+    its ``case_clues``; the case objects themselves are left unchanged."""
+    cases[:] = [
+        replace(case, clues=case_clues(case, lexicon, anchors, threshold, use_clue_tracing))
+        for case in cases
+    ]
 
 
 @dataclass
 class FittedModel:
-    """Everything needed to score unseen cases against the enhanced labels."""
+    """Everything needed to score unseen cases against the enhanced labels;
+    ``fact_vector`` traces each case afresh and stores nothing on it."""
 
     dim: int
     tasks: tuple[Task, ...]
@@ -337,15 +352,12 @@ class FittedModel:
             )
         return PrecomputedEncoder(self.table)
 
-    def prepare_case(self, case: CriminalCase) -> CriminalCase:
-        if self.backend_kind == "hashed":
-            prepare_clues(
-                (case,), self.lexicon, self.anchors, self.threshold, self.use_clue_tracing
-            )
-        return case
-
     def fact_vector(self, case: CriminalCase) -> np.ndarray:
-        return self.backend().fact_vector(self.prepare_case(case))
+        if self.backend_kind == "hashed":
+            case = replace(case, clues=case_clues(
+                case, self.lexicon, self.anchors, self.threshold, self.use_clue_tracing
+            ))
+        return self.backend().fact_vector(case)
 
     def scores(self, case: CriminalCase) -> dict[Task, np.ndarray]:
         hf = self.fact_vector(case)
@@ -397,10 +409,11 @@ def fit_model(
     contrastive_cfg: ContrastiveConfig | None = None,
     train_cfg: TrainConfig | None = None,
 ) -> FitResult:
-    """Run stages 2 and 3 on a corpus whose clues are already prepared.
+    """Run stages 1 to 3 on a training corpus.
 
     Exactly one of ``encoder_params`` (hashed backend) or ``table``
-    (precomputed backend) must be given. The contrastive stage is skipped
+    (precomputed backend) must be given. Stage 1 traces copies of the
+    training cases on the hashed backend; the contrastive stage is skipped
     on the precomputed path, which has no trainable encoder.
     """
     train_cfg = train_cfg or TrainConfig()
@@ -414,6 +427,13 @@ def fit_model(
     if train_cfg.use_graph and dim % train_cfg.heads:
         raise ConfigError(f"heads ({train_cfg.heads}) must divide the encoder dimension ({dim})")
     loss_log: list[tuple[str, int, float]] = []
+
+    if hashed:
+        with _stage("trace"):
+            train_corpus = Corpus(train_corpus.cases, train_corpus.vocabs)
+            prepare_clues(
+                train_corpus.cases, lexicon, anchors, threshold, train_cfg.use_clue_tracing
+            )
 
     if hashed and train_cfg.use_contrastive and contrastive_cfg.epochs > 0:
         with _stage("contrastive"):
@@ -534,17 +554,9 @@ def run_pipeline(
     contrastive_cfg: ContrastiveConfig | None = None,
     train_cfg: TrainConfig | None = None,
 ) -> PipelineResult:
-    """The full staged pipeline: clue tracing, split, contrastive
-    pre-training, graph-enhanced training, and validation metrics."""
-    train_cfg = train_cfg or TrainConfig()
+    """The full staged pipeline: split, ``fit_model`` on the training part
+    (stages 1 to 3), and validation metrics."""
     split_spec = split_spec or SplitSpec()
-    if (encoder_params is None) == (table is None):
-        raise ConfigError("exactly one of encoder_params or table must be given")
-    if encoder_params is not None:
-        with _stage("trace"):
-            prepare_clues(
-                corpus.cases, lexicon, anchors, threshold, train_cfg.use_clue_tracing
-            )
     with _stage("split"):
         train_part, val_part, test_part = split(corpus, split_spec)
         if len(train_part) == 0:
@@ -572,19 +584,29 @@ def run_pipeline(
 def evaluate_model(
     model: FittedModel, corpus: Corpus, tasks: Sequence[Task] | None = None
 ) -> dict[Task, MetricsReport]:
-    """Per-task metrics of the model on one corpus split."""
+    """Per-task metrics of the model on one corpus split.
+
+    Label ids are the model's: each gold label is looked up by its surface
+    string, so the corpus's own vocabulary order does not matter. Gold
+    labels the model does not know raise ``DataError``."""
     if len(corpus) == 0:
         raise DataError("cannot evaluate on an empty corpus")
     tasks = tuple(tasks) if tasks is not None else model.tasks
+    golds: dict[Task, list[int]] = {}
+    for task in tasks:
+        surfaces = [corpus.vocab(task).surface(i) for i in corpus.gold_ids(task)]
+        known = set(model.vocabs[task].entries)
+        unknown = sorted({s for s in surfaces if s not in known})
+        if unknown:
+            raise DataError(f"{task.value} labels unknown to the model: {unknown}")
+        golds[task] = [model.vocabs[task].label_id(s) for s in surfaces]
     preds: dict[Task, list[int]] = {task: [] for task in tasks}
     for case in corpus:
         predicted = model.predict_case(case)
         for task in tasks:
             preds[task].append(predicted[task])
     return {
-        task: report(
-            corpus.gold_ids(task), preds[task], corpus.vocab(task).size, task=task
-        )
+        task: report(golds[task], preds[task], model.vocabs[task].size, task=task)
         for task in tasks
     }
 

@@ -136,6 +136,11 @@ class TestTrainCommand:
             ("contrastive", "temperature", 0),
             ("contrastive", "dropout_rate", 1.0),
             ("split", "train_fraction", 1.5),
+            ("encoder", "bucket_count", 0),
+            ("encoder", "ngram_min", 0),
+            ("encoder", "output_dim", 0),
+            ("tracer", "threshold", 1.5),
+            ("tracer", "threshold", 0),
         ],
     )
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, section, key, value):
@@ -143,6 +148,8 @@ class TestTrainCommand:
             "train": TRAIN_SECTION,
             "contrastive": CONTRASTIVE_SECTION,
             "split": {"train_fraction": 0.8, "seed": 13},
+            "encoder": ENCODER_SECTION,
+            "tracer": {},
         }
         overrides = {section: {**defaults[section], key: value}}
         config_path, _ = write_config(tmp_path, **overrides)

@@ -259,7 +259,7 @@ class TestExtractClues:
             "greed", "forcibly seized", "injury",
         )
         assert all(p is Provenance.EXACT for p in clues.provenance.values())
-        assert case.clues is clues
+        assert case.clues is None
 
     def test_missing_harm_falls_back_to_area(self):
         case = make_case("court finds: greed led him to forcibly seized goods. sentencing")
@@ -275,7 +275,7 @@ class TestExtractClues:
         )
         clues = extract_clues(case, LEXICON, 0.8, anchors=ANCHORS)
         assert clues.motivation == "greed"
-        assert case.sections is not None
+        assert case.sections is None and case.clues is None
 
     def test_determinism(self):
         case_a = make_case("court finds: greed, forcibly seized, injury. sentencing")

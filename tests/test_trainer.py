@@ -9,6 +9,8 @@ from lexjudge import (
     AdamState,
     ConfigError,
     ContrastiveConfig,
+    Corpus,
+    DataError,
     DivergenceError,
     DropoutSpec,
     HashedEncoderParams,
@@ -20,6 +22,7 @@ from lexjudge import (
     evaluate_model,
     fit_model,
     load_checkpoint,
+    load_lexicon,
     predict_records,
     prepare_clues,
     run_pipeline,
@@ -286,6 +289,40 @@ class TestRunPipeline:
             assert sum(row["proba"]) == pytest.approx(1.0, abs=1e-9)
 
 
+class TestEvaluateVocabulary:
+    """Gold labels are matched to the model's vocabulary by surface, so the
+    evaluated corpus's own first-occurrence order does not matter."""
+
+    @pytest.fixture(scope="class")
+    def fixture_model(self, trace_corpus_path, lexicon_path):
+        lexicon, anchors = load_lexicon(lexicon_path)
+        with open(trace_corpus_path, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        model = fit_model(
+            Corpus.from_records(records),
+            encoder_params=HashedEncoderParams.initialize(output_dim=16, bucket_count=256, seed=1),
+            lexicon=lexicon,
+            anchors=anchors,
+            contrastive_cfg=small_contrastive(epochs=3),
+            train_cfg=TrainConfig(epochs=25, seed=11),
+        ).model
+        return model, records
+
+    def test_reversed_order_gives_the_same_reports(self, fixture_model):
+        model, records = fixture_model
+        forward = Corpus.from_records(records)
+        backward = Corpus.from_records(records[::-1])
+        assert backward.vocab(Task.CHARGE).entries != forward.vocab(Task.CHARGE).entries
+        assert evaluate_model(model, backward) == evaluate_model(model, forward)
+
+    def test_gold_surface_unknown_to_the_model_is_named(self, fixture_model):
+        model, records = fixture_model
+        extra = dict(records[0], id="extra")
+        extra["labels"] = dict(extra["labels"], charge="arson")
+        with pytest.raises(DataError, match="charge labels unknown to the model: \\['arson'\\]"):
+            evaluate_model(model, Corpus.from_records(records + [extra]))
+
+
 class TestCheckpointRoundtrip:
     def test_roundtrip_preserves_total_loss_exactly(self, tmp_path):
         corpus, lexicon, anchors = prepared_corpus(cases_per_charge=3)
@@ -361,7 +398,7 @@ class TestPrecomputedBackend:
         with open(table_path, "w", encoding="utf-8") as fh:
             fh.write(f"#dim {model.dim}\n")
             for case in corpus:
-                vec = backend.fact_vector(case)
+                vec = model.fact_vector(case)
                 fh.write(case.id + "\t" + " ".join(repr(float(v)) for v in vec) + "\n")
             for task in TASKS:
                 vocab = corpus.vocab(task)
