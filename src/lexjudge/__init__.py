@@ -99,7 +99,6 @@ from .trainer import (
     graph_loss_reference,
     graph_objective,
     predict_records,
-    prepare_clues,
     run_pipeline,
     total_loss,
 )

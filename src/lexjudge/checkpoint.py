@@ -18,6 +18,7 @@ from .encoder import HashedEncoderParams, load_embedding_table
 from .errors import DataError
 from .graph import GatParams, HeadParams, LayerParams
 from .trainer import AdamState, FittedModel
+from .validation import check_threshold
 
 FORMAT_VERSION = 1
 
@@ -204,7 +205,7 @@ def load_checkpoint(path, load_table: bool = False) -> tuple[FittedModel, dict]:
             gat=_parse_gat(graph_doc),
             lexicon=lexicon,
             anchors=anchors,
-            threshold=meta["threshold"],
+            threshold=check_threshold(meta["threshold"], "meta.threshold"),
             use_clue_tracing=meta["toggles"]["use_clue_tracing"],
             use_contrastive=meta["toggles"]["use_contrastive"],
             use_graph=meta["toggles"]["use_graph"],

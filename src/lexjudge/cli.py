@@ -26,7 +26,6 @@ from .trainer import (
     case_clues,
     evaluate_model,
     predict_records,
-    prepare_clues,
     run_pipeline,
 )
 
@@ -222,12 +221,15 @@ def cmd_pretrain(args) -> int:
     corpus = _load_inputs(cfg)
     train_cfg = kwargs["train_cfg"]
     train_part, _, _ = split(corpus, kwargs["split_spec"])
-    prepare_clues(
-        train_part.cases, kwargs["lexicon"], kwargs["anchors"], cfg.threshold,
-        train_cfg.use_clue_tracing,
-    )
+    clue_sets = [
+        case_clues(
+            case, kwargs["lexicon"], kwargs["anchors"], cfg.threshold,
+            train_cfg.use_clue_tracing,
+        )
+        for case in train_part
+    ]
     params, history = train_contrastive(
-        kwargs["encoder_params"], train_part, kwargs["contrastive_cfg"]
+        kwargs["encoder_params"], clue_sets, kwargs["contrastive_cfg"]
     )
     model = FittedModel.trained(
         train_cfg,

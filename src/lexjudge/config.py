@@ -18,6 +18,7 @@ from .encoder import DropoutSpec, HashedEncoderParams
 from .errors import ConfigError
 from .rng import derive
 from .trainer import TrainConfig
+from .validation import check_threshold
 
 CONFIG_VERSION = 1
 SEED_ENV_VAR = "SEMDR_SEED"
@@ -86,10 +87,7 @@ class RunConfig:
     @property
     @_section_values("tracer")
     def threshold(self) -> float:
-        threshold = float(self.tracer.get("threshold", 0.8))
-        if not 0.0 < threshold <= 1.0:
-            raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
-        return threshold
+        return check_threshold(float(self.tracer.get("threshold", 0.8)))
 
     @_section_values("encoder")
     def encoder_params(self) -> HashedEncoderParams:

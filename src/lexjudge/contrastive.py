@@ -11,16 +11,17 @@ the projection and bias.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import Corpus
+from .clues import ClueSet
 from .encoder import (
     DropoutSpec, HashedEncoderParams, apply_dropout_noise, clue_text, featurize,
 )
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import ConfigError, DivergenceError
 from .rng import SplitMix64, derive
 from .validation import check_positive, check_seed, check_vector
 
@@ -140,25 +141,23 @@ def contrastive_objective(
 
 
 def train_contrastive(
-    params: HashedEncoderParams, corpus: Corpus, cfg: ContrastiveConfig
+    params: HashedEncoderParams, clue_sets: Sequence[ClueSet], cfg: ContrastiveConfig
 ) -> tuple[HashedEncoderParams, list[float]]:
-    """Train the encoder projection contrastively; returns the updated
-    params and the mean loss per epoch (measured entering the epoch)."""
+    """Train the encoder projection contrastively on one clue set per case;
+    returns the updated params and the mean loss per epoch (measured
+    entering the epoch)."""
     from .trainer import AdamState, adam_step  # deferred: trainer imports this module
 
-    n = len(corpus)
+    n = len(clue_sets)
     if n <= cfg.negatives_per_anchor:
         raise ConfigError(
             f"negatives_per_anchor={cfg.negatives_per_anchor} requires more "
             f"than {cfg.negatives_per_anchor} cases, corpus has {n}"
         )
-    for case in corpus:
-        if case.clues is None:
-            raise DataError(f"case {case.id} has no extracted clues")
     if cfg.epochs == 0:
         return params, []
 
-    features = np.stack([featurize(clue_text(case.clues), params) for case in corpus])
+    features = np.stack([featurize(clue_text(clues), params) for clues in clue_sets])
     theta = {"projection": params.projection.copy(), "bias": params.bias.copy()}
     state = AdamState.initialize(theta, learning_rate=cfg.learning_rate)
     history: list[float] = []

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .clues import ClueSet, SectionMap
+from .clues import SectionMap
 from .errors import DataError
 from .rng import SplitMix64, derive
 from .validation import check_fraction, check_seed
@@ -50,13 +50,12 @@ class JudgmentLabels:
 
 @dataclass
 class CriminalCase:
-    """One legal document with its gold labels and (eventually) clues."""
+    """One legal document with its gold labels and optional sections."""
 
     id: str
     fact_text: str
     labels: JudgmentLabels
     sections: SectionMap | None = None
-    clues: ClueSet | None = None
 
     def __post_init__(self):
         if not self.id:

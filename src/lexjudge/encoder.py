@@ -9,7 +9,9 @@ consumes:
 * ingestion of precomputed embeddings from a TSV table (vectors are taken
   as given; nothing is trainable on this path).
 
-Downstream code depends only on (dim, fact_vector, label_vector).
+Downstream code depends only on (dim, fact_vector, label_vector). Each
+backend's ``fact_vector`` takes the input it keys on: the hashed encoder a
+case's clue set, the precomputed table the case itself (by id).
 """
 
 from __future__ import annotations
@@ -254,10 +256,8 @@ class HashedEncoder:
     def dim(self) -> int:
         return self.params.output_dim
 
-    def fact_vector(self, case: "CriminalCase") -> np.ndarray:
-        if case.clues is None:
-            raise DataError(f"case {case.id} has no extracted clues")
-        return encode_fact(case.clues, self.params)
+    def fact_vector(self, clues: ClueSet) -> np.ndarray:
+        return encode_fact(clues, self.params)
 
     def label_vector(self, task: "Task", label_id: int, surface: str) -> np.ndarray:
         return encode_label(surface, self.params)

@@ -46,19 +46,6 @@ class LabelNode:
 
 NodeKind = Union[FactNode, LabelNode]
 
-FACT_RELATIONS = {
-    Task.IMPRISONMENT: "fact_to_imprisonment",
-    Task.CHARGE: "fact_to_charge",
-    Task.ARTICLE: "fact_to_article",
-}
-
-
-@dataclass(frozen=True)
-class Relation:
-    src: int
-    dst: int
-    kind: str
-
 
 def node_name(node: NodeKind) -> str:
     if isinstance(node, FactNode):
@@ -69,19 +56,11 @@ def node_name(node: NodeKind) -> str:
 class ReasoningGraph:
     """Typed nodes, ordered one-hop neighborhoods, and node features."""
 
-    def __init__(
-        self,
-        nodes: Sequence[NodeKind],
-        neighbors: Sequence[Sequence[int]],
-        relations: Sequence[Relation] = (),
-        cases: Sequence = (),
-    ):
+    def __init__(self, nodes: Sequence[NodeKind], neighbors: Sequence[Sequence[int]]):
         if len(nodes) != len(neighbors):
             raise ValueError("nodes and neighbors must align")
         self.nodes: list[NodeKind] = list(nodes)
         self.neighbors: list[list[int]] = [list(ns) for ns in neighbors]
-        self.relations: list[Relation] = list(relations)
-        self.cases = list(cases)
         self.features: np.ndarray | None = None
         for i, ns in enumerate(self.neighbors):
             if i not in ns:
@@ -125,44 +104,40 @@ def build_graph(corpus: Corpus) -> ReasoningGraph:
             label_index[(task, label_id)] = len(nodes)
             nodes.append(LabelNode(task, label_id))
     neighbors: list[list[int]] = [[i] for i in range(len(nodes))]
-    relations: list[Relation] = [Relation(i, i, "self") for i in range(len(nodes))]
 
-    def connect(u: int, v: int, kind: str) -> None:
+    def connect(u: int, v: int) -> None:
         neighbors[u].append(v)
         neighbors[v].append(u)
-        relations.append(Relation(u, v, kind))
-        relations.append(Relation(v, u, f"rev:{kind}"))
 
     for fact_idx, case in enumerate(corpus):
         for task in TASKS:
-            connect(
-                fact_idx,
-                label_index[(task, case.labels.get(task))],
-                FACT_RELATIONS[task],
-            )
+            connect(fact_idx, label_index[(task, case.labels.get(task))])
     for task in TASKS:
         size = corpus.vocab(task).size
         for a in range(size):
             for b in range(a + 1, size):
-                connect(
-                    label_index[(task, a)],
-                    label_index[(task, b)],
-                    f"label_to_label:{task.value}",
-                )
-    return ReasoningGraph(nodes, neighbors, relations, cases=corpus.cases)
+                connect(label_index[(task, a)], label_index[(task, b)])
+    return ReasoningGraph(nodes, neighbors)
 
 
-def init_features(graph: ReasoningGraph, backend, vocabs: dict[Task, "LabelVocab"]) -> ReasoningGraph:
-    """Initialize node features from the encoder backend: facts from their
-    clue sets, labels from their surface texts."""
+def init_features(
+    graph: ReasoningGraph,
+    backend,
+    vocabs: dict[Task, "LabelVocab"],
+    fact_inputs: Sequence,
+) -> ReasoningGraph:
+    """Initialize node features from the encoder backend: the i-th fact node
+    from ``fact_inputs[i]``, the input its backend keys on (a clue set for
+    the hashed encoder, the case for precomputed embeddings); labels from
+    their surface texts."""
+    n_facts = sum(isinstance(node, FactNode) for node in graph.nodes)
+    if len(fact_inputs) != n_facts:
+        raise DataError(f"{len(fact_inputs)} fact inputs for {n_facts} fact nodes")
+    facts = iter(fact_inputs)
     rows = []
-    case_by_id = {case.id: case for case in graph.cases}
     for node in graph.nodes:
         if isinstance(node, FactNode):
-            case = case_by_id.get(node.case_id)
-            if case is None:
-                raise DataError(f"graph fact node {node.case_id!r} has no case")
-            rows.append(backend.fact_vector(case))
+            rows.append(backend.fact_vector(next(facts)))
         else:
             surface = vocabs[node.task].surface(node.label_id)
             rows.append(backend.label_vector(node.task, node.label_id, surface))

@@ -10,13 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from .base import BaseEstimator
-from .contrastive import ContrastiveConfig
+from .config import RunConfig
 from .corpus import Corpus, Task, TASKS
-from .encoder import DropoutSpec, EmbeddingTable, HashedEncoderParams
+from .encoder import EmbeddingTable
 from .errors import ConfigError, NotFittedError
 from .predictor import predict_proba as _softmax
-from .rng import derive
-from .trainer import TrainConfig, evaluate_model, fit_model
+from .trainer import evaluate_model, fit_model
 
 
 def _as_task(task) -> Task:
@@ -80,54 +79,38 @@ class JudgmentClassifier(BaseEstimator):
         self.embedding_table = embedding_table
         self.seed = seed
 
-    def _train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            seed=self.seed,
-            tasks=tuple(_as_task(t) for t in self.tasks),
-            use_clue_tracing=self.use_clue_tracing,
-            use_contrastive=self.use_contrastive,
-            use_graph=self.use_graph,
-            freeze_encoder_after_contrastive=self.freeze_encoder,
-            heads=self.heads,
-            leaky_slope=self.leaky_slope,
-        )
-
-    def _contrastive_config(self) -> ContrastiveConfig:
-        return ContrastiveConfig(
-            temperature=self.temperature,
-            negatives_per_anchor=self.negatives_per_anchor,
-            epochs=self.contrastive_epochs,
-            learning_rate=self.learning_rate,
-            dropout=DropoutSpec(
-                rate=self.contrastive_dropout, seed=derive(self.seed, "dropout")
-            ),
-            seed=derive(self.seed, "contrastive"),
-        )
-
     def fit(self, corpus: Corpus, y=None):
         if not isinstance(corpus, Corpus):
             raise ConfigError("fit expects a Corpus")
-        encoder_params = None
+        # Built as a run configuration, so the stage configs and their derived
+        # seeds match the command line's and bad values raise ConfigError.
+        cfg = RunConfig(
+            seed=self.seed,
+            encoder=dict(output_dim=self.dim, bucket_count=self.bucket_count,
+                         ngram_min=self.ngram_min, ngram_max=self.ngram_max),
+            contrastive=dict(
+                temperature=self.temperature, negatives_per_anchor=self.negatives_per_anchor,
+                epochs=self.contrastive_epochs, learning_rate=self.learning_rate,
+                dropout_rate=self.contrastive_dropout,
+            ),
+            train=dict(
+                epochs=self.epochs, learning_rate=self.learning_rate, tasks=list(self.tasks),
+                use_clue_tracing=self.use_clue_tracing, use_contrastive=self.use_contrastive,
+                use_graph=self.use_graph, freeze_encoder=self.freeze_encoder,
+                heads=self.heads, leaky_slope=self.leaky_slope,
+            ),
+            tracer=dict(threshold=self.threshold),
+        )
         table = self.embedding_table
-        if table is None:
-            encoder_params = HashedEncoderParams.initialize(
-                output_dim=self.dim,
-                bucket_count=self.bucket_count,
-                ngram_min=self.ngram_min,
-                ngram_max=self.ngram_max,
-                seed=derive(self.seed, "encoder"),
-            )
         result = fit_model(
             corpus,
-            encoder_params=encoder_params,
+            encoder_params=cfg.encoder_params() if table is None else None,
             table=table,
             lexicon=self.lexicon,
             anchors=self.anchors,
-            threshold=self.threshold,
-            contrastive_cfg=self._contrastive_config(),
-            train_cfg=self._train_config(),
+            threshold=cfg.threshold,
+            contrastive_cfg=cfg.contrastive_config(),
+            train_cfg=cfg.train_config(),
         )
         self.model_ = result.model
         self.loss_log_ = result.loss_log

@@ -48,7 +48,7 @@ from .graph import (
 from .metrics import MetricsReport, report
 from .predictor import ce_loss, predict_label, predict_proba, score_case
 from .rng import SplitMix64, derive
-from .validation import check_seed, check_unit_rate
+from .validation import check_seed, check_threshold, check_unit_rate
 
 
 @dataclass(frozen=True)
@@ -261,21 +261,6 @@ def case_clues(
     return extract_clues(case, lexicon, threshold, anchors)
 
 
-def prepare_clues(
-    cases: list[CriminalCase],
-    lexicon: Lexicon | None,
-    anchors: SectionAnchors | None,
-    threshold: float,
-    use_clue_tracing: bool,
-) -> None:
-    """Stage 1 over a case list: replace every entry with a copy carrying
-    its ``case_clues``; the case objects themselves are left unchanged."""
-    cases[:] = [
-        replace(case, clues=case_clues(case, lexicon, anchors, threshold, use_clue_tracing))
-        for case in cases
-    ]
-
-
 @dataclass
 class FittedModel:
     """Everything needed to score unseen cases against the enhanced labels;
@@ -354,7 +339,7 @@ class FittedModel:
 
     def fact_vector(self, case: CriminalCase) -> np.ndarray:
         if self.backend_kind == "hashed":
-            case = replace(case, clues=case_clues(
+            return self.backend().fact_vector(case_clues(
                 case, self.lexicon, self.anchors, self.threshold, self.use_clue_tracing
             ))
         return self.backend().fact_vector(case)
@@ -412,9 +397,10 @@ def fit_model(
     """Run stages 1 to 3 on a training corpus.
 
     Exactly one of ``encoder_params`` (hashed backend) or ``table``
-    (precomputed backend) must be given. Stage 1 traces copies of the
-    training cases on the hashed backend; the contrastive stage is skipped
-    on the precomputed path, which has no trainable encoder.
+    (precomputed backend) must be given. On the hashed backend stage 1
+    traces each training case once into a clue set, and those clue sets
+    are the encoder's input; the precomputed backend looks cases up by id
+    and skips the contrastive stage, having no trainable encoder.
     """
     train_cfg = train_cfg or TrainConfig()
     contrastive_cfg = contrastive_cfg or ContrastiveConfig()
@@ -422,30 +408,35 @@ def fit_model(
         raise ConfigError("exactly one of encoder_params or table must be given")
     if len(train_corpus) == 0:
         raise DataError("training corpus is empty")
+    try:
+        check_threshold(threshold)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     hashed = encoder_params is not None
     dim = encoder_params.output_dim if hashed else table.dim
     if train_cfg.use_graph and dim % train_cfg.heads:
         raise ConfigError(f"heads ({train_cfg.heads}) must divide the encoder dimension ({dim})")
     loss_log: list[tuple[str, int, float]] = []
 
+    fact_inputs = train_corpus.cases
     if hashed:
         with _stage("trace"):
-            train_corpus = Corpus(train_corpus.cases, train_corpus.vocabs)
-            prepare_clues(
-                train_corpus.cases, lexicon, anchors, threshold, train_cfg.use_clue_tracing
-            )
+            fact_inputs = [
+                case_clues(case, lexicon, anchors, threshold, train_cfg.use_clue_tracing)
+                for case in train_corpus
+            ]
 
     if hashed and train_cfg.use_contrastive and contrastive_cfg.epochs > 0:
         with _stage("contrastive"):
             encoder_params, history = train_contrastive(
-                encoder_params, train_corpus, contrastive_cfg
+                encoder_params, fact_inputs, contrastive_cfg
             )
         loss_log.extend(("contrastive", epoch, value) for epoch, value in enumerate(history))
 
     with _stage("graph"):
         backend = HashedEncoder(encoder_params) if hashed else PrecomputedEncoder(table)
         graph = build_graph(train_corpus)
-        init_features(graph, backend, train_corpus.vocabs)
+        init_features(graph, backend, train_corpus.vocabs, fact_inputs)
         n_train = len(train_corpus)
         tasks = train_cfg.tasks
         golds = {task: np.array(train_corpus.gold_ids(task), dtype=np.intp) for task in tasks}
@@ -454,7 +445,7 @@ def fit_model(
         unfrozen = hashed and not train_cfg.freeze_encoder_after_contrastive
         if unfrozen:
             case_features = np.stack(
-                [featurize(clue_text(case.clues), encoder_params) for case in train_corpus]
+                [featurize(clue_text(clues), encoder_params) for clues in fact_inputs]
             )
             label_features = np.stack([
                 featurize(train_corpus.vocab(task).surface(i), encoder_params)
@@ -507,7 +498,9 @@ def fit_model(
             encoder_params = encoder_params.with_weights(
                 theta["encoder.projection"], theta["encoder.bias"]
             )
-            init_features(graph, HashedEncoder(encoder_params), train_corpus.vocabs)
+            init_features(
+                graph, HashedEncoder(encoder_params), train_corpus.vocabs, fact_inputs
+            )
 
         attention: list[tuple] = []
         if train_cfg.use_graph:

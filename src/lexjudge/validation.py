@@ -50,6 +50,13 @@ def check_unit_rate(value: float, name: str = "rate") -> float:
     return value
 
 
+def check_threshold(value, name: str = "threshold") -> float:
+    """Clue-match similarity threshold: a number in (0, 1]."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= 1:
+        raise ValueError(f"{name} must be a number in (0, 1], got {value!r}")
+    return value
+
+
 def check_positive(value, name: str = "value"):
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")

@@ -12,7 +12,6 @@ from lexjudge import (
     build_checkpoint,
     fit_model,
     load_checkpoint,
-    prepare_clues,
     save_checkpoint,
 )
 
@@ -20,7 +19,6 @@ from lexjudge import (
 @pytest.fixture(scope="module")
 def fitted():
     corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=2, seed=8)
-    prepare_clues(corpus.cases, lexicon, anchors, 0.8, True)
     return fit_model(
         corpus,
         encoder_params=HashedEncoderParams.initialize(output_dim=8, bucket_count=64, seed=1),

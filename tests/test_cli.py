@@ -268,6 +268,16 @@ class TestCheckpointValidation:
         assert self.predict_with(trained_checkpoint, tmp_path, corrupt) == 3
         assert "meta.dim" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold", [1.5, 0])
+    def test_threshold_out_of_range_exits_3(
+        self, trained_checkpoint, tmp_path, capsys, threshold
+    ):
+        def corrupt(doc):
+            doc["meta"]["threshold"] = threshold
+
+        assert self.predict_with(trained_checkpoint, tmp_path, corrupt) == 3
+        assert "meta.threshold" in capsys.readouterr().err
+
 
 class TestScenarioFlow:
     def test_train_and_evaluate_through_a_scenario_filter(self, tmp_path):

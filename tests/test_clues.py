@@ -254,12 +254,13 @@ class TestExtractClues:
             "court finds: motivated by greed, forcibly seized the phone, "
             "causing injury. sentencing next"
         )
+        before = dict(vars(case))
         clues = extract_clues(case, LEXICON, 0.8)
         assert (clues.motivation, clues.action, clues.harm) == (
             "greed", "forcibly seized", "injury",
         )
         assert all(p is Provenance.EXACT for p in clues.provenance.values())
-        assert case.clues is None
+        assert vars(case) == before
 
     def test_missing_harm_falls_back_to_area(self):
         case = make_case("court finds: greed led him to forcibly seized goods. sentencing")
@@ -275,7 +276,7 @@ class TestExtractClues:
         )
         clues = extract_clues(case, LEXICON, 0.8, anchors=ANCHORS)
         assert clues.motivation == "greed"
-        assert case.sections is None and case.clues is None
+        assert case.sections is None
 
     def test_determinism(self):
         case_a = make_case("court finds: greed, forcibly seized, injury. sentencing")

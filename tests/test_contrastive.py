@@ -13,8 +13,8 @@ from lexjudge import (
     contrastive_loss,
     contrastive_objective,
     cosine_sim,
+    case_clues,
     loss_from_similarities,
-    prepare_clues,
     train_contrastive,
 )
 from lexjudge import autodiff as ad
@@ -167,21 +167,19 @@ class TestGradients:
 
 
 class TestTrainContrastive:
-    def build_corpus(self, n_per=17, cap=None):
+    def build_clue_sets(self, n_per=17, cap=None):
         corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=n_per, seed=9)
-        if cap is not None:
-            from lexjudge import Corpus
-
-            corpus = Corpus(corpus.cases[:cap], corpus.vocabs)
-        prepare_clues(corpus.cases, lexicon, anchors, 0.8, use_clue_tracing=True)
-        return corpus
+        return [
+            case_clues(case, lexicon, anchors, 0.8, use_clue_tracing=True)
+            for case in corpus.cases[:cap]
+        ]
 
     def test_descent_on_50_synthetic_cases_30_epochs(self):
-        corpus = self.build_corpus(cap=50)
-        assert len(corpus) == 50
+        clue_sets = self.build_clue_sets(cap=50)
+        assert len(clue_sets) == 50
         params = HashedEncoderParams.initialize(output_dim=16, bucket_count=256, seed=2)
         cfg = tiny_config(epochs=30, negatives_per_anchor=7)
-        trained, history = train_contrastive(params, corpus, cfg)
+        trained, history = train_contrastive(params, clue_sets, cfg)
         assert len(history) == 30
         assert history[-1] < history[0]
         assert not np.array_equal(trained.projection, params.projection)
@@ -189,33 +187,33 @@ class TestTrainContrastive:
     def test_zero_encoder_diverges_with_diagnostic(self):
         # all-zero projection collapses every view to the zero vector, so
         # the cosine similarities are undefined and training must abort
-        corpus = self.build_corpus(n_per=3)
+        clue_sets = self.build_clue_sets(n_per=3)
         params = HashedEncoderParams(
             projection=np.zeros((8, 256)), bias=np.zeros(8), bucket_count=256
         )
         with pytest.raises(DivergenceError, match="epoch 0"):
             with np.errstate(invalid="ignore"):
-                train_contrastive(params, corpus, tiny_config(epochs=2))
+                train_contrastive(params, clue_sets, tiny_config(epochs=2))
 
     def test_zero_epochs_is_noop(self):
-        corpus = self.build_corpus(n_per=3)
+        clue_sets = self.build_clue_sets(n_per=3)
         params = HashedEncoderParams.initialize(output_dim=8, bucket_count=64, seed=2)
-        trained, history = train_contrastive(params, corpus, tiny_config(epochs=0))
+        trained, history = train_contrastive(params, clue_sets, tiny_config(epochs=0))
         assert history == []
         assert np.array_equal(trained.projection, params.projection)
 
     def test_too_many_negatives_rejected(self):
-        corpus = self.build_corpus(n_per=2)  # 6 cases
+        clue_sets = self.build_clue_sets(n_per=2)  # 6 cases
         params = HashedEncoderParams.initialize(output_dim=8, bucket_count=64, seed=2)
         with pytest.raises(ConfigError):
-            train_contrastive(params, corpus, tiny_config(negatives_per_anchor=6))
+            train_contrastive(params, clue_sets, tiny_config(negatives_per_anchor=6))
 
     def test_deterministic(self):
-        corpus = self.build_corpus(n_per=4)
+        clue_sets = self.build_clue_sets(n_per=4)
         params = HashedEncoderParams.initialize(output_dim=8, bucket_count=64, seed=2)
         cfg = tiny_config(epochs=4)
-        a, hist_a = train_contrastive(params, corpus, cfg)
-        b, hist_b = train_contrastive(params, corpus, cfg)
+        a, hist_a = train_contrastive(params, clue_sets, cfg)
+        b, hist_b = train_contrastive(params, clue_sets, cfg)
         assert hist_a == hist_b
         assert np.array_equal(a.projection, b.projection)
 

@@ -19,8 +19,8 @@ from lexjudge import (
     gat_forward_reference,
     graph_objective,
     graph_loss_reference,
+    case_clues,
     init_features,
-    prepare_clues,
 )
 from lexjudge.graph import FactNode, HeadParams, LabelNode, LayerParams, node_name
 
@@ -39,6 +39,15 @@ def rec(i, charge, article, imprisonment="m"):
     }
 
 
+def undirected_edges(graph: ReasoningGraph) -> set[tuple[int, int]]:
+    return {
+        (min(i, j), max(i, j))
+        for i, ns in enumerate(graph.neighbors)
+        for j in ns
+        if i != j
+    }
+
+
 def star_graph(features: np.ndarray, neighbors) -> ReasoningGraph:
     nodes = [FactNode(f"n{i}") for i in range(len(neighbors))]
     graph = ReasoningGraph(nodes, neighbors)
@@ -53,21 +62,13 @@ class TestBuildGraph:
         corpus = mini_corpus([rec(0, "c", "a1"), rec(1, "c", "a2")])
         graph = build_graph(corpus)
         assert graph.num_nodes == 6
-        undirected = {
-            tuple(sorted((r.src, r.dst)))
-            for r in graph.relations
-            if r.src != r.dst
-        }
-        assert len(undirected) == 7
+        assert len(undirected_edges(graph)) == 7
 
     def test_one_case_minimal_graph(self):
         corpus = mini_corpus([rec(0, "c", "a")])
         graph = build_graph(corpus)
         assert graph.num_nodes == 4
-        undirected = {
-            tuple(sorted((r.src, r.dst))) for r in graph.relations if r.src != r.dst
-        }
-        assert len(undirected) == 3
+        assert undirected_edges(graph) == {(0, 1), (0, 2), (0, 3)}
         assert all(i in graph.neighbors[i] for i in range(4))
 
     def test_deterministic_adjacency(self):
@@ -82,12 +83,6 @@ class TestBuildGraph:
         assert isinstance(graph.nodes[1], FactNode)
         kinds = [n.task for n in graph.nodes[2:]]
         assert kinds == sorted(kinds, key=[t for t in Task].index)
-
-    def test_charge_relation_kind_present(self):
-        corpus = mini_corpus([rec(0, "x", "a")])
-        graph = build_graph(corpus)
-        kinds = {r.kind for r in graph.relations}
-        assert "fact_to_charge" in kinds and "rev:fact_to_charge" in kinds
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
@@ -105,13 +100,13 @@ class TestBuildGraph:
 class TestInitFeatures:
     def test_matches_direct_encoder_calls(self):
         corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=2, seed=4)
-        prepare_clues(corpus.cases, lexicon, anchors, 0.8, True)
+        clue_sets = [case_clues(case, lexicon, anchors, 0.8, True) for case in corpus]
         params = HashedEncoderParams.initialize(output_dim=8, bucket_count=128, seed=1)
         backend = HashedEncoder(params)
         graph = build_graph(corpus)
-        init_features(graph, backend, corpus.vocabs)
-        for i, case in enumerate(corpus):
-            assert np.array_equal(graph.features[i], backend.fact_vector(case))
+        init_features(graph, backend, corpus.vocabs, clue_sets)
+        for i, clues in enumerate(clue_sets):
+            assert np.array_equal(graph.features[i], backend.fact_vector(clues))
         for task in Task:
             vocab = corpus.vocab(task)
             for row, node_idx in zip(
@@ -122,12 +117,23 @@ class TestInitFeatures:
 
     def test_zero_projection_zero_features(self):
         corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=1, seed=4)
-        prepare_clues(corpus.cases, lexicon, anchors, 0.8, True)
+        clue_sets = [case_clues(case, lexicon, anchors, 0.8, True) for case in corpus]
         params = HashedEncoderParams(
             projection=np.zeros((4, 64)), bias=np.zeros(4), bucket_count=64
         )
-        graph = init_features(build_graph(corpus), HashedEncoder(params), corpus.vocabs)
+        graph = init_features(
+            build_graph(corpus), HashedEncoder(params), corpus.vocabs, clue_sets
+        )
         assert not graph.features.any()
+
+    def test_one_input_per_fact_node_required(self):
+        corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=1, seed=4)
+        clue_sets = [case_clues(case, lexicon, anchors, 0.8, True) for case in corpus]
+        params = HashedEncoderParams.initialize(output_dim=4, bucket_count=64, seed=1)
+        with pytest.raises(DataError, match="2 fact inputs for 3 fact nodes"):
+            init_features(
+                build_graph(corpus), HashedEncoder(params), corpus.vocabs, clue_sets[:2]
+            )
 
 
 class TestEdgeLogit:

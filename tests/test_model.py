@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import synth
-from lexjudge import JudgmentClassifier, NotFittedError, SplitSpec, Task, split
+from lexjudge import ConfigError, JudgmentClassifier, NotFittedError, SplitSpec, Task, split
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +76,9 @@ class TestEstimatorProtocol:
 
     def test_repr_mentions_params(self):
         assert "dim=256" in repr(JudgmentClassifier())
+
+    def test_out_of_range_threshold_is_a_config_error(self):
+        corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=1, seed=4)
+        clf = JudgmentClassifier(lexicon=lexicon, anchors=anchors, threshold=0.0)
+        with pytest.raises(ConfigError, match="threshold"):
+            clf.fit(corpus)

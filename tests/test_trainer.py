@@ -23,8 +23,8 @@ from lexjudge import (
     fit_model,
     load_checkpoint,
     load_lexicon,
+    case_clues,
     predict_records,
-    prepare_clues,
     run_pipeline,
     save_checkpoint,
     total_loss,
@@ -44,10 +44,8 @@ def small_contrastive(epochs=3):
     )
 
 
-def prepared_corpus(cases_per_charge=6, seed=31):
-    corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge, seed=seed)
-    prepare_clues(corpus.cases, lexicon, anchors, 0.8, use_clue_tracing=True)
-    return corpus, lexicon, anchors
+def synth_corpus(cases_per_charge=6, seed=31):
+    return synth.separable_corpus(cases_per_charge, seed=seed)
 
 
 class TestAdam:
@@ -136,7 +134,7 @@ class TestTotalLoss:
 
 class TestFitModel:
     def test_loss_decreases_first_10_epochs_most_seeds(self):
-        corpus, lexicon, anchors = prepared_corpus()
+        corpus, lexicon, anchors = synth_corpus()
         params = HashedEncoderParams.initialize(output_dim=16, bucket_count=256, seed=1)
         wins = 0
         for seed in (11, 22, 33, 44, 55):
@@ -153,7 +151,7 @@ class TestFitModel:
         assert wins >= 4
 
     def test_zero_epochs_still_produces_model(self):
-        corpus, lexicon, anchors = prepared_corpus(cases_per_charge=2)
+        corpus, lexicon, anchors = synth_corpus(cases_per_charge=2)
         params = HashedEncoderParams.initialize(output_dim=8, bucket_count=128, seed=1)
         result = fit_model(
             corpus,
@@ -169,7 +167,6 @@ class TestFitModel:
 
     def test_all_toggles_off_runs_end_to_end(self):
         corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=3, seed=13)
-        prepare_clues(corpus.cases, lexicon, anchors, 0.8, use_clue_tracing=False)
         params = HashedEncoderParams.initialize(output_dim=8, bucket_count=128, seed=1)
         result = fit_model(
             corpus,
@@ -188,7 +185,7 @@ class TestFitModel:
         assert evaluate_model(result.model, corpus)
 
     def test_unfrozen_encoder_trains(self):
-        corpus, lexicon, anchors = prepared_corpus(cases_per_charge=3)
+        corpus, lexicon, anchors = synth_corpus(cases_per_charge=3)
         params = HashedEncoderParams.initialize(output_dim=8, bucket_count=128, seed=1)
         result = fit_model(
             corpus,
@@ -204,7 +201,7 @@ class TestFitModel:
         assert not np.array_equal(result.model.encoder_params.projection, params.projection)
 
     def test_minibatch_path(self):
-        corpus, lexicon, anchors = prepared_corpus(cases_per_charge=4)
+        corpus, lexicon, anchors = synth_corpus(cases_per_charge=4)
         params = HashedEncoderParams.initialize(output_dim=8, bucket_count=128, seed=1)
         result = fit_model(
             corpus,
@@ -217,7 +214,7 @@ class TestFitModel:
         assert len([1 for s, _, _ in result.loss_log if s == "graph"]) == 4
 
     def test_stage_error_names_stage(self):
-        corpus, lexicon, anchors = prepared_corpus(cases_per_charge=1)  # 3 cases
+        corpus, lexicon, anchors = synth_corpus(cases_per_charge=1)  # 3 cases
         params = HashedEncoderParams.initialize(output_dim=8, bucket_count=128, seed=1)
         with pytest.raises(ConfigError, match="stage contrastive"):
             fit_model(
@@ -230,9 +227,24 @@ class TestFitModel:
             )
 
     def test_backend_exclusivity(self):
-        corpus, _, _ = prepared_corpus(cases_per_charge=2)
+        corpus, _, _ = synth_corpus(cases_per_charge=2)
         with pytest.raises(ConfigError):
             fit_model(corpus, train_cfg=TrainConfig(epochs=1))
+
+    def test_threshold_out_of_range_is_a_config_error(self, monkeypatch):
+        corpus, lexicon, anchors = synth_corpus(cases_per_charge=2)
+        traced = []
+        monkeypatch.setattr("lexjudge.trainer.extract_clues", lambda *a: traced.append(a))
+        with pytest.raises(ConfigError, match="threshold"):
+            fit_model(
+                corpus,
+                encoder_params=HashedEncoderParams.initialize(output_dim=8, bucket_count=64),
+                lexicon=lexicon,
+                anchors=anchors,
+                threshold=1.5,
+                train_cfg=TrainConfig(epochs=1),
+            )
+        assert traced == []  # rejected before stage 1
 
 
 class TestRunPipeline:
@@ -325,7 +337,7 @@ class TestEvaluateVocabulary:
 
 class TestCheckpointRoundtrip:
     def test_roundtrip_preserves_total_loss_exactly(self, tmp_path):
-        corpus, lexicon, anchors = prepared_corpus(cases_per_charge=3)
+        corpus, lexicon, anchors = synth_corpus(cases_per_charge=3)
         params = HashedEncoderParams.initialize(output_dim=8, bucket_count=128, seed=1)
         result = fit_model(
             corpus,
@@ -336,22 +348,20 @@ class TestCheckpointRoundtrip:
             train_cfg=TrainConfig(epochs=3, seed=9),
         )
         model = result.model
-        backend = model.backend()
-        facts = np.stack([backend.fact_vector(case) for case in corpus])
+        facts = np.stack([model.fact_vector(case) for case in corpus])
         golds = {task: corpus.gold_ids(task) for task in TASKS}
         before = total_loss(facts, golds, model.label_matrices, TASKS)
 
         path = tmp_path / "checkpoint.json"
         save_checkpoint(path, model, result.optimizer_state)
         reloaded, optimizer_doc = load_checkpoint(path)
-        backend2 = reloaded.backend()
-        facts2 = np.stack([backend2.fact_vector(case) for case in corpus])
+        facts2 = np.stack([reloaded.fact_vector(case) for case in corpus])
         after = total_loss(facts2, golds, reloaded.label_matrices, TASKS)
         assert before == after  # exact: shortest round-trip decimal serialization
         assert optimizer_doc["t"] == 3
 
     def test_gat_params_roundtrip_exact(self, tmp_path):
-        corpus, lexicon, anchors = prepared_corpus(cases_per_charge=2)
+        corpus, lexicon, anchors = synth_corpus(cases_per_charge=2)
         params = HashedEncoderParams.initialize(output_dim=8, bucket_count=64, seed=1)
         result = fit_model(
             corpus,
@@ -538,7 +548,7 @@ class TestStage3Objective:
     def test_fit_model_logs_the_checked_objective(self):
         """The first graph loss of a frozen, full-batch fit is
         graph_objective's value on the same graph, parameters and golds."""
-        corpus, lexicon, anchors = prepared_corpus(cases_per_charge=3)
+        corpus, lexicon, anchors = synth_corpus(cases_per_charge=3)
         params = HashedEncoderParams.initialize(output_dim=8, bucket_count=128, seed=1)
         train_cfg = TrainConfig(epochs=2, seed=3, heads=2)
         result = fit_model(
@@ -549,7 +559,10 @@ class TestStage3Objective:
             contrastive_cfg=small_contrastive(epochs=0),
             train_cfg=train_cfg,
         )
-        graph = init_features(build_graph(corpus), HashedEncoder(params), corpus.vocabs)
+        clue_sets = [case_clues(case, lexicon, anchors, 0.8, True) for case in corpus]
+        graph = init_features(
+            build_graph(corpus), HashedEncoder(params), corpus.vocabs, clue_sets
+        )
         gat = GatParams.initialize(8, 2, derive(train_cfg.seed, "gat-init"), 0.2)
         golds = {task: corpus.gold_ids(task) for task in TASKS}
         value, _ = graph_objective(
