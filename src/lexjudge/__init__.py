@@ -29,10 +29,7 @@ from .clues import (
 )
 from .contrastive import (
     ContrastiveConfig,
-    contrastive_loss,
     contrastive_objective,
-    cosine_sim,
-    loss_from_similarities,
     train_contrastive,
 )
 from .corpus import (
@@ -76,18 +73,14 @@ from .graph import (
     LabelNode,
     LayerParams,
     ReasoningGraph,
-    aggregate_node,
     attention_export,
-    attention_row,
     build_graph,
-    edge_logit,
     gat_forward,
-    gat_forward_reference,
     init_features,
 )
 from .metrics import ClassMetrics, MetricsReport, ablation_table, confusion, report
 from .model import JudgmentClassifier
-from .predictor import TaskLogits, ce_loss, predict_label, predict_proba, score_case
+from .predictor import predict_label, predict_proba, score_case
 from .trainer import (
     AdamState,
     FittedModel,
@@ -96,11 +89,8 @@ from .trainer import (
     case_clues,
     evaluate_model,
     fit_model,
-    graph_loss_reference,
-    graph_objective,
     predict_records,
     run_pipeline,
-    total_loss,
 )
 
 __version__ = "0.1.0"

@@ -146,12 +146,12 @@ def _check_dimensions(
             raise ValueError(f"{task.value} label matrix contains non-finite values")
 
 
-def load_checkpoint(path, load_table: bool = False) -> tuple[FittedModel, dict]:
+def load_checkpoint(path) -> tuple[FittedModel, dict]:
     """Rebuild a FittedModel from a checkpoint file.
 
     Returns the model and the raw optimizer section (empty when absent).
-    With ``load_table`` the precomputed embedding table referenced by the
-    checkpoint is loaded from its recorded path.
+    When the checkpoint records ``meta.embeddings_path``, the precomputed
+    embedding table is loaded from that path.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -193,7 +193,7 @@ def load_checkpoint(path, load_table: bool = False) -> tuple[FittedModel, dict]:
         anchors_doc = meta.get("anchors")
         anchors = SectionAnchors(**anchors_doc) if anchors_doc is not None else None
         table = None
-        if load_table and meta.get("embeddings_path"):
+        if meta.get("embeddings_path"):
             table = load_embedding_table(meta["embeddings_path"])
         model = FittedModel(
             dim=meta["dim"],

@@ -288,7 +288,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate needs --checkpoint or paths.checkpoint")
     if not os.path.exists(checkpoint_path):
         raise ConfigError(f"checkpoint does not exist: {checkpoint_path}")
-    model, _ = load_checkpoint(checkpoint_path, load_table=True)
+    model, _ = load_checkpoint(checkpoint_path)
     if not model.label_matrices:
         raise DataError("checkpoint has no trained label representations")
     corpus = _load_inputs(cfg)
@@ -305,7 +305,7 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     if not os.path.exists(args.checkpoint):
         raise ConfigError(f"checkpoint does not exist: {args.checkpoint}")
-    model, _ = load_checkpoint(args.checkpoint, load_table=True)
+    model, _ = load_checkpoint(args.checkpoint)
     if not model.label_matrices:
         raise DataError("checkpoint has no trained label representations")
     corpus = load_corpus(args.input)

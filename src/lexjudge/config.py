@@ -8,6 +8,7 @@ desk-scale runs override them in the file.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -51,6 +52,26 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
+_KINDS = {bool: "a JSON boolean", int: "an integer", float: "a number"}
+
+
+def _get(section: dict, path: str, default, kind: type):
+    """The value at ``path`` (``"<section>.<key>"``), else ``default``,
+    checked to be of ``kind`` and converted to it; a bool is never an int
+    or a float. A key whose default is None may stay None."""
+    value = section.get(path.split(".", 1)[1], default)
+    if value is None and default is None:
+        return None
+    if kind is bool:
+        ok = isinstance(value, bool)
+    else:
+        number = numbers.Integral if kind is int else numbers.Real
+        ok = isinstance(value, number) and not isinstance(value, bool)
+    if not ok:
+        raise ConfigError(f"{path} must be {_KINDS[kind]}, got {value!r}")
+    return kind(value)
+
+
 @contextmanager
 def _section_values(name: str):
     """Report a value that a section's config object rejects as a
@@ -87,35 +108,36 @@ class RunConfig:
     @property
     @_section_values("tracer")
     def threshold(self) -> float:
-        return check_threshold(float(self.tracer.get("threshold", 0.8)))
+        return check_threshold(_get(self.tracer, "tracer.threshold", 0.8, float))
 
     @_section_values("encoder")
     def encoder_params(self) -> HashedEncoderParams:
         """The hashed encoder's initial parameters, seeded from the master seed."""
         return HashedEncoderParams.initialize(
-            output_dim=int(self.encoder.get("output_dim", 256)),
-            bucket_count=int(self.encoder.get("bucket_count", 4096)),
-            ngram_min=int(self.encoder.get("ngram_min", 1)),
-            ngram_max=int(self.encoder.get("ngram_max", 3)),
+            output_dim=_get(self.encoder, "encoder.output_dim", 256, int),
+            bucket_count=_get(self.encoder, "encoder.bucket_count", 4096, int),
+            ngram_min=_get(self.encoder, "encoder.ngram_min", 1, int),
+            ngram_max=_get(self.encoder, "encoder.ngram_max", 3, int),
             seed=derive(self.seed, "encoder"),
         )
 
     @_section_values("split")
     def split_spec(self) -> SplitSpec:
         return SplitSpec(
-            train_fraction=float(self.split.get("train_fraction", 0.8)),
-            seed=int(self.split.get("seed", derive(self.seed, "split"))),
+            train_fraction=_get(self.split, "split.train_fraction", 0.8, float),
+            seed=_get(self.split, "split.seed", derive(self.seed, "split"), int),
         )
 
     @_section_values("contrastive")
     def contrastive_config(self) -> ContrastiveConfig:
+        section = self.contrastive
         return ContrastiveConfig(
-            temperature=float(self.contrastive.get("temperature", 0.05)),
-            negatives_per_anchor=int(self.contrastive.get("negatives_per_anchor", 7)),
-            epochs=int(self.contrastive.get("epochs", 20)),
-            learning_rate=float(self.contrastive.get("learning_rate", 0.01)),
+            temperature=_get(section, "contrastive.temperature", 0.05, float),
+            negatives_per_anchor=_get(section, "contrastive.negatives_per_anchor", 7, int),
+            epochs=_get(section, "contrastive.epochs", 20, int),
+            learning_rate=_get(section, "contrastive.learning_rate", 0.01, float),
             dropout=DropoutSpec(
-                rate=float(self.contrastive.get("dropout_rate", 0.1)),
+                rate=_get(section, "contrastive.dropout_rate", 0.1, float),
                 seed=derive(self.seed, "dropout"),
             ),
             seed=derive(self.seed, "contrastive"),
@@ -134,20 +156,19 @@ class RunConfig:
                 task_tuple = tuple(Task(t) for t in tasks)
             except ValueError as exc:
                 raise ConfigError(f"invalid task in train.tasks: {exc}") from exc
-        batch_size = section.get("batch_size")
         return TrainConfig(
-            epochs=int(section.get("epochs", 5000)),
-            learning_rate=float(section.get("learning_rate", 0.01)),
+            epochs=_get(section, "train.epochs", 5000, int),
+            learning_rate=_get(section, "train.learning_rate", 0.01, float),
             seed=self.seed,
             tasks=task_tuple,
-            use_clue_tracing=bool(section.get("use_clue_tracing", True)),
-            use_contrastive=bool(section.get("use_contrastive", True)),
-            use_graph=bool(section.get("use_graph", True)),
-            freeze_encoder_after_contrastive=bool(section.get("freeze_encoder", True)),
-            heads=int(section.get("heads", 4)),
-            leaky_slope=float(section.get("leaky_slope", 0.2)),
-            batch_size=int(batch_size) if batch_size is not None else None,
-            dropout_rate=float(section.get("dropout_rate", 0.5)),
+            use_clue_tracing=_get(section, "train.use_clue_tracing", True, bool),
+            use_contrastive=_get(section, "train.use_contrastive", True, bool),
+            use_graph=_get(section, "train.use_graph", True, bool),
+            freeze_encoder_after_contrastive=_get(section, "train.freeze_encoder", True, bool),
+            heads=_get(section, "train.heads", 4, int),
+            leaky_slope=_get(section, "train.leaky_slope", 0.2, float),
+            batch_size=_get(section, "train.batch_size", None, int),
+            dropout_rate=_get(section, "train.dropout_rate", 0.5, float),
         )
 
     def scenario_spec(self, corpus: Corpus) -> ScenarioSpec | None:
@@ -170,21 +191,14 @@ class RunConfig:
         defaults = {
             ScenarioKind.HIGH_FREQUENCY: {"min_charge_count": 101, "min_article_count": 10},
             ScenarioKind.LOW_FREQUENCY: {"min_charge_count": 50, "max_charge_count": 100},
-            ScenarioKind.CONFUSING: {},
+            ScenarioKind.CONFUSING: {"min_charge_count": 0},
         }[kind]
-        min_charge = int(section.get("min_charge_count", defaults.get("min_charge_count", 0)))
-        max_charge = section.get("max_charge_count", defaults.get("max_charge_count"))
-        min_article = section.get("min_article_count", defaults.get("min_article_count"))
-        case_cap = section.get("case_cap")
+        counts = {
+            key: _get(section, f"scenario.{key}", defaults.get(key), int)
+            for key in ("min_charge_count", "max_charge_count", "min_article_count", "case_cap")
+        }
         try:
-            return ScenarioSpec(
-                kind=kind,
-                min_charge_count=min_charge,
-                max_charge_count=int(max_charge) if max_charge is not None else None,
-                min_article_count=int(min_article) if min_article is not None else None,
-                charge_allowlist=allowlist,
-                case_cap=int(case_cap) if case_cap is not None else None,
-            )
+            return ScenarioSpec(kind=kind, charge_allowlist=allowlist, **counts)
         except ValueError as exc:
             raise ConfigError(f"invalid scenario section: {exc}") from exc
 
@@ -232,7 +246,7 @@ def load_run_config(path, seed_flag: int | None = None) -> RunConfig:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
     if seed_flag is not None:
         seed = seed_flag
-    if not isinstance(seed, int) or not 0 <= seed < (1 << 64):
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < (1 << 64):
         raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
 
     backend = doc.get("encoder", {}).get("backend", "hashed")

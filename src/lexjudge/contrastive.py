@@ -23,7 +23,7 @@ from .encoder import (
 )
 from .errors import ConfigError, DivergenceError
 from .rng import SplitMix64, derive
-from .validation import check_positive, check_seed, check_vector
+from .validation import check_positive, check_seed
 
 
 @dataclass(frozen=True)
@@ -43,43 +43,6 @@ class ContrastiveConfig:
             raise ValueError("epochs must be non-negative")
         check_positive(self.learning_rate, "learning_rate")
         check_seed(self.seed)
-
-
-def cosine_sim(u, v) -> float:
-    """Cosine similarity; zero-norm inputs are rejected."""
-    u = check_vector(u, "u")
-    v = check_vector(v, "v", dim=u.shape[0])
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine_sim is undefined for zero-norm vectors")
-    return float(np.dot(u, v) / (nu * nv))
-
-
-def loss_from_similarities(pos_sim: float, neg_sims, temperature: float) -> float:
-    """-log of the positive's share of the temperature-scaled exponentials,
-    computed with a max shift."""
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    neg_sims = np.asarray(neg_sims, dtype=np.float64)
-    if neg_sims.size == 0:
-        raise ValueError("at least one negative is required")
-    scaled = np.concatenate(([pos_sim], neg_sims)) / temperature
-    shift = scaled.max()
-    return float(shift + np.log(np.exp(scaled - shift).sum()) - scaled[0])
-
-
-def contrastive_loss(anchor, positive, negatives, temperature: float) -> float:
-    """Contrastive loss of one anchor against its positive and negatives.
-
-    The denominator contains the positive term once plus every negative
-    term; similarities are cosine.
-    """
-    if not negatives:
-        raise ValueError("at least one negative is required")
-    pos = cosine_sim(anchor, positive)
-    negs = [cosine_sim(anchor, n) for n in negatives]
-    return loss_from_similarities(pos, negs, temperature)
 
 
 def _sample_negatives(n: int, count: int, seed: int) -> np.ndarray:

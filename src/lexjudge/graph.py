@@ -10,9 +10,9 @@ over each node's one-hop neighborhood, and aggregated through an ELU.
 Layer one concatenates its heads, layer two averages them, so the output
 dimension matches the encoder dimension.
 
-``gat_forward`` is the vectorized production path (differentiable through
-the autodiff module); ``gat_forward_reference`` composes the per-node
-operations directly and exists as an independent check.
+``gat_forward`` runs the vectorized pass, differentiable through the
+autodiff module; the node-by-node oracle it is checked against lives in
+``tests/gat_reference.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .autodiff import Tensor
 from .corpus import Corpus, Task, TASKS
 from .errors import DataError
 from .rng import derive, glorot_uniform
-from .validation import check_finite, check_vector
+from .validation import check_finite
 
 if TYPE_CHECKING:
     from .corpus import LabelVocab
@@ -255,73 +255,6 @@ class GatParams:
             ]
             layers.append(LayerParams(heads, layer.combine, layer.leaky_slope))
         return GatParams(layers)
-
-
-def edge_logit(omega, n_i, n_j, slope: float = 0.2) -> float:
-    """LeakyReLU of the scoring vector applied to the concatenated endpoints."""
-    n_i = check_vector(n_i, "n_i")
-    n_j = check_vector(n_j, "n_j")
-    omega = check_vector(omega, "omega", dim=n_i.shape[0] + n_j.shape[0])
-    value = float(omega @ np.concatenate([n_i, n_j]))
-    return value if value > 0 else slope * value
-
-
-def attention_row(
-    graph: ReasoningGraph,
-    head: HeadParams,
-    node: int,
-    slope: float = 0.2,
-    features: np.ndarray | None = None,
-) -> np.ndarray:
-    """Attention weights of one node over its neighborhood (max-shifted
-    softmax of the edge logits); sums to one."""
-    feats = graph.features if features is None else features
-    if feats is None:
-        raise ValueError("graph features are not initialized")
-    projected = feats @ head.W.T
-    logits = np.array(
-        [edge_logit(head.omega, projected[node], projected[j], slope) for j in graph.neighbors[node]]
-    )
-    shifted = np.exp(logits - logits.max())
-    return shifted / shifted.sum()
-
-
-def aggregate_node(
-    graph: ReasoningGraph,
-    head: HeadParams,
-    node: int,
-    slope: float = 0.2,
-    features: np.ndarray | None = None,
-) -> np.ndarray:
-    """ELU of the attention-weighted sum of projected neighbor features."""
-    feats = graph.features if features is None else features
-    if feats is None:
-        raise ValueError("graph features are not initialized")
-    weights = attention_row(graph, head, node, slope, feats)
-    projected = feats @ head.W.T
-    combined = np.zeros(head.W.shape[0])
-    for weight, j in zip(weights, graph.neighbors[node]):
-        combined += weight * projected[j]
-    return np.where(combined > 0, combined, np.expm1(combined))
-
-
-def gat_forward_reference(graph: ReasoningGraph, params: GatParams) -> np.ndarray:
-    """Layer-by-layer, node-by-node composition of the per-node operations."""
-    if graph.features is None:
-        raise ValueError("graph features are not initialized")
-    x = graph.features
-    for layer in params.layers:
-        head_outputs = [
-            np.stack(
-                [aggregate_node(graph, head, i, layer.leaky_slope, x) for i in range(graph.num_nodes)]
-            )
-            for head in layer.heads
-        ]
-        if layer.combine == "concat":
-            x = np.concatenate(head_outputs, axis=1)
-        else:
-            x = np.mean(head_outputs, axis=0)
-    return x
 
 
 def _forward_layer(

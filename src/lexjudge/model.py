@@ -131,8 +131,16 @@ class JudgmentClassifier(BaseEstimator):
         return np.array(out, dtype=object)
 
     def predict_all(self, corpus) -> dict[Task, np.ndarray]:
+        """Predicted label surface strings for every task; each case is
+        traced and scored once."""
         model = self._require_fitted()
-        return {task: self.predict(corpus, task) for task in model.tasks}
+        predicted = [model.predict_case(case) for case in corpus]
+        return {
+            task: np.array(
+                [model.vocabs[task].surface(p[task]) for p in predicted], dtype=object
+            )
+            for task in model.tasks
+        }
 
     def predict_proba(self, corpus, task="charge") -> np.ndarray:
         """Softmax probabilities over the task's label vocabulary, row per case."""

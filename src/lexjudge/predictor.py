@@ -1,5 +1,5 @@
 """Similarity-based prediction: dot-product scores against the enhanced
-label representations, softmax probabilities, and cross-entropy.
+label representations and softmax probabilities.
 
 Scoring deliberately uses the dot product while the contrastive stage uses
 cosine similarity; the two are never interchanged.
@@ -7,59 +7,28 @@ cosine similarity; the two are never interchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .corpus import Task
 from .validation import check_matrix, check_vector
 
 
-@dataclass(frozen=True)
-class TaskLogits:
-    """Raw similarity scores of one case against one task's label matrix."""
-
-    scores: np.ndarray
-    task: Task | None = None
-    case_id: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "scores", check_vector(self.scores, "scores"))
-
-
-def _scores_of(logits) -> np.ndarray:
-    if isinstance(logits, TaskLogits):
-        return logits.scores
-    return check_vector(logits, "logits")
-
-
-def score_case(
-    hf, label_matrix, task: Task | None = None, case_id: str | None = None
-) -> TaskLogits:
+def score_case(hf, label_matrix) -> np.ndarray:
     """Dot product of a fact vector with every enhanced label vector."""
     hf = check_vector(hf, "hf")
     label_matrix = check_matrix(label_matrix, "label_matrix", cols=hf.shape[0])
-    return TaskLogits(scores=label_matrix @ hf, task=task, case_id=case_id)
+    return label_matrix @ hf
 
 
-def predict_proba(logits) -> np.ndarray:
+def predict_proba(scores) -> np.ndarray:
     """Max-shifted softmax over the scores; sums to one."""
-    scores = _scores_of(logits)
+    scores = check_vector(scores, "scores")
     shifted = np.exp(scores - scores.max())
     return shifted / shifted.sum()
 
 
-def predict_label(logits) -> int:
+def predict_label(scores) -> int:
     """Argmax label id; ties break toward the lowest id."""
-    scores = _scores_of(logits)
+    scores = check_vector(scores, "scores")
     if scores.size == 0:
         raise ValueError("cannot predict from empty scores")
     return int(np.argmax(scores))
-
-
-def ce_loss(proba, gold: int) -> float:
-    """Cross-entropy of a probability vector against the gold label id."""
-    proba = check_vector(proba, "proba")
-    if not 0 <= gold < proba.shape[0]:
-        raise ValueError(f"gold label {gold} out of range for {proba.shape[0]} classes")
-    return float(-np.log(proba[gold]))

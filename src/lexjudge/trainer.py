@@ -41,12 +41,11 @@ from .graph import (
     attention_export,
     build_graph,
     gat_forward,
-    gat_forward_reference,
     gat_forward_tensors,
     init_features,
 )
 from .metrics import MetricsReport, report
-from .predictor import ce_loss, predict_label, predict_proba, score_case
+from .predictor import predict_label, predict_proba, score_case
 from .rng import SplitMix64, derive
 from .validation import check_seed, check_threshold, check_unit_rate
 
@@ -138,40 +137,6 @@ class TrainConfig:
         check_seed(self.seed)
 
 
-def total_loss(
-    fact_vectors: np.ndarray,
-    golds: Mapping[Task, Sequence[int]],
-    label_matrices: Mapping[Task, np.ndarray],
-    tasks: Sequence[Task],
-) -> float:
-    """Mean over the batch of the summed per-task cross-entropies
-    (reference path composed from the predictor operations)."""
-    fact_vectors = np.asarray(fact_vectors, dtype=np.float64)
-    n = fact_vectors.shape[0]
-    if n == 0:
-        raise ValueError("empty batch")
-    total = 0.0
-    for i in range(n):
-        for task in tasks:
-            logits = score_case(fact_vectors[i], label_matrices[task], task=task)
-            total += ce_loss(predict_proba(logits), golds[task][i])
-    return total / n
-
-
-def graph_loss_reference(
-    graph: ReasoningGraph,
-    gat_params: GatParams,
-    fact_vectors: np.ndarray,
-    golds: Mapping[Task, Sequence[int]],
-    tasks: Sequence[Task],
-) -> float:
-    """total_loss with label matrices taken from the loop-composed graph
-    forward pass; used as the independent oracle for gradient checks."""
-    out = gat_forward_reference(graph, gat_params)
-    label_matrices = {task: out[graph.label_indices(task)] for task in tasks}
-    return total_loss(fact_vectors, golds, label_matrices, tasks)
-
-
 def stage3_objective(
     theta: Mapping[str, np.ndarray],
     graph: ReasoningGraph,
@@ -226,23 +191,6 @@ def stage3_objective(
         return value, None
     loss_t.backward()
     return value, {k: leaf.grad for k, leaf in leaves.items()}
-
-
-def graph_objective(
-    graph: ReasoningGraph,
-    gat_params: GatParams,
-    fact_vectors: np.ndarray,
-    golds: Mapping[Task, Sequence[int]],
-    tasks: Sequence[Task],
-    with_grads: bool = True,
-) -> tuple[float, dict[str, np.ndarray] | None]:
-    """total_loss through the graph forward pass, with analytic gradients
-    for every attention projection and scoring vector when requested: the
-    frozen-encoder, full-batch case of ``stage3_objective``."""
-    return stage3_objective(
-        gat_params.to_param_dict(), graph, golds, tasks,
-        gat=gat_params, fact_vectors=fact_vectors, with_grads=with_grads,
-    )
 
 
 def case_clues(
@@ -346,10 +294,7 @@ class FittedModel:
 
     def scores(self, case: CriminalCase) -> dict[Task, np.ndarray]:
         hf = self.fact_vector(case)
-        return {
-            task: score_case(hf, self.label_matrices[task], task=task, case_id=case.id).scores
-            for task in self.tasks
-        }
+        return {task: score_case(hf, self.label_matrices[task]) for task in self.tasks}
 
     def predict_case(self, case: CriminalCase) -> dict[Task, int]:
         return {task: predict_label(s) for task, s in self.scores(case).items()}

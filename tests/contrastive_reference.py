@@ -1,0 +1,51 @@
+"""Reference oracles for ``lexjudge.contrastive``.
+
+The contrastive loss of one anchor, composed from scalar cosine
+similarities: the temperature-scaled softmax with the positive kept in the
+denominator, computed with a max shift. The production objective batches
+every anchor of an epoch through the autodiff tape; tests hold its value
+to the mean of this per-anchor loss. Nothing here uses the tape.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from lexjudge.validation import check_vector
+
+
+def cosine_sim(u, v) -> float:
+    """Cosine similarity; zero-norm inputs are rejected."""
+    u = check_vector(u, "u")
+    v = check_vector(v, "v", dim=u.shape[0])
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        raise ValueError("cosine_sim is undefined for zero-norm vectors")
+    return float(np.dot(u, v) / (nu * nv))
+
+
+def loss_from_similarities(pos_sim: float, neg_sims, temperature: float) -> float:
+    """-log of the positive's share of the temperature-scaled exponentials,
+    computed with a max shift."""
+    if temperature <= 0.0:
+        raise ValueError("temperature must be positive")
+    neg_sims = np.asarray(neg_sims, dtype=np.float64)
+    if neg_sims.size == 0:
+        raise ValueError("at least one negative is required")
+    scaled = np.concatenate(([pos_sim], neg_sims)) / temperature
+    shift = scaled.max()
+    return float(shift + np.log(np.exp(scaled - shift).sum()) - scaled[0])
+
+
+def contrastive_loss(anchor, positive, negatives, temperature: float) -> float:
+    """Contrastive loss of one anchor against its positive and negatives.
+
+    The denominator contains the positive term once plus every negative
+    term; similarities are cosine.
+    """
+    if not negatives:
+        raise ValueError("at least one negative is required")
+    pos = cosine_sim(anchor, positive)
+    negs = [cosine_sim(anchor, n) for n in negatives]
+    return loss_from_similarities(pos, negs, temperature)

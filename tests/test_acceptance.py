@@ -24,14 +24,10 @@ from lexjudge import (
     Task,
     TrainConfig,
     adam_step,
-    contrastive_loss,
     contrastive_objective,
-    cosine_sim,
     evaluate_model,
     fuzzy_score,
     gat_forward,
-    graph_loss_reference,
-    graph_objective,
     predict_proba,
     report,
     run_pipeline,
@@ -39,6 +35,10 @@ from lexjudge import (
 from lexjudge.cli import main
 from lexjudge.graph import FactNode, HeadParams, LabelNode, LayerParams
 from lexjudge.rng import derive
+from lexjudge.trainer import stage3_objective
+
+from contrastive_reference import contrastive_loss, cosine_sim
+from gat_reference import graph_loss_reference
 
 
 def _report(number: int, name: str, ok: bool, detail: str = ""):
@@ -94,7 +94,9 @@ def test_criterion_1_gradient_oracle():
     #     w.r.t. every W and omega, against the loop-composed reference
     graph, params, hf, golds = six_node_instance()
     tasks = (Task.CHARGE,)
-    value, ggrads = graph_objective(graph, params, hf, golds, tasks)
+    value, ggrads = stage3_objective(
+        params.to_param_dict(), graph, golds, tasks, gat=params, fact_vectors=hf
+    )
     reference = graph_loss_reference(graph, params, hf, golds, tasks)
     assert value == pytest.approx(reference, abs=1e-12)
     theta = params.to_param_dict()

@@ -2,11 +2,13 @@ import copy
 import json
 import os
 
+import numpy as np
 import pytest
 
 import synth
 from lexjudge.cli import ABLATION_COMBOS, main
-from lexjudge import DivergenceError
+from lexjudge import TASKS, DivergenceError, load_corpus
+from lexjudge.encoder import label_key
 
 TRAIN_SECTION = {
     "epochs": 25,
@@ -141,6 +143,11 @@ class TestTrainCommand:
             ("encoder", "output_dim", 0),
             ("tracer", "threshold", 1.5),
             ("tracer", "threshold", 0),
+            # of the wrong type: none is coerced (bool("false") is True)
+            ("train", "use_graph", "false"),
+            ("train", "freeze_encoder", "no"),
+            ("train", "epochs", 2.9),
+            ("encoder", "output_dim", 16.7),
         ],
     )
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, section, key, value):
@@ -277,6 +284,95 @@ class TestCheckpointValidation:
 
         assert self.predict_with(trained_checkpoint, tmp_path, corrupt) == 3
         assert "meta.threshold" in capsys.readouterr().err
+
+
+def write_full_table(path, corpus_path, dim=16, seed=3):
+    """An embedding table keying every case of the corpus and every label."""
+    corpus = load_corpus(corpus_path)
+    keys = [case.id for case in corpus] + [
+        label_key(task, label_id) for task in TASKS for label_id in range(corpus.vocab(task).size)
+    ]
+    rng = np.random.default_rng(seed)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"#dim {dim}\n")
+        for key in keys:
+            fh.write(key + "\t" + " ".join(repr(float(v)) for v in rng.normal(size=dim)) + "\n")
+
+
+def precomputed_config(config_path, table, out_dir):
+    """The hashed test config switched to the precomputed backend over ``table``."""
+    doc = json.loads(config_path.read_text(encoding="utf-8"))
+    doc["encoder"] = {"backend": "precomputed"}
+    doc["paths"] = {**doc["paths"], "embeddings": str(table), "output_dir": str(out_dir)}
+    path = config_path.with_name(f"{out_dir.name}.json")
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="class")
+def precomputed_run(tmp_path_factory):
+    """A hashed run's exported ``embeddings.tsv``, and a precomputed run
+    trained on a table that keys every case."""
+    tmp_path = tmp_path_factory.mktemp("precomputed")
+    config_path, out_dir = write_config(tmp_path)
+    assert main(["train", "--config", str(config_path)]) == 0
+    corpus_path = tmp_path / "corpus.jsonl"
+    table = tmp_path / "full.tsv"
+    write_full_table(table, corpus_path)
+    full_config = precomputed_config(config_path, table, tmp_path / "full")
+    assert main(["train", "--config", str(full_config)]) == 0
+    return {
+        "corpus": corpus_path,
+        "config": config_path,
+        "exported": out_dir / "embeddings.tsv",
+        "full_config": full_config,
+        "checkpoint": tmp_path / "full" / "checkpoint.json",
+    }
+
+
+class TestPrecomputedBackend:
+    def evaluate(self, config, checkpoint):
+        return main([
+            "evaluate", "--config", str(config), "--checkpoint", str(checkpoint),
+            "--split", "test",
+        ])
+
+    def predict(self, run, checkpoint, tmp_path):
+        out = tmp_path / "preds.jsonl"
+        code = main([
+            "predict", "--checkpoint", str(checkpoint),
+            "--in", str(run["corpus"]), "--out", str(out),
+        ])
+        return code, out
+
+    def test_full_table_trains_evaluates_and_predicts(self, precomputed_run, tmp_path):
+        run = precomputed_run
+        doc = json.loads(run["checkpoint"].read_text(encoding="utf-8"))
+        assert doc["meta"]["backend"] == "precomputed"
+        assert doc["encoder"] == {}
+        assert self.evaluate(run["full_config"], run["checkpoint"]) == 0
+        code, out = self.predict(run, run["checkpoint"], tmp_path)
+        assert code == 0
+        ids = {json.loads(line)["id"] for line in out.read_text().strip().split("\n")}
+        assert ids == {case.id for case in load_corpus(run["corpus"])}
+
+    def test_exported_table_covers_only_the_training_split(self, precomputed_run, tmp_path, capsys):
+        """``train`` exports the vectors of its training split and the label
+        matrices; other splits' cases are missing from it, so every command
+        that reaches them ends with a data error."""
+        run = precomputed_run
+        exported_config = precomputed_config(run["config"], run["exported"], tmp_path / "exported")
+        assert main(["train", "--config", str(exported_config)]) == 3
+        assert "no precomputed embedding for id" in capsys.readouterr().err
+
+        doc = json.loads(run["checkpoint"].read_text(encoding="utf-8"))
+        doc["meta"]["embeddings_path"] = str(run["exported"])
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+        assert self.evaluate(run["full_config"], checkpoint) == 3
+        assert "no precomputed embedding for id" in capsys.readouterr().err
+        assert self.predict(run, checkpoint, tmp_path)[0] == 3
+        assert "no precomputed embedding for id" in capsys.readouterr().err
 
 
 class TestScenarioFlow:

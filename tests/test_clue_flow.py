@@ -14,7 +14,9 @@ import lexjudge.contrastive
 import lexjudge.encoder
 import lexjudge.trainer as trainer
 import synth
-from lexjudge import ContrastiveConfig, DropoutSpec, HashedEncoderParams, TrainConfig
+from lexjudge import (
+    ContrastiveConfig, DropoutSpec, HashedEncoderParams, JudgmentClassifier, TrainConfig,
+)
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -61,6 +63,19 @@ def test_predict_records_traces_each_case_once(traced_ids):
     traced_ids.clear()
     trainer.predict_records(model, corpus)
     assert traced_ids == [case.id for case in corpus]
+
+
+def test_predict_all_traces_each_case_once(traced_ids):
+    corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=3, seed=17)
+    clf = JudgmentClassifier(
+        lexicon=lexicon, anchors=anchors, dim=8, bucket_count=64, heads=2,
+        epochs=2, contrastive_epochs=2, negatives_per_anchor=3, seed=6,
+    ).fit(corpus)
+    traced_ids.clear()
+    out = clf.predict_all(corpus)
+    assert traced_ids == [case.id for case in corpus]
+    for task, labels in out.items():
+        assert list(labels) == list(clf.predict(corpus, task))
 
 
 def namespaces():

@@ -1,10 +1,13 @@
 import json
+import re
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import synth
 from lexjudge import ConfigError, Corpus, ScenarioKind, Task
-from lexjudge.config import load_run_config
+from lexjudge.config import RunConfig, load_run_config
 
 
 def write_config(tmp_path, doc):
@@ -64,11 +67,108 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError, match="SEMDR_SEED"):
             load_run_config(write_config(tmp_path, base_doc()))
 
+    @pytest.mark.parametrize("seed", [True, 1.0, -1])
+    def test_seed_must_be_an_unsigned_integer(self, tmp_path, seed):
+        with pytest.raises(ConfigError, match="seed must be an unsigned 64-bit integer, got"):
+            load_run_config(write_config(tmp_path, base_doc(seed=seed)))
+
     def test_invalid_task_name(self, tmp_path):
         doc = base_doc(train={"tasks": ["charge", "sentence"]})
         cfg = load_run_config(write_config(tmp_path, doc))
         with pytest.raises(ConfigError, match="task"):
             cfg.train_config()
+
+
+def resolve(cfg: RunConfig, section: str):
+    """Build the stage config that reads ``section``."""
+    return {
+        "train": cfg.train_config,
+        "encoder": cfg.encoder_params,
+        "contrastive": cfg.contrastive_config,
+        "split": cfg.split_spec,
+        "tracer": lambda: cfg.threshold,
+    }[section]()
+
+
+class TestValueTypes:
+    """Values are checked against their key's kind, never coerced: a toggle
+    is a JSON boolean, an integer key takes an integer, a real-valued key
+    a number, and bools count as neither."""
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("train", "use_graph", "false"),
+            ("train", "freeze_encoder", "no"),
+            ("train", "use_clue_tracing", 1),
+            ("train", "use_contrastive", None),
+        ],
+    )
+    def test_toggle_must_be_a_boolean(self, section, key, value):
+        cfg = RunConfig(**{section: {key: value}})
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{key} must be a JSON boolean")):
+            resolve(cfg, section)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("train", "epochs", 2.9),
+            ("train", "heads", True),
+            ("train", "batch_size", 2.5),
+            ("encoder", "output_dim", 16.7),
+            ("encoder", "bucket_count", "256"),
+            ("contrastive", "negatives_per_anchor", False),
+            ("contrastive", "epochs", 3.0),
+            ("split", "seed", "13"),
+        ],
+    )
+    def test_integer_key_rejects_non_integers_and_bools(self, section, key, value):
+        cfg = RunConfig(**{section: {key: value}})
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{key} must be an integer")):
+            resolve(cfg, section)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("train", "learning_rate", True),
+            ("train", "leaky_slope", "0.2"),
+            ("train", "dropout_rate", None),
+            ("contrastive", "temperature", "0.05"),
+            ("split", "train_fraction", False),
+            ("tracer", "threshold", "0.5"),
+            ("tracer", "threshold", True),
+        ],
+    )
+    def test_real_key_rejects_bools_and_non_numbers(self, section, key, value):
+        cfg = RunConfig(**{section: {key: value}})
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{key} must be a number")):
+            resolve(cfg, section)
+
+    def test_scenario_count_must_be_an_integer(self):
+        cfg = RunConfig(scenario={"kind": "confusing", "case_cap": 2.5})
+        corpus = Corpus.from_records(synth.separable_records(cases_per_charge=2, seed=2))
+        with pytest.raises(ConfigError, match=re.escape("scenario.case_cap must be an integer")):
+            cfg.scenario_spec(corpus)
+
+    def test_numeric_tower_values_pass_converted(self):
+        """Estimator parameter search may hand in numpy scalars or other
+        ``numbers.Integral``/``numbers.Real`` values."""
+        cfg = RunConfig(
+            train={"epochs": np.int64(3), "batch_size": np.int32(2),
+                   "learning_rate": Fraction(1, 50), "leaky_slope": 0},
+            encoder={"output_dim": np.int64(8), "bucket_count": 64},
+            tracer={"threshold": np.float64(0.75)},
+        )
+        train = cfg.train_config()
+        assert (train.epochs, train.batch_size) == (3, 2)
+        assert type(train.epochs) is int and type(train.batch_size) is int
+        assert train.learning_rate == 0.02 and type(train.learning_rate) is float
+        assert train.leaky_slope == 0.0 and type(train.leaky_slope) is float
+        assert cfg.encoder_params().output_dim == 8
+        assert cfg.threshold == 0.75 and type(cfg.threshold) is float
+
+    def test_null_batch_size_means_full_batch(self):
+        assert RunConfig(train={"batch_size": None}).train_config().batch_size is None
 
 
 class TestScenarioResolution:

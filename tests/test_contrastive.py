@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,15 +11,17 @@ from lexjudge import (
     DivergenceError,
     DropoutSpec,
     HashedEncoderParams,
-    contrastive_loss,
     contrastive_objective,
-    cosine_sim,
     case_clues,
-    loss_from_similarities,
     train_contrastive,
 )
+from lexjudge import apply_dropout_noise
 from lexjudge import autodiff as ad
 from lexjudge.autodiff import Tensor
+from lexjudge.contrastive import _sample_negatives
+from lexjudge.rng import derive
+
+from contrastive_reference import contrastive_loss, cosine_sim, loss_from_similarities
 
 
 class TestCosineSim:
@@ -164,6 +167,39 @@ class TestGradients:
                 rel = abs(grads["projection"][i, j] - numeric) / max(abs(numeric), 1e-6)
                 worst = max(worst, rel)
         assert worst <= 1e-4
+
+
+class TestObjectiveMatchesOracle:
+    @pytest.mark.parametrize("epoch", [0, 3])
+    def test_value_is_mean_of_per_anchor_losses(self, epoch):
+        """The batched objective equals the per-anchor oracle averaged over
+        anchors, on the same three dropout views and negative draw."""
+        rng = np.random.default_rng(7)
+        features = rng.uniform(0.0, 1.0, size=(9, 24))
+        projection = rng.normal(size=(8, 24)) * 0.3
+        bias = rng.normal(size=8) * 0.1
+        cfg = tiny_config(negatives_per_anchor=4)
+        value, _ = contrastive_objective(
+            features, projection, bias, cfg, epoch, with_grads=False
+        )
+
+        base = derive(cfg.dropout.seed, "contrastive-views", epoch)
+        anchors, positives, negatives = (
+            np.tanh(
+                apply_dropout_noise(features, replace(cfg.dropout, seed=derive(base, view)))
+                @ projection.T + bias
+            )
+            for view in range(3)
+        )
+        n = features.shape[0]
+        draw = _sample_negatives(n, cfg.negatives_per_anchor, derive(cfg.seed, "epoch", epoch))
+        expected = np.mean([
+            contrastive_loss(
+                anchors[i], positives[i], [negatives[j] for j in draw[i]], cfg.temperature
+            )
+            for i in range(n)
+        ])
+        assert abs(value - expected) <= 1e-12
 
 
 class TestTrainContrastive:

@@ -11,20 +11,22 @@ from lexjudge import (
     HashedEncoderParams,
     ReasoningGraph,
     Task,
-    aggregate_node,
-    attention_row,
     build_graph,
-    edge_logit,
     gat_forward,
-    gat_forward_reference,
-    graph_objective,
-    graph_loss_reference,
     case_clues,
     init_features,
 )
 from lexjudge.graph import FactNode, HeadParams, LabelNode, LayerParams, node_name
+from lexjudge.trainer import stage3_objective
 
 import synth
+from gat_reference import (
+    aggregate_node,
+    attention_row,
+    edge_logit,
+    gat_forward_reference,
+    graph_loss_reference,
+)
 
 
 def mini_corpus(records):
@@ -328,7 +330,9 @@ class TestGraphGradients:
         golds = {Task.CHARGE: [0, 1, 2]}
         tasks = (Task.CHARGE,)
 
-        value, grads = graph_objective(graph, params, hf, golds, tasks)
+        value, grads = stage3_objective(
+            params.to_param_dict(), graph, golds, tasks, gat=params, fact_vectors=hf
+        )
         reference = graph_loss_reference(graph, params, hf, golds, tasks)
         assert value == pytest.approx(reference, abs=1e-12)
 

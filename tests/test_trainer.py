@@ -27,14 +27,15 @@ from lexjudge import (
     predict_records,
     run_pipeline,
     save_checkpoint,
-    total_loss,
 )
 from lexjudge.encoder import HashedEncoder, apply_dropout_noise
 from lexjudge.graph import (
     FactNode, GatParams, LabelNode, ReasoningGraph, build_graph, init_features,
 )
 from lexjudge.rng import derive
-from lexjudge.trainer import graph_objective, stage3_objective
+from lexjudge.trainer import stage3_objective
+
+from gat_reference import total_loss
 
 
 def small_contrastive(epochs=3):
@@ -547,7 +548,7 @@ class TestStage3Objective:
 
     def test_fit_model_logs_the_checked_objective(self):
         """The first graph loss of a frozen, full-batch fit is
-        graph_objective's value on the same graph, parameters and golds."""
+        stage-3 objective's value on the same graph, parameters and golds."""
         corpus, lexicon, anchors = synth_corpus(cases_per_charge=3)
         params = HashedEncoderParams.initialize(output_dim=8, bucket_count=128, seed=1)
         train_cfg = TrainConfig(epochs=2, seed=3, heads=2)
@@ -565,8 +566,9 @@ class TestStage3Objective:
         )
         gat = GatParams.initialize(8, 2, derive(train_cfg.seed, "gat-init"), 0.2)
         golds = {task: corpus.gold_ids(task) for task in TASKS}
-        value, _ = graph_objective(
-            graph, gat, graph.features[: len(corpus)], golds, TASKS, with_grads=False
+        value, _ = stage3_objective(
+            gat.to_param_dict(), graph, golds, TASKS,
+            gat=gat, fact_vectors=graph.features[: len(corpus)], with_grads=False,
         )
         first = next(v for stage, _, v in result.loss_log if stage == "graph")
         assert first == value
