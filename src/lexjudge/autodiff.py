@@ -2,7 +2,9 @@
 
 Implements exactly the operations the training losses need: broadcasting
 arithmetic, matmul, the activations (tanh / ELU / leaky ReLU), reductions,
-row gather, segment sum, concatenation, and a max-shifted log-sum-exp.
+row gather, segment sum and softmax, concatenation, and a max-shifted
+log-sum-exp. The row-grouping ops share one scatter-free kernel: a stable
+sort by segment id, then one ``reduceat`` over the runs.
 Everything is float64. Graphs are rebuilt every optimization step, so
 leaf gradients never need zeroing.
 """
@@ -249,15 +251,32 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._node(np.concatenate([p.data for p in parts], axis=axis), parts, backward)
 
 
+def _segment_reduce(ufunc, values: np.ndarray, ids: np.ndarray, num_segments: int, fill):
+    """``ufunc`` over the rows of ``values`` grouped by ``ids`` into
+    ``num_segments`` buckets, ``fill`` where a bucket gets no rows.
+
+    Rows are put in stable order of their id, so each segment is one
+    contiguous run, and ``ufunc.reduceat`` reduces the runs that are not
+    empty. Ids need not be sorted or distinct."""
+    out = np.full((num_segments,) + values.shape[1:], fill, dtype=np.float64)
+    if ids.size == 0:
+        return out
+    order = np.argsort(ids, kind="stable")
+    counts = np.bincount(ids, minlength=num_segments)
+    present = counts > 0
+    starts = (np.cumsum(counts) - counts)[present]
+    out[present] = ufunc.reduceat(values[order], starts, axis=0)
+    return out
+
+
 def gather_rows(t: Tensor, index) -> Tensor:
     """Select rows (axis 0) by integer index; duplicate selections accumulate."""
     a = Tensor._lift(t)
     idx = np.asarray(index, dtype=np.intp)
 
     def backward(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, np.asarray(g, dtype=np.float64))
-        a._accumulate(buf)
+        g = np.asarray(g, dtype=np.float64).reshape((idx.size,) + a.data.shape[1:])
+        a._accumulate(_segment_reduce(np.add, g, idx.reshape(-1), a.data.shape[0], 0.0))
 
     return Tensor._node(a.data[idx], (a,), backward)
 
@@ -266,8 +285,7 @@ def segment_sum(t: Tensor, segment_ids, num_segments: int) -> Tensor:
     """Sum rows of t into num_segments buckets keyed by segment_ids."""
     a = Tensor._lift(t)
     seg = np.asarray(segment_ids, dtype=np.intp)
-    out = np.zeros((num_segments,) + a.data.shape[1:], dtype=np.float64)
-    np.add.at(out, seg, a.data)
+    out = _segment_reduce(np.add, a.data, seg, num_segments, 0.0)
     return Tensor._node(out, (a,), lambda g: a._accumulate(np.asarray(g)[seg]))
 
 
@@ -283,8 +301,7 @@ def segment_softmax(logits: Tensor, segment_ids, num_segments: int) -> Tensor:
     """Softmax over variable-size segments, max-shifted per segment."""
     a = Tensor._lift(logits)
     seg = np.asarray(segment_ids, dtype=np.intp)
-    shift = np.full(num_segments, -np.inf)
-    np.maximum.at(shift, seg, a.data)
+    shift = _segment_reduce(np.maximum, a.data, seg, num_segments, -np.inf)
     shifted = a - Tensor(shift[seg])
     numer = shifted.exp()
     denom = segment_sum(numer, seg, num_segments)

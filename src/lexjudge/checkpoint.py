@@ -4,11 +4,15 @@ A checkpoint is one JSON document with fixed field order (meta, encoder,
 graph, optimizer). Numeric arrays are plain JSON arrays; floats serialize
 through Python's shortest round-trip repr, so checkpoints are diffable,
 byte-stable between identical runs, and reload to bit-identical values.
+The optimizer section keeps Adam's step count and hyperparameters only, not
+its moment arrays (nothing resumes training); older checkpoints that carry
+``m``/``v`` still load.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -93,14 +97,20 @@ def build_checkpoint(model: FittedModel, optimizer: AdamState | None = None) -> 
             "beta2": optimizer.beta2,
             "eps": optimizer.eps,
             "learning_rate": optimizer.learning_rate,
-            "m": {k: v.tolist() for k, v in optimizer.m.items()},
-            "v": {k: v.tolist() for k, v in optimizer.v.items()},
         }
     return {"meta": meta, "encoder": encoder, "graph": graph, "optimizer": optimizer_doc}
 
 
 def save_checkpoint(path, model: FittedModel, optimizer: AdamState | None = None) -> None:
+    """Write the checkpoint document. A relative ``meta.embeddings_path``
+    (relative to the current directory) is rewritten relative to the
+    checkpoint's own directory, so the checkpoint loads from anywhere."""
     doc = build_checkpoint(model, optimizer)
+    table_path = doc["meta"]["embeddings_path"]
+    if table_path and not os.path.isabs(table_path):
+        doc["meta"]["embeddings_path"] = os.path.relpath(
+            table_path, os.path.dirname(os.path.abspath(path))
+        )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, ensure_ascii=False)
         fh.write("\n")
@@ -151,7 +161,8 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
 
     Returns the model and the raw optimizer section (empty when absent).
     When the checkpoint records ``meta.embeddings_path``, the precomputed
-    embedding table is loaded from that path.
+    embedding table is loaded from that path, a relative one resolved
+    against the checkpoint's directory.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -193,8 +204,10 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
         anchors_doc = meta.get("anchors")
         anchors = SectionAnchors(**anchors_doc) if anchors_doc is not None else None
         table = None
-        if meta.get("embeddings_path"):
-            table = load_embedding_table(meta["embeddings_path"])
+        table_path = meta.get("embeddings_path")
+        if table_path:
+            table_path = os.path.join(os.path.dirname(os.path.abspath(path)), table_path)
+            table = load_embedding_table(table_path)
         model = FittedModel(
             dim=meta["dim"],
             tasks=tasks,
@@ -212,7 +225,7 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
             heads=meta["heads"],
             leaky_slope=meta["leaky_slope"],
             seed=meta["seed"],
-            embeddings_path=meta.get("embeddings_path"),
+            embeddings_path=table_path,
             table=table,
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -264,27 +264,40 @@ def _forward_layer(
     heads_t: list[tuple[Tensor, Tensor]],
     collect: list | None,
     layer_no: int,
+    receivers: np.ndarray | None = None,
 ) -> Tensor:
-    outputs = []
-    for head_no, (w_t, omega_t) in enumerate(heads_t):
-        projected = x @ w_t.T
-        src_feats = ad.gather_rows(projected, graph.edge_src)
-        dst_feats = ad.gather_rows(projected, graph.edge_dst)
-        logits = ad.leaky_relu(
-            ad.concat([src_feats, dst_feats], axis=1) @ omega_t, layer.leaky_slope
-        )
-        alpha = ad.segment_softmax(logits, graph.edge_src, graph.num_nodes)
-        if collect is not None:
-            collect.append((layer_no, head_no, alpha.data.copy()))
-        messages = dst_feats * alpha.reshape((alpha.shape[0], 1))
-        aggregated = ad.segment_sum(messages, graph.edge_src, graph.num_nodes)
-        outputs.append(ad.elu(aggregated))
+    """One layer with its H heads stacked: projections ``(N, H, d)``, edge
+    logits and attention ``(E, H)``, messages ``(E, H, d)``.
+
+    The edge logit ``omega·[Wh_i ‖ Wh_j]`` is the sum of a source score
+    ``omega[:d]·Wh_i`` and a destination score ``omega[d:]·Wh_j``, so both
+    are computed once per node. With ``receivers`` (sorted node indices)
+    only the edges into them are aggregated, and output row r is node
+    ``receivers[r]``."""
+    n, n_heads = graph.num_nodes, len(heads_t)
+    width = heads_t[0][0].shape[0]
+    src, dst, seg, n_out = graph.edge_src, graph.edge_dst, graph.edge_src, n
+    if receivers is not None:
+        keep = np.isin(src, receivers)
+        src, dst, n_out = src[keep], dst[keep], len(receivers)
+        seg = np.searchsorted(receivers, src)
+    w = ad.concat([w_t for w_t, _ in heads_t], axis=0)
+    # row 2h is the source half of head h's omega, row 2h + 1 its destination half
+    halves = ad.concat([omega_t for _, omega_t in heads_t]).reshape((2 * n_heads, width))
+    projected = (x @ w.T).reshape((n, n_heads, width))
+    src_score = (projected * ad.gather_rows(halves, np.arange(0, 2 * n_heads, 2))).sum(axis=2)
+    dst_score = (projected * ad.gather_rows(halves, np.arange(1, 2 * n_heads, 2))).sum(axis=2)
+    logits = ad.leaky_relu(
+        ad.gather_rows(src_score, src) + ad.gather_rows(dst_score, dst), layer.leaky_slope
+    )
+    alpha = ad.segment_softmax(logits, seg, n_out)
+    if collect is not None:
+        collect.extend((layer_no, h, alpha.data[:, h].copy()) for h in range(n_heads))
+    messages = ad.gather_rows(projected, dst) * alpha.reshape((len(src), n_heads, 1))
+    aggregated = ad.elu(ad.segment_sum(messages, seg, n_out))
     if layer.combine == "concat":
-        return ad.concat(outputs, axis=1)
-    total = outputs[0]
-    for extra in outputs[1:]:
-        total = total + extra
-    return total * (1.0 / len(outputs))
+        return aggregated.reshape((n_out, n_heads * width))
+    return aggregated.sum(axis=1) * (1.0 / n_heads)
 
 
 def gat_forward_tensors(
@@ -293,16 +306,22 @@ def gat_forward_tensors(
     tensors: Mapping[str, Tensor],
     params: GatParams,
     collect: list | None = None,
+    receivers: np.ndarray | None = None,
 ) -> Tensor:
     """Both layers as a differentiable function of ``tensors``, keyed as
-    ``GatParams.to_param_dict``; ``params`` supplies the layer structure."""
+    ``GatParams.to_param_dict``; ``params`` supplies the layer structure.
+    With ``receivers`` (sorted node indices) the last layer computes only
+    their rows, in that order."""
     x = features
+    last = len(params.layers) - 1
     for li, layer in enumerate(params.layers):
         heads_t = [
             (tensors[param_key(li, hi, "W")], tensors[param_key(li, hi, "omega")])
             for hi in range(len(layer.heads))
         ]
-        x = _forward_layer(x, graph, layer, heads_t, collect, li)
+        x = _forward_layer(
+            x, graph, layer, heads_t, collect, li, receivers if li == last else None
+        )
     return x
 
 

@@ -172,10 +172,16 @@ def stage3_objective(
     if gat is None:
         label_mats = {task: leaves[f"labels.{task.value}"] for task in tasks}
     else:
-        out = gat_forward_tensors(nodes, graph, leaves, gat)
+        # The loss reads only label rows, so the last layer aggregates only
+        # the edges into the label nodes of ``tasks``.
+        label_nodes = {task: graph.label_indices(task) for task in tasks}
+        receivers = np.array(
+            sorted(i for ids in label_nodes.values() for i in ids), dtype=np.intp
+        )
+        out = gat_forward_tensors(nodes, graph, leaves, gat, receivers=receivers)
         label_mats = {
-            task: ad.gather_rows(out, np.asarray(graph.label_indices(task), dtype=np.intp))
-            for task in tasks
+            task: ad.gather_rows(out, np.searchsorted(receivers, ids))
+            for task, ids in label_nodes.items()
         }
     if rows is not None:
         facts = ad.gather_rows(facts, rows)

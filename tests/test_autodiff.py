@@ -1,5 +1,8 @@
 """Finite-difference checks for every autodiff operation the losses use."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -119,6 +122,98 @@ class TestStructuralOps:
     def test_mean(self):
         check(lambda t: t.mean(), (7,), seed=22)
         check(lambda t: (t.mean(axis=1) * np.array([1.0, -2.0])).sum(), (2, 5), seed=23)
+
+
+class TestSegmentKernel:
+    """The row-grouping ops on ids that are unsorted, repeated, or leave a
+    segment empty, for ``(E,)``, ``(E, H)`` and ``(E, H, d)`` inputs."""
+
+    IDS = np.array([3, 0, 3, 1, 0, 3, 1])  # segment 2 receives no rows
+    SHAPES = [(7,), (7, 2), (7, 2, 3)]
+
+    def weights(self, shape, seed):
+        return np.random.default_rng(seed).normal(size=shape)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gather_rows_grad(self, shape):
+        weights = self.weights((len(self.IDS),) + shape[1:], 40)
+        check(
+            lambda t: (ad.gather_rows(t, self.IDS) * Tensor(weights)).sum(),
+            (5,) + shape[1:],
+            seed=41,
+        )
+
+    def test_gather_rows_two_dim_index_grad(self):
+        idx = np.array([[4, 0, 4], [2, 2, 1]])
+        weights = self.weights((2, 3, 2), 42)
+        check(lambda t: (ad.gather_rows(t, idx) * Tensor(weights)).sum(), (5, 2), seed=43)
+
+    def test_gather_rows_unselected_rows_get_zero_grad(self):
+        leaf = Tensor(np.ones((5, 2)), requires_grad=True)
+        (ad.gather_rows(leaf, self.IDS) * 2.0).sum().backward()
+        counts = np.bincount(self.IDS, minlength=5)
+        np.testing.assert_array_equal(leaf.grad, 2.0 * counts[:, None] * np.ones((5, 2)))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_segment_sum_values_and_grad(self, shape):
+        x = self.weights(shape, 44)
+        expected = np.zeros((5,) + shape[1:])
+        for row, seg in enumerate(self.IDS):
+            expected[seg] += x[row]
+        out = ad.segment_sum(Tensor(x), self.IDS, 5).data
+        np.testing.assert_allclose(out, expected, atol=1e-15)
+        assert not out[2].any() and not out[4].any()
+        weights = self.weights((5,) + shape[1:], 45)
+        check(lambda t: (ad.segment_sum(t, self.IDS, 5) * Tensor(weights)).sum(), shape, seed=46)
+
+    @pytest.mark.parametrize("shape", SHAPES[:2])
+    def test_segment_softmax_values_and_grad(self, shape):
+        x = self.weights(shape, 47) * 3
+        alpha = ad.segment_softmax(Tensor(x), self.IDS, 5).data
+        for seg in (0, 1, 3):
+            rows = x[self.IDS == seg]
+            expected = np.exp(rows - rows.max(axis=0)) / np.exp(rows - rows.max(axis=0)).sum(axis=0)
+            np.testing.assert_allclose(alpha[self.IDS == seg], expected, atol=1e-15)
+        weights = self.weights(shape, 48)
+        check(
+            lambda t: (ad.segment_softmax(t, self.IDS, 5) * Tensor(weights)).sum(),
+            shape,
+            seed=49,
+        )
+
+    def test_segment_softmax_large_logits_finite(self):
+        alpha = ad.segment_softmax(Tensor([1000.0, 999.0, -1000.0]), np.array([1, 1, 0]), 3)
+        np.testing.assert_allclose(alpha.data, [1 / (1 + np.exp(-1.0)), 1 / (1 + np.e), 1.0])
+
+    def test_no_rows_at_all(self):
+        empty = np.zeros(0, dtype=np.intp)
+        out = ad.segment_sum(Tensor(np.zeros((0, 2))), empty, 3)
+        np.testing.assert_array_equal(out.data, np.zeros((3, 2)))
+
+
+def scatter_calls(source: str) -> list[str]:
+    """Every ``<name>.add.at`` / ``<name>.maximum.at`` in a module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "at"
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr in ("add", "maximum")
+        ):
+            found.append(f"line {node.lineno}: .{node.value.attr}.at")
+    return found
+
+
+def test_no_unbuffered_scatter_in_the_package():
+    package = Path(ad.__file__).resolve().parent
+    found = {
+        path.name: calls
+        for path in sorted(package.glob("*.py"))
+        if (calls := scatter_calls(path.read_text(encoding="utf-8")))
+    }
+    assert not found
+    assert scatter_calls("import numpy as np\nnp.add.at(a, i, b)\nnp.maximum.at(a, i, b)\n")
 
 
 class TestSoftmaxPieces:

@@ -74,3 +74,31 @@ class TestCheckpointSchema:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DataError, match="invalid schema"):
             load_checkpoint(path)
+
+
+class TestOptimizerSection:
+    def test_scalars_only(self, fitted):
+        doc = build_checkpoint(fitted.model, fitted.optimizer_state)
+        assert list(doc["optimizer"]) == ["t", "beta1", "beta2", "eps", "learning_rate"]
+        assert doc["optimizer"]["t"] == 2
+
+    def test_old_checkpoint_with_moments_still_loads(self, fitted, tmp_path):
+        """Checkpoints written before the moments were dropped carry ``m``
+        and ``v`` arrays; they load to the same model."""
+        current = tmp_path / "current.json"
+        save_checkpoint(current, fitted.model, fitted.optimizer_state)
+        doc = json.loads(current.read_text(encoding="utf-8"))
+        state = fitted.optimizer_state
+        doc["optimizer"]["m"] = {k: v.tolist() for k, v in state.m.items()}
+        doc["optimizer"]["v"] = {k: v.tolist() for k, v in state.v.items()}
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc), encoding="utf-8")
+
+        model, optimizer = load_checkpoint(old)
+        reference, _ = load_checkpoint(current)
+        assert optimizer["t"] == 2
+        assert set(optimizer["m"]) == set(state.m)
+        for task, matrix in reference.label_matrices.items():
+            assert (model.label_matrices[task] == matrix).all()
+        assert (model.encoder_params.projection == reference.encoder_params.projection).all()
+        assert build_checkpoint(model) == build_checkpoint(reference)

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -325,6 +326,7 @@ def precomputed_run(tmp_path_factory):
         "corpus": corpus_path,
         "config": config_path,
         "exported": out_dir / "embeddings.tsv",
+        "table": table,
         "full_config": full_config,
         "checkpoint": tmp_path / "full" / "checkpoint.json",
     }
@@ -373,6 +375,33 @@ class TestPrecomputedBackend:
         assert "no precomputed embedding for id" in capsys.readouterr().err
         assert self.predict(run, checkpoint, tmp_path)[0] == 3
         assert "no precomputed embedding for id" in capsys.readouterr().err
+
+    def test_relative_table_path_resolves_against_the_checkpoint(
+        self, precomputed_run, tmp_path, monkeypatch
+    ):
+        """A table path relative to the training directory is stored relative
+        to the checkpoint, so ``predict`` works from a sibling directory."""
+        run = precomputed_run
+        train_dir, sibling = tmp_path / "train", tmp_path / "sibling"
+        train_dir.mkdir()
+        sibling.mkdir()
+        shutil.copy(run["table"], train_dir / "full.tsv")
+        config = precomputed_config(run["config"], "full.tsv", train_dir / "relative_out")
+        monkeypatch.chdir(train_dir)
+        assert main(["train", "--config", str(config)]) == 0
+        checkpoint = train_dir / "relative_out" / "checkpoint.json"
+        doc = json.loads(checkpoint.read_text(encoding="utf-8"))
+        assert doc["meta"]["embeddings_path"] == os.path.join("..", "full.tsv")
+
+        monkeypatch.chdir(sibling)
+        out = tmp_path / "preds.jsonl"
+        assert main([
+            "predict", "--checkpoint", os.path.join("..", "train", "relative_out", "checkpoint.json"),
+            "--in", str(run["corpus"]), "--out", str(out),
+        ]) == 0
+        assert len(out.read_text(encoding="utf-8").strip().split("\n")) == len(
+            load_corpus(run["corpus"])
+        ) * len(TASKS)
 
 
 class TestScenarioFlow:

@@ -16,7 +16,16 @@ from lexjudge import (
     case_clues,
     init_features,
 )
-from lexjudge.graph import FactNode, HeadParams, LabelNode, LayerParams, node_name
+from lexjudge.autodiff import Tensor
+from lexjudge.graph import (
+    FactNode,
+    HeadParams,
+    LabelNode,
+    LayerParams,
+    attention_export,
+    gat_forward_tensors,
+    node_name,
+)
 from lexjudge.trainer import stage3_objective
 
 import synth
@@ -309,6 +318,101 @@ class TestGatForward:
 
         expected = layer(layer(graph.features.tolist()))
         np.testing.assert_allclose(gat_forward(graph, params), expected, atol=1e-9)
+
+
+def bench_shaped_instance(seed, dim=64, heads=4):
+    """The benchmark fit recipe's graph: 120 facts and three labels per task,
+    129 nodes and 867 edges, 387 of them into a label node."""
+    records = [
+        rec(i, f"c{i % 3}", f"a{(i // 3) % 3}", imprisonment=f"m{(i // 9) % 3}")
+        for i in range(120)
+    ]
+    corpus = mini_corpus(records)
+    graph = build_graph(corpus)
+    graph.features = np.random.default_rng(seed).normal(size=(graph.num_nodes, dim)) * 0.7
+    return corpus, graph, GatParams.initialize(dim=dim, heads=heads, seed=seed)
+
+
+def reordered(graph: ReasoningGraph, order) -> ReasoningGraph:
+    """The same graph with node k of the result being node ``order[k]``."""
+    position = np.argsort(order)
+    out = ReasoningGraph(
+        [graph.nodes[i] for i in order],
+        [[int(position[j]) for j in graph.neighbors[i]] for i in order],
+    )
+    out.features = graph.features[order]
+    return out
+
+
+def label_nodes(graph: ReasoningGraph) -> np.ndarray:
+    return np.array(
+        [i for i, node in enumerate(graph.nodes) if isinstance(node, LabelNode)], dtype=np.intp
+    )
+
+
+class TestLabelOnlyLastLayer:
+    """Stage-3 training computes the last layer only for label nodes; the
+    rows must equal those of the full pass whatever the node order."""
+
+    @pytest.fixture(scope="class")
+    def bench_graphs(self):
+        corpus, graph, params = bench_shaped_instance(17)
+        assert (graph.num_nodes, len(graph.edge_src)) == (129, 867)
+        assert np.isin(graph.edge_src, label_nodes(graph)).sum() == 387
+        order = np.random.default_rng(5).permutation(graph.num_nodes)
+        shuffled = reordered(graph, order)
+        labels = label_nodes(shuffled)
+        assert labels[0] < 100 and labels[-1] < graph.num_nodes - 1  # labels not last
+        return corpus, params, {"bench order": graph, "labels interleaved": shuffled}
+
+    @pytest.mark.parametrize("name", ["bench order", "labels interleaved"])
+    def test_label_rows_equal_the_full_pass(self, bench_graphs, name):
+        _, params, graphs = bench_graphs
+        graph = graphs[name]
+        receivers = label_nodes(graph)
+        tensors = {k: Tensor(v) for k, v in params.to_param_dict().items()}
+        partial = gat_forward_tensors(
+            Tensor(graph.features), graph, tensors, params, receivers=receivers
+        ).data
+        full = gat_forward(graph, params)
+        assert partial.shape == (len(receivers), params.output_dim)
+        np.testing.assert_allclose(partial, full[receivers], rtol=0, atol=1e-12)
+
+    def test_stage3_objective_independent_of_node_order(self, bench_graphs):
+        corpus, params, graphs = bench_graphs
+        hf = np.random.default_rng(3).normal(size=(len(corpus), params.output_dim)) * 0.5
+        golds = {task: corpus.gold_ids(task) for task in Task}
+        tasks = tuple(Task)
+        theta = params.to_param_dict()
+        (v_a, g_a), (v_b, g_b) = (
+            stage3_objective(theta, graph, golds, tasks, gat=params, fact_vectors=hf)
+            for graph in graphs.values()
+        )
+        assert v_b == pytest.approx(v_a, abs=1e-12)
+        for key in theta:
+            np.testing.assert_allclose(g_b[key], g_a[key], rtol=0, atol=1e-12)
+        reference = graph_loss_reference(graphs["labels interleaved"], params, hf, golds, tasks)
+        assert v_b == pytest.approx(reference, abs=1e-12)
+
+
+class TestAttentionExport:
+    def test_alphas_match_reference_attention_rows(self):
+        _, graph, params = random_instance(9)
+        layer_inputs = [graph.features, gat_forward_reference(graph, GatParams(params.layers[:1]))]
+        expected = []
+        for li, layer in enumerate(params.layers):
+            for hi, head in enumerate(layer.heads):
+                for node, neighbors in enumerate(graph.neighbors):
+                    weights = attention_row(graph, head, node, layer.leaky_slope, layer_inputs[li])
+                    expected += [
+                        (node_name(graph.nodes[node]), node_name(graph.nodes[j]), hi, li, w)
+                        for j, w in zip(neighbors, weights)
+                    ]
+        rows = attention_export(graph, params)
+        assert [r[:4] for r in rows] == [e[:4] for e in expected]
+        np.testing.assert_allclose(
+            [r[4] for r in rows], [e[4] for e in expected], rtol=0, atol=1e-12
+        )
 
 
 class TestGraphGradients:
