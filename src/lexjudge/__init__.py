@@ -49,9 +49,7 @@ from .corpus import (
 from .encoder import (
     DropoutSpec,
     EmbeddingTable,
-    HashedEncoder,
     HashedEncoderParams,
-    PrecomputedEncoder,
     apply_dropout_noise,
     encode_fact,
     encode_label,
@@ -69,7 +67,6 @@ from .errors import (
 from .graph import (
     FactNode,
     GatParams,
-    HeadParams,
     LabelNode,
     LayerParams,
     ReasoningGraph,

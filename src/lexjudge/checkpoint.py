@@ -20,7 +20,7 @@ from .clues import Lexicon, SectionAnchors
 from .corpus import LabelVocab, Task, TASKS
 from .encoder import HashedEncoderParams, load_embedding_table
 from .errors import DataError
-from .graph import GatParams, HeadParams, LayerParams
+from .graph import GatParams, LayerParams
 from .trainer import AdamState, FittedModel
 from .validation import check_threshold
 
@@ -81,8 +81,8 @@ def build_checkpoint(model: FittedModel, optimizer: AdamState | None = None) -> 
                     "combine": layer.combine,
                     "leaky_slope": layer.leaky_slope,
                     "heads": [
-                        {"W": head.W.tolist(), "omega": head.omega.tolist()}
-                        for head in layer.heads
+                        {"W": W.tolist(), "omega": omega.tolist()}
+                        for W, omega in zip(layer.W, layer.omega)
                     ],
                 }
             )
@@ -120,40 +120,15 @@ def _parse_gat(graph_doc: dict) -> GatParams | None:
     layers_doc = graph_doc.get("layers") or []
     if not layers_doc:
         return None
-    layers = []
-    for layer in layers_doc:
-        heads = [
-            HeadParams(W=np.asarray(h["W"]), omega=np.asarray(h["omega"]))
-            for h in layer["heads"]
-        ]
-        layers.append(LayerParams(heads, layer["combine"], layer["leaky_slope"]))
-    return GatParams(layers)
-
-
-def _check_dimensions(
-    dim: int,
-    encoder_params: HashedEncoderParams | None,
-    vocabs: dict[Task, LabelVocab],
-    label_matrices: dict[Task, np.ndarray],
-) -> None:
-    """Reject matrices that disagree with ``meta.dim``, with their task's
-    vocabulary size, or that hold non-finite values. ``load_checkpoint``
-    reports the ValueError as a schema violation."""
-    if encoder_params is not None and encoder_params.output_dim != dim:
-        raise ValueError(
-            f"projection has {encoder_params.output_dim} rows but meta.dim is {dim}"
+    return GatParams([
+        LayerParams(
+            np.stack([np.asarray(h["W"], dtype=np.float64) for h in layer["heads"]]),
+            np.stack([np.asarray(h["omega"], dtype=np.float64) for h in layer["heads"]]),
+            layer["combine"],
+            layer["leaky_slope"],
         )
-    for task, matrix in label_matrices.items():
-        if task not in vocabs:
-            raise ValueError(f"{task.value} label matrix has no vocabulary")
-        expected = (vocabs[task].size, dim)
-        if matrix.shape != expected:
-            raise ValueError(
-                f"{task.value} label matrix has shape {matrix.shape}, expected {expected} "
-                "(vocabulary size, meta.dim)"
-            )
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError(f"{task.value} label matrix contains non-finite values")
+        for layer in layers_doc
+    ])
 
 
 def load_checkpoint(path) -> tuple[FittedModel, dict]:
@@ -162,7 +137,10 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
     Returns the model and the raw optimizer section (empty when absent).
     When the checkpoint records ``meta.embeddings_path``, the precomputed
     embedding table is loaded from that path, a relative one resolved
-    against the checkpoint's directory.
+    against the checkpoint's directory. ``FittedModel`` checks the label
+    matrices against the vocabularies and the encoder; ``meta.backend`` and
+    ``meta.dim`` must agree with the encoder loaded. Every violation is a
+    ``DataError``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -197,7 +175,6 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
             Task(name): np.asarray(matrix, dtype=np.float64)
             for name, matrix in graph_doc.get("label_matrices", {}).items()
         }
-        _check_dimensions(meta["dim"], encoder_params, vocabs, label_matrices)
         lexicon = (
             Lexicon.from_dict(meta["lexicon"]) if meta.get("lexicon") is not None else None
         )
@@ -209,11 +186,9 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
             table_path = os.path.join(os.path.dirname(os.path.abspath(path)), table_path)
             table = load_embedding_table(table_path)
         model = FittedModel(
-            dim=meta["dim"],
             tasks=tasks,
             vocabs=vocabs,
             label_matrices=label_matrices,
-            backend_kind=meta["backend"],
             encoder_params=encoder_params,
             gat=_parse_gat(graph_doc),
             lexicon=lexicon,
@@ -228,6 +203,12 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
             embeddings_path=table_path,
             table=table,
         )
+        if (meta["backend"], meta["dim"]) != (model.backend_kind, model.dim):
+            raise DataError(
+                f"checkpoint {path}: meta.backend {meta['backend']!r} and meta.dim "
+                f"{meta['dim']!r} contradict its {model.backend_kind} encoder of "
+                f"dimension {model.dim}"
+            )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"checkpoint {path} has an invalid schema: {exc}") from exc
     return model, doc.get("optimizer", {})

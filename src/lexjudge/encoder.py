@@ -9,9 +9,10 @@ consumes:
 * ingestion of precomputed embeddings from a TSV table (vectors are taken
   as given; nothing is trainable on this path).
 
-Downstream code depends only on (dim, fact_vector, label_vector). Each
-backend's ``fact_vector`` takes the input it keys on: the hashed encoder a
-case's clue set, the precomputed table the case itself (by id).
+The hashed encoder maps a case's clue set (``encode_fact``) and a label's
+surface text (``encode_label``); the table keys a case by its id and a
+label by ``label_key``. Either way the vectors share one dimension: the
+projection's row count or the table's ``#dim``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .rng import derive, fnv1a_64, glorot_uniform, stream_uniform
 from .validation import check_finite, check_positive, check_unit_rate
 
 if TYPE_CHECKING:
-    from .corpus import CriminalCase, Task
+    from .corpus import Task
 
 # U+001F unit separator joins the clue fields before hashing; it cannot
 # occur in natural text, so clue boundaries never alias content n-grams.
@@ -224,6 +225,8 @@ def load_embedding_table(path) -> EmbeddingTable:
         dim = int(header[1])
     except ValueError:
         raise DataError(f"embedding file {path}: bad dimension {header[1]!r}") from None
+    if dim <= 0:
+        raise DataError(f"embedding file {path} line 1: dimension must be positive, got {dim}")
     vectors: dict[str, np.ndarray] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split("\t")
@@ -240,43 +243,7 @@ def load_embedding_table(path) -> EmbeddingTable:
             vec = np.array([float(v) for v in values])
         except ValueError:
             raise DataError(f"embedding file {path} line {lineno}: non-numeric value") from None
+        if not np.all(np.isfinite(vec)):
+            raise DataError(f"embedding file {path} line {lineno}: non-finite value")
         vectors[parts[0]] = vec
     return EmbeddingTable(dim, vectors)
-
-
-class HashedEncoder:
-    """Feature-hashing backend bound to one parameter set."""
-
-    kind = "hashed"
-
-    def __init__(self, params: HashedEncoderParams):
-        self.params = params
-
-    @property
-    def dim(self) -> int:
-        return self.params.output_dim
-
-    def fact_vector(self, clues: ClueSet) -> np.ndarray:
-        return encode_fact(clues, self.params)
-
-    def label_vector(self, task: "Task", label_id: int, surface: str) -> np.ndarray:
-        return encode_label(surface, self.params)
-
-
-class PrecomputedEncoder:
-    """Table-lookup backend; vectors are used exactly as ingested."""
-
-    kind = "precomputed"
-
-    def __init__(self, table: EmbeddingTable):
-        self.table = table
-
-    @property
-    def dim(self) -> int:
-        return self.table.dim
-
-    def fact_vector(self, case: "CriminalCase") -> np.ndarray:
-        return self.table[case.id]
-
-    def label_vector(self, task: "Task", label_id: int, surface: str) -> np.ndarray:
-        return self.table[label_key(task, label_id)]

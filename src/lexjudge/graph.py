@@ -18,7 +18,7 @@ autodiff module; the node-by-node oracle it is checked against lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -28,9 +28,6 @@ from .corpus import Corpus, Task, TASKS
 from .errors import DataError
 from .rng import derive, glorot_uniform
 from .validation import check_finite
-
-if TYPE_CHECKING:
-    from .corpus import LabelVocab
 
 
 @dataclass(frozen=True)
@@ -122,77 +119,54 @@ def build_graph(corpus: Corpus) -> ReasoningGraph:
 
 def init_features(
     graph: ReasoningGraph,
-    backend,
-    vocabs: dict[Task, "LabelVocab"],
-    fact_inputs: Sequence,
+    fact_vectors: np.ndarray,
+    label_vectors: Mapping[Task, np.ndarray],
 ) -> ReasoningGraph:
-    """Initialize node features from the encoder backend: the i-th fact node
-    from ``fact_inputs[i]``, the input its backend keys on (a clue set for
-    the hashed encoder, the case for precomputed embeddings); labels from
-    their surface texts."""
+    """Set the node features: the i-th fact node gets ``fact_vectors[i]``,
+    the node of label l of a task row l of that task's ``label_vectors``."""
     n_facts = sum(isinstance(node, FactNode) for node in graph.nodes)
-    if len(fact_inputs) != n_facts:
-        raise DataError(f"{len(fact_inputs)} fact inputs for {n_facts} fact nodes")
-    facts = iter(fact_inputs)
-    rows = []
-    for node in graph.nodes:
-        if isinstance(node, FactNode):
-            rows.append(backend.fact_vector(next(facts)))
-        else:
-            surface = vocabs[node.task].surface(node.label_id)
-            rows.append(backend.label_vector(node.task, node.label_id, surface))
-    features = np.stack(rows)
+    if len(fact_vectors) != n_facts:
+        raise DataError(f"{len(fact_vectors)} fact inputs for {n_facts} fact nodes")
+    facts = iter(fact_vectors)
+    features = np.stack([
+        next(facts) if isinstance(node, FactNode) else label_vectors[node.task][node.label_id]
+        for node in graph.nodes
+    ])
     check_finite(features, "graph features")
     graph.features = features
     return graph
 
 
-def param_key(layer: int, head: int, name: str) -> str:
-    """Name of one head parameter (``W`` or ``omega``) in a parameter mapping."""
-    return f"gat.layer{layer}.head{head}.{name}"
-
-
 @dataclass
-class HeadParams:
-    """One attention head: a projection and the edge-scoring vector."""
+class LayerParams:
+    """One layer's H heads, stacked: ``W[h]`` (d, d_in) is head h's
+    projection and ``omega[h]`` (2d,) its edge-scoring vector."""
 
     W: np.ndarray
     omega: np.ndarray
-
-    def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=np.float64)
-        self.omega = np.asarray(self.omega, dtype=np.float64)
-        if self.W.ndim != 2:
-            raise ValueError("W must be a matrix")
-        if self.omega.shape != (2 * self.W.shape[0],):
-            raise ValueError("omega length must be twice the head output dim")
-        check_finite(self.W, "W")
-        check_finite(self.omega, "omega")
-
-
-@dataclass
-class LayerParams:
-    heads: list[HeadParams]
     combine: str  # "concat" or "average"
     leaky_slope: float = 0.2
 
     def __post_init__(self):
+        self.W = np.asarray(self.W, dtype=np.float64)
+        self.omega = np.asarray(self.omega, dtype=np.float64)
         if self.combine not in ("concat", "average"):
             raise ValueError("combine must be 'concat' or 'average'")
-        if not self.heads:
-            raise ValueError("a layer needs at least one head")
-        shapes = {h.W.shape for h in self.heads}
-        if len(shapes) != 1:
-            raise ValueError("all heads in a layer must share one shape")
+        if self.W.ndim != 3 or not len(self.W):
+            raise ValueError("W must be (heads, d, d_in) with at least one head")
+        if self.omega.shape != (len(self.W), 2 * self.W.shape[1]):
+            raise ValueError("omega must be (heads, 2d): twice the head output dim per head")
+        check_finite(self.W, "W")
+        check_finite(self.omega, "omega")
 
     @property
     def input_dim(self) -> int:
-        return self.heads[0].W.shape[1]
+        return self.W.shape[2]
 
     @property
     def output_dim(self) -> int:
-        per_head = self.heads[0].W.shape[0]
-        return per_head * len(self.heads) if self.combine == "concat" else per_head
+        heads, per_head = self.W.shape[:2]
+        return per_head * heads if self.combine == "concat" else per_head
 
 
 @dataclass
@@ -216,52 +190,48 @@ class GatParams:
         cls, dim: int, heads: int = 4, seed: int = 0, leaky_slope: float = 0.2
     ) -> "GatParams":
         """Two layers: concat heads of width dim/heads, then averaged heads
-        of width dim, so the output matches the encoder dimension."""
+        of width dim, so the output matches the encoder dimension. Each
+        head draws from its own seeded stream."""
         if dim % heads != 0:
             raise ValueError(f"dim {dim} must be divisible by head count {heads}")
         specs = [(dim, dim // heads, "concat"), (dim, dim, "average")]
         layers = []
-        for layer_no, (d_in, d_out, combine) in enumerate(specs):
-            head_list = []
-            for head_no in range(heads):
-                w_seed = derive(seed, "gat", layer_no, head_no, "W")
-                o_seed = derive(seed, "gat", layer_no, head_no, "omega")
-                head_list.append(
-                    HeadParams(
-                        W=glorot_uniform((d_out, d_in), d_in, d_out, w_seed),
-                        omega=glorot_uniform((2 * d_out,), 2 * d_out, 1, o_seed),
-                    )
-                )
-            layers.append(LayerParams(head_list, combine, leaky_slope))
+        for li, (d_in, d_out, combine) in enumerate(specs):
+            W = [
+                glorot_uniform((d_out, d_in), d_in, d_out, derive(seed, "gat", li, h, "W"))
+                for h in range(heads)
+            ]
+            omega = [
+                glorot_uniform((2 * d_out,), 2 * d_out, 1, derive(seed, "gat", li, h, "omega"))
+                for h in range(heads)
+            ]
+            layers.append(LayerParams(np.stack(W), np.stack(omega), combine, leaky_slope))
         return cls(layers)
 
     def to_param_dict(self) -> dict[str, np.ndarray]:
+        """Two entries per layer, ``gat.layer{l}.W`` and ``gat.layer{l}.omega``."""
         out: dict[str, np.ndarray] = {}
         for li, layer in enumerate(self.layers):
-            for hi, head in enumerate(layer.heads):
-                out[param_key(li, hi, "W")] = head.W
-                out[param_key(li, hi, "omega")] = head.omega
+            out[f"gat.layer{li}.W"] = layer.W
+            out[f"gat.layer{li}.omega"] = layer.omega
         return out
 
-    def with_param_dict(self, params: dict[str, np.ndarray]) -> "GatParams":
-        layers = []
-        for li, layer in enumerate(self.layers):
-            heads = [
-                HeadParams(
-                    W=np.asarray(params[param_key(li, hi, "W")], dtype=np.float64),
-                    omega=np.asarray(params[param_key(li, hi, "omega")], dtype=np.float64),
-                )
-                for hi in range(len(layer.heads))
-            ]
-            layers.append(LayerParams(heads, layer.combine, layer.leaky_slope))
-        return GatParams(layers)
+    def with_param_dict(self, params: Mapping[str, np.ndarray]) -> "GatParams":
+        return GatParams([
+            LayerParams(
+                params[f"gat.layer{li}.W"], params[f"gat.layer{li}.omega"],
+                layer.combine, layer.leaky_slope,
+            )
+            for li, layer in enumerate(self.layers)
+        ])
 
 
 def _forward_layer(
     x: Tensor,
     graph: ReasoningGraph,
     layer: LayerParams,
-    heads_t: list[tuple[Tensor, Tensor]],
+    w: Tensor,
+    omega: Tensor,
     collect: list | None,
     layer_no: int,
     receivers: np.ndarray | None = None,
@@ -274,17 +244,15 @@ def _forward_layer(
     are computed once per node. With ``receivers`` (sorted node indices)
     only the edges into them are aggregated, and output row r is node
     ``receivers[r]``."""
-    n, n_heads = graph.num_nodes, len(heads_t)
-    width = heads_t[0][0].shape[0]
+    n, (n_heads, width, d_in) = graph.num_nodes, w.shape
     src, dst, seg, n_out = graph.edge_src, graph.edge_dst, graph.edge_src, n
     if receivers is not None:
         keep = np.isin(src, receivers)
         src, dst, n_out = src[keep], dst[keep], len(receivers)
         seg = np.searchsorted(receivers, src)
-    w = ad.concat([w_t for w_t, _ in heads_t], axis=0)
     # row 2h is the source half of head h's omega, row 2h + 1 its destination half
-    halves = ad.concat([omega_t for _, omega_t in heads_t]).reshape((2 * n_heads, width))
-    projected = (x @ w.T).reshape((n, n_heads, width))
+    halves = omega.reshape((2 * n_heads, width))
+    projected = (x @ w.reshape((n_heads * width, d_in)).T).reshape((n, n_heads, width))
     src_score = (projected * ad.gather_rows(halves, np.arange(0, 2 * n_heads, 2))).sum(axis=2)
     dst_score = (projected * ad.gather_rows(halves, np.arange(1, 2 * n_heads, 2))).sum(axis=2)
     logits = ad.leaky_relu(
@@ -315,12 +283,9 @@ def gat_forward_tensors(
     x = features
     last = len(params.layers) - 1
     for li, layer in enumerate(params.layers):
-        heads_t = [
-            (tensors[param_key(li, hi, "W")], tensors[param_key(li, hi, "omega")])
-            for hi in range(len(layer.heads))
-        ]
         x = _forward_layer(
-            x, graph, layer, heads_t, collect, li, receivers if li == last else None
+            x, graph, layer, tensors[f"gat.layer{li}.W"], tensors[f"gat.layer{li}.omega"],
+            collect, li, receivers if li == last else None,
         )
     return x
 

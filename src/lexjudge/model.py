@@ -18,8 +18,13 @@ from .predictor import predict_proba as _softmax
 from .trainer import evaluate_model, fit_model
 
 
-def _as_task(task) -> Task:
-    return task if isinstance(task, Task) else Task(task)
+def _as_task(task, model) -> Task:
+    """``task`` as a ``Task`` the fitted model was trained on."""
+    task = task if isinstance(task, Task) else Task(task)
+    if task not in model.tasks:
+        trained = [t.value for t in model.tasks]
+        raise ConfigError(f"the model was not trained on task {task.value!r}; tasks: {trained}")
+    return task
 
 
 class JudgmentClassifier(BaseEstimator):
@@ -125,7 +130,7 @@ class JudgmentClassifier(BaseEstimator):
     def predict(self, corpus, task="charge") -> np.ndarray:
         """Predicted label surface strings for one task."""
         model = self._require_fitted()
-        task = _as_task(task)
+        task = _as_task(task, model)
         vocab = model.vocabs[task]
         out = [vocab.surface(model.predict_case(case)[task]) for case in corpus]
         return np.array(out, dtype=object)
@@ -145,13 +150,13 @@ class JudgmentClassifier(BaseEstimator):
     def predict_proba(self, corpus, task="charge") -> np.ndarray:
         """Softmax probabilities over the task's label vocabulary, row per case."""
         model = self._require_fitted()
-        task = _as_task(task)
+        task = _as_task(task, model)
         return np.stack([_softmax(model.scores(case)[task]) for case in corpus])
 
     def score(self, corpus: Corpus, task="charge") -> float:
         """Accuracy on one task."""
         model = self._require_fitted()
-        task = _as_task(task)
+        task = _as_task(task, model)
         reports = evaluate_model(model, corpus, tasks=(task,))
         return reports[task].acc
 

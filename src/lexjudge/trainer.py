@@ -27,12 +27,13 @@ from .corpus import Corpus, CriminalCase, LabelVocab, SplitSpec, Task, TASKS, sp
 from .encoder import (
     DropoutSpec,
     EmbeddingTable,
-    HashedEncoder,
     HashedEncoderParams,
-    PrecomputedEncoder,
     apply_dropout_noise,
     clue_text,
+    encode_fact,
+    encode_label,
     featurize,
+    label_key,
 )
 from .errors import ConfigError, DataError, DivergenceError, LexjudgeError
 from .graph import (
@@ -218,13 +219,17 @@ def case_clues(
 @dataclass
 class FittedModel:
     """Everything needed to score unseen cases against the enhanced labels;
-    ``fact_vector`` traces each case afresh and stores nothing on it."""
+    ``fact_vector`` traces each case afresh and stores nothing on it.
 
-    dim: int
+    The encoder is exactly one of ``encoder_params`` (hashed backend) or
+    ``table`` (precomputed backend); ``dim`` and ``backend_kind`` derive
+    from it. Every task in ``tasks`` has a vocabulary and, once any label
+    matrices exist (a pre-trained encoder has none), a finite
+    (vocabulary size, ``dim``) matrix; a violation raises ``ValueError``."""
+
     tasks: tuple[Task, ...]
     vocabs: dict[Task, LabelVocab]
     label_matrices: dict[Task, np.ndarray]
-    backend_kind: str
     encoder_params: HashedEncoderParams | None
     gat: GatParams | None
     lexicon: Lexicon | None
@@ -238,6 +243,36 @@ class FittedModel:
     seed: int
     embeddings_path: str | None = None
     table: EmbeddingTable | None = None
+
+    def __post_init__(self):
+        if (self.encoder_params is None) == (self.table is None):
+            raise ValueError("a model needs exactly one encoder: hashed parameters or a table")
+        for task in self.tasks:
+            if task not in self.vocabs:
+                raise ValueError(f"task {task.value} has no vocabulary")
+            if self.label_matrices and task not in self.label_matrices:
+                raise ValueError(f"task {task.value} has no label matrix")
+        for task, matrix in self.label_matrices.items():
+            if task not in self.vocabs:
+                raise ValueError(f"{task.value} label matrix has no vocabulary")
+            expected = (self.vocabs[task].size, self.dim)
+            if matrix.shape != expected:
+                raise ValueError(
+                    f"{task.value} label matrix has shape {matrix.shape}, expected "
+                    f"{expected} (vocabulary size, encoder dimension)"
+                )
+            if not np.all(np.isfinite(matrix)):
+                raise ValueError(f"{task.value} label matrix contains non-finite values")
+
+    @property
+    def dim(self) -> int:
+        if self.encoder_params is not None:
+            return self.encoder_params.output_dim
+        return self.table.dim
+
+    @property
+    def backend_kind(self) -> str:
+        return "hashed" if self.encoder_params is not None else "precomputed"
 
     @classmethod
     def trained(
@@ -255,15 +290,11 @@ class FittedModel:
         threshold: float = 0.8,
     ) -> "FittedModel":
         """The model a training run produces: toggles, heads, slope and seed
-        come from ``cfg``; the backend is hashed when ``encoder_params`` is
-        given, otherwise the precomputed ``table``."""
-        hashed = encoder_params is not None
+        come from ``cfg``."""
         return cls(
-            dim=encoder_params.output_dim if hashed else table.dim,
             tasks=tuple(cfg.tasks),
             vocabs=dict(vocabs),
             label_matrices=label_matrices if label_matrices is not None else {},
-            backend_kind="hashed" if hashed else "precomputed",
             encoder_params=encoder_params,
             gat=gat,
             lexicon=lexicon,
@@ -279,24 +310,13 @@ class FittedModel:
             table=table,
         )
 
-    def backend(self):
-        if self.backend_kind == "hashed":
-            if self.encoder_params is None:
-                raise ConfigError("hashed backend requires encoder parameters")
-            return HashedEncoder(self.encoder_params)
-        if self.table is None:
-            raise ConfigError(
-                "precomputed backend requires an embedding table; load one from "
-                f"{self.embeddings_path or '<embeddings path>'}"
-            )
-        return PrecomputedEncoder(self.table)
-
     def fact_vector(self, case: CriminalCase) -> np.ndarray:
-        if self.backend_kind == "hashed":
-            return self.backend().fact_vector(case_clues(
-                case, self.lexicon, self.anchors, self.threshold, self.use_clue_tracing
-            ))
-        return self.backend().fact_vector(case)
+        if self.encoder_params is None:
+            return self.table[case.id]
+        clues = case_clues(
+            case, self.lexicon, self.anchors, self.threshold, self.use_clue_tracing
+        )
+        return encode_fact(clues, self.encoder_params)
 
     def scores(self, case: CriminalCase) -> dict[Task, np.ndarray]:
         hf = self.fact_vector(case)
@@ -331,6 +351,30 @@ def _onehot(ids: np.ndarray, num_classes: int) -> np.ndarray:
 def _mean_ce(logits: Tensor, onehot: np.ndarray) -> Tensor:
     picked = (logits * Tensor(onehot)).sum(axis=1)
     return (ad.logsumexp(logits, axis=1) - picked).mean()
+
+
+def _node_vectors(
+    fact_inputs: Sequence,
+    vocabs: Mapping[Task, LabelVocab],
+    encoder_params: HashedEncoderParams | None,
+    table: EmbeddingTable | None,
+) -> tuple[np.ndarray, dict[Task, np.ndarray]]:
+    """Fact vectors and per-task label-vector matrices for ``init_features``:
+    encoded from clue sets and surface texts, or looked up in the table by
+    case id and ``label_key``."""
+    if encoder_params is not None:
+        facts = [encode_fact(clues, encoder_params) for clues in fact_inputs]
+        labels = {
+            task: np.stack([encode_label(s, encoder_params) for s in vocabs[task].entries])
+            for task in TASKS
+        }
+    else:
+        facts = [table[case.id] for case in fact_inputs]
+        labels = {
+            task: np.stack([table[label_key(task, i)] for i in range(vocabs[task].size)])
+            for task in TASKS
+        }
+    return np.stack(facts), labels
 
 
 def fit_model(
@@ -385,9 +429,10 @@ def fit_model(
         loss_log.extend(("contrastive", epoch, value) for epoch, value in enumerate(history))
 
     with _stage("graph"):
-        backend = HashedEncoder(encoder_params) if hashed else PrecomputedEncoder(table)
         graph = build_graph(train_corpus)
-        init_features(graph, backend, train_corpus.vocabs, fact_inputs)
+        init_features(
+            graph, *_node_vectors(fact_inputs, train_corpus.vocabs, encoder_params, table)
+        )
         n_train = len(train_corpus)
         tasks = train_cfg.tasks
         golds = {task: np.array(train_corpus.gold_ids(task), dtype=np.intp) for task in tasks}
@@ -450,7 +495,7 @@ def fit_model(
                 theta["encoder.projection"], theta["encoder.bias"]
             )
             init_features(
-                graph, HashedEncoder(encoder_params), train_corpus.vocabs, fact_inputs
+                graph, *_node_vectors(fact_inputs, train_corpus.vocabs, encoder_params, table)
             )
 
         attention: list[tuple] = []

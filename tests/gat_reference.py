@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from lexjudge.corpus import Task
-from lexjudge.graph import GatParams, HeadParams, ReasoningGraph
+from lexjudge.graph import GatParams, ReasoningGraph
 from lexjudge.predictor import predict_proba, score_case
 from lexjudge.validation import check_vector
 
@@ -31,19 +31,21 @@ def edge_logit(omega, n_i, n_j, slope: float = 0.2) -> float:
 
 def attention_row(
     graph: ReasoningGraph,
-    head: HeadParams,
+    W: np.ndarray,
+    omega: np.ndarray,
     node: int,
     slope: float = 0.2,
     features: np.ndarray | None = None,
 ) -> np.ndarray:
     """Attention weights of one node over its neighborhood (max-shifted
-    softmax of the edge logits); sums to one."""
+    softmax of the edge logits) for the head with projection ``W`` and
+    scoring vector ``omega``; sums to one."""
     feats = graph.features if features is None else features
     if feats is None:
         raise ValueError("graph features are not initialized")
-    projected = feats @ head.W.T
+    projected = feats @ W.T
     logits = np.array(
-        [edge_logit(head.omega, projected[node], projected[j], slope) for j in graph.neighbors[node]]
+        [edge_logit(omega, projected[node], projected[j], slope) for j in graph.neighbors[node]]
     )
     shifted = np.exp(logits - logits.max())
     return shifted / shifted.sum()
@@ -51,7 +53,8 @@ def attention_row(
 
 def aggregate_node(
     graph: ReasoningGraph,
-    head: HeadParams,
+    W: np.ndarray,
+    omega: np.ndarray,
     node: int,
     slope: float = 0.2,
     features: np.ndarray | None = None,
@@ -60,25 +63,27 @@ def aggregate_node(
     feats = graph.features if features is None else features
     if feats is None:
         raise ValueError("graph features are not initialized")
-    weights = attention_row(graph, head, node, slope, feats)
-    projected = feats @ head.W.T
-    combined = np.zeros(head.W.shape[0])
+    weights = attention_row(graph, W, omega, node, slope, feats)
+    projected = feats @ W.T
+    combined = np.zeros(W.shape[0])
     for weight, j in zip(weights, graph.neighbors[node]):
         combined += weight * projected[j]
     return np.where(combined > 0, combined, np.expm1(combined))
 
 
 def gat_forward_reference(graph: ReasoningGraph, params: GatParams) -> np.ndarray:
-    """Layer-by-layer, node-by-node composition of the per-node operations."""
+    """Layer-by-layer, head-by-head, node-by-node composition of the
+    per-node operations; head h of a layer is ``(layer.W[h], layer.omega[h])``."""
     if graph.features is None:
         raise ValueError("graph features are not initialized")
     x = graph.features
     for layer in params.layers:
         head_outputs = [
-            np.stack(
-                [aggregate_node(graph, head, i, layer.leaky_slope, x) for i in range(graph.num_nodes)]
-            )
-            for head in layer.heads
+            np.stack([
+                aggregate_node(graph, W, omega, i, layer.leaky_slope, x)
+                for i in range(graph.num_nodes)
+            ])
+            for W, omega in zip(layer.W, layer.omega)
         ]
         if layer.combine == "concat":
             x = np.concatenate(head_outputs, axis=1)

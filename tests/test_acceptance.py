@@ -33,7 +33,7 @@ from lexjudge import (
     run_pipeline,
 )
 from lexjudge.cli import main
-from lexjudge.graph import FactNode, HeadParams, LabelNode, LayerParams
+from lexjudge.graph import FactNode, LabelNode, LayerParams
 from lexjudge.rng import derive
 from lexjudge.trainer import stage3_objective
 
@@ -227,7 +227,7 @@ def test_criterion_4_hand_computed_fixtures():
     ])
     graph = build_graph(corpus)
     graph.features = np.array([[0.5, -0.25], [0.2, 0.1], [-0.4, 0.3], [0.1, -0.2]])
-    layer = lambda combine: LayerParams([HeadParams(W=np.eye(2), omega=np.zeros(4))], combine)
+    layer = lambda combine: LayerParams(np.eye(2)[None], np.zeros((1, 4)), combine)
     params2 = GatParams([layer("concat"), layer("average")])
 
     def elu(x):

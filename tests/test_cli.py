@@ -239,6 +239,21 @@ def trained_checkpoint(tmp_path_factory):
     return tmp_path / "corpus.jsonl", doc
 
 
+# Checkpoint corruptions whose parts each load but contradict one another:
+# (corrupt the document in place, expected message).
+CONTRADICTIONS = {
+    "task-without-matrix": (
+        lambda doc: doc["graph"]["label_matrices"].pop("article"),
+        "task article has no label matrix",
+    ),
+    "backend-precomputed": (
+        lambda doc: doc["meta"].update(backend="precomputed"), "meta.backend 'precomputed'"
+    ),
+    "backend-bogus": (lambda doc: doc["meta"].update(backend="bogus"), "meta.backend 'bogus'"),
+    "hashed-without-encoder": (lambda doc: doc.update(encoder={}), "exactly one encoder"),
+}
+
+
 class TestCheckpointValidation:
     def predict_with(self, trained_checkpoint, tmp_path, corrupt):
         corpus_path, doc = trained_checkpoint
@@ -275,6 +290,34 @@ class TestCheckpointValidation:
 
         assert self.predict_with(trained_checkpoint, tmp_path, corrupt) == 3
         assert "meta.dim" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", CONTRADICTIONS)
+    def test_contradicting_state_exits_3(self, trained_checkpoint, tmp_path, capsys, name):
+        corrupt, message = CONTRADICTIONS[name]
+        assert self.predict_with(trained_checkpoint, tmp_path, corrupt) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
+
+    def test_precomputed_table_of_another_dim_exits_3(
+        self, trained_checkpoint, tmp_path, capsys
+    ):
+        """The checkpoint turned precomputed predicts over a table of its own
+        dimension; rewritten with ``#dim 4``, the table no longer fits its
+        label matrices."""
+        corpus_path, _ = trained_checkpoint
+        table = tmp_path / "table.tsv"
+
+        def corrupt(doc):
+            doc["meta"]["backend"] = "precomputed"
+            doc["meta"]["embeddings_path"] = str(table)
+            doc["encoder"] = {}
+
+        write_full_table(table, corpus_path, dim=16)
+        assert self.predict_with(trained_checkpoint, tmp_path, corrupt) == 0
+        write_full_table(table, corpus_path, dim=4)
+        assert self.predict_with(trained_checkpoint, tmp_path, corrupt) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "label matrix has shape" in err
 
     @pytest.mark.parametrize("threshold", [1.5, 0])
     def test_threshold_out_of_range_exits_3(
@@ -375,6 +418,19 @@ class TestPrecomputedBackend:
         assert "no precomputed embedding for id" in capsys.readouterr().err
         assert self.predict(run, checkpoint, tmp_path)[0] == 3
         assert "no precomputed embedding for id" in capsys.readouterr().err
+
+    def test_non_finite_table_value_exits_3(self, tmp_path, capsys):
+        config_path, _ = write_config(tmp_path)
+        table = tmp_path / "nan.tsv"
+        write_full_table(table, tmp_path / "corpus.jsonl")
+        lines = table.read_text(encoding="utf-8").split("\n")
+        key, values = lines[1].split("\t")
+        lines[1] = key + "\t" + " ".join(["nan"] + values.split()[1:])
+        table.write_text("\n".join(lines), encoding="utf-8")
+        config = precomputed_config(config_path, table, tmp_path / "nan_out")
+        assert main(["train", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "nan.tsv line 2: non-finite" in err
 
     def test_relative_table_path_resolves_against_the_checkpoint(
         self, precomputed_run, tmp_path, monkeypatch

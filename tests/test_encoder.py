@@ -7,7 +7,6 @@ from lexjudge import (
     DropoutSpec,
     EmbeddingTable,
     HashedEncoderParams,
-    PrecomputedEncoder,
     Provenance,
     apply_dropout_noise,
     encode_fact,
@@ -17,7 +16,7 @@ from lexjudge import (
     load_embedding_table,
 )
 from lexjudge.encoder import CLUE_SEPARATOR, clue_text, label_key, project_features
-from lexjudge.corpus import CriminalCase, JudgmentLabels, Task
+from lexjudge.corpus import Task
 from lexjudge.rng import fnv1a_64
 
 
@@ -156,10 +155,7 @@ class TestEmbeddingTable:
         table = load_embedding_table(path)
         assert table.dim == 3
         assert np.array_equal(table["case-1"], [0.5, -1.25, 3.0])
-        case = CriminalCase("case-1", "text", JudgmentLabels(0, 0, 0))
-        backend = PrecomputedEncoder(table)
-        assert np.array_equal(backend.fact_vector(case), [0.5, -1.25, 3.0])
-        assert np.array_equal(backend.label_vector(Task.CHARGE, 0, "x"), [1, 2, 3])
+        assert np.array_equal(table[label_key(Task.CHARGE, 0)], [1, 2, 3])
 
     def test_label_key_convention(self):
         assert label_key(Task.ARTICLE, 2) == "article:2"
@@ -180,6 +176,20 @@ class TestEmbeddingTable:
         table = EmbeddingTable(2, {"a": np.zeros(2)})
         with pytest.raises(DataError, match="no precomputed embedding"):
             table["b"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("#dim 2\na\t1 2\nb\t0.5 nan\n", "line 3: non-finite"),
+            ("#dim 2\na\tinf 2\n", "line 2: non-finite"),
+            ("#dim 0\n", "line 1: dimension must be positive"),
+        ],
+    )
+    def test_bad_values_name_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "emb.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=f"emb.tsv {message}"):
+            load_embedding_table(path)
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -7,19 +7,19 @@ from lexjudge import (
     Corpus,
     DataError,
     GatParams,
-    HashedEncoder,
     HashedEncoderParams,
     ReasoningGraph,
     Task,
     build_graph,
     gat_forward,
     case_clues,
+    encode_fact,
+    encode_label,
     init_features,
 )
 from lexjudge.autodiff import Tensor
 from lexjudge.graph import (
     FactNode,
-    HeadParams,
     LabelNode,
     LayerParams,
     attention_export,
@@ -108,22 +108,31 @@ class TestBuildGraph:
             ReasoningGraph([FactNode("a")], [[]])
 
 
+def encoded(corpus, clue_sets, params):
+    """Fact vectors and per-task label-vector matrices from the hashed encoder."""
+    facts = np.stack([encode_fact(clues, params) for clues in clue_sets])
+    labels = {
+        task: np.stack([encode_label(s, params) for s in corpus.vocab(task).entries])
+        for task in Task
+    }
+    return facts, labels
+
+
 class TestInitFeatures:
     def test_matches_direct_encoder_calls(self):
         corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=2, seed=4)
         clue_sets = [case_clues(case, lexicon, anchors, 0.8, True) for case in corpus]
         params = HashedEncoderParams.initialize(output_dim=8, bucket_count=128, seed=1)
-        backend = HashedEncoder(params)
         graph = build_graph(corpus)
-        init_features(graph, backend, corpus.vocabs, clue_sets)
+        init_features(graph, *encoded(corpus, clue_sets, params))
         for i, clues in enumerate(clue_sets):
-            assert np.array_equal(graph.features[i], backend.fact_vector(clues))
+            assert np.array_equal(graph.features[i], encode_fact(clues, params))
         for task in Task:
             vocab = corpus.vocab(task)
             for row, node_idx in zip(
                 range(vocab.size), graph.label_indices(task)
             ):
-                expected = backend.label_vector(task, row, vocab.surface(row))
+                expected = encode_label(vocab.surface(row), params)
                 assert np.array_equal(graph.features[node_idx], expected)
 
     def test_zero_projection_zero_features(self):
@@ -132,19 +141,16 @@ class TestInitFeatures:
         params = HashedEncoderParams(
             projection=np.zeros((4, 64)), bias=np.zeros(4), bucket_count=64
         )
-        graph = init_features(
-            build_graph(corpus), HashedEncoder(params), corpus.vocabs, clue_sets
-        )
+        graph = init_features(build_graph(corpus), *encoded(corpus, clue_sets, params))
         assert not graph.features.any()
 
     def test_one_input_per_fact_node_required(self):
         corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=1, seed=4)
         clue_sets = [case_clues(case, lexicon, anchors, 0.8, True) for case in corpus]
         params = HashedEncoderParams.initialize(output_dim=4, bucket_count=64, seed=1)
+        facts, labels = encoded(corpus, clue_sets, params)
         with pytest.raises(DataError, match="2 fact inputs for 3 fact nodes"):
-            init_features(
-                build_graph(corpus), HashedEncoder(params), corpus.vocabs, clue_sets[:2]
-            )
+            init_features(build_graph(corpus), facts[:2], labels)
 
 
 class TestEdgeLogit:
@@ -169,44 +175,43 @@ class TestAttentionRow:
             np.array([[1.0], [2.0], [3.0]]),
             [[0, 1, 2], [1, 0], [2, 0]],
         )
-        head = HeadParams(W=np.array([[1.0]]), omega=np.zeros(2))
-        weights = attention_row(graph, head, 0)
+        weights = attention_row(graph, np.array([[1.0]]), np.zeros(2), 0)
         np.testing.assert_allclose(weights, [1 / 3] * 3, atol=1e-12)
 
     def test_ln2_zero_logits(self):
         graph = star_graph(
             np.array([[math.log(2.0)], [0.0]]), [[0, 1], [1, 0]]
         )
-        head = HeadParams(W=np.array([[1.0]]), omega=np.array([0.0, 1.0]))
-        weights = attention_row(graph, head, 0)
+        weights = attention_row(graph, np.array([[1.0]]), np.array([0.0, 1.0]), 0)
         np.testing.assert_allclose(weights, [2 / 3, 1 / 3], atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(8)
         graph = star_graph(rng.normal(size=(4, 3)), [[0, 1, 2, 3], [1, 0], [2, 0], [3, 0]])
-        head = HeadParams(W=rng.normal(size=(2, 3)), omega=rng.normal(size=4))
+        W, omega = rng.normal(size=(2, 3)), rng.normal(size=4)
         for node in range(4):
-            assert attention_row(graph, head, node).sum() == pytest.approx(1.0, abs=1e-9)
+            assert attention_row(graph, W, omega, node).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestAggregateNode:
     def test_uniform_mean_of_projections(self):
         graph = star_graph(np.array([[2.0, 0.0], [0.0, 2.0]]), [[0, 1], [1, 0]])
-        head = HeadParams(W=np.eye(2), omega=np.zeros(4))
-        np.testing.assert_allclose(aggregate_node(graph, head, 0), [1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(
+            aggregate_node(graph, np.eye(2), np.zeros(4), 0), [1.0, 1.0], atol=1e-12
+        )
 
     def test_elu_on_negative_preactivation(self):
         graph = star_graph(np.array([[-1.0]]), [[0]])
-        head = HeadParams(W=np.eye(1), omega=np.zeros(2))
         np.testing.assert_allclose(
-            aggregate_node(graph, head, 0), [math.exp(-1.0) - 1.0], atol=1e-12
+            aggregate_node(graph, np.eye(1), np.zeros(2), 0), [math.exp(-1.0) - 1.0], atol=1e-12
         )
 
     def test_identity_on_self_loop_only(self):
         graph = star_graph(np.array([[0.7, -0.3]]), [[0]])
-        head = HeadParams(W=np.eye(2), omega=np.ones(4))
         expected = np.array([0.7, math.exp(-0.3) - 1.0])
-        np.testing.assert_allclose(aggregate_node(graph, head, 0), expected, atol=1e-12)
+        np.testing.assert_allclose(
+            aggregate_node(graph, np.eye(2), np.ones(4), 0), expected, atol=1e-12
+        )
 
 
 def random_instance(seed, n_cases=4, dim=8, heads=2):
@@ -238,8 +243,7 @@ class TestGatForward:
     def test_zero_omega_gives_uniform_attention(self):
         _, graph, params = random_instance(4)
         for layer in params.layers:
-            for head in layer.heads:
-                head.omega = np.zeros_like(head.omega)
+            layer.omega = np.zeros_like(layer.omega)
         collected = []
         gat_forward(graph, params, collect_attention=collected)
         for _, _, alpha in collected:
@@ -299,9 +303,7 @@ class TestGatForward:
         graph.features = np.array(
             [[0.5, -0.25], [0.2, 0.1], [-0.4, 0.3], [0.1, -0.2]]
         )
-        identity_layer = lambda combine: LayerParams(
-            [HeadParams(W=np.eye(2), omega=np.zeros(4))], combine
-        )
+        identity_layer = lambda combine: LayerParams(np.eye(2)[None], np.zeros((1, 4)), combine)
         params = GatParams([identity_layer("concat"), identity_layer("average")])
 
         def elu(x):
@@ -401,9 +403,11 @@ class TestAttentionExport:
         layer_inputs = [graph.features, gat_forward_reference(graph, GatParams(params.layers[:1]))]
         expected = []
         for li, layer in enumerate(params.layers):
-            for hi, head in enumerate(layer.heads):
+            for hi, (W, omega) in enumerate(zip(layer.W, layer.omega)):
                 for node, neighbors in enumerate(graph.neighbors):
-                    weights = attention_row(graph, head, node, layer.leaky_slope, layer_inputs[li])
+                    weights = attention_row(
+                        graph, W, omega, node, layer.leaky_slope, layer_inputs[li]
+                    )
                     expected += [
                         (node_name(graph.nodes[node]), node_name(graph.nodes[j]), hi, li, w)
                         for j, w in zip(neighbors, weights)
@@ -466,19 +470,22 @@ class TestGraphGradients:
 class TestParamPlumbing:
     def test_param_dict_roundtrip(self):
         params = GatParams.initialize(dim=8, heads=2, seed=11)
-        rebuilt = params.with_param_dict(params.to_param_dict())
+        theta = params.to_param_dict()
+        assert list(theta) == [
+            "gat.layer0.W", "gat.layer0.omega", "gat.layer1.W", "gat.layer1.omega",
+        ]
+        rebuilt = params.with_param_dict(theta)
         for layer_a, layer_b in zip(params.layers, rebuilt.layers):
-            for head_a, head_b in zip(layer_a.heads, layer_b.heads):
-                assert np.array_equal(head_a.W, head_b.W)
-                assert np.array_equal(head_a.omega, head_b.omega)
+            assert np.array_equal(layer_a.W, layer_b.W)
+            assert np.array_equal(layer_a.omega, layer_b.omega)
 
     def test_dim_must_divide_heads(self):
         with pytest.raises(ValueError):
             GatParams.initialize(dim=10, heads=4, seed=0)
 
     def test_layer_dims_must_compose(self):
-        good = LayerParams([HeadParams(W=np.zeros((2, 4)), omega=np.zeros(4))], "concat")
-        bad = LayerParams([HeadParams(W=np.zeros((4, 3)), omega=np.zeros(8))], "average")
+        good = LayerParams(np.zeros((1, 2, 4)), np.zeros((1, 4)), "concat")
+        bad = LayerParams(np.zeros((1, 4, 3)), np.zeros((1, 8)), "average")
         with pytest.raises(ValueError):
             GatParams([good, bad])
 

@@ -47,6 +47,16 @@ class TestEstimatorSurface:
         assert set(reports) == set(Task)
         assert all(0.0 <= r.f1 <= 1.0 for r in reports.values())
 
+    def test_untrained_task_is_a_config_error(self):
+        corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=2, seed=21)
+        clf = JudgmentClassifier(
+            lexicon=lexicon, anchors=anchors, dim=8, bucket_count=64, heads=2,
+            epochs=2, contrastive_epochs=0, tasks=("charge",), seed=3,
+        ).fit(corpus)
+        for call in (clf.predict, clf.predict_proba, clf.score):
+            with pytest.raises(ConfigError, match=r"'article'.*\['charge'\]"):
+                call(corpus, "article")
+
     def test_task_accepts_enum_or_string(self, fitted):
         clf, _, test = fitted
         a = clf.predict(test, task=Task.CHARGE)

@@ -26,6 +26,7 @@ MOVED_OR_DELETED = (
     "total_loss", "graph_loss_reference", "graph_objective",
     "cosine_sim", "loss_from_similarities", "contrastive_loss",
     "ce_loss", "TaskLogits",
+    "HashedEncoder", "PrecomputedEncoder", "HeadParams", "param_key",
 )
 
 

@@ -28,7 +28,7 @@ from lexjudge import (
     run_pipeline,
     save_checkpoint,
 )
-from lexjudge.encoder import HashedEncoder, apply_dropout_noise
+from lexjudge.encoder import apply_dropout_noise, encode_fact, encode_label
 from lexjudge.graph import (
     FactNode, GatParams, LabelNode, ReasoningGraph, build_graph, init_features,
 )
@@ -376,9 +376,8 @@ class TestCheckpointRoundtrip:
         save_checkpoint(path, result.model)
         reloaded, _ = load_checkpoint(path)
         for layer_a, layer_b in zip(result.model.gat.layers, reloaded.gat.layers):
-            for head_a, head_b in zip(layer_a.heads, layer_b.heads):
-                assert np.array_equal(head_a.W, head_b.W)
-                assert np.array_equal(head_a.omega, head_b.omega)
+            assert np.array_equal(layer_a.W, layer_b.W)
+            assert np.array_equal(layer_a.omega, layer_b.omega)
 
 
 class TestPrecomputedBackend:
@@ -404,7 +403,6 @@ class TestPrecomputedBackend:
             train_cfg=train_cfg,
         )
         model = hashed.model
-        backend = model.backend()
         table_path = tmp_path / "embeddings.tsv"
         with open(table_path, "w", encoding="utf-8") as fh:
             fh.write(f"#dim {model.dim}\n")
@@ -414,7 +412,7 @@ class TestPrecomputedBackend:
             for task in TASKS:
                 vocab = corpus.vocab(task)
                 for label_id in range(vocab.size):
-                    vec = backend.label_vector(task, label_id, vocab.surface(label_id))
+                    vec = encode_label(vocab.surface(label_id), model.encoder_params)
                     fh.write(
                         label_key(task, label_id) + "\t"
                         + " ".join(repr(float(v)) for v in vec) + "\n"
@@ -562,7 +560,12 @@ class TestStage3Objective:
         )
         clue_sets = [case_clues(case, lexicon, anchors, 0.8, True) for case in corpus]
         graph = init_features(
-            build_graph(corpus), HashedEncoder(params), corpus.vocabs, clue_sets
+            build_graph(corpus),
+            np.stack([encode_fact(clues, params) for clues in clue_sets]),
+            {
+                task: np.stack([encode_label(s, params) for s in corpus.vocab(task).entries])
+                for task in TASKS
+            },
         )
         gat = GatParams.initialize(8, 2, derive(train_cfg.seed, "gat-init"), 0.2)
         golds = {task: corpus.gold_ids(task) for task in TASKS}
