@@ -57,9 +57,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def item(self) -> float:
         return float(self.data)
 

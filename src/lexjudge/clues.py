@@ -155,9 +155,6 @@ class ClueSet:
             if name not in self.provenance:
                 raise ValueError(f"provenance missing for {name}")
 
-    def text_for(self, clue_field: str) -> str:
-        return getattr(self, clue_field)
-
 
 @dataclass(frozen=True)
 class MatchResult:

@@ -186,9 +186,6 @@ class EmbeddingTable:
             check_finite(arr, f"vector {key!r}")
             self._vectors[key] = arr
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._vectors
-
     def __getitem__(self, key: str) -> np.ndarray:
         try:
             return self._vectors[key]
@@ -197,9 +194,6 @@ class EmbeddingTable:
 
     def __len__(self) -> int:
         return len(self._vectors)
-
-    def ids(self) -> list[str]:
-        return list(self._vectors)
 
 
 def label_key(task: "Task", label_id: int) -> str:

@@ -10,6 +10,8 @@ over each node's one-hop neighborhood, and aggregated through an ELU.
 Layer one concatenates its heads, layer two averages them, so the output
 dimension matches the encoder dimension.
 
+The graph holds structure only. ``init_features`` returns the (N, d)
+node matrix, and every pass takes that matrix as an argument.
 ``gat_forward`` runs the vectorized pass, differentiable through the
 autodiff module; the node-by-node oracle it is checked against lives in
 ``tests/gat_reference.py``.
@@ -51,14 +53,13 @@ def node_name(node: NodeKind) -> str:
 
 
 class ReasoningGraph:
-    """Typed nodes, ordered one-hop neighborhoods, and node features."""
+    """Typed nodes and ordered one-hop neighborhoods."""
 
     def __init__(self, nodes: Sequence[NodeKind], neighbors: Sequence[Sequence[int]]):
         if len(nodes) != len(neighbors):
             raise ValueError("nodes and neighbors must align")
         self.nodes: list[NodeKind] = list(nodes)
         self.neighbors: list[list[int]] = [list(ns) for ns in neighbors]
-        self.features: np.ndarray | None = None
         for i, ns in enumerate(self.neighbors):
             if i not in ns:
                 raise ValueError(f"node {i} is missing its self-loop")
@@ -121,9 +122,9 @@ def init_features(
     graph: ReasoningGraph,
     fact_vectors: np.ndarray,
     label_vectors: Mapping[Task, np.ndarray],
-) -> ReasoningGraph:
-    """Set the node features: the i-th fact node gets ``fact_vectors[i]``,
-    the node of label l of a task row l of that task's ``label_vectors``."""
+) -> np.ndarray:
+    """The (N, d) node matrix: the i-th fact node's row is ``fact_vectors[i]``,
+    the row of label l of a task is row l of that task's ``label_vectors``."""
     n_facts = sum(isinstance(node, FactNode) for node in graph.nodes)
     if len(fact_vectors) != n_facts:
         raise DataError(f"{len(fact_vectors)} fact inputs for {n_facts} fact nodes")
@@ -133,8 +134,7 @@ def init_features(
         for node in graph.nodes
     ])
     check_finite(features, "graph features")
-    graph.features = features
-    return graph
+    return features
 
 
 @dataclass
@@ -291,28 +291,27 @@ def gat_forward_tensors(
 
 
 def gat_forward(
-    graph: ReasoningGraph, params: GatParams, collect_attention: list | None = None
+    graph: ReasoningGraph,
+    features: np.ndarray,
+    params: GatParams,
+    collect_attention: list | None = None,
 ) -> np.ndarray:
-    """Run both layers over the whole graph; returns the updated feature
-    matrix (label rows are the enhanced label representations)."""
-    if graph.features is None:
-        raise ValueError("graph features are not initialized")
-    if not np.all(np.isfinite(graph.features)):
+    """Run both layers over the whole graph from the (N, d) node matrix
+    ``features``; returns the updated matrix (label rows are the enhanced
+    label representations)."""
+    if not np.all(np.isfinite(features)):
         raise DataError("graph features contain non-finite values")
     tensors = {k: Tensor(v) for k, v in params.to_param_dict().items()}
-    out = gat_forward_tensors(
-        Tensor(graph.features), graph, tensors, params, collect_attention
-    )
+    out = gat_forward_tensors(Tensor(features), graph, tensors, params, collect_attention)
     result = out.data
     if not np.all(np.isfinite(result)):
         raise DataError("graph forward pass produced non-finite values")
     return result
 
 
-def attention_export(graph: ReasoningGraph, params: GatParams) -> list[tuple]:
-    """Rows (src_node, dst_node, head, layer, alpha) for every edge, both layers."""
-    collected: list = []
-    gat_forward(graph, params, collect_attention=collected)
+def attention_export(graph: ReasoningGraph, collected: Sequence[tuple]) -> list[tuple]:
+    """Rows (src_node, dst_node, head, layer, alpha) for every edge of the
+    ``(layer, head, alpha)`` entries a full ``gat_forward`` pass collected."""
     rows = []
     for layer_no, head_no, alpha in collected:
         for e in range(alpha.shape[0]):

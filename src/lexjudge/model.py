@@ -20,7 +20,11 @@ from .trainer import evaluate_model, fit_model
 
 def _as_task(task, model) -> Task:
     """``task`` as a ``Task`` the fitted model was trained on."""
-    task = task if isinstance(task, Task) else Task(task)
+    try:
+        task = Task(task)
+    except ValueError:
+        tasks = [t.value for t in TASKS]
+        raise ConfigError(f"unknown task {task!r}; tasks: {tasks}") from None
     if task not in model.tasks:
         trained = [t.value for t in model.tasks]
         raise ConfigError(f"the model was not trained on task {task.value!r}; tasks: {trained}")

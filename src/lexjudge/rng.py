@@ -97,9 +97,6 @@ class SplitMix64:
         self._k += 1
         return mix64((self._seed + self._k * GOLDEN) & MASK64)
 
-    def uniform(self) -> float:
-        return (self.next_u64() >> 11) * (2.0 ** -53)
-
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n) via rejection sampling."""
         if n <= 0:

@@ -31,9 +31,9 @@ from .encoder import (
     apply_dropout_noise,
     clue_text,
     encode_fact,
-    encode_label,
     featurize,
     label_key,
+    project_features,
 )
 from .errors import ConfigError, DataError, DivergenceError, LexjudgeError
 from .graph import (
@@ -146,6 +146,7 @@ def stage3_objective(
     *,
     gat: GatParams | None = None,
     fact_vectors: np.ndarray | None = None,
+    nodes: np.ndarray | None = None,
     encoder_inputs: tuple[np.ndarray, np.ndarray] | None = None,
     rows: np.ndarray | None = None,
     with_grads: bool = True,
@@ -156,20 +157,22 @@ def stage3_objective(
 
     Labels are the graph forward pass's label rows when ``gat`` gives the
     layer structure, else ``theta["labels.<task>"]``. Cases are the frozen
-    ``fact_vectors`` over ``graph.features``, or, given ``encoder_inputs``
-    (fact and label features), both are encoded through ``theta``'s
-    ``encoder.projection``/``encoder.bias`` and feed the graph. ``rows``
-    selects the minibatch."""
+    ``fact_vectors``, with the (N, d) node matrix ``nodes`` feeding the
+    graph, or, given ``encoder_inputs`` (fact and label features), both are
+    encoded through ``theta``'s ``encoder.projection``/``encoder.bias`` and
+    their concatenation is the node matrix. That concatenation relies on
+    ``build_graph``'s node order: facts first, then labels task by task in
+    vocabulary order. ``rows`` selects the minibatch."""
     leaves = {k: Tensor(v, requires_grad=with_grads) for k, v in theta.items()}
     if encoder_inputs is None:
         facts = Tensor(fact_vectors)
-        nodes = Tensor(graph.features)
+        node_t = Tensor(nodes)
     else:
         projection, bias = leaves["encoder.projection"], leaves["encoder.bias"]
         facts, labels = (
             (Tensor(x) @ projection.T + bias).tanh() for x in encoder_inputs
         )
-        nodes = ad.concat([facts, labels], axis=0)
+        node_t = ad.concat([facts, labels], axis=0)
     if gat is None:
         label_mats = {task: leaves[f"labels.{task.value}"] for task in tasks}
     else:
@@ -179,7 +182,7 @@ def stage3_objective(
         receivers = np.array(
             sorted(i for ids in label_nodes.values() for i in ids), dtype=np.intp
         )
-        out = gat_forward_tensors(nodes, graph, leaves, gat, receivers=receivers)
+        out = gat_forward_tensors(node_t, graph, leaves, gat, receivers=receivers)
         label_mats = {
             task: ad.gather_rows(out, np.searchsorted(receivers, ids))
             for task, ids in label_nodes.items()
@@ -225,7 +228,9 @@ class FittedModel:
     ``table`` (precomputed backend); ``dim`` and ``backend_kind`` derive
     from it. Every task in ``tasks`` has a vocabulary and, once any label
     matrices exist (a pre-trained encoder has none), a finite
-    (vocabulary size, ``dim``) matrix; a violation raises ``ValueError``."""
+    (vocabulary size, ``dim``) matrix. GAT layers need ``use_graph``, and
+    each runs ``heads`` heads at ``leaky_slope``. A violation raises
+    ``ValueError``."""
 
     tasks: tuple[Task, ...]
     vocabs: dict[Task, LabelVocab]
@@ -263,6 +268,16 @@ class FittedModel:
                 )
             if not np.all(np.isfinite(matrix)):
                 raise ValueError(f"{task.value} label matrix contains non-finite values")
+        if self.gat is not None:
+            if not self.use_graph:
+                raise ValueError("the model has GAT layers but use_graph is false")
+            for li, layer in enumerate(self.gat.layers):
+                if (len(layer.W), layer.leaky_slope) != (self.heads, self.leaky_slope):
+                    raise ValueError(
+                        f"GAT layer {li} runs {len(layer.W)} heads at slope "
+                        f"{layer.leaky_slope}, but the model has {self.heads} heads at "
+                        f"slope {self.leaky_slope}"
+                    )
 
     @property
     def dim(self) -> int:
@@ -353,30 +368,6 @@ def _mean_ce(logits: Tensor, onehot: np.ndarray) -> Tensor:
     return (ad.logsumexp(logits, axis=1) - picked).mean()
 
 
-def _node_vectors(
-    fact_inputs: Sequence,
-    vocabs: Mapping[Task, LabelVocab],
-    encoder_params: HashedEncoderParams | None,
-    table: EmbeddingTable | None,
-) -> tuple[np.ndarray, dict[Task, np.ndarray]]:
-    """Fact vectors and per-task label-vector matrices for ``init_features``:
-    encoded from clue sets and surface texts, or looked up in the table by
-    case id and ``label_key``."""
-    if encoder_params is not None:
-        facts = [encode_fact(clues, encoder_params) for clues in fact_inputs]
-        labels = {
-            task: np.stack([encode_label(s, encoder_params) for s in vocabs[task].entries])
-            for task in TASKS
-        }
-    else:
-        facts = [table[case.id] for case in fact_inputs]
-        labels = {
-            task: np.stack([table[label_key(task, i)] for i in range(vocabs[task].size)])
-            for task in TASKS
-        }
-    return np.stack(facts), labels
-
-
 def fit_model(
     train_corpus: Corpus,
     *,
@@ -430,24 +421,30 @@ def fit_model(
 
     with _stage("graph"):
         graph = build_graph(train_corpus)
-        init_features(
-            graph, *_node_vectors(fact_inputs, train_corpus.vocabs, encoder_params, table)
-        )
         n_train = len(train_corpus)
+        sizes = [train_corpus.vocab(task).size for task in TASKS]
+        label_pairs = [(task, i) for task, size in zip(TASKS, sizes) for i in range(size)]
+        if hashed:
+            # The hashed rows of every node, featurized once in node order;
+            # node vectors and the unfrozen encoder inputs all derive from them.
+            texts = [clue_text(clues) for clues in fact_inputs]
+            texts += [train_corpus.vocab(task).surface(i) for task, i in label_pairs]
+            text_features = np.stack([featurize(text, encoder_params) for text in texts])
+
+        def node_matrix(encoder_params: HashedEncoderParams | None) -> np.ndarray:
+            if hashed:
+                vectors = [project_features(row, encoder_params) for row in text_features]
+            else:
+                vectors = [table[case.id] for case in fact_inputs]
+                vectors += [table[label_key(task, i)] for task, i in label_pairs]
+            facts, *labels = np.split(np.stack(vectors), np.cumsum([n_train, *sizes[:-1]]))
+            return init_features(graph, facts, dict(zip(TASKS, labels)))
+
+        nodes = node_matrix(encoder_params)
         tasks = train_cfg.tasks
         golds = {task: np.array(train_corpus.gold_ids(task), dtype=np.intp) for task in tasks}
         label_rows = {task: np.array(graph.label_indices(task), dtype=np.intp) for task in tasks}
-
         unfrozen = hashed and not train_cfg.freeze_encoder_after_contrastive
-        if unfrozen:
-            case_features = np.stack(
-                [featurize(clue_text(clues), encoder_params) for clues in fact_inputs]
-            )
-            label_features = np.stack([
-                featurize(train_corpus.vocab(task).surface(i), encoder_params)
-                for task in TASKS
-                for i in range(train_corpus.vocab(task).size)
-            ])
 
         theta: dict[str, np.ndarray] = {}
         gat: GatParams | None = None
@@ -458,7 +455,7 @@ def fit_model(
             theta.update(gat.to_param_dict())
         else:
             for task in tasks:
-                theta[f"labels.{task.value}"] = graph.features[label_rows[task]].copy()
+                theta[f"labels.{task.value}"] = nodes[label_rows[task]]
         if unfrozen:
             theta["encoder.projection"] = encoder_params.projection.copy()
             theta["encoder.bias"] = encoder_params.bias.copy()
@@ -472,7 +469,10 @@ def fit_model(
                 dropout = DropoutSpec(
                     train_cfg.dropout_rate, derive(train_cfg.seed, "stage3-dropout", epoch)
                 )
-                encoder_inputs = (apply_dropout_noise(case_features, dropout), label_features)
+                encoder_inputs = (
+                    apply_dropout_noise(text_features[:n_train], dropout),
+                    text_features[n_train:],
+                )
             rows = None
             if train_cfg.batch_size is not None and train_cfg.batch_size < n_train:
                 order = list(range(n_train))
@@ -481,7 +481,8 @@ def fit_model(
             value, grads = stage3_objective(
                 theta, graph, golds, tasks,
                 gat=gat,
-                fact_vectors=graph.features[:n_train],
+                fact_vectors=nodes[:n_train],
+                nodes=nodes,
                 encoder_inputs=encoder_inputs,
                 rows=rows,
             )
@@ -494,16 +495,15 @@ def fit_model(
             encoder_params = encoder_params.with_weights(
                 theta["encoder.projection"], theta["encoder.bias"]
             )
-            init_features(
-                graph, *_node_vectors(fact_inputs, train_corpus.vocabs, encoder_params, table)
-            )
+            nodes = node_matrix(encoder_params)
 
         attention: list[tuple] = []
         if train_cfg.use_graph:
             gat = gat.with_param_dict(theta)
-            final = gat_forward(graph, params=gat)
-            label_matrices = {task: final[label_rows[task]].copy() for task in tasks}
-            attention = attention_export(graph, gat)
+            collected: list = []
+            final = gat_forward(graph, nodes, gat, collect_attention=collected)
+            label_matrices = {task: final[label_rows[task]] for task in tasks}
+            attention = attention_export(graph, collected)
         else:
             label_matrices = {task: theta[f"labels.{task.value}"].copy() for task in tasks}
 

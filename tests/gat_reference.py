@@ -31,19 +31,17 @@ def edge_logit(omega, n_i, n_j, slope: float = 0.2) -> float:
 
 def attention_row(
     graph: ReasoningGraph,
+    features: np.ndarray,
     W: np.ndarray,
     omega: np.ndarray,
     node: int,
     slope: float = 0.2,
-    features: np.ndarray | None = None,
 ) -> np.ndarray:
     """Attention weights of one node over its neighborhood (max-shifted
     softmax of the edge logits) for the head with projection ``W`` and
-    scoring vector ``omega``; sums to one."""
-    feats = graph.features if features is None else features
-    if feats is None:
-        raise ValueError("graph features are not initialized")
-    projected = feats @ W.T
+    scoring vector ``omega``, from the (N, d_in) node matrix ``features``;
+    sums to one."""
+    projected = features @ W.T
     logits = np.array(
         [edge_logit(omega, projected[node], projected[j], slope) for j in graph.neighbors[node]]
     )
@@ -53,34 +51,32 @@ def attention_row(
 
 def aggregate_node(
     graph: ReasoningGraph,
+    features: np.ndarray,
     W: np.ndarray,
     omega: np.ndarray,
     node: int,
     slope: float = 0.2,
-    features: np.ndarray | None = None,
 ) -> np.ndarray:
     """ELU of the attention-weighted sum of projected neighbor features."""
-    feats = graph.features if features is None else features
-    if feats is None:
-        raise ValueError("graph features are not initialized")
-    weights = attention_row(graph, W, omega, node, slope, feats)
-    projected = feats @ W.T
+    weights = attention_row(graph, features, W, omega, node, slope)
+    projected = features @ W.T
     combined = np.zeros(W.shape[0])
     for weight, j in zip(weights, graph.neighbors[node]):
         combined += weight * projected[j]
     return np.where(combined > 0, combined, np.expm1(combined))
 
 
-def gat_forward_reference(graph: ReasoningGraph, params: GatParams) -> np.ndarray:
+def gat_forward_reference(
+    graph: ReasoningGraph, features: np.ndarray, params: GatParams
+) -> np.ndarray:
     """Layer-by-layer, head-by-head, node-by-node composition of the
-    per-node operations; head h of a layer is ``(layer.W[h], layer.omega[h])``."""
-    if graph.features is None:
-        raise ValueError("graph features are not initialized")
-    x = graph.features
+    per-node operations from the (N, d) node matrix ``features``; head h of
+    a layer is ``(layer.W[h], layer.omega[h])``."""
+    x = features
     for layer in params.layers:
         head_outputs = [
             np.stack([
-                aggregate_node(graph, W, omega, i, layer.leaky_slope, x)
+                aggregate_node(graph, x, W, omega, i, layer.leaky_slope)
                 for i in range(graph.num_nodes)
             ])
             for W, omega in zip(layer.W, layer.omega)
@@ -122,6 +118,7 @@ def total_loss(
 
 def graph_loss_reference(
     graph: ReasoningGraph,
+    features: np.ndarray,
     gat_params: GatParams,
     fact_vectors: np.ndarray,
     golds: Mapping[Task, Sequence[int]],
@@ -129,6 +126,6 @@ def graph_loss_reference(
 ) -> float:
     """total_loss with label matrices taken from the loop-composed graph
     forward pass; used as the independent oracle for gradient checks."""
-    out = gat_forward_reference(graph, gat_params)
+    out = gat_forward_reference(graph, features, gat_params)
     label_matrices = {task: out[graph.label_indices(task)] for task in tasks}
     return total_loss(fact_vectors, golds, label_matrices, tasks)

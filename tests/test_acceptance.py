@@ -59,11 +59,11 @@ def six_node_instance(seed=123):
         [3, 0, 4, 5], [4, 1, 3, 5], [5, 2, 3, 4],
     ]
     graph = ReasoningGraph(nodes, neighbors)
-    graph.features = rng.normal(size=(6, 8)) * 0.8
+    features = rng.normal(size=(6, 8)) * 0.8
     params = GatParams.initialize(dim=8, heads=2, seed=7)
     hf = rng.normal(size=(3, 8)) * 0.8
     golds = {Task.CHARGE: [0, 1, 2]}
-    return graph, params, hf, golds
+    return graph, features, params, hf, golds
 
 
 def test_criterion_1_gradient_oracle():
@@ -92,12 +92,12 @@ def test_criterion_1_gradient_oracle():
 
     # (b) total_loss through the 2-layer, 2-head graph forward pass,
     #     w.r.t. every W and omega, against the loop-composed reference
-    graph, params, hf, golds = six_node_instance()
+    graph, features, params, hf, golds = six_node_instance()
     tasks = (Task.CHARGE,)
     value, ggrads = stage3_objective(
-        params.to_param_dict(), graph, golds, tasks, gat=params, fact_vectors=hf
+        params.to_param_dict(), graph, golds, tasks, gat=params, fact_vectors=hf, nodes=features
     )
-    reference = graph_loss_reference(graph, params, hf, golds, tasks)
+    reference = graph_loss_reference(graph, features, params, hf, golds, tasks)
     assert value == pytest.approx(reference, abs=1e-12)
     theta = params.to_param_dict()
     for key, matrix in theta.items():
@@ -106,9 +106,13 @@ def test_criterion_1_gradient_oracle():
         for i in range(flat.size):
             original = flat[i]
             flat[i] = original + step
-            up = graph_loss_reference(graph, params.with_param_dict(theta), hf, golds, tasks)
+            up = graph_loss_reference(
+                graph, features, params.with_param_dict(theta), hf, golds, tasks
+            )
             flat[i] = original - step
-            down = graph_loss_reference(graph, params.with_param_dict(theta), hf, golds, tasks)
+            down = graph_loss_reference(
+                graph, features, params.with_param_dict(theta), hf, golds, tasks
+            )
             flat[i] = original
             numeric = (up - down) / (2 * step)
             worst = max(worst, abs(grad_flat[i] - numeric) / max(abs(numeric), 1e-6))
@@ -156,7 +160,9 @@ def test_criterion_2_loss_oracle():
     )
 
 
-def random_graph(num_nodes: int, rng: np.random.Generator, dim: int = 8) -> ReasoningGraph:
+def random_graph(
+    num_nodes: int, rng: np.random.Generator, dim: int = 8
+) -> tuple[ReasoningGraph, np.ndarray]:
     neighbors = [[i] for i in range(num_nodes)]
     for i in range(1, num_nodes):
         j = int(rng.integers(0, i))
@@ -169,18 +175,17 @@ def random_graph(num_nodes: int, rng: np.random.Generator, dim: int = 8) -> Reas
             neighbors[a].append(b)
             neighbors[b].append(a)
     graph = ReasoningGraph([FactNode(f"n{i}") for i in range(num_nodes)], neighbors)
-    graph.features = rng.normal(size=(num_nodes, dim)) * 1.5
-    return graph
+    return graph, rng.normal(size=(num_nodes, dim)) * 1.5
 
 
 def test_criterion_3_normalization():
     rng = np.random.default_rng(31)
     worst_attention = 1.0
     for num_nodes in range(3, 51):
-        graph = random_graph(num_nodes, rng)
+        graph, features = random_graph(num_nodes, rng)
         params = GatParams.initialize(dim=8, heads=2, seed=num_nodes)
         collected = []
-        gat_forward(graph, params, collect_attention=collected)
+        gat_forward(graph, features, params, collect_attention=collected)
         assert len(collected) == 4
         for _, _, alpha in collected:
             assert np.all(alpha >= 0.0)
@@ -226,7 +231,7 @@ def test_criterion_4_hand_computed_fixtures():
         {"id": "c0", "fact": "f", "labels": {"imprisonment": "m", "charge": "c", "article": "a"}}
     ])
     graph = build_graph(corpus)
-    graph.features = np.array([[0.5, -0.25], [0.2, 0.1], [-0.4, 0.3], [0.1, -0.2]])
+    features = np.array([[0.5, -0.25], [0.2, 0.1], [-0.4, 0.3], [0.1, -0.2]])
     layer = lambda combine: LayerParams(np.eye(2)[None], np.zeros((1, 4)), combine)
     params2 = GatParams([layer("concat"), layer("average")])
 
@@ -239,8 +244,8 @@ def test_criterion_4_hand_computed_fixtures():
             for neigh in graph.neighbors
         ]
 
-    expected = hand_layer(hand_layer(graph.features.tolist()))
-    forward_dev = float(np.max(np.abs(gat_forward(graph, params2) - np.array(expected))))
+    expected = hand_layer(hand_layer(features.tolist()))
+    forward_dev = float(np.max(np.abs(gat_forward(graph, features, params2) - np.array(expected))))
     _report(
         4, "hand-computed fixtures",
         metrics_ok and adam_ok and forward_dev <= 1e-9,
@@ -420,17 +425,16 @@ def test_criterion_9_permutation_equivariance():
     rng = np.random.default_rng(47)
     worst = 0.0
     for trial, (num_nodes, heads) in enumerate([(5, 2), (12, 2), (30, 4), (50, 4)]):
-        graph = random_graph(num_nodes, rng)
+        graph, features = random_graph(num_nodes, rng)
         params = GatParams.initialize(dim=8, heads=heads, seed=trial)
-        out = gat_forward(graph, params)
+        out = gat_forward(graph, features, params)
         perm = rng.permutation(num_nodes)
         inverse = np.argsort(perm)
         permuted = ReasoningGraph(
             [graph.nodes[i] for i in inverse],
             [[int(perm[j]) for j in graph.neighbors[i]] for i in inverse],
         )
-        permuted.features = graph.features[inverse]
-        out_perm = gat_forward(permuted, params)
+        out_perm = gat_forward(permuted, features[inverse], params)
         worst = max(worst, float(np.max(np.abs(out_perm - out[inverse]))))
     _report(
         9, "permutation equivariance", worst <= 1e-9,

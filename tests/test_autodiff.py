@@ -279,11 +279,6 @@ class TestEngine:
         assert not out.requires_grad
         assert out._parents == ()
 
-    def test_detach_blocks_gradients(self):
-        t = Tensor(np.array([3.0]), requires_grad=True)
-        (t.detach() * t).backward()  # only the live branch contributes
-        assert t.grad[0] == pytest.approx(3.0)
-
     def test_deep_chain_no_recursion_error(self):
         t = Tensor(np.array([0.001]), requires_grad=True)
         out = t

@@ -251,6 +251,15 @@ CONTRADICTIONS = {
     ),
     "backend-bogus": (lambda doc: doc["meta"].update(backend="bogus"), "meta.backend 'bogus'"),
     "hashed-without-encoder": (lambda doc: doc.update(encoder={}), "exactly one encoder"),
+    "meta-heads-edited": (
+        lambda doc: doc["meta"].update(heads=7), "runs 4 heads at slope 0.2, but the model has 7"
+    ),
+    "meta-slope-edited": (
+        lambda doc: doc["meta"].update(leaky_slope=0.9), "but the model has 4 heads at slope 0.9"
+    ),
+    "use-graph-off-with-layers": (
+        lambda doc: doc["meta"]["toggles"].update(use_graph=False), "use_graph is false"
+    ),
 }
 
 

@@ -287,7 +287,7 @@ class TestExtractClues:
         case = make_case("nothing relevant here at all")
         clues = extract_clues(case, LEXICON, 0.8)
         for name in ("motivation", "action", "harm"):
-            assert clues.text_for(name)
+            assert getattr(clues, name)
 
 
 class TestLexiconValidation:

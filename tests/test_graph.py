@@ -59,11 +59,8 @@ def undirected_edges(graph: ReasoningGraph) -> set[tuple[int, int]]:
     }
 
 
-def star_graph(features: np.ndarray, neighbors) -> ReasoningGraph:
-    nodes = [FactNode(f"n{i}") for i in range(len(neighbors))]
-    graph = ReasoningGraph(nodes, neighbors)
-    graph.features = np.asarray(features, dtype=np.float64)
-    return graph
+def star_graph(neighbors) -> ReasoningGraph:
+    return ReasoningGraph([FactNode(f"n{i}") for i in range(len(neighbors))], neighbors)
 
 
 class TestBuildGraph:
@@ -124,16 +121,18 @@ class TestInitFeatures:
         clue_sets = [case_clues(case, lexicon, anchors, 0.8, True) for case in corpus]
         params = HashedEncoderParams.initialize(output_dim=8, bucket_count=128, seed=1)
         graph = build_graph(corpus)
-        init_features(graph, *encoded(corpus, clue_sets, params))
+        features = init_features(graph, *encoded(corpus, clue_sets, params))
+        assert features.shape == (graph.num_nodes, 8)
+        assert not hasattr(graph, "features")
         for i, clues in enumerate(clue_sets):
-            assert np.array_equal(graph.features[i], encode_fact(clues, params))
+            assert np.array_equal(features[i], encode_fact(clues, params))
         for task in Task:
             vocab = corpus.vocab(task)
             for row, node_idx in zip(
                 range(vocab.size), graph.label_indices(task)
             ):
                 expected = encode_label(vocab.surface(row), params)
-                assert np.array_equal(graph.features[node_idx], expected)
+                assert np.array_equal(features[node_idx], expected)
 
     def test_zero_projection_zero_features(self):
         corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=1, seed=4)
@@ -141,8 +140,8 @@ class TestInitFeatures:
         params = HashedEncoderParams(
             projection=np.zeros((4, 64)), bias=np.zeros(4), bucket_count=64
         )
-        graph = init_features(build_graph(corpus), *encoded(corpus, clue_sets, params))
-        assert not graph.features.any()
+        features = init_features(build_graph(corpus), *encoded(corpus, clue_sets, params))
+        assert not features.any()
 
     def test_one_input_per_fact_node_required(self):
         corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=1, seed=4)
@@ -171,46 +170,48 @@ class TestEdgeLogit:
 
 class TestAttentionRow:
     def test_uniform_logits_give_uniform_weights(self):
-        graph = star_graph(
-            np.array([[1.0], [2.0], [3.0]]),
-            [[0, 1, 2], [1, 0], [2, 0]],
-        )
-        weights = attention_row(graph, np.array([[1.0]]), np.zeros(2), 0)
+        graph = star_graph([[0, 1, 2], [1, 0], [2, 0]])
+        features = np.array([[1.0], [2.0], [3.0]])
+        weights = attention_row(graph, features, np.array([[1.0]]), np.zeros(2), 0)
         np.testing.assert_allclose(weights, [1 / 3] * 3, atol=1e-12)
 
     def test_ln2_zero_logits(self):
-        graph = star_graph(
-            np.array([[math.log(2.0)], [0.0]]), [[0, 1], [1, 0]]
-        )
-        weights = attention_row(graph, np.array([[1.0]]), np.array([0.0, 1.0]), 0)
+        graph = star_graph([[0, 1], [1, 0]])
+        features = np.array([[math.log(2.0)], [0.0]])
+        weights = attention_row(graph, features, np.array([[1.0]]), np.array([0.0, 1.0]), 0)
         np.testing.assert_allclose(weights, [2 / 3, 1 / 3], atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(8)
-        graph = star_graph(rng.normal(size=(4, 3)), [[0, 1, 2, 3], [1, 0], [2, 0], [3, 0]])
+        graph = star_graph([[0, 1, 2, 3], [1, 0], [2, 0], [3, 0]])
+        features = rng.normal(size=(4, 3))
         W, omega = rng.normal(size=(2, 3)), rng.normal(size=4)
         for node in range(4):
-            assert attention_row(graph, W, omega, node).sum() == pytest.approx(1.0, abs=1e-9)
+            weights = attention_row(graph, features, W, omega, node)
+            assert weights.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestAggregateNode:
     def test_uniform_mean_of_projections(self):
-        graph = star_graph(np.array([[2.0, 0.0], [0.0, 2.0]]), [[0, 1], [1, 0]])
+        graph = star_graph([[0, 1], [1, 0]])
+        features = np.array([[2.0, 0.0], [0.0, 2.0]])
         np.testing.assert_allclose(
-            aggregate_node(graph, np.eye(2), np.zeros(4), 0), [1.0, 1.0], atol=1e-12
+            aggregate_node(graph, features, np.eye(2), np.zeros(4), 0), [1.0, 1.0], atol=1e-12
         )
 
     def test_elu_on_negative_preactivation(self):
-        graph = star_graph(np.array([[-1.0]]), [[0]])
+        graph, features = star_graph([[0]]), np.array([[-1.0]])
         np.testing.assert_allclose(
-            aggregate_node(graph, np.eye(1), np.zeros(2), 0), [math.exp(-1.0) - 1.0], atol=1e-12
+            aggregate_node(graph, features, np.eye(1), np.zeros(2), 0),
+            [math.exp(-1.0) - 1.0],
+            atol=1e-12,
         )
 
     def test_identity_on_self_loop_only(self):
-        graph = star_graph(np.array([[0.7, -0.3]]), [[0]])
+        graph, features = star_graph([[0]]), np.array([[0.7, -0.3]])
         expected = np.array([0.7, math.exp(-0.3) - 1.0])
         np.testing.assert_allclose(
-            aggregate_node(graph, np.eye(2), np.ones(4), 0), expected, atol=1e-12
+            aggregate_node(graph, features, np.eye(2), np.ones(4), 0), expected, atol=1e-12
         )
 
 
@@ -223,29 +224,29 @@ def random_instance(seed, n_cases=4, dim=8, heads=2):
     ]
     corpus = mini_corpus(records)
     graph = build_graph(corpus)
-    graph.features = rng.normal(size=(graph.num_nodes, dim)) * 0.7
+    features = rng.normal(size=(graph.num_nodes, dim)) * 0.7
     params = GatParams.initialize(dim=dim, heads=heads, seed=seed)
-    return corpus, graph, params
+    return corpus, graph, features, params
 
 
 class TestGatForward:
     def test_vectorized_matches_reference(self):
         for seed in (0, 1, 2):
-            _, graph, params = random_instance(seed)
-            fast = gat_forward(graph, params)
-            slow = gat_forward_reference(graph, params)
+            _, graph, features, params = random_instance(seed)
+            fast = gat_forward(graph, features, params)
+            slow = gat_forward_reference(graph, features, params)
             np.testing.assert_allclose(fast, slow, atol=1e-12)
 
     def test_output_dim_matches_encoder_dim(self):
-        _, graph, params = random_instance(3, dim=8, heads=4)
-        assert gat_forward(graph, params).shape == (graph.num_nodes, 8)
+        _, graph, features, params = random_instance(3, dim=8, heads=4)
+        assert gat_forward(graph, features, params).shape == (graph.num_nodes, 8)
 
     def test_zero_omega_gives_uniform_attention(self):
-        _, graph, params = random_instance(4)
+        _, graph, features, params = random_instance(4)
         for layer in params.layers:
             layer.omega = np.zeros_like(layer.omega)
         collected = []
-        gat_forward(graph, params, collect_attention=collected)
+        gat_forward(graph, features, params, collect_attention=collected)
         for _, _, alpha in collected:
             for node in range(graph.num_nodes):
                 mask = graph.edge_src == node
@@ -254,9 +255,9 @@ class TestGatForward:
                 )
 
     def test_attention_rows_stochastic_all_layers_heads(self):
-        _, graph, params = random_instance(5)
+        _, graph, features, params = random_instance(5)
         collected = []
-        gat_forward(graph, params, collect_attention=collected)
+        gat_forward(graph, features, params, collect_attention=collected)
         assert len(collected) == 4  # 2 layers x 2 heads
         for _, _, alpha in collected:
             assert np.all(alpha >= 0)
@@ -264,7 +265,7 @@ class TestGatForward:
                 assert alpha[graph.edge_src == node].sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_permutation_equivariance(self):
-        _, graph, params = random_instance(6)
+        _, graph, features, params = random_instance(6)
         rng = np.random.default_rng(99)
         perm = rng.permutation(graph.num_nodes)
         inverse = np.argsort(perm)
@@ -272,37 +273,32 @@ class TestGatForward:
             [graph.nodes[i] for i in inverse],
             [[int(perm[j]) for j in graph.neighbors[i]] for i in inverse],
         )
-        permuted.features = graph.features[inverse]
-        out = gat_forward(graph, params)
-        out_perm = gat_forward(permuted, params)
+        out = gat_forward(graph, features, params)
+        out_perm = gat_forward(permuted, features[inverse], params)
         np.testing.assert_allclose(out_perm, out[inverse], atol=1e-9)
 
     def test_layer1_locality(self):
-        _, graph, params = random_instance(7)
+        _, graph, features, params = random_instance(7)
         single_layer = GatParams([params.layers[0]])
-        base = gat_forward_reference(graph, single_layer)
+        base = gat_forward_reference(graph, features, single_layer)
         target = 0  # a fact node
-        touched = graph.features.copy()
+        touched = features.copy()
         touched[target] = touched[target] + 3.0
-        moved = ReasoningGraph(graph.nodes, graph.neighbors)
-        moved.features = touched
-        after = gat_forward_reference(moved, single_layer)
+        after = gat_forward_reference(graph, touched, single_layer)
         for node in range(graph.num_nodes):
             changed = not np.allclose(base[node], after[node], atol=1e-12)
             assert changed == (target in graph.neighbors[node])
 
     def test_non_finite_features_abort_with_diagnostic(self):
-        _, graph, params = random_instance(8)
-        graph.features[0, 0] = np.inf
+        _, graph, features, params = random_instance(8)
+        features[0, 0] = np.inf
         with pytest.raises(DataError, match="non-finite"):
-            gat_forward(graph, params)
+            gat_forward(graph, features, params)
 
     def test_hand_computed_one_case_two_layer_forward(self):
         corpus = mini_corpus([rec(0, "c", "a")])
         graph = build_graph(corpus)
-        graph.features = np.array(
-            [[0.5, -0.25], [0.2, 0.1], [-0.4, 0.3], [0.1, -0.2]]
-        )
+        features = np.array([[0.5, -0.25], [0.2, 0.1], [-0.4, 0.3], [0.1, -0.2]])
         identity_layer = lambda combine: LayerParams(np.eye(2)[None], np.zeros((1, 4)), combine)
         params = GatParams([identity_layer("concat"), identity_layer("average")])
 
@@ -318,8 +314,8 @@ class TestGatForward:
                 out.append([elu(mean[0]), elu(mean[1])])
             return out
 
-        expected = layer(layer(graph.features.tolist()))
-        np.testing.assert_allclose(gat_forward(graph, params), expected, atol=1e-9)
+        expected = layer(layer(features.tolist()))
+        np.testing.assert_allclose(gat_forward(graph, features, params), expected, atol=1e-9)
 
 
 def bench_shaped_instance(seed, dim=64, heads=4):
@@ -331,19 +327,17 @@ def bench_shaped_instance(seed, dim=64, heads=4):
     ]
     corpus = mini_corpus(records)
     graph = build_graph(corpus)
-    graph.features = np.random.default_rng(seed).normal(size=(graph.num_nodes, dim)) * 0.7
-    return corpus, graph, GatParams.initialize(dim=dim, heads=heads, seed=seed)
+    features = np.random.default_rng(seed).normal(size=(graph.num_nodes, dim)) * 0.7
+    return corpus, graph, features, GatParams.initialize(dim=dim, heads=heads, seed=seed)
 
 
 def reordered(graph: ReasoningGraph, order) -> ReasoningGraph:
     """The same graph with node k of the result being node ``order[k]``."""
     position = np.argsort(order)
-    out = ReasoningGraph(
+    return ReasoningGraph(
         [graph.nodes[i] for i in order],
         [[int(position[j]) for j in graph.neighbors[i]] for i in order],
     )
-    out.features = graph.features[order]
-    return out
 
 
 def label_nodes(graph: ReasoningGraph) -> np.ndarray:
@@ -358,25 +352,28 @@ class TestLabelOnlyLastLayer:
 
     @pytest.fixture(scope="class")
     def bench_graphs(self):
-        corpus, graph, params = bench_shaped_instance(17)
+        corpus, graph, features, params = bench_shaped_instance(17)
         assert (graph.num_nodes, len(graph.edge_src)) == (129, 867)
         assert np.isin(graph.edge_src, label_nodes(graph)).sum() == 387
         order = np.random.default_rng(5).permutation(graph.num_nodes)
         shuffled = reordered(graph, order)
         labels = label_nodes(shuffled)
         assert labels[0] < 100 and labels[-1] < graph.num_nodes - 1  # labels not last
-        return corpus, params, {"bench order": graph, "labels interleaved": shuffled}
+        return corpus, params, {
+            "bench order": (graph, features),
+            "labels interleaved": (shuffled, features[order]),
+        }
 
     @pytest.mark.parametrize("name", ["bench order", "labels interleaved"])
     def test_label_rows_equal_the_full_pass(self, bench_graphs, name):
         _, params, graphs = bench_graphs
-        graph = graphs[name]
+        graph, features = graphs[name]
         receivers = label_nodes(graph)
         tensors = {k: Tensor(v) for k, v in params.to_param_dict().items()}
         partial = gat_forward_tensors(
-            Tensor(graph.features), graph, tensors, params, receivers=receivers
+            Tensor(features), graph, tensors, params, receivers=receivers
         ).data
-        full = gat_forward(graph, params)
+        full = gat_forward(graph, features, params)
         assert partial.shape == (len(receivers), params.output_dim)
         np.testing.assert_allclose(partial, full[receivers], rtol=0, atol=1e-12)
 
@@ -387,32 +384,38 @@ class TestLabelOnlyLastLayer:
         tasks = tuple(Task)
         theta = params.to_param_dict()
         (v_a, g_a), (v_b, g_b) = (
-            stage3_objective(theta, graph, golds, tasks, gat=params, fact_vectors=hf)
-            for graph in graphs.values()
+            stage3_objective(
+                theta, graph, golds, tasks, gat=params, fact_vectors=hf, nodes=features
+            )
+            for graph, features in graphs.values()
         )
         assert v_b == pytest.approx(v_a, abs=1e-12)
         for key in theta:
             np.testing.assert_allclose(g_b[key], g_a[key], rtol=0, atol=1e-12)
-        reference = graph_loss_reference(graphs["labels interleaved"], params, hf, golds, tasks)
+        reference = graph_loss_reference(*graphs["labels interleaved"], params, hf, golds, tasks)
         assert v_b == pytest.approx(reference, abs=1e-12)
 
 
 class TestAttentionExport:
     def test_alphas_match_reference_attention_rows(self):
-        _, graph, params = random_instance(9)
-        layer_inputs = [graph.features, gat_forward_reference(graph, GatParams(params.layers[:1]))]
+        _, graph, features, params = random_instance(9)
+        layer_inputs = [
+            features, gat_forward_reference(graph, features, GatParams(params.layers[:1]))
+        ]
         expected = []
         for li, layer in enumerate(params.layers):
             for hi, (W, omega) in enumerate(zip(layer.W, layer.omega)):
                 for node, neighbors in enumerate(graph.neighbors):
                     weights = attention_row(
-                        graph, W, omega, node, layer.leaky_slope, layer_inputs[li]
+                        graph, layer_inputs[li], W, omega, node, layer.leaky_slope
                     )
                     expected += [
                         (node_name(graph.nodes[node]), node_name(graph.nodes[j]), hi, li, w)
                         for j, w in zip(neighbors, weights)
                     ]
-        rows = attention_export(graph, params)
+        collected = []
+        gat_forward(graph, features, params, collect_attention=collected)
+        rows = attention_export(graph, collected)
         assert [r[:4] for r in rows] == [e[:4] for e in expected]
         np.testing.assert_allclose(
             [r[4] for r in rows], [e[4] for e in expected], rtol=0, atol=1e-12
@@ -432,16 +435,17 @@ class TestGraphGradients:
         ]
         graph = ReasoningGraph(nodes, neighbors)
         assert graph.num_nodes == 6
-        graph.features = rng.normal(size=(6, 8)) * 0.8
+        features = rng.normal(size=(6, 8)) * 0.8
         params = GatParams.initialize(dim=8, heads=2, seed=7)
         hf = rng.normal(size=(3, 8)) * 0.8
         golds = {Task.CHARGE: [0, 1, 2]}
         tasks = (Task.CHARGE,)
 
         value, grads = stage3_objective(
-            params.to_param_dict(), graph, golds, tasks, gat=params, fact_vectors=hf
+            params.to_param_dict(), graph, golds, tasks, gat=params, fact_vectors=hf,
+            nodes=features,
         )
-        reference = graph_loss_reference(graph, params, hf, golds, tasks)
+        reference = graph_loss_reference(graph, features, params, hf, golds, tasks)
         assert value == pytest.approx(reference, abs=1e-12)
 
         theta = params.to_param_dict()
@@ -454,11 +458,11 @@ class TestGraphGradients:
                 original = flat[i]
                 flat[i] = original + step
                 up = graph_loss_reference(
-                    graph, params.with_param_dict(theta), hf, golds, tasks
+                    graph, features, params.with_param_dict(theta), hf, golds, tasks
                 )
                 flat[i] = original - step
                 down = graph_loss_reference(
-                    graph, params.with_param_dict(theta), hf, golds, tasks
+                    graph, features, params.with_param_dict(theta), hf, golds, tasks
                 )
                 flat[i] = original
                 numeric = (up - down) / (2 * step)

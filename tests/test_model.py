@@ -56,6 +56,10 @@ class TestEstimatorSurface:
         for call in (clf.predict, clf.predict_proba, clf.score):
             with pytest.raises(ConfigError, match=r"'article'.*\['charge'\]"):
                 call(corpus, "article")
+            with pytest.raises(
+                ConfigError, match=r"'bogus'.*\['imprisonment', 'charge', 'article'\]"
+            ):
+                call(corpus, "bogus")
 
     def test_task_accepts_enum_or_string(self, fitted):
         clf, _, test = fitted
