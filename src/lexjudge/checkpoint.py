@@ -4,9 +4,12 @@ A checkpoint is one JSON document with fixed field order (meta, encoder,
 graph, optimizer). Numeric arrays are plain JSON arrays; floats serialize
 through Python's shortest round-trip repr, so checkpoints are diffable,
 byte-stable between identical runs, and reload to bit-identical values.
-The optimizer section keeps Adam's step count and hyperparameters only, not
-its moment arrays (nothing resumes training); older checkpoints that carry
-``m``/``v`` still load.
+The graph section holds the enhanced label matrices only: unseen cases are
+scored against them through the encoder, so no path reads the attention
+weights after training. The optimizer section keeps Adam's step count and
+hyperparameters only, not its moment arrays (nothing resumes training).
+Older checkpoints that carry ``optimizer.m``/``v`` or ``graph.layers``
+still load; the layers are ignored.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .clues import Lexicon, SectionAnchors
 from .corpus import LabelVocab, Task, TASKS
 from .encoder import HashedEncoderParams, load_embedding_table
 from .errors import DataError
-from .graph import GatParams, LayerParams
 from .trainer import AdamState, FittedModel
 from .validation import check_threshold
 
@@ -73,22 +75,13 @@ def build_checkpoint(model: FittedModel, optimizer: AdamState | None = None) -> 
         }
     else:
         encoder = {}
-    graph: dict = {"layers": [], "label_matrices": {}}
-    if model.gat is not None:
-        for layer in model.gat.layers:
-            graph["layers"].append(
-                {
-                    "combine": layer.combine,
-                    "leaky_slope": layer.leaky_slope,
-                    "heads": [
-                        {"W": W.tolist(), "omega": omega.tolist()}
-                        for W, omega in zip(layer.W, layer.omega)
-                    ],
-                }
-            )
-    for task in TASKS:
-        if task in model.label_matrices:
-            graph["label_matrices"][task.value] = model.label_matrices[task].tolist()
+    graph = {
+        "label_matrices": {
+            task.value: model.label_matrices[task].tolist()
+            for task in TASKS
+            if task in model.label_matrices
+        }
+    }
     optimizer_doc: dict = {}
     if optimizer is not None:
         optimizer_doc = {
@@ -116,21 +109,6 @@ def save_checkpoint(path, model: FittedModel, optimizer: AdamState | None = None
         fh.write("\n")
 
 
-def _parse_gat(graph_doc: dict) -> GatParams | None:
-    layers_doc = graph_doc.get("layers") or []
-    if not layers_doc:
-        return None
-    return GatParams([
-        LayerParams(
-            np.stack([np.asarray(h["W"], dtype=np.float64) for h in layer["heads"]]),
-            np.stack([np.asarray(h["omega"], dtype=np.float64) for h in layer["heads"]]),
-            layer["combine"],
-            layer["leaky_slope"],
-        )
-        for layer in layers_doc
-    ])
-
-
 def load_checkpoint(path) -> tuple[FittedModel, dict]:
     """Rebuild a FittedModel from a checkpoint file.
 
@@ -140,7 +118,7 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
     against the checkpoint's directory. ``FittedModel`` checks the label
     matrices against the vocabularies and the encoder; ``meta.backend`` and
     ``meta.dim`` must agree with the encoder loaded. Every violation is a
-    ``DataError``.
+    ``DataError``. A legacy ``graph.layers`` list is ignored.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -170,10 +148,9 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
                 ngram_min=encoder_doc["ngram_min"],
                 ngram_max=encoder_doc["ngram_max"],
             )
-        graph_doc = doc["graph"]
         label_matrices = {
             Task(name): np.asarray(matrix, dtype=np.float64)
-            for name, matrix in graph_doc.get("label_matrices", {}).items()
+            for name, matrix in doc["graph"].get("label_matrices", {}).items()
         }
         lexicon = (
             Lexicon.from_dict(meta["lexicon"]) if meta.get("lexicon") is not None else None
@@ -190,7 +167,6 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
             vocabs=vocabs,
             label_matrices=label_matrices,
             encoder_params=encoder_params,
-            gat=_parse_gat(graph_doc),
             lexicon=lexicon,
             anchors=anchors,
             threshold=check_threshold(meta["threshold"], "meta.threshold"),

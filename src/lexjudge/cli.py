@@ -281,16 +281,23 @@ def _split_by_name(corpus, split_spec, name: str):
     return {"train": train_part, "val": val_part, "test": test_part}[name]
 
 
+def _load_trained(path: str) -> FittedModel:
+    """The model of a trained checkpoint: a missing file is a config error,
+    a checkpoint without label matrices (a pre-trained encoder) a data error."""
+    if not os.path.exists(path):
+        raise ConfigError(f"checkpoint does not exist: {path}")
+    model, _ = load_checkpoint(path)
+    if not model.label_matrices:
+        raise DataError("checkpoint has no trained label representations")
+    return model
+
+
 def cmd_evaluate(args) -> int:
     cfg = load_run_config(args.config)
     checkpoint_path = args.checkpoint or cfg.paths.get("checkpoint")
     if not checkpoint_path:
         raise ConfigError("evaluate needs --checkpoint or paths.checkpoint")
-    if not os.path.exists(checkpoint_path):
-        raise ConfigError(f"checkpoint does not exist: {checkpoint_path}")
-    model, _ = load_checkpoint(checkpoint_path)
-    if not model.label_matrices:
-        raise DataError("checkpoint has no trained label representations")
+    model = _load_trained(checkpoint_path)
     corpus = _load_inputs(cfg)
     part = _split_by_name(corpus, cfg.split_spec(), args.split)
     if len(part) == 0:
@@ -303,11 +310,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    if not os.path.exists(args.checkpoint):
-        raise ConfigError(f"checkpoint does not exist: {args.checkpoint}")
-    model, _ = load_checkpoint(args.checkpoint)
-    if not model.label_matrices:
-        raise DataError("checkpoint has no trained label representations")
+    model = _load_trained(args.checkpoint)
     corpus = load_corpus(args.input)
     rows = predict_records(model, corpus)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -30,6 +30,13 @@ class Provenance(enum.Enum):
     FALLBACK_AREA = "fallback_area"
 
 
+def _check_text(value, what: str) -> None:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    if not value:
+        raise ValueError(f"{what} must be non-empty")
+
+
 @dataclass(frozen=True)
 class SectionMap:
     """The four sections of a judgment document; only process is mandatory."""
@@ -55,8 +62,7 @@ class SectionAnchors:
 
     def __post_init__(self):
         for name in ("statement", "date", "location", "process"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} anchor must be non-empty")
+            _check_text(getattr(self, name), f"{name} anchor")
 
 
 @dataclass(frozen=True)
@@ -65,10 +71,9 @@ class AreaTemplate:
     end_anchor: str | None = None
 
     def __post_init__(self):
-        if not self.start_anchor:
-            raise ValueError("start_anchor must be non-empty")
-        if self.end_anchor is not None and not self.end_anchor:
-            raise ValueError("end_anchor must be non-empty when given")
+        _check_text(self.start_anchor, "start_anchor")
+        if self.end_anchor is not None:
+            _check_text(self.end_anchor, "end_anchor")
 
 
 @dataclass(frozen=True)
@@ -83,8 +88,8 @@ class Lexicon:
             terms = self.terms_for(name)
             if not terms:
                 raise ValueError(f"{name} term list must be non-empty")
-            if any(not t for t in terms):
-                raise ValueError(f"{name} terms must all be non-empty")
+            for term in terms:
+                _check_text(term, f"{name} term")
 
     def terms_for(self, clue_field: str) -> tuple[str, ...]:
         return getattr(self, f"{clue_field}_terms")
@@ -94,12 +99,12 @@ class Lexicon:
         templates = tuple(
             AreaTemplate(t["start"], t.get("end")) for t in obj.get("templates", ())
         )
-        return cls(
-            motivation_terms=tuple(obj["motivation"]),
-            action_terms=tuple(obj["action"]),
-            harm_terms=tuple(obj["harm"]),
-            area_templates=templates,
-        )
+        terms = {}
+        for name in CLUE_FIELDS:
+            if not isinstance(obj[name], list):
+                raise ValueError(f"{name} must be a list of terms, got {obj[name]!r}")
+            terms[f"{name}_terms"] = tuple(obj[name])
+        return cls(**terms, area_templates=templates)
 
     def to_dict(self) -> dict:
         out: dict = {

@@ -181,11 +181,15 @@ class RunConfig:
             kind = ScenarioKind(section["kind"])
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"invalid scenario.kind: {exc}") from exc
-        allowlist = None
-        if section.get("charge_allowlist") is not None:
+        allowlist = section.get("charge_allowlist")
+        if allowlist is not None:
+            if not isinstance(allowlist, list) or not all(isinstance(s, str) for s in allowlist):
+                raise ConfigError(
+                    f"scenario.charge_allowlist must be a list of charge names, got {allowlist!r}"
+                )
             vocab = corpus.vocab(Task.CHARGE)
             try:
-                allowlist = frozenset(vocab.label_id(s) for s in section["charge_allowlist"])
+                allowlist = frozenset(vocab.label_id(s) for s in allowlist)
             except KeyError as exc:
                 raise ConfigError(f"scenario allowlist: {exc}") from exc
         defaults = {

@@ -312,16 +312,11 @@ def gat_forward(
 def attention_export(graph: ReasoningGraph, collected: Sequence[tuple]) -> list[tuple]:
     """Rows (src_node, dst_node, head, layer, alpha) for every edge of the
     ``(layer, head, alpha)`` entries a full ``gat_forward`` pass collected."""
-    rows = []
-    for layer_no, head_no, alpha in collected:
-        for e in range(alpha.shape[0]):
-            rows.append(
-                (
-                    node_name(graph.nodes[graph.edge_src[e]]),
-                    node_name(graph.nodes[graph.edge_dst[e]]),
-                    head_no,
-                    layer_no,
-                    float(alpha[e]),
-                )
-            )
-    return rows
+    names = [node_name(node) for node in graph.nodes]
+    src = [names[i] for i in graph.edge_src]
+    dst = [names[j] for j in graph.edge_dst]
+    return [
+        (s, d, head_no, layer_no, a)
+        for layer_no, head_no, alpha in collected
+        for s, d, a in zip(src, dst, alpha.tolist())
+    ]

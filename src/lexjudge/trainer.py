@@ -228,15 +228,15 @@ class FittedModel:
     ``table`` (precomputed backend); ``dim`` and ``backend_kind`` derive
     from it. Every task in ``tasks`` has a vocabulary and, once any label
     matrices exist (a pre-trained encoder has none), a finite
-    (vocabulary size, ``dim``) matrix. GAT layers need ``use_graph``, and
-    each runs ``heads`` heads at ``leaky_slope``. A violation raises
-    ``ValueError``."""
+    (vocabulary size, ``dim``) matrix; a violation raises ``ValueError``.
+    The GAT parameters stay in training: unseen cases never join the graph,
+    so scoring reads only the label matrices. The toggles, ``heads`` and
+    ``leaky_slope`` are provenance: they record how the labels were trained."""
 
     tasks: tuple[Task, ...]
     vocabs: dict[Task, LabelVocab]
     label_matrices: dict[Task, np.ndarray]
     encoder_params: HashedEncoderParams | None
-    gat: GatParams | None
     lexicon: Lexicon | None
     anchors: SectionAnchors | None
     threshold: float
@@ -268,16 +268,6 @@ class FittedModel:
                 )
             if not np.all(np.isfinite(matrix)):
                 raise ValueError(f"{task.value} label matrix contains non-finite values")
-        if self.gat is not None:
-            if not self.use_graph:
-                raise ValueError("the model has GAT layers but use_graph is false")
-            for li, layer in enumerate(self.gat.layers):
-                if (len(layer.W), layer.leaky_slope) != (self.heads, self.leaky_slope):
-                    raise ValueError(
-                        f"GAT layer {li} runs {len(layer.W)} heads at slope "
-                        f"{layer.leaky_slope}, but the model has {self.heads} heads at "
-                        f"slope {self.leaky_slope}"
-                    )
 
     @property
     def dim(self) -> int:
@@ -299,7 +289,6 @@ class FittedModel:
         table: EmbeddingTable | None = None,
         embeddings_path: str | None = None,
         label_matrices: dict[Task, np.ndarray] | None = None,
-        gat: GatParams | None = None,
         lexicon: Lexicon | None = None,
         anchors: SectionAnchors | None = None,
         threshold: float = 0.8,
@@ -311,7 +300,6 @@ class FittedModel:
             vocabs=dict(vocabs),
             label_matrices=label_matrices if label_matrices is not None else {},
             encoder_params=encoder_params,
-            gat=gat,
             lexicon=lexicon,
             anchors=anchors,
             threshold=threshold,
@@ -514,7 +502,6 @@ def fit_model(
         table=table,
         embeddings_path=embeddings_path,
         label_matrices=label_matrices,
-        gat=gat,
         lexicon=lexicon,
         anchors=anchors,
         threshold=threshold,

@@ -1,4 +1,5 @@
-"""SHA-256 digests of lexjudge's deterministic outputs, one per line.
+"""SHA-256 digests of lexjudge's deterministic outputs, one per line;
+checkpoint lines also give the file's size in bytes.
 
 Not a pytest module. Run it on two checkouts and diff the output to check
 that a change leaves every output byte unchanged:
@@ -73,14 +74,6 @@ BRANCHES = {
 }
 
 
-def sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def file_digest(path: Path) -> str:
-    return sha256(path.read_bytes())
-
-
 def branch_digests(work: Path):
     corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=5, seed=8)
     for name, overrides in BRANCHES.items():
@@ -99,9 +92,9 @@ def branch_digests(work: Path):
         )
         path = work / "branch.json"
         save_checkpoint(path, result.model, result.optimizer_state)
-        yield f"{name}: checkpoint", file_digest(path)
-        yield f"{name}: loss_log", sha256(repr(result.loss_log).encode())
-        yield f"{name}: attention", sha256(repr(result.attention).encode())
+        yield f"{name}: checkpoint", path.read_bytes()
+        yield f"{name}: loss_log", repr(result.loss_log).encode()
+        yield f"{name}: attention", repr(result.attention).encode()
 
 
 def cli_digests(work: Path):
@@ -139,7 +132,7 @@ def cli_digests(work: Path):
             raise SystemExit(f"lexjudge {argv[0]} exited {code}")
     for folder in ("trace", "pretrain", "train", "evaluate", "predict"):
         for path in sorted((work / folder).iterdir()):
-            yield f"CLI {folder}/{path.name}", file_digest(path)
+            yield f"CLI {folder}/{path.name}", path.read_bytes()
 
 
 def bench_digest(work: Path):
@@ -168,7 +161,7 @@ def bench_digest(work: Path):
     )
     path = work / "checkpoint.json"
     save_checkpoint(path, result.model, result.optimizer_state)
-    yield f"bench recipe checkpoint ({path.stat().st_size:,} bytes)", file_digest(path)
+    yield "bench recipe checkpoint", path.read_bytes()
 
 
 def main_digests() -> None:
@@ -177,8 +170,9 @@ def main_digests() -> None:
         for section in (branch_digests, cli_digests, bench_digest):
             folder = work / section.__name__
             folder.mkdir()
-            for name, digest in section(folder):
-                print(f"{digest}  {name}", flush=True)
+            for name, data in section(folder):
+                size = f" ({len(data):,} bytes)" if "checkpoint" in name else ""
+                print(f"{hashlib.sha256(data).hexdigest()}  {name}{size}", flush=True)
 
 
 if __name__ == "__main__":

@@ -43,6 +43,14 @@ class TestCheckpointSchema:
         save_checkpoint(b, fitted.model, fitted.optimizer_state)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_graph_section_holds_label_matrices_only(self, fitted, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, fitted.model, fitted.optimizer_state)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert list(doc["graph"]) == ["label_matrices"]
+        model, _ = load_checkpoint(path)
+        assert not hasattr(model, "gat")
+
     def test_meta_embeds_lexicon_and_vocabs(self, fitted):
         doc = build_checkpoint(fitted.model)
         assert doc["meta"]["lexicon"]["motivation"]

@@ -8,7 +8,7 @@ import pytest
 
 import synth
 from lexjudge.cli import ABLATION_COMBOS, main
-from lexjudge import TASKS, DivergenceError, load_corpus
+from lexjudge import TASKS, DivergenceError, GatParams, load_corpus
 from lexjudge.encoder import label_key
 
 TRAIN_SECTION = {
@@ -67,6 +67,28 @@ def write_config(tmp_path, seed=11, **overrides):
     return config_path, out_dir
 
 
+# A lexicon value of the wrong type: (edit the term lexicon and the section
+# anchors in place, expected message).
+LEXICON_EDITS = {
+    "term-not-a-string": (
+        lambda lexicon, anchors: lexicon["motivation"].append(5),
+        "motivation term must be a string, got 5",
+    ),
+    "template-start-not-a-string": (
+        lambda lexicon, anchors: lexicon.update(templates=[{"start": 5}]),
+        "start_anchor must be a string, got 5",
+    ),
+    "term-list-not-a-list": (
+        lambda lexicon, anchors: lexicon.update(harm="loss"),
+        "harm must be a list of terms, got 'loss'",
+    ),
+    "section-anchor-not-a-string": (
+        lambda lexicon, anchors: anchors.update(process=5),
+        "process anchor must be a string, got 5",
+    ),
+}
+
+
 class TestTraceCommand:
     def test_golden_byte_identical(self, tmp_path, trace_corpus_path, lexicon_path,
                                    golden_clues_path):
@@ -96,6 +118,23 @@ class TestTraceCommand:
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
         assert main(["trace", "--config", str(config_path), "--in", str(empty)]) == 3
+
+    @pytest.mark.parametrize("name", LEXICON_EDITS)
+    def test_malformed_lexicon_exits_2(
+        self, tmp_path, trace_corpus_path, lexicon_path, capsys, name
+    ):
+        edit, message = LEXICON_EDITS[name]
+        with open(lexicon_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        edit(doc, doc["sections"])
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(json.dumps(doc), encoding="utf-8")
+        config_path, _ = write_config(tmp_path)
+        assert main([
+            "trace", "--config", str(config_path), "--in", trace_corpus_path,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
 
 
 class TestTrainCommand:
@@ -251,15 +290,6 @@ CONTRADICTIONS = {
     ),
     "backend-bogus": (lambda doc: doc["meta"].update(backend="bogus"), "meta.backend 'bogus'"),
     "hashed-without-encoder": (lambda doc: doc.update(encoder={}), "exactly one encoder"),
-    "meta-heads-edited": (
-        lambda doc: doc["meta"].update(heads=7), "runs 4 heads at slope 0.2, but the model has 7"
-    ),
-    "meta-slope-edited": (
-        lambda doc: doc["meta"].update(leaky_slope=0.9), "but the model has 4 heads at slope 0.9"
-    ),
-    "use-graph-off-with-layers": (
-        lambda doc: doc["meta"]["toggles"].update(use_graph=False), "use_graph is false"
-    ),
 }
 
 
@@ -327,6 +357,41 @@ class TestCheckpointValidation:
         assert self.predict_with(trained_checkpoint, tmp_path, corrupt) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "label matrix has shape" in err
+
+    @pytest.mark.parametrize("name", LEXICON_EDITS)
+    def test_malformed_meta_lexicon_exits_3(self, trained_checkpoint, tmp_path, capsys, name):
+        edit, message = LEXICON_EDITS[name]
+        assert self.predict_with(
+            trained_checkpoint, tmp_path,
+            lambda doc: edit(doc["meta"]["lexicon"], doc["meta"]["anchors"]),
+        ) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
+
+    def test_legacy_gat_layers_are_ignored(self, trained_checkpoint, tmp_path):
+        """A checkpoint in the older format, whose graph section also holds
+        the GAT layers, predicts the same bytes as one without them."""
+        assert self.predict_with(trained_checkpoint, tmp_path, lambda doc: None) == 0
+        current = (tmp_path / "preds.jsonl").read_bytes()
+
+        def add_layers(doc):
+            meta = doc["meta"]
+            gat = GatParams.initialize(meta["dim"], meta["heads"], 5, meta["leaky_slope"])
+            layers = [
+                {
+                    "combine": layer.combine,
+                    "leaky_slope": layer.leaky_slope,
+                    "heads": [
+                        {"W": W.tolist(), "omega": omega.tolist()}
+                        for W, omega in zip(layer.W, layer.omega)
+                    ],
+                }
+                for layer in gat.layers
+            ]
+            doc["graph"] = {"layers": layers, **doc["graph"]}
+
+        assert self.predict_with(trained_checkpoint, tmp_path, add_layers) == 0
+        assert (tmp_path / "preds.jsonl").read_bytes() == current
 
     @pytest.mark.parametrize("threshold", [1.5, 0])
     def test_threshold_out_of_range_exits_3(
@@ -489,6 +554,16 @@ class TestScenarioFlow:
         ]) == 0
         doc = json.loads((out_dir / "metrics_val.json").read_text())
         assert set(doc) == {"imprisonment", "charge", "article"}
+
+
+    @pytest.mark.parametrize("allowlist", [5, [[1]]], ids=["number", "nested-list"])
+    def test_malformed_allowlist_exits_2(self, tmp_path, capsys, allowlist):
+        config_path, _ = write_config(
+            tmp_path, scenario={"kind": "confusing", "charge_allowlist": allowlist}
+        )
+        assert main(["trace", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "scenario.charge_allowlist" in err
 
 
 class TestPretrainCommand:
