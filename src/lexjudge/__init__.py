@@ -54,7 +54,6 @@ from .encoder import (
     encode_fact,
     encode_label,
     featurize,
-    hash_ngram,
     load_embedding_table,
 )
 from .errors import (

@@ -17,7 +17,8 @@ projection's row count or the table's ``#dim``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -35,28 +36,38 @@ if TYPE_CHECKING:
 CLUE_SEPARATOR = "\x1f"
 
 
-def hash_ngram(ngram: str, bucket_count: int) -> int:
-    """Bucket index for one n-gram: FNV-1a 64 over UTF-8 bytes, mod buckets."""
-    if not ngram:
-        raise ValueError("ngram must be non-empty")
-    if bucket_count <= 0:
-        raise ValueError("bucket_count must be positive")
-    return fnv1a_64(ngram.encode("utf-8")) % bucket_count
+# Most n-gram hashes one encoder's memo keeps; past it, new n-grams are
+# hashed on every call. Clue texts repeat few distinct n-grams (hundreds on
+# the benchmark corpora), so the cap only bounds pathological inputs.
+HASH_MEMO_CAP = 65_536
 
 
 @dataclass
 class HashedEncoderParams:
-    """Hashing configuration plus the trainable projection and bias."""
+    """Hashing configuration plus the trainable projection and bias.
+
+    ``hash_memo`` maps each n-gram seen to its full 64-bit FNV-1a hash, so
+    ``featurize`` hashes a distinct n-gram once per encoder. It holds no
+    state of the model: equality, ``repr`` and checkpoints ignore it.
+    """
 
     projection: np.ndarray
     bias: np.ndarray
     bucket_count: int = 4096
     ngram_min: int = 1
     ngram_max: int = 3
+    hash_memo: dict[str, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.projection = np.asarray(self.projection, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
+        for name in ("bucket_count", "ngram_min", "ngram_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         if self.ngram_min > self.ngram_max:
             raise ValueError("ngram_min must not exceed ngram_max")
         if self.ngram_min < 1:
@@ -104,18 +115,38 @@ class HashedEncoderParams:
         )
 
     def with_weights(self, projection: np.ndarray, bias: np.ndarray) -> "HashedEncoderParams":
-        return replace(self, projection=projection, bias=bias)
+        """New weights, same hashing; the hashes do not depend on the
+        weights, so the new params share this one's memo."""
+        params = replace(self, projection=projection, bias=bias)
+        params.hash_memo = self.hash_memo
+        return params
 
 
 def featurize(text: str, params: HashedEncoderParams) -> np.ndarray:
-    """Hashed character n-gram counts, L2-normalized (zero for empty text)."""
-    counts = np.zeros(params.bucket_count)
+    """Hashed character n-gram counts, L2-normalized (zero for empty text).
+
+    Each n-gram's bucket is its FNV-1a 64 hash over UTF-8 bytes, mod
+    ``bucket_count``; the hashes come from the encoder's memo.
+    """
     length = len(text)
-    for n in range(params.ngram_min, params.ngram_max + 1):
-        if n > length:
-            break
-        for i in range(length - n + 1):
-            counts[hash_ngram(text[i : i + n], params.bucket_count)] += 1.0
+    grams = [
+        text[i : i + n]
+        for n in range(params.ngram_min, min(params.ngram_max, length) + 1)
+        for i in range(length - n + 1)
+    ]
+    memo = params.hash_memo
+    hashes = []
+    for gram in grams:
+        h = memo.get(gram)
+        if h is None:
+            h = fnv1a_64(gram.encode("utf-8"))
+            if len(memo) < HASH_MEMO_CAP:
+                memo[gram] = h
+        hashes.append(h)
+    buckets = np.array(hashes, dtype=np.uint64) % np.uint64(params.bucket_count)
+    counts = np.bincount(
+        buckets.astype(np.intp), minlength=params.bucket_count
+    ).astype(np.float64)
     norm = np.linalg.norm(counts)
     if norm > 0.0:
         counts /= norm

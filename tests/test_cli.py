@@ -337,6 +337,28 @@ class TestCheckpointValidation:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and message in err
 
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("bucket_count", float),  # 256.0, which still matches the projection
+            ("ngram_min", float),  # 1.0
+            ("ngram_max", lambda value: value + 0.5),  # 3.5
+            ("ngram_max", lambda value: True),
+        ],
+        ids=["bucket-count-float", "ngram-min-float", "ngram-max-float", "ngram-max-bool"],
+    )
+    def test_non_integer_encoder_field_exits_3(
+        self, trained_checkpoint, tmp_path, capsys, name, edit
+    ):
+        """A float or bool where the encoder needs an integer is a schema
+        error, not a traceback (exit 1) or a silently changed encoder."""
+        def corrupt(doc):
+            doc["encoder"][name] = edit(doc["encoder"][name])
+
+        assert self.predict_with(trained_checkpoint, tmp_path, corrupt) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"{name} must be an integer" in err
+
     def test_precomputed_table_of_another_dim_exits_3(
         self, trained_checkpoint, tmp_path, capsys
     ):

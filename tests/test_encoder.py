@@ -1,6 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+import lexjudge.encoder
+from encoder_reference import featurize_reference
 from lexjudge import (
     ClueSet,
     DataError,
@@ -12,7 +17,6 @@ from lexjudge import (
     encode_fact,
     encode_label,
     featurize,
-    hash_ngram,
     load_embedding_table,
 )
 from lexjudge.encoder import CLUE_SEPARATOR, clue_text, label_key, project_features
@@ -33,20 +37,36 @@ def small_params(dim=8, buckets=64, seed=3):
     )
 
 
+def hashing_params(buckets=64, ngram_min=1, ngram_max=3):
+    return HashedEncoderParams(
+        projection=np.zeros((1, buckets)), bias=np.zeros(1),
+        bucket_count=buckets, ngram_min=ngram_min, ngram_max=ngram_max,
+    )
+
+
 class TestHashNgram:
     def test_published_fnv1a_vector(self):
         # published FNV-1a 64 test vector for "a"
         assert fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
 
     def test_mod_small_bucket(self):
-        assert hash_ngram("a", 8) == 0xAF63DC4C8601EC8C % 8 == 4
+        # "a" hashes to 0xAF63DC4C8601EC8C, bucket 4 of 8
+        vec = featurize("a", hashing_params(buckets=8, ngram_min=1, ngram_max=1))
+        assert np.array_equal(vec, np.eye(8)[4])
 
     def test_deterministic(self):
-        assert hash_ngram("same input", 4096) == hash_ngram("same input", 4096)
+        params = hashing_params(buckets=4096)
+        first = featurize("same input", params)
+        assert params.hash_memo  # the second call reads the memo
+        assert featurize("same input", params).tobytes() == first.tobytes()
+        assert first.tobytes() == featurize("same input", hashing_params(4096)).tobytes()
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            hash_ngram("", 8)
+        # the empty string is never an n-gram: nothing is hashed or stored
+        params = hashing_params(ngram_min=2, ngram_max=3)
+        assert not featurize("", params).any()
+        assert not featurize("a", params).any()
+        assert params.hash_memo == {}
 
 
 class TestFeaturize:
@@ -61,12 +81,9 @@ class TestFeaturize:
 
     def test_ab_ngram_enumeration(self):
         # n-grams of "ab" for n in [1,2]: {"a", "b", "ab"} -> three unit counts
-        params = HashedEncoderParams(
-            projection=np.zeros((2, 64)), bias=np.zeros(2),
-            bucket_count=64, ngram_min=1, ngram_max=2,
-        )
+        params = hashing_params(buckets=64, ngram_min=1, ngram_max=2)
         vec = featurize("ab", params)
-        buckets = {hash_ngram(g, 64) for g in ("a", "b", "ab")}
+        buckets = {fnv1a_64(g.encode("utf-8")) % 64 for g in ("a", "b", "ab")}
         raw = vec * np.sqrt(3)  # undo L2 over three unit counts (no collisions here)
         assert len(buckets) == 3
         assert np.count_nonzero(vec) == 3
@@ -78,6 +95,68 @@ class TestFeaturize:
         a = featurize("abcabc", params)
         b = featurize("abcabc", params)
         assert np.array_equal(a, b)
+
+
+# ASCII, CJK, astral-plane emoji and the clue separator
+CHARACTERS = st.one_of(
+    st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+    st.characters(min_codepoint=0x4E00, max_codepoint=0x9FFF),
+    st.characters(min_codepoint=0x1F600, max_codepoint=0x1F64F),
+    st.just(CLUE_SEPARATOR),
+)
+NGRAM_RANGES = [(1, 1), (1, 3), (2, 2), (2, 4), (3, 5)]
+
+
+class TestFeaturizeMatchesReference:
+    @given(
+        text=st.text(CHARACTERS, max_size=40),
+        buckets=st.sampled_from([1, 7, 64, 2048]),
+        ngrams=st.sampled_from(NGRAM_RANGES),
+    )
+    @example(text="", buckets=64, ngrams=(1, 3))
+    @example(text="ab", buckets=7, ngrams=(3, 5))
+    @example(text="\U0001F600\u4e2d" + CLUE_SEPARATOR + "a", buckets=2048, ngrams=(1, 3))
+    def test_bytes_equal_the_reference(self, text, buckets, ngrams):
+        params = hashing_params(buckets, *ngrams)
+        expected = featurize_reference(text, params).tobytes()
+        assert featurize(text, params).tobytes() == expected
+        assert featurize(text, params).tobytes() == expected  # from the memo
+
+    def test_earlier_texts_do_not_change_later_features(self):
+        used = hashing_params(buckets=7)
+        featurize("seized the bag \u62a2\u52ab", used)
+        later = "the bag was seized \U0001F600"
+        assert featurize(later, used).tobytes() == featurize(later, hashing_params(7)).tobytes()
+
+    def test_memo_holds_hashes_not_buckets(self):
+        # a memo filled under one bucket count serves another unchanged
+        small, large = hashing_params(buckets=7), hashing_params(buckets=2048)
+        large.hash_memo = small.hash_memo
+        text = "greed" + CLUE_SEPARATOR + "seized the bag" + CLUE_SEPARATOR + "\u4f24\u5bb3"
+        for params in (small, large, small, large):
+            assert featurize(text, params).tobytes() == featurize_reference(text, params).tobytes()
+
+    def test_with_weights_shares_the_memo(self):
+        params = small_params()
+        before = featurize("some clue text", params)
+        moved = params.with_weights(params.projection + 1.0, params.bias + 1.0)
+        assert moved.hash_memo is params.hash_memo
+        assert featurize("some clue text", moved).tobytes() == before.tobytes()
+
+    def test_memo_stops_growing_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(lexjudge.encoder, "HASH_MEMO_CAP", 5)
+        params = hashing_params(buckets=64)
+        text = "abcdefghij"
+        assert featurize(text, params).tobytes() == featurize_reference(text, params).tobytes()
+        assert len(params.hash_memo) == 5
+        assert featurize(text + "klm", params).tobytes() == (
+            featurize_reference(text + "klm", params).tobytes()
+        )
+        assert len(params.hash_memo) == 5
+
+    def test_memo_is_not_part_of_the_model(self):
+        (memo,) = [f for f in dataclasses.fields(HashedEncoderParams) if f.name == "hash_memo"]
+        assert not (memo.init or memo.repr or memo.compare)
 
 
 class TestEncode:
@@ -203,6 +282,13 @@ class TestParamValidation:
                 projection=np.zeros((2, 8)), bias=np.zeros(2),
                 bucket_count=8, ngram_min=3, ngram_max=1,
             )
+
+    @pytest.mark.parametrize("name", ["bucket_count", "ngram_min", "ngram_max"])
+    @pytest.mark.parametrize("value", [8.0, 2.5, True])
+    def test_integer_fields_reject_floats_and_bools(self, name, value):
+        fields = {"bucket_count": 8, "ngram_min": 1, "ngram_max": 3, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            HashedEncoderParams(projection=np.zeros((2, 8)), bias=np.zeros(2), **fields)
 
     def test_projection_shape(self):
         with pytest.raises(ValueError):

@@ -3,9 +3,9 @@ package keeps them out of its production modules.
 
 Each ``tests/*_reference.py`` module is parsed, not imported: none may
 import the autodiff tape, the trainer or the contrastive module, nor any
-production forward pass or objective by name. The names that moved to
-those modules, or were deleted as test-only wrappers, must not come back
-into ``lexjudge``.
+production forward pass, objective or featurizer by name. The names that
+moved to those modules, or were deleted as test-only wrappers, must not
+come back into ``lexjudge``.
 """
 
 import ast
@@ -20,13 +20,14 @@ import lexjudge
 TESTS = Path(__file__).resolve().parent
 REFERENCES = sorted(TESTS.glob("*_reference.py"))
 FORBIDDEN_MODULES = {"lexjudge.autodiff", "lexjudge.trainer", "lexjudge.contrastive"}
-FORBIDDEN_NAMES = ("gat_forward", "stage3_objective", "contrastive_objective")
+FORBIDDEN_NAMES = ("gat_forward", "stage3_objective", "contrastive_objective", "featurize")
 MOVED_OR_DELETED = (
     "edge_logit", "attention_row", "aggregate_node", "gat_forward_reference",
     "total_loss", "graph_loss_reference", "graph_objective",
     "cosine_sim", "loss_from_similarities", "contrastive_loss",
     "ce_loss", "TaskLogits",
     "HashedEncoder", "PrecomputedEncoder", "HeadParams", "param_key",
+    "hash_ngram",
 )
 
 
@@ -47,6 +48,7 @@ def imports(path: Path) -> list[tuple[str, str | None]]:
 def test_reference_modules_exist():
     assert {p.name for p in REFERENCES} >= {
         "clue_reference.py", "gat_reference.py", "contrastive_reference.py",
+        "encoder_reference.py",
     }
 
 
