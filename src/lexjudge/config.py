@@ -14,7 +14,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .contrastive import ContrastiveConfig
-from .corpus import Corpus, ScenarioKind, ScenarioSpec, SplitSpec, Task, TASKS
+from .corpus import (
+    SCENARIO_DEFAULTS, Corpus, ScenarioKind, ScenarioSpec, SplitSpec, Task, TASKS,
+)
 from .encoder import DropoutSpec, HashedEncoderParams
 from .errors import ConfigError
 from .rng import derive
@@ -192,11 +194,7 @@ class RunConfig:
                 allowlist = frozenset(vocab.label_id(s) for s in allowlist)
             except KeyError as exc:
                 raise ConfigError(f"scenario allowlist: {exc}") from exc
-        defaults = {
-            ScenarioKind.HIGH_FREQUENCY: {"min_charge_count": 101, "min_article_count": 10},
-            ScenarioKind.LOW_FREQUENCY: {"min_charge_count": 50, "max_charge_count": 100},
-            ScenarioKind.CONFUSING: {"min_charge_count": 0},
-        }[kind]
+        defaults = SCENARIO_DEFAULTS[kind]
         counts = {
             key: _get(section, f"scenario.{key}", defaults.get(key), int)
             for key in ("min_charge_count", "max_charge_count", "min_article_count", "case_cap")

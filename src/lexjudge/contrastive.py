@@ -5,7 +5,9 @@ projection they form the anchor and its positive. Negatives are randomly
 sampled other cases, one dropout view per case per epoch. The loss is the
 temperature-scaled softmax over cosine similarities with the positive term
 kept in the denominator, and one full-batch Adam step runs per epoch on
-the projection and bias.
+the projection and bias. An epoch's loss is four tape nodes: the tanh
+projection of each view and ``info_nce``, whose closed-form gradient runs
+back through the row normalization.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .clues import ClueSet
 from .encoder import (
-    DropoutSpec, HashedEncoderParams, apply_dropout_noise, clue_text, featurize,
+    DropoutSpec, HashedEncoderParams, apply_dropout_noise, clue_text, featurize, tanh_projection,
 )
 from .errors import ConfigError, DivergenceError
+from .predictor import softmax_cross_entropy
 from .rng import SplitMix64, derive
 from .validation import check_positive, check_seed
 
@@ -53,34 +56,37 @@ def _sample_negatives(n: int, count: int, seed: int) -> np.ndarray:
     return idx
 
 
-def _epoch_loss(
-    features: np.ndarray,
-    projection: Tensor,
-    bias: Tensor,
-    cfg: ContrastiveConfig,
-    epoch: int,
+def info_nce(
+    anchors: Tensor, positives: Tensor, negatives: Tensor, neg_idx: np.ndarray, temperature: float
 ) -> Tensor:
-    n = features.shape[0]
-    count = cfg.negatives_per_anchor
-    base = derive(cfg.dropout.seed, "contrastive-views", epoch)
-    views = [
-        Tensor(apply_dropout_noise(features, replace(cfg.dropout, seed=derive(base, view))))
-        for view in range(3)
-    ]
-    anchors = ad.l2_normalize_rows((views[0] @ projection.T + bias).tanh())
-    positives = ad.l2_normalize_rows((views[1] @ projection.T + bias).tanh())
-    negatives = ad.l2_normalize_rows((views[2] @ projection.T + bias).tanh())
+    """Mean InfoNCE loss over L2-normalized rows as one tape node: anchor i
+    scores its positive (row i of ``positives``) and the rows ``neg_idx[i]``
+    of ``negatives`` by cosine over ``temperature``, and the loss is the
+    softmax cross-entropy of those scores with the positive as gold. Rows
+    must be nonzero."""
+    views = (anchors, positives, negatives)
+    norms = [np.sqrt((t.data * t.data).sum(axis=1, keepdims=True)) for t in views]
+    a, p, m = (t.data / r for t, r in zip(views, norms))
+    n, count = neg_idx.shape
+    neg_rows = m[neg_idx]  # (n, count, d)
+    pos_sim = (a * p).sum(axis=1) * (1.0 / temperature)
+    neg_sim = (a[:, None, :] * neg_rows).sum(axis=2) * (1.0 / temperature)
+    scores = np.concatenate([pos_sim[:, None], neg_sim], axis=1)
+    value, g_sims = softmax_cross_entropy(scores, np.zeros(n, dtype=np.intp))
 
-    neg_idx = _sample_negatives(n, count, derive(cfg.seed, "epoch", epoch))
-    anchor_rep = ad.gather_rows(anchors, np.repeat(np.arange(n), count))
-    neg_rows = ad.gather_rows(negatives, neg_idx.reshape(-1))
+    def backward(g):
+        g_pos, g_neg = np.split(g * g_sims * (1.0 / temperature), [1], axis=1)
+        g_neg = g_neg[:, :, None]
+        g_a = g_pos * p + (g_neg * neg_rows).sum(axis=1)
+        g_m = ad.segment_reduce(
+            np.add, (g_neg * a[:, None, :]).reshape(n * count, -1), neg_idx.reshape(-1),
+            len(m), 0.0,
+        )
+        # back through each row's normalization u = t / |t|
+        for view, u, r, g_u in zip(views, (a, p, m), norms, (g_a, g_pos * a, g_m)):
+            view._accumulate((g_u - u * (g_u * u).sum(axis=1, keepdims=True)) / r)
 
-    pos_sim = (anchors * positives).sum(axis=1) * (1.0 / cfg.temperature)
-    neg_sim = (anchor_rep * neg_rows).sum(axis=1).reshape((n, count)) * (
-        1.0 / cfg.temperature
-    )
-    scores = ad.concat([pos_sim.reshape((n, 1)), neg_sim], axis=1)
-    return (ad.logsumexp(scores, axis=1) - pos_sim).mean()
+    return Tensor._node(value, views, backward)
 
 
 def contrastive_objective(
@@ -93,10 +99,21 @@ def contrastive_objective(
 ) -> tuple[float, dict[str, np.ndarray] | None]:
     """Mean contrastive loss of one epoch over hashed feature rows, with
     analytic gradients for the projection and bias when requested."""
+    features = np.asarray(features, dtype=np.float64)
     p = Tensor(np.asarray(projection, dtype=np.float64), requires_grad=with_grads)
     b = Tensor(np.asarray(bias, dtype=np.float64), requires_grad=with_grads)
-    loss = _epoch_loss(np.asarray(features, dtype=np.float64), p, b, cfg, epoch)
-    value = loss.item()
+    base = derive(cfg.dropout.seed, "contrastive-views", epoch)
+    views = [
+        tanh_projection(
+            apply_dropout_noise(features, replace(cfg.dropout, seed=derive(base, view))), p, b
+        )
+        for view in range(3)
+    ]
+    neg_idx = _sample_negatives(
+        len(features), cfg.negatives_per_anchor, derive(cfg.seed, "epoch", epoch)
+    )
+    loss = info_nce(*views, neg_idx, cfg.temperature)
+    value = float(loss.data)
     if not with_grads:
         return value, None
     loss.backward()

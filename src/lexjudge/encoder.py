@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .autodiff import Tensor
 from .clues import ClueSet
 from .errors import DataError
 from .rng import derive, fnv1a_64, glorot_uniform, stream_uniform
@@ -42,13 +43,14 @@ CLUE_SEPARATOR = "\x1f"
 HASH_MEMO_CAP = 65_536
 
 
-@dataclass
+@dataclass(eq=False)
 class HashedEncoderParams:
     """Hashing configuration plus the trainable projection and bias.
 
     ``hash_memo`` maps each n-gram seen to its full 64-bit FNV-1a hash, so
     ``featurize`` hashes a distinct n-gram once per encoder. It holds no
-    state of the model: equality, ``repr`` and checkpoints ignore it.
+    state of the model: ``repr`` and checkpoints ignore it. Params compare
+    by identity, as every dataclass holding arrays does.
     """
 
     projection: np.ndarray
@@ -190,6 +192,19 @@ def project_features(features: np.ndarray, params: HashedEncoderParams) -> np.nd
             f"feature vector must have length {params.bucket_count}, got {features.shape}"
         )
     return np.tanh(params.projection @ features + params.bias)
+
+
+def tanh_projection(features: np.ndarray, projection: Tensor, bias: Tensor) -> Tensor:
+    """``project_features`` over the rows of ``features`` as one tape node:
+    tanh(features @ projectionᵀ + bias), differentiable in the weights."""
+    out = np.tanh(features @ projection.data.T + bias.data)
+
+    def backward(g):
+        g_pre = g * (1.0 - out * out)
+        projection._accumulate((features.T @ g_pre).T)
+        bias._accumulate(g_pre.sum(axis=0))
+
+    return Tensor._node(out, (projection, bias), backward)
 
 
 def encode_fact(clues: ClueSet, params: HashedEncoderParams) -> np.ndarray:

@@ -11,10 +11,10 @@ Layer one concatenates its heads, layer two averages them, so the output
 dimension matches the encoder dimension.
 
 The graph holds structure only. ``init_features`` returns the (N, d)
-node matrix, and every pass takes that matrix as an argument.
-``gat_forward`` runs the vectorized pass, differentiable through the
-autodiff module; the node-by-node oracle it is checked against lives in
-``tests/gat_reference.py``.
+node matrix, and every pass takes that matrix as an argument. Each layer
+is one tape node with its closed-form gradient: ``gat_forward`` runs it
+without gradients, ``gat_forward_tensors`` for training. The node-by-node
+oracle the pass is checked against lives in ``tests/gat_reference.py``.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def init_features(
     return features
 
 
-@dataclass
+@dataclass(eq=False)
 class LayerParams:
     """One layer's H heads, stacked: ``W[h]`` (d, d_in) is head h's
     projection and ``omega[h]`` (2d,) its edge-scoring vector."""
@@ -169,7 +169,7 @@ class LayerParams:
         return per_head * heads if self.combine == "concat" else per_head
 
 
-@dataclass
+@dataclass(eq=False)
 class GatParams:
     layers: list[LayerParams]
 
@@ -236,36 +236,65 @@ def _forward_layer(
     layer_no: int,
     receivers: np.ndarray | None = None,
 ) -> Tensor:
-    """One layer with its H heads stacked: projections ``(N, H, d)``, edge
-    logits and attention ``(E, H)``, messages ``(E, H, d)``.
+    """One layer with its H heads stacked, as one tape node: projections
+    ``(N, H, d)``, edge logits and attention ``(E, H)``, messages
+    ``(E, H, d)``, then ELU and the heads concatenated or averaged.
 
     The edge logit ``omega·[Wh_i ‖ Wh_j]`` is the sum of a source score
     ``omega[:d]·Wh_i`` and a destination score ``omega[d:]·Wh_j``, so both
     are computed once per node. With ``receivers`` (sorted node indices)
     only the edges into them are aggregated, and output row r is node
     ``receivers[r]``."""
-    n, (n_heads, width, d_in) = graph.num_nodes, w.shape
+    n, (n_heads, width, d_in) = graph.num_nodes, w.data.shape
     src, dst, seg, n_out = graph.edge_src, graph.edge_dst, graph.edge_src, n
     if receivers is not None:
         keep = np.isin(src, receivers)
         src, dst, n_out = src[keep], dst[keep], len(receivers)
         seg = np.searchsorted(receivers, src)
-    # row 2h is the source half of head h's omega, row 2h + 1 its destination half
-    halves = omega.reshape((2 * n_heads, width))
-    projected = (x @ w.reshape((n_heads * width, d_in)).T).reshape((n, n_heads, width))
-    src_score = (projected * ad.gather_rows(halves, np.arange(0, 2 * n_heads, 2))).sum(axis=2)
-    dst_score = (projected * ad.gather_rows(halves, np.arange(1, 2 * n_heads, 2))).sum(axis=2)
-    logits = ad.leaky_relu(
-        ad.gather_rows(src_score, src) + ad.gather_rows(dst_score, dst), layer.leaky_slope
-    )
-    alpha = ad.segment_softmax(logits, seg, n_out)
+    w_flat = w.data.reshape((n_heads * width, d_in))
+    a_src, a_dst = omega.data[:, :width], omega.data[:, width:]
+    projected = (x.data @ w_flat.T).reshape((n, n_heads, width))
+    raw = (projected * a_src).sum(axis=2)[src] + (projected * a_dst).sum(axis=2)[dst]
+    factor = np.where(raw > 0, 1.0, layer.leaky_slope)
+    logits = raw * factor
+    shift = ad.segment_reduce(np.maximum, logits, seg, n_out, -np.inf)
+    numer = np.exp(logits - shift[seg])
+    alpha = numer / ad.segment_reduce(np.add, numer, seg, n_out, 0.0)[seg]
     if collect is not None:
-        collect.extend((layer_no, h, alpha.data[:, h].copy()) for h in range(n_heads))
-    messages = ad.gather_rows(projected, dst) * alpha.reshape((len(src), n_heads, 1))
-    aggregated = ad.elu(ad.segment_sum(messages, seg, n_out))
+        collect.extend((layer_no, h, alpha[:, h].copy()) for h in range(n_heads))
+    sent = projected[dst]
+    summed = ad.segment_reduce(np.add, sent * alpha[:, :, None], seg, n_out, 0.0)
+    positive = summed > 0
+    aggregated = np.where(positive, summed, np.expm1(summed))
     if layer.combine == "concat":
-        return aggregated.reshape((n_out, n_heads * width))
-    return aggregated.sum(axis=1) * (1.0 / n_heads)
+        out = aggregated.reshape((n_out, n_heads * width))
+    else:
+        out = aggregated.sum(axis=1) * (1.0 / n_heads)
+
+    def backward(g):
+        if layer.combine == "concat":
+            g_agg = g.reshape((n_out, n_heads, width))
+        else:
+            g_agg = np.broadcast_to((g * (1.0 / n_heads))[:, None, :], aggregated.shape)
+        g_msg = (g_agg * np.where(positive, 1.0, aggregated + 1.0))[seg]
+        g_alpha = (g_msg * sent).sum(axis=2)
+        # back through the softmax over each segment, then the leaky ReLU
+        g_mean = ad.segment_reduce(np.add, g_alpha * alpha, seg, n_out, 0.0)[seg]
+        g_raw = alpha * (g_alpha - g_mean) * factor
+        g_src = ad.segment_reduce(np.add, g_raw, src, n, 0.0)[:, :, None]
+        g_dst = ad.segment_reduce(np.add, g_raw, dst, n, 0.0)[:, :, None]
+        g_proj = (
+            ad.segment_reduce(np.add, g_msg * alpha[:, :, None], dst, n, 0.0)
+            + g_src * a_src + g_dst * a_dst
+        ).reshape((n, n_heads * width))
+        omega._accumulate(np.concatenate(
+            [(g_src * projected).sum(axis=0), (g_dst * projected).sum(axis=0)], axis=1
+        ))
+        w._accumulate((x.data.T @ g_proj).T.reshape(w.data.shape))
+        if x.requires_grad:
+            x._accumulate(g_proj @ w_flat)
+
+    return Tensor._node(out, (x, w, omega), backward)
 
 
 def gat_forward_tensors(

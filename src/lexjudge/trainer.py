@@ -34,6 +34,7 @@ from .encoder import (
     featurize,
     label_key,
     project_features,
+    tanh_projection,
 )
 from .errors import ConfigError, DataError, DivergenceError, LexjudgeError
 from .graph import (
@@ -46,12 +47,12 @@ from .graph import (
     init_features,
 )
 from .metrics import MetricsReport, report
-from .predictor import predict_label, predict_proba, score_case
+from .predictor import predict_label, predict_proba, score_case, softmax_cross_entropy
 from .rng import SplitMix64, derive
 from .validation import check_seed, check_threshold, check_unit_rate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdamState:
     """First/second moments per parameter, step counter, and hyperparameters."""
 
@@ -138,6 +139,19 @@ class TrainConfig:
         check_seed(self.seed)
 
 
+def _cross_entropy(facts: Tensor, labels: Tensor, gold: np.ndarray) -> Tensor:
+    """``softmax_cross_entropy`` of the scores ``facts @ labelsᵀ`` against
+    the gold label ids, as one tape node."""
+    value, g_logits = softmax_cross_entropy(facts.data @ labels.data.T, gold)
+
+    def backward(g):
+        g_scores = g * g_logits
+        facts._accumulate(g_scores @ labels.data)
+        labels._accumulate((facts.data.T @ g_scores).T)
+
+    return Tensor._node(value, (facts, labels), backward)
+
+
 def stage3_objective(
     theta: Mapping[str, np.ndarray],
     graph: ReasoningGraph,
@@ -169,9 +183,7 @@ def stage3_objective(
         node_t = Tensor(nodes)
     else:
         projection, bias = leaves["encoder.projection"], leaves["encoder.bias"]
-        facts, labels = (
-            (Tensor(x) @ projection.T + bias).tanh() for x in encoder_inputs
-        )
+        facts, labels = (tanh_projection(x, projection, bias) for x in encoder_inputs)
         node_t = ad.concat([facts, labels], axis=0)
     if gat is None:
         label_mats = {task: leaves[f"labels.{task.value}"] for task in tasks}
@@ -192,11 +204,9 @@ def stage3_objective(
     loss_t = None
     for task in tasks:
         ids = np.asarray(golds[task], dtype=np.intp)
-        mat = label_mats[task]
-        onehot = _onehot(ids if rows is None else ids[rows], mat.shape[0])
-        term = _mean_ce(facts @ mat.T, onehot)
+        term = _cross_entropy(facts, label_mats[task], ids if rows is None else ids[rows])
         loss_t = term if loss_t is None else loss_t + term
-    value = loss_t.item()
+    value = float(loss_t.data)
     if not with_grads or not np.isfinite(value):
         return value, None
     loss_t.backward()
@@ -219,7 +229,7 @@ def case_clues(
     return extract_clues(case, lexicon, threshold, anchors)
 
 
-@dataclass
+@dataclass(eq=False)
 class FittedModel:
     """Everything needed to score unseen cases against the enhanced labels;
     ``fact_vector`` traces each case afresh and stores nothing on it.
@@ -329,7 +339,7 @@ class FittedModel:
         return {task: predict_label(s) for task, s in self.scores(case).items()}
 
 
-@dataclass
+@dataclass(eq=False)
 class FitResult:
     model: FittedModel
     loss_log: list[tuple[str, int, float]]
@@ -343,17 +353,6 @@ def _stage(name: str):
         yield
     except LexjudgeError as exc:
         raise type(exc)(f"stage {name}: {exc}") from exc
-
-
-def _onehot(ids: np.ndarray, num_classes: int) -> np.ndarray:
-    out = np.zeros((ids.shape[0], num_classes))
-    out[np.arange(ids.shape[0]), ids] = 1.0
-    return out
-
-
-def _mean_ce(logits: Tensor, onehot: np.ndarray) -> Tensor:
-    picked = (logits * Tensor(onehot)).sum(axis=1)
-    return (ad.logsumexp(logits, axis=1) - picked).mean()
 
 
 def fit_model(
@@ -509,7 +508,7 @@ def fit_model(
     return FitResult(model, loss_log, attention, state)
 
 
-@dataclass
+@dataclass(eq=False)
 class PipelineResult(FitResult):
     train: Corpus
     validation: Corpus

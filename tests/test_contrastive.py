@@ -16,9 +16,8 @@ from lexjudge import (
     train_contrastive,
 )
 from lexjudge import apply_dropout_noise
-from lexjudge import autodiff as ad
 from lexjudge.autodiff import Tensor
-from lexjudge.contrastive import _sample_negatives
+from lexjudge.contrastive import _sample_negatives, info_nce
 from lexjudge.rng import derive
 
 from contrastive_reference import contrastive_loss, cosine_sim, loss_from_similarities
@@ -119,24 +118,17 @@ def tiny_config(**overrides):
 
 class TestGradients:
     def test_anchor_gradient_matches_central_differences(self):
-        # dim-8 instance; analytic side built from the autodiff ops
+        # dim-8 instance; analytic side is the InfoNCE tape node
         rng = np.random.default_rng(5)
         anchor0 = rng.normal(size=8)
         positive = rng.normal(size=8)
         negatives = rng.normal(size=(4, 8))
         tau = 0.1
 
-        def loss_tensor(anchor_t: Tensor) -> Tensor:
-            a_hat = anchor_t * (1.0 / (anchor_t * anchor_t).sum().sqrt())
-            sims = []
-            for vec in [positive, *negatives]:
-                v = vec / np.linalg.norm(vec)
-                sims.append((a_hat * Tensor(v)).sum() * (1.0 / tau))
-            scores = ad.concat([s.reshape((1,)) for s in sims], axis=0)
-            return ad.logsumexp(scores.reshape((1, len(sims))), axis=1).sum() - sims[0]
-
-        leaf = Tensor(anchor0.copy(), requires_grad=True)
-        loss_tensor(leaf).backward()
+        leaf = Tensor(anchor0[None].copy(), requires_grad=True)
+        info_nce(
+            leaf, Tensor(positive[None]), Tensor(negatives), np.array([[0, 1, 2, 3]]), tau
+        ).backward()
         step = 1e-4
         for i in range(8):
             up = anchor0.copy(); up[i] += step
@@ -145,7 +137,7 @@ class TestGradients:
                 contrastive_loss(up, positive, list(negatives), tau)
                 - contrastive_loss(down, positive, list(negatives), tau)
             ) / (2 * step)
-            rel = abs(leaf.grad[i] - numeric) / max(abs(numeric), 1e-8)
+            rel = abs(leaf.grad[0, i] - numeric) / max(abs(numeric), 1e-8)
             assert rel <= 1e-4
 
     def test_projection_gradient_matches_central_differences(self):

@@ -32,12 +32,13 @@ from lexjudge import (
     run_pipeline,
     save_checkpoint,
 )
+from lexjudge.corpus import LabelVocab
 from lexjudge.encoder import apply_dropout_noise, encode_fact, encode_label
 from lexjudge.graph import (
     FactNode, GatParams, LabelNode, ReasoningGraph, build_graph, init_features,
 )
 from lexjudge.rng import derive
-from lexjudge.trainer import stage3_objective
+from lexjudge.trainer import FitResult, FittedModel, stage3_objective
 
 from gat_reference import total_loss
 
@@ -611,3 +612,36 @@ class TestStage3Objective:
         )
         first = next(v for stage, _, v in result.loss_log if stage == "graph")
         assert first == value
+
+
+def array_holder(kind: str):
+    """A fresh instance of one of the dataclasses that hold arrays."""
+    encoder = HashedEncoderParams.initialize(output_dim=2, bucket_count=8)
+    gat = GatParams.initialize(8, 2, 1)
+    state = AdamState.initialize({"w": np.ones(3)})
+    vocabs = {task: LabelVocab(task, ["a", "b"]) for task in TASKS}
+    model = FittedModel.trained(
+        TrainConfig(), vocabs, encoder_params=encoder,
+        label_matrices={task: np.ones((2, 2)) for task in TASKS},
+    )
+    return {
+        "HashedEncoderParams": encoder,
+        "LayerParams": gat.layers[0],
+        "GatParams": gat,
+        "AdamState": state,
+        "FittedModel": model,
+        "FitResult": FitResult(model, [], [], state),
+    }[kind]
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["HashedEncoderParams", "LayerParams", "GatParams", "AdamState", "FittedModel", "FitResult"],
+)
+def test_array_holders_compare_by_identity(kind):
+    """``==`` on two equal-valued instances is False rather than raising on
+    the truth value of an array; an instance still equals itself."""
+    a, b = array_holder(kind), array_holder(kind)
+    assert a == a
+    assert not a == b
+    assert a != b
