@@ -1,9 +1,14 @@
 """Checkpoint serialization.
 
 A checkpoint is one JSON document with fixed field order (meta, encoder,
-graph, optimizer). Numeric arrays are plain JSON arrays; floats serialize
-through Python's shortest round-trip repr, so checkpoints are diffable,
-byte-stable between identical runs, and reload to bit-identical values.
+graph, optimizer). Every float array (the encoder's projection and bias,
+each label matrix) is stored exactly as ``{"dtype": "<f8", "shape": [...],
+"b64": "..."}``: its C-order little-endian IEEE-754 bytes, base64-encoded.
+Arrays reload bit-identically, take about half the bytes of decimal text
+and parse without a float conversion per element; every scalar and string
+in ``meta`` stays plain, readable JSON. Checkpoints are byte-stable between
+identical runs. Format version 1, which stored the arrays as nested JSON
+lists, still loads.
 The graph section holds the enhanced label matrices only: unseen cases are
 scored against them through the encoder, so no path reads the attention
 weights after training. The optimizer section keeps Adam's step count and
@@ -14,7 +19,9 @@ still load; the layers are ignored.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 
 import numpy as np
@@ -24,9 +31,52 @@ from .corpus import LabelVocab, Task, TASKS
 from .encoder import HashedEncoderParams, load_embedding_table
 from .errors import DataError
 from .trainer import AdamState, FittedModel
-from .validation import check_threshold
+from .validation import check_seed, check_threshold
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+ARRAY_DTYPE = "<f8"
+
+
+def encode_array(array: np.ndarray) -> dict:
+    """A float array as the checkpoint stores it: C-order little-endian
+    float64 bytes, base64-encoded, with the dtype and shape beside them."""
+    data = np.ascontiguousarray(array, dtype=ARRAY_DTYPE)
+    return {
+        "dtype": ARRAY_DTYPE,
+        "shape": list(data.shape),
+        "b64": base64.b64encode(data.tobytes()).decode("ascii"),
+    }
+
+
+def decode_array(value, field: str, version: int = FORMAT_VERSION) -> np.ndarray:
+    """The writeable, owned float64 array one checkpoint field stores.
+
+    Version 1 stores nested JSON lists; version 2 stores ``encode_array``'s
+    object, and a dtype other than ``"<f8"``, a shape that is not a list of
+    non-negative integers, a ``b64`` that is not valid base64 or a byte count
+    that does not fill the shape raises ``ValueError`` naming ``field``.
+    """
+    if version == 1:
+        return np.asarray(value, dtype=np.float64)
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} must be an encoded array object, got {type(value).__name__}")
+    dtype, shape, b64 = (value.get(key) for key in ("dtype", "shape", "b64"))
+    if dtype != ARRAY_DTYPE:
+        raise ValueError(f"{field}.dtype must be {ARRAY_DTYPE!r}, got {dtype!r}")
+    if not isinstance(shape, list) or any(
+        isinstance(n, bool) or not isinstance(n, int) or n < 0 for n in shape
+    ):
+        raise ValueError(f"{field}.shape must be a list of non-negative integers, got {shape!r}")
+    if not isinstance(b64, str):
+        raise ValueError(f"{field}.b64 must be a base64 string, got {type(b64).__name__}")
+    try:
+        data = base64.b64decode(b64, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"{field}.b64 is not valid base64: {exc}") from None
+    expected = 8 * math.prod(shape)
+    if len(data) != expected:
+        raise ValueError(f"{field} holds {len(data)} bytes, but shape {shape} needs {expected}")
+    return np.frombuffer(data, dtype=ARRAY_DTYPE).reshape(shape).astype(np.float64)
 
 
 def _anchors_dict(anchors: SectionAnchors | None) -> dict | None:
@@ -70,14 +120,14 @@ def build_checkpoint(model: FittedModel, optimizer: AdamState | None = None) -> 
             "ngram_min": p.ngram_min,
             "ngram_max": p.ngram_max,
             "output_dim": p.output_dim,
-            "projection": p.projection.tolist(),
-            "bias": p.bias.tolist(),
+            "projection": encode_array(p.projection),
+            "bias": encode_array(p.bias),
         }
     else:
         encoder = {}
     graph = {
         "label_matrices": {
-            task.value: model.label_matrices[task].tolist()
+            task.value: encode_array(model.label_matrices[task])
             for task in TASKS
             if task in model.label_matrices
         }
@@ -109,16 +159,35 @@ def save_checkpoint(path, model: FittedModel, optimizer: AdamState | None = None
         fh.write("\n")
 
 
+def _check_meta(meta: dict) -> None:
+    """The typed ``meta`` fields whose wrong type would load silently: a
+    string toggle reads as true, and a repeated task writes every
+    prediction twice."""
+    for name in ("use_clue_tracing", "use_contrastive", "use_graph"):
+        value = meta["toggles"][name]
+        if not isinstance(value, bool):
+            raise ValueError(f"meta.toggles.{name} must be a JSON boolean, got {value!r}")
+    if len(set(meta["tasks"])) != len(meta["tasks"]):
+        raise ValueError(f"meta.tasks must not repeat a task, got {meta['tasks']!r}")
+    check_seed(meta["seed"], "meta.seed")
+    heads = meta["heads"]
+    if isinstance(heads, bool) or not isinstance(heads, int) or heads < 1:
+        raise ValueError(f"meta.heads must be an integer of at least 1, got {heads!r}")
+
+
 def load_checkpoint(path) -> tuple[FittedModel, dict]:
     """Rebuild a FittedModel from a checkpoint file.
 
     Returns the model and the raw optimizer section (empty when absent).
     When the checkpoint records ``meta.embeddings_path``, the precomputed
     embedding table is loaded from that path, a relative one resolved
-    against the checkpoint's directory. ``FittedModel`` checks the label
-    matrices against the vocabularies and the encoder; ``meta.backend`` and
-    ``meta.dim`` must agree with the encoder loaded. Every violation is a
-    ``DataError``. A legacy ``graph.layers`` list is ignored.
+    against the checkpoint's own directory. Format versions 1 and 2 load.
+    ``decode_array`` checks each stored array, ``FittedModel`` checks the
+    label matrices against the vocabularies and the encoder, and
+    ``meta.backend`` and ``meta.dim`` must agree with the encoder loaded;
+    the toggles must be booleans, the tasks distinct, ``meta.seed`` an
+    unsigned 64-bit integer and ``meta.heads`` a positive integer. Every
+    violation is a ``DataError``. A legacy ``graph.layers`` list is ignored.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -129,10 +198,10 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
         raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     try:
         meta = doc["meta"]
-        if meta["format_version"] != FORMAT_VERSION:
-            raise DataError(
-                f"unsupported checkpoint format version {meta['format_version']}"
-            )
+        version = meta["format_version"]
+        if type(version) is not int or version not in (1, FORMAT_VERSION):
+            raise DataError(f"unsupported checkpoint format version {version!r}")
+        _check_meta(meta)
         tasks = tuple(Task(t) for t in meta["tasks"])
         vocabs = {
             Task(name): LabelVocab(Task(name), entries)
@@ -142,14 +211,14 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
         encoder_params = None
         if encoder_doc:
             encoder_params = HashedEncoderParams(
-                projection=np.asarray(encoder_doc["projection"]),
-                bias=np.asarray(encoder_doc["bias"]),
+                projection=decode_array(encoder_doc["projection"], "encoder.projection", version),
+                bias=decode_array(encoder_doc["bias"], "encoder.bias", version),
                 bucket_count=encoder_doc["bucket_count"],
                 ngram_min=encoder_doc["ngram_min"],
                 ngram_max=encoder_doc["ngram_max"],
             )
         label_matrices = {
-            Task(name): np.asarray(matrix, dtype=np.float64)
+            Task(name): decode_array(matrix, f"graph.label_matrices.{name}", version)
             for name, matrix in doc["graph"].get("label_matrices", {}).items()
         }
         lexicon = (

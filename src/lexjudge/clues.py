@@ -316,6 +316,31 @@ def _byte_span(area: str, start: int, end: int) -> tuple[int, int]:
     return prefix, prefix + len(area[start:end].encode("utf-8"))
 
 
+def _max_accepted_distance(longest: int, threshold: float) -> int:
+    """The largest edit distance at which a window still scores at least
+    ``threshold`` under ``fuzzy_score``'s float arithmetic, when the longer
+    of window and term has ``longest`` characters (a longer window can only
+    allow more edits)."""
+    # (1 - 0.8) * 10 == 1.9999999999999996, so the truncated product can be
+    # one short: start one above it and step down to the float test.
+    distance = int((1.0 - threshold) * longest) + 1
+    while 1.0 - distance / longest < threshold:
+        distance -= 1
+    return distance
+
+
+def _may_match(area: str, term: str, cutoff: int) -> bool:
+    """False only when no substring of ``area`` is within ``cutoff`` edits
+    of ``term``. Cut the term into ``cutoff + 1`` pieces: ``cutoff`` edits
+    touch at most ``cutoff`` of them, so a substring that close contains
+    one piece verbatim, and so does the area (the pigeonhole filter)."""
+    pieces = cutoff + 1
+    if pieces > len(term):
+        return True
+    cuts = [len(term) * i // pieces for i in range(pieces + 1)]
+    return any(term[cuts[i] : cuts[i + 1]] in area for i in range(pieces))
+
+
 def match_element(
     area: str, terms: Sequence[str], threshold: float
 ) -> MatchResult | None:
@@ -330,14 +355,15 @@ def match_element(
     window). Returns None when both passes fail.
 
     The fuzzy pass is bounded but its result is the same as scoring every
-    window. Per term, a cut-off caps the edit distance any window could be
-    accepted at, with one unit of slack for floating-point rounding. One
-    bit-vector pass over the area gives, for each end offset, a lower bound
-    on the distance of every window ending there; only starts with a window
-    ending within the cut-off are verified. Verification runs the same DP
-    anchored at each such start, which yields the distance of every width
-    at once. Windows within the cut-off are scored with ``fuzzy_score`` and
-    accepted as before.
+    window. Per term, a cut-off is the largest edit distance any window
+    could be accepted at, under ``fuzzy_score``'s float arithmetic. A term
+    none of whose ``cut-off + 1`` pieces occurs in the area is skipped: no
+    window is that close. Otherwise one bit-vector pass over the area gives,
+    for each end offset, a lower bound on the distance of every window
+    ending there; only starts with a window ending within the cut-off are
+    verified. Verification runs the same DP anchored at each such start,
+    which yields the distance of every width at once. Windows within the
+    cut-off are scored with ``fuzzy_score`` and accepted as before.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
@@ -367,9 +393,9 @@ def match_element(
     for index, term in enumerate(terms):
         low = max(1, len(term) - 2)
         high = min(len(area), len(term) + 2)
-        # An accepted window has d / max(w, |t|) <= 1 - threshold up to
-        # rounding, and (1 - 0.8) * 10 == 1.9999999999999996: hence the + 1.
-        cutoff = int((1.0 - threshold) * max(high, len(term))) + 1
+        cutoff = _max_accepted_distance(max(high, len(term)), threshold)
+        if not _may_match(area, term, cutoff):
+            continue
         starts = {
             start
             for end, bound in enumerate(_bit_distances(area, term, anchored=False))

@@ -34,6 +34,9 @@ class Task(enum.Enum):
 
 
 TASKS: tuple[Task, ...] = (Task.IMPRISONMENT, Task.CHARGE, Task.ARTICLE)
+# The task names in TASKS order: the per-case loops index by position, so
+# they neither hash the enum nor read its ``value`` descriptor.
+_TASK_NAMES: tuple[str, ...] = tuple(task.value for task in TASKS)
 
 
 @dataclass(frozen=True)
@@ -114,12 +117,16 @@ class Corpus:
         for task in TASKS:
             if task not in vocabs:
                 raise ValueError(f"missing vocabulary for task {task.value}")
+        n_imprisonment, n_charge, n_article = (vocabs[task].size for task in TASKS)
         for case in cases:
-            for task in TASKS:
-                if not 0 <= case.labels.get(task) < vocabs[task].size:
-                    raise ValueError(
-                        f"case {case.id}: {task.value} label id out of range"
-                    )
+            labels = case.labels
+            if not (
+                0 <= labels.imprisonment < n_imprisonment
+                and 0 <= labels.charge < n_charge
+                and 0 <= labels.article < n_article
+            ):
+                task = next(t for t in TASKS if not 0 <= labels.get(t) < vocabs[t].size)
+                raise ValueError(f"case {case.id}: {task.value} label id out of range")
         self.cases: list[CriminalCase] = list(cases)
         self.vocabs = dict(vocabs)
 
@@ -183,12 +190,10 @@ def _parse_record(obj, where: str) -> dict:
     labels = obj.get("labels")
     if not isinstance(labels, dict):
         raise DataError(f"{where}: missing 'labels' object")
-    surfaces = {}
-    for task in TASKS:
-        value = labels.get(task.value)
+    surfaces = tuple(map(labels.get, _TASK_NAMES))
+    for name, value in zip(_TASK_NAMES, surfaces):
         if not isinstance(value, str) or not value:
-            raise DataError(f"{where}: missing '{task.value}' field in labels")
-        surfaces[task] = value
+            raise DataError(f"{where}: missing '{name}' field in labels")
     return {
         "id": case_id,
         "fact": fact,
@@ -198,27 +203,24 @@ def _parse_record(obj, where: str) -> dict:
 
 
 def _build_corpus(records: Sequence[dict]) -> Corpus:
-    orders: dict[Task, list[str]] = {task: [] for task in TASKS}
-    seen: dict[Task, set[str]] = {task: set() for task in TASKS}
-    for rec in records:
-        for task in TASKS:
-            surface = rec["surfaces"][task]
-            if surface not in seen[task]:
-                seen[task].add(surface)
-                orders[task].append(surface)
-    vocabs = {task: LabelVocab(task, orders[task]) for task in TASKS}
+    """Records whose ``surfaces`` are label strings in ``TASKS`` order as a
+    corpus; each vocabulary takes its labels in first-occurrence order."""
+    ids: tuple[dict[str, int], ...] = tuple({} for _ in TASKS)
+    by_imprisonment, by_charge, by_article = ids
     cases = []
     for rec in records:
+        imprisonment, charge, article = rec["surfaces"]
         labels = JudgmentLabels(
-            imprisonment=vocabs[Task.IMPRISONMENT].label_id(rec["surfaces"][Task.IMPRISONMENT]),
-            charge=vocabs[Task.CHARGE].label_id(rec["surfaces"][Task.CHARGE]),
-            article=vocabs[Task.ARTICLE].label_id(rec["surfaces"][Task.ARTICLE]),
+            imprisonment=by_imprisonment.setdefault(imprisonment, len(by_imprisonment)),
+            charge=by_charge.setdefault(charge, len(by_charge)),
+            article=by_article.setdefault(article, len(by_article)),
         )
         cases.append(
             CriminalCase(
                 id=rec["id"], fact_text=rec["fact"], labels=labels, sections=rec["sections"]
             )
         )
+    vocabs = {task: LabelVocab(task, list(order)) for task, order in zip(TASKS, ids)}
     return Corpus(cases, vocabs)
 
 
@@ -349,7 +351,7 @@ def filter_scenario(corpus: Corpus, spec: ScenarioSpec, seed: int = 0) -> Corpus
             "id": case.id,
             "fact": case.fact_text,
             "sections": case.sections,
-            "surfaces": {task: old_vocabs[task].surface(case.labels.get(task)) for task in TASKS},
+            "surfaces": tuple(old_vocabs[task].surface(case.labels.get(task)) for task in TASKS),
         }
         for case in kept
     ]

@@ -1,9 +1,13 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import synth
+from checkpoint_docs import array_slots, to_v1
 from lexjudge import (
+    TASKS,
     ContrastiveConfig,
     DataError,
     DropoutSpec,
@@ -14,6 +18,8 @@ from lexjudge import (
     load_checkpoint,
     save_checkpoint,
 )
+from lexjudge.checkpoint import FORMAT_VERSION, decode_array, encode_array
+from lexjudge.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -110,3 +116,111 @@ class TestOptimizerSection:
             assert (model.label_matrices[task] == matrix).all()
         assert (model.encoder_params.projection == reference.encoder_params.projection).all()
         assert build_checkpoint(model) == build_checkpoint(reference)
+
+
+# -0.0, the smallest subnormal, +-1e308 and an ordinary value.
+SPECIAL = np.array([-0.0, 5e-324, 1e308, -1e308, 0.1, -2.5])
+
+
+def bits(array):
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.int64)
+
+
+class TestExactArrays:
+    def test_arrays_are_base64_float64(self, fitted):
+        doc = build_checkpoint(fitted.model)
+        assert doc["meta"]["format_version"] == FORMAT_VERSION == 2
+        for container, key in array_slots(doc):
+            assert list(container[key]) == ["dtype", "shape", "b64"]
+            assert container[key]["dtype"] == "<f8"
+
+    def test_special_values_round_trip_bit_exactly(self):
+        matrix = np.stack([np.roll(SPECIAL, k) for k in range(4)])
+        for array in (SPECIAL, matrix, matrix.T, matrix[:, ::2]):
+            decoded = decode_array(encode_array(array), "x")
+            assert decoded.shape == array.shape
+            assert (bits(decoded) == bits(array)).all()
+
+    def test_save_load_round_trips_bit_exactly(self, fitted, tmp_path):
+        """A transposed (non-contiguous) label matrix holding -0.0, a
+        subnormal and +-1e308 reloads with the same bits."""
+        model = fitted.model
+        rows, dim = model.label_matrices[TASKS[1]].shape
+        special = np.resize(SPECIAL, (dim, rows)).T
+        assert not special.flags.c_contiguous
+        edited = dataclasses.replace(
+            model, label_matrices={**model.label_matrices, TASKS[1]: special}
+        )
+        path = tmp_path / "special.json"
+        save_checkpoint(path, edited)
+        loaded, _ = load_checkpoint(path)
+        assert (bits(loaded.label_matrices[TASKS[1]]) == bits(special)).all()
+        for task, matrix in model.label_matrices.items():
+            if task is not TASKS[1]:
+                assert (bits(loaded.label_matrices[task]) == bits(matrix)).all()
+        assert (bits(loaded.encoder_params.projection) == bits(model.encoder_params.projection)).all()
+        assert (bits(loaded.encoder_params.bias) == bits(model.encoder_params.bias)).all()
+
+    def test_save_load_save_byte_identical(self, fitted, tmp_path):
+        first = tmp_path / "first.json"
+        second = tmp_path / "second.json"
+        save_checkpoint(first, fitted.model, fitted.optimizer_state)
+        model, _ = load_checkpoint(first)
+        save_checkpoint(second, model, fitted.optimizer_state)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_loaded_arrays_are_writeable_contiguous_float64(self, fitted, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, fitted.model)
+        model, _ = load_checkpoint(path)
+        arrays = [model.encoder_params.projection, model.encoder_params.bias]
+        arrays += list(model.label_matrices.values())
+        for array in arrays:
+            assert array.dtype == np.float64
+            assert array.flags.writeable and array.flags.c_contiguous and array.flags.owndata
+
+    def test_version_1_arrays_decode_as_lists(self):
+        decoded = decode_array([[1.0, -0.0], [5e-324, 2.0]], "x", version=1)
+        assert decoded.dtype == np.float64 and decoded.flags.writeable
+        assert (bits(decoded) == bits([[1.0, -0.0], [5e-324, 2.0]])).all()
+
+
+class TestVersion1Compatibility:
+    def write_both(self, fitted, tmp_path):
+        current = tmp_path / "v2" / "checkpoint.json"
+        current.parent.mkdir()
+        save_checkpoint(current, fitted.model, fitted.optimizer_state)
+        old = tmp_path / "v1" / "checkpoint.json"
+        old.parent.mkdir()
+        doc = to_v1(json.loads(current.read_text(encoding="utf-8")))
+        old.write_text(json.dumps(doc, ensure_ascii=False) + "\n", encoding="utf-8")
+        return current, old
+
+    def test_v1_document_loads_bit_identical_arrays(self, fitted, tmp_path):
+        current, old = self.write_both(fitted, tmp_path)
+        assert isinstance(json.loads(old.read_text())["encoder"]["projection"], list)
+        new_model, _ = load_checkpoint(current)
+        old_model, _ = load_checkpoint(old)
+        pairs = [
+            (old_model.encoder_params.projection, new_model.encoder_params.projection),
+            (old_model.encoder_params.bias, new_model.encoder_params.bias),
+        ] + [(old_model.label_matrices[t], m) for t, m in new_model.label_matrices.items()]
+        for old_array, new_array in pairs:
+            assert old_array.shape == new_array.shape
+            assert (bits(old_array) == bits(new_array)).all()
+        assert build_checkpoint(old_model) == build_checkpoint(new_model)
+
+    def test_v1_document_predicts_the_same_bytes(self, fitted, tmp_path):
+        current, old = self.write_both(fitted, tmp_path)
+        corpus = tmp_path / "corpus.jsonl"
+        with open(corpus, "w", encoding="utf-8") as fh:
+            for record in synth.separable_records(2, seed=3):
+                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        outputs = []
+        for checkpoint in (current, old):
+            out = checkpoint.parent / "predictions.jsonl"
+            assert main([
+                "predict", "--checkpoint", str(checkpoint), "--in", str(corpus), "--out", str(out),
+            ]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] and outputs[0] == outputs[1]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import synth
+from checkpoint_docs import decode, edit_array, to_v1
 from lexjudge.cli import ABLATION_COMBOS, main
 from lexjudge import TASKS, DivergenceError, GatParams, load_corpus
 from lexjudge.encoder import label_key
@@ -293,10 +294,78 @@ CONTRADICTIONS = {
 }
 
 
+def _set(**items):
+    return lambda value: {**value, **items}
+
+
+# A version-2 array the loader must refuse: (field, the stored value made
+# from the intact one, the message that follows the field's name).
+MALFORMED_ARRAYS = {
+    "dtype-f4": (
+        "graph.label_matrices.charge", _set(dtype="<f4"), ".dtype must be '<f8', got '<f4'"
+    ),
+    "dtype-big-endian": (
+        "encoder.projection", _set(dtype=">f8"), ".dtype must be '<f8', got '>f8'"
+    ),
+    "shape-byte-count-mismatch": (
+        "graph.label_matrices.article",
+        lambda value: {**value, "shape": [value["shape"][0] + 1, value["shape"][1]]},
+        " holds ",
+    ),
+    "shape-bool-entry": (
+        "encoder.bias", _set(shape=[True]), ".shape must be a list of non-negative integers"
+    ),
+    "shape-negative-entry": (
+        "encoder.bias", _set(shape=[-16]), ".shape must be a list of non-negative integers"
+    ),
+    "shape-not-a-list": (
+        "encoder.bias", _set(shape=16), ".shape must be a list of non-negative integers"
+    ),
+    "b64-non-alphabet-character": (
+        "graph.label_matrices.imprisonment",
+        lambda value: {**value, "b64": "!" + value["b64"][1:]},
+        ".b64 is not valid base64",
+    ),
+    "b64-bad-padding": (
+        "encoder.bias",
+        lambda value: {**value, "b64": value["b64"].rstrip("=")},
+        ".b64 is not valid base64",
+    ),
+    "b64-not-a-string": (
+        "encoder.bias", _set(b64=None), ".b64 must be a base64 string"
+    ),
+    "list-in-version-2": (
+        "encoder.bias", lambda value: decode(value).tolist(), " must be an encoded array object"
+    ),
+}
+
+# A meta field of the wrong JSON type: (edit meta in place, expected message).
+MISTYPED_META = {
+    "toggle-string": (
+        lambda meta: meta["toggles"].update(use_clue_tracing="false"),
+        "meta.toggles.use_clue_tracing must be a JSON boolean, got 'false'",
+    ),
+    "toggle-number": (
+        lambda meta: meta["toggles"].update(use_graph=1),
+        "meta.toggles.use_graph must be a JSON boolean, got 1",
+    ),
+    "tasks-repeated": (
+        lambda meta: meta.update(tasks=["charge", "charge"]),
+        "meta.tasks must not repeat a task",
+    ),
+    "seed-negative": (lambda meta: meta.update(seed=-1), "meta.seed must be an unsigned"),
+    "seed-bool": (lambda meta: meta.update(seed=True), "meta.seed must be an unsigned"),
+    "seed-string": (lambda meta: meta.update(seed="11"), "meta.seed must be an unsigned"),
+    "heads-bool": (lambda meta: meta.update(heads=True), "meta.heads must be an integer"),
+    "heads-zero": (lambda meta: meta.update(heads=0), "meta.heads must be an integer"),
+    "heads-float": (lambda meta: meta.update(heads=4.0), "meta.heads must be an integer"),
+}
+
+
 class TestCheckpointValidation:
-    def predict_with(self, trained_checkpoint, tmp_path, corrupt):
+    def predict_with(self, trained_checkpoint, tmp_path, corrupt, version=2):
         corpus_path, doc = trained_checkpoint
-        doc = copy.deepcopy(doc)
+        doc = to_v1(doc) if version == 1 else copy.deepcopy(doc)
         corrupt(doc)
         path = tmp_path / "checkpoint.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -309,19 +378,70 @@ class TestCheckpointValidation:
         assert self.predict_with(trained_checkpoint, tmp_path, lambda doc: None) == 0
 
     def test_extra_label_row_exits_3(self, trained_checkpoint, tmp_path, capsys):
+        """Checked in the current format and in version 1, whose arrays are
+        JSON lists."""
         def corrupt(doc):
-            rows = doc["graph"]["label_matrices"]["charge"]
-            rows.append(list(rows[0]))
+            edit_array(
+                doc["graph"]["label_matrices"], "charge",
+                lambda rows: np.vstack([rows, rows[:1]]),
+            )
 
-        assert self.predict_with(trained_checkpoint, tmp_path, corrupt) == 3
-        assert "charge label matrix has shape" in capsys.readouterr().err
+        for version in (2, 1):
+            assert self.predict_with(trained_checkpoint, tmp_path, corrupt, version) == 3
+            assert "charge label matrix has shape" in capsys.readouterr().err
 
     def test_nan_in_label_matrix_exits_3(self, trained_checkpoint, tmp_path, capsys):
         def corrupt(doc):
-            doc["graph"]["label_matrices"]["article"][0][0] = float("nan")
+            def put_nan(matrix):
+                matrix[0, 0] = np.nan
+                return matrix
+
+            edit_array(doc["graph"]["label_matrices"], "article", put_nan)
+
+        for version in (2, 1):
+            assert self.predict_with(trained_checkpoint, tmp_path, corrupt, version) == 3
+            assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["projection", "bias"])
+    def test_nan_encoded_in_encoder_exits_3(self, trained_checkpoint, tmp_path, capsys, key):
+        """A NaN survives the exact binary encoding, so the loader's
+        finiteness check still sees it."""
+        def corrupt(doc):
+            def put_nan(array):
+                array.flat[-1] = np.nan
+                return array
+
+            edit_array(doc["encoder"], key, put_nan)
 
         assert self.predict_with(trained_checkpoint, tmp_path, corrupt) == 3
-        assert "non-finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"{key} contains non-finite" in err
+
+    @pytest.mark.parametrize("name", MALFORMED_ARRAYS)
+    def test_malformed_v2_array_exits_3(self, trained_checkpoint, tmp_path, capsys, name):
+        field, edit, message = MALFORMED_ARRAYS[name]
+        section, key = field.rsplit(".", 1)
+
+        def corrupt(doc):
+            container = doc
+            for part in section.split("."):
+                container = container[part]
+            container[key] = edit(container[key])
+
+        assert self.predict_with(trained_checkpoint, tmp_path, corrupt) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"{field}{message}" in err
+
+    @pytest.mark.parametrize("name", MISTYPED_META)
+    def test_mistyped_meta_field_exits_3(self, trained_checkpoint, tmp_path, capsys, name):
+        """Each of these loaded before and changed what ``predict`` did: a
+        string toggle reads as true, a repeated task writes every row twice."""
+        edit, message = MISTYPED_META[name]
+        assert self.predict_with(
+            trained_checkpoint, tmp_path, lambda doc: edit(doc["meta"])
+        ) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
 
     def test_mismatched_meta_dim_exits_3(self, trained_checkpoint, tmp_path, capsys):
         def corrupt(doc):

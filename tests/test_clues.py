@@ -22,6 +22,7 @@ from lexjudge import (
     match_element,
     segment_sections,
 )
+from lexjudge.clues import _max_accepted_distance, _may_match
 
 ANCHORS = SectionAnchors("[S]", "[D]", "[L]", "[P]")
 
@@ -229,6 +230,55 @@ class TestMatchElementAgreesWithReference:
         assert match_element(area, terms, threshold) == match_element_reference(
             area, terms, threshold
         )
+
+
+class TestFuzzyPassBounds:
+    """The two prunings of the fuzzy pass never drop an acceptable window."""
+
+    @given(
+        st.integers(1, 40),
+        st.integers(0, 4),
+        st.one_of(
+            st.sampled_from((0.5, 0.8, 1.0)),
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        ),
+    )
+    @example(10, 0, 0.8)
+    def test_cutoff_is_the_largest_accepted_distance(self, term_len, spare, threshold):
+        low = max(1, term_len - 2)
+        high = low + spare
+        accepted = [
+            d
+            for width in range(low, high + 1)
+            for d in range(max(width, term_len) + 1)
+            if 1.0 - d / max(width, term_len) >= threshold
+        ]
+        longest = max(high, term_len)
+        assert _max_accepted_distance(longest, threshold) == max(accepted)
+
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from(ALPHABETS).flatmap(
+            lambda alphabet: st.tuples(
+                st.text(alphabet, max_size=16), st.text(alphabet, min_size=1, max_size=8)
+            )
+        ),
+        st.integers(0, 4),
+    )
+    @example(("xx abcdefgXYj xx", "abcdefghij"), 2)
+    def test_pigeonhole_filter_keeps_every_close_substring(self, area_term, cutoff):
+        area, term = area_term
+        closest = min(
+            levenshtein_reference(area[i:j], term)
+            for i in range(len(area) + 1)
+            for j in range(i, len(area) + 1)
+        )
+        if closest <= cutoff:
+            assert _may_match(area, term, cutoff)
+
+    def test_pigeonhole_filter_skips_a_distant_term(self):
+        assert not _may_match("the clerk was robbed", "xyzqvw", 2)
+        assert _may_match("the clerk was robbed", "xyzerk", 2)
 
 
 LEXICON = Lexicon(
