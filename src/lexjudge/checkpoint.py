@@ -31,7 +31,7 @@ from .corpus import LabelVocab, Task, TASKS
 from .encoder import HashedEncoderParams, load_embedding_table
 from .errors import DataError
 from .trainer import AdamState, FittedModel
-from .validation import check_seed, check_threshold
+from .validation import check_kind, check_seed, check_threshold, is_kind, read_input
 
 FORMAT_VERSION = 2
 ARRAY_DTYPE = "<f8"
@@ -51,21 +51,24 @@ def encode_array(array: np.ndarray) -> dict:
 def decode_array(value, field: str, version: int = FORMAT_VERSION) -> np.ndarray:
     """The writeable, owned float64 array one checkpoint field stores.
 
-    Version 1 stores nested JSON lists; version 2 stores ``encode_array``'s
-    object, and a dtype other than ``"<f8"``, a shape that is not a list of
-    non-negative integers, a ``b64`` that is not valid base64 or a byte count
-    that does not fill the shape raises ``ValueError`` naming ``field``.
+    Version 1 stores nested JSON lists, and an element that is not a JSON
+    number (``check_kind``) raises ``ValueError`` naming ``field``; version
+    2 stores ``encode_array``'s object, and a dtype other than ``"<f8"``, a
+    shape that is not a list of non-negative integers, a ``b64`` that is
+    not valid base64 or a byte count that does not fill the shape raises
+    ``ValueError`` naming ``field``.
     """
     if version == 1:
-        return np.asarray(value, dtype=np.float64)
+        array = np.asarray(value, dtype=object)
+        for element in array.flat:
+            check_kind(element, float, f"{field} element")
+        return array.astype(np.float64)
     if not isinstance(value, dict):
         raise ValueError(f"{field} must be an encoded array object, got {type(value).__name__}")
     dtype, shape, b64 = (value.get(key) for key in ("dtype", "shape", "b64"))
     if dtype != ARRAY_DTYPE:
         raise ValueError(f"{field}.dtype must be {ARRAY_DTYPE!r}, got {dtype!r}")
-    if not isinstance(shape, list) or any(
-        isinstance(n, bool) or not isinstance(n, int) or n < 0 for n in shape
-    ):
+    if not isinstance(shape, list) or any(not is_kind(n, int) or n < 0 for n in shape):
         raise ValueError(f"{field}.shape must be a list of non-negative integers, got {shape!r}")
     if not isinstance(b64, str):
         raise ValueError(f"{field}.b64 must be a base64 string, got {type(b64).__name__}")
@@ -77,17 +80,6 @@ def decode_array(value, field: str, version: int = FORMAT_VERSION) -> np.ndarray
     if len(data) != expected:
         raise ValueError(f"{field} holds {len(data)} bytes, but shape {shape} needs {expected}")
     return np.frombuffer(data, dtype=ARRAY_DTYPE).reshape(shape).astype(np.float64)
-
-
-def _anchors_dict(anchors: SectionAnchors | None) -> dict | None:
-    if anchors is None:
-        return None
-    return {
-        "statement": anchors.statement,
-        "date": anchors.date,
-        "location": anchors.location,
-        "process": anchors.process,
-    }
 
 
 def build_checkpoint(model: FittedModel, optimizer: AdamState | None = None) -> dict:
@@ -110,7 +102,7 @@ def build_checkpoint(model: FittedModel, optimizer: AdamState | None = None) -> 
             task.value: list(model.vocabs[task].entries) for task in TASKS if task in model.vocabs
         },
         "lexicon": model.lexicon.to_dict() if model.lexicon is not None else None,
-        "anchors": _anchors_dict(model.anchors),
+        "anchors": model.anchors.to_dict() if model.anchors is not None else None,
         "embeddings_path": model.embeddings_path,
     }
     if model.encoder_params is not None:
@@ -159,22 +151,6 @@ def save_checkpoint(path, model: FittedModel, optimizer: AdamState | None = None
         fh.write("\n")
 
 
-def _check_meta(meta: dict) -> None:
-    """The typed ``meta`` fields whose wrong type would load silently: a
-    string toggle reads as true, and a repeated task writes every
-    prediction twice."""
-    for name in ("use_clue_tracing", "use_contrastive", "use_graph"):
-        value = meta["toggles"][name]
-        if not isinstance(value, bool):
-            raise ValueError(f"meta.toggles.{name} must be a JSON boolean, got {value!r}")
-    if len(set(meta["tasks"])) != len(meta["tasks"]):
-        raise ValueError(f"meta.tasks must not repeat a task, got {meta['tasks']!r}")
-    check_seed(meta["seed"], "meta.seed")
-    heads = meta["heads"]
-    if isinstance(heads, bool) or not isinstance(heads, int) or heads < 1:
-        raise ValueError(f"meta.heads must be an integer of at least 1, got {heads!r}")
-
-
 def load_checkpoint(path) -> tuple[FittedModel, dict]:
     """Rebuild a FittedModel from a checkpoint file.
 
@@ -186,23 +162,26 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
     label matrices against the vocabularies and the encoder, and
     ``meta.backend`` and ``meta.dim`` must agree with the encoder loaded;
     the toggles must be booleans, the tasks distinct, ``meta.seed`` an
-    unsigned 64-bit integer and ``meta.heads`` a positive integer. Every
-    violation is a ``DataError``. A legacy ``graph.layers`` list is ignored.
+    unsigned 64-bit integer, ``meta.heads`` a positive integer and
+    ``meta.leaky_slope`` a number. Every violation is a ``DataError``. A
+    legacy ``graph.layers`` list is ignored.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    doc = read_input(path, "checkpoint", DataError, as_json=True)
     try:
         meta = doc["meta"]
         version = meta["format_version"]
         if type(version) is not int or version not in (1, FORMAT_VERSION):
             raise DataError(f"unsupported checkpoint format version {version!r}")
-        _check_meta(meta)
         tasks = tuple(Task(t) for t in meta["tasks"])
+        if len(set(tasks)) != len(tasks):
+            raise ValueError(f"meta.tasks must not repeat a task, got {meta['tasks']!r}")
+        toggles = {
+            name: check_kind(meta["toggles"][name], bool, f"meta.toggles.{name}")
+            for name in ("use_clue_tracing", "use_contrastive", "use_graph")
+        }
+        heads = check_kind(meta["heads"], int, "meta.heads")
+        if heads < 1:
+            raise ValueError(f"meta.heads must be an integer of at least 1, got {heads!r}")
         vocabs = {
             Task(name): LabelVocab(Task(name), entries)
             for name, entries in meta["vocabs"].items()
@@ -225,7 +204,7 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
             Lexicon.from_dict(meta["lexicon"]) if meta.get("lexicon") is not None else None
         )
         anchors_doc = meta.get("anchors")
-        anchors = SectionAnchors(**anchors_doc) if anchors_doc is not None else None
+        anchors = SectionAnchors.from_dict(anchors_doc) if anchors_doc is not None else None
         table = None
         table_path = meta.get("embeddings_path")
         if table_path:
@@ -239,12 +218,10 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
             lexicon=lexicon,
             anchors=anchors,
             threshold=check_threshold(meta["threshold"], "meta.threshold"),
-            use_clue_tracing=meta["toggles"]["use_clue_tracing"],
-            use_contrastive=meta["toggles"]["use_contrastive"],
-            use_graph=meta["toggles"]["use_graph"],
-            heads=meta["heads"],
-            leaky_slope=meta["leaky_slope"],
-            seed=meta["seed"],
+            **toggles,
+            heads=heads,
+            leaky_slope=check_kind(meta["leaky_slope"], float, "meta.leaky_slope"),
+            seed=check_seed(meta["seed"], "meta.seed"),
             embeddings_path=table_path,
             table=table,
         )

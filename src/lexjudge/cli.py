@@ -17,7 +17,7 @@ from .config import RunConfig, load_run_config
 from .corpus import Corpus, Task, load_corpus, filter_scenario, split
 from .clues import load_lexicon
 from .contrastive import train_contrastive
-from .encoder import label_key, load_embedding_table
+from .encoder import label_key, load_embedding_table, write_embedding_table
 from .errors import ConfigError, DataError, DivergenceError, LexjudgeError
 from .metrics import MetricsReport, ablation_table
 from .rng import derive
@@ -129,11 +129,21 @@ def _write_tsv(path: str, header: list[str], rows: list[tuple]) -> None:
             )
 
 
-def _write_metrics(out_dir: str, name: str, reports: dict[Task, MetricsReport]) -> None:
-    doc = {task.value: reports[task].as_dict() for task in reports}
-    with open(os.path.join(out_dir, f"{name}.json"), "w", encoding="utf-8", newline="\n") as fh:
+def _write_json(path: str, doc) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, ensure_ascii=False, indent=2)
         fh.write("\n")
+
+
+def _write_jsonl(path: str, records) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for record in records:
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def _write_metrics(out_dir: str, name: str, reports: dict[Task, MetricsReport]) -> None:
+    doc = {task.value: reports[task].as_dict() for task in reports}
+    _write_json(os.path.join(out_dir, f"{name}.json"), doc)
     rows = [
         (task.value, r.acc, r.mp, r.mr, r.f1) for task, r in reports.items()
     ]
@@ -169,20 +179,13 @@ def _pipeline_kwargs(cfg: RunConfig, train_overrides: dict | None = None) -> dic
 
 
 def _write_embeddings(path: str, model: FittedModel, train_corpus: Corpus) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"#dim {model.dim}\n")
-        for case in train_corpus:
-            vec = model.fact_vector(case)
-            fh.write(case.id + "\t" + " ".join(repr(float(v)) for v in vec) + "\n")
-        for task in model.tasks:
-            matrix = model.label_matrices[task]
-            for label_id in range(matrix.shape[0]):
-                fh.write(
-                    label_key(task, label_id)
-                    + "\t"
-                    + " ".join(repr(float(v)) for v in matrix[label_id])
-                    + "\n"
-                )
+    rows = [(case.id, model.fact_vector(case)) for case in train_corpus]
+    rows += [
+        (label_key(task, label_id), vector)
+        for task in model.tasks
+        for label_id, vector in enumerate(model.label_matrices[task])
+    ]
+    write_embedding_table(path, model.dim, rows)
 
 
 def cmd_trace(args) -> int:
@@ -193,21 +196,16 @@ def cmd_trace(args) -> int:
     if not out_path:
         out_path = os.path.join(_out_dir(cfg, None), "clues.jsonl")
     clue_sets = [case_clues(case, lexicon, anchors, cfg.threshold, True) for case in corpus]
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        for case, clue in zip(corpus, clue_sets):
-            fh.write(
-                json.dumps(
-                    {
-                        "id": case.id,
-                        "motivation": clue.motivation,
-                        "action": clue.action,
-                        "harm": clue.harm,
-                        "provenance": {k: v.value for k, v in clue.provenance.items()},
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    _write_jsonl(out_path, (
+        {
+            "id": case.id,
+            "motivation": clue.motivation,
+            "action": clue.action,
+            "harm": clue.harm,
+            "provenance": {k: v.value for k, v in clue.provenance.items()},
+        }
+        for case, clue in zip(corpus, clue_sets)
+    ))
     print(f"traced {len(corpus)} cases -> {out_path}")
     return EXIT_OK
 
@@ -313,9 +311,7 @@ def cmd_predict(args) -> int:
     model = _load_trained(args.checkpoint)
     corpus = load_corpus(args.input)
     rows = predict_records(model, corpus)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    _write_jsonl(args.out, rows)
     print(f"wrote {len(rows)} predictions -> {args.out}")
     return EXIT_OK
 
@@ -364,17 +360,10 @@ def cmd_ablate(args) -> int:
     table_path = os.path.join(out_dir, "ablation.tsv")
     with open(table_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(table)
-    with open(os.path.join(out_dir, "ablation.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(
-            {
-                name: {task.value: r.as_dict() for task, r in per_task.items()}
-                for name, per_task in reports.items()
-            },
-            fh,
-            ensure_ascii=False,
-            indent=2,
-        )
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "ablation.json"), {
+        name: {task.value: r.as_dict() for task, r in per_task.items()}
+        for name, per_task in reports.items()
+    })
     print(f"ablation table -> {table_path}")
     return EXIT_OK
 

@@ -11,17 +11,18 @@ extraction is total.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .base import BaseEstimator
 from .errors import ConfigError, NotFittedError
+from .validation import read_input
 
 if TYPE_CHECKING:
     from .corpus import CriminalCase
 
 CLUE_FIELDS = ("motivation", "action", "harm")
+SECTION_NAMES = ("statement", "date", "location", "process")
 
 
 class Provenance(enum.Enum):
@@ -61,8 +62,20 @@ class SectionAnchors:
     process: str
 
     def __post_init__(self):
-        for name in ("statement", "date", "location", "process"):
+        for name in SECTION_NAMES:
             _check_text(getattr(self, name), f"{name} anchor")
+
+    @classmethod
+    def from_dict(cls, obj: Mapping) -> "SectionAnchors":
+        """The anchors of a lexicon's ``sections`` object or a checkpoint's
+        ``meta.anchors``: one phrase per section name, and no other key."""
+        unknown = sorted(set(obj) - set(SECTION_NAMES))
+        if unknown:
+            raise ValueError(f"unknown section anchor key(s) {unknown}")
+        return cls(*(obj[name] for name in SECTION_NAMES))
+
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name) for name in SECTION_NAMES}
 
 
 @dataclass(frozen=True)
@@ -123,25 +136,11 @@ class Lexicon:
 
 def load_lexicon(path) -> tuple[Lexicon, SectionAnchors]:
     """Read a lexicon JSON file; returns the term lexicon and section anchors."""
+    obj = read_input(path, "lexicon file", ConfigError, as_json=True)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read lexicon file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"lexicon file {path} is not valid JSON: {exc}") from exc
-    try:
-        lexicon = Lexicon.from_dict(obj)
-        sections = obj["sections"]
-        anchors = SectionAnchors(
-            statement=sections["statement"],
-            date=sections["date"],
-            location=sections["location"],
-            process=sections["process"],
-        )
+        return Lexicon.from_dict(obj), SectionAnchors.from_dict(obj["sections"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"lexicon file {path} has an invalid schema: {exc}") from exc
-    return lexicon, anchors
 
 
 @dataclass(frozen=True)

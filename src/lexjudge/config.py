@@ -7,8 +7,6 @@ desk-scale runs override them in the file.
 
 from __future__ import annotations
 
-import json
-import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -21,7 +19,7 @@ from .encoder import DropoutSpec, HashedEncoderParams
 from .errors import ConfigError
 from .rng import derive
 from .trainer import TrainConfig
-from .validation import check_threshold
+from .validation import check_kind, check_seed, check_threshold, read_input
 
 CONFIG_VERSION = 1
 SEED_ENV_VAR = "SEMDR_SEED"
@@ -54,24 +52,13 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
-_KINDS = {bool: "a JSON boolean", int: "an integer", float: "a number"}
-
-
 def _get(section: dict, path: str, default, kind: type):
     """The value at ``path`` (``"<section>.<key>"``), else ``default``,
-    checked to be of ``kind`` and converted to it; a bool is never an int
-    or a float. A key whose default is None may stay None."""
+    checked by ``check_kind``. A key whose default is None may stay None."""
     value = section.get(path.split(".", 1)[1], default)
     if value is None and default is None:
         return None
-    if kind is bool:
-        ok = isinstance(value, bool)
-    else:
-        number = numbers.Integral if kind is int else numbers.Real
-        ok = isinstance(value, number) and not isinstance(value, bool)
-    if not ok:
-        raise ConfigError(f"{path} must be {_KINDS[kind]}, got {value!r}")
-    return kind(value)
+    return check_kind(value, kind, path, ConfigError)
 
 
 @contextmanager
@@ -207,13 +194,7 @@ class RunConfig:
 
 def load_run_config(path, seed_flag: int | None = None) -> RunConfig:
     """Read and validate a config file, applying the seed precedence."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    doc = read_input(path, "config file", ConfigError, as_json=True)
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     _check_keys(doc, _TOP_LEVEL_KEYS, "config")
@@ -248,8 +229,7 @@ def load_run_config(path, seed_flag: int | None = None) -> RunConfig:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}") from None
     if seed_flag is not None:
         seed = seed_flag
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < (1 << 64):
-        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    check_seed(seed, "seed", ConfigError)
 
     backend = doc.get("encoder", {}).get("backend", "hashed")
     if backend not in ("hashed", "precomputed"):

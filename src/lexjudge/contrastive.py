@@ -45,7 +45,7 @@ class ContrastiveConfig:
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
         check_positive(self.learning_rate, "learning_rate")
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 def _sample_negatives(n: int, count: int, seed: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 from .clues import SectionMap
 from .errors import DataError
 from .rng import SplitMix64, derive
-from .validation import check_fraction, check_seed
+from .validation import check_fraction, check_seed, read_input
 
 
 class Task(enum.Enum):
@@ -230,12 +230,7 @@ def load_corpus(path) -> Corpus:
     Raises DataError for I/O problems, malformed lines (naming the line
     number), duplicate ids, and empty files.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read corpus file {path}: {exc}") from exc
-    lines = text.split("\n")
+    lines = read_input(path, "corpus file", DataError).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     records = []
@@ -368,7 +363,7 @@ class SplitSpec:
 
     def __post_init__(self):
         check_fraction(self.train_fraction, "train_fraction")
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 def split(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus]:

@@ -17,9 +17,8 @@ projection's row count or the table's ``#dim``.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .autodiff import Tensor
 from .clues import ClueSet
 from .errors import DataError
 from .rng import derive, fnv1a_64, glorot_uniform, stream_uniform
-from .validation import check_finite, check_positive, check_unit_rate
+from .validation import check_finite, check_kind, check_positive, check_unit_rate, read_input
 
 if TYPE_CHECKING:
     from .corpus import Task
@@ -66,10 +65,7 @@ class HashedEncoderParams:
         self.projection = np.asarray(self.projection, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
         for name in ("bucket_count", "ngram_min", "ngram_max"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
+            setattr(self, name, check_kind(getattr(self, name), int, name))
         if self.ngram_min > self.ngram_max:
             raise ValueError("ngram_min must not exceed ngram_max")
         if self.ngram_min < 1:
@@ -249,11 +245,7 @@ def label_key(task: "Task", label_id: int) -> str:
 
 def load_embedding_table(path) -> EmbeddingTable:
     """Parse the embedding TSV: header ``#dim <D>`` then ``<id>\\t<v1> ... <vD>``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except OSError as exc:
-        raise DataError(f"cannot read embedding file {path}: {exc}") from exc
+    lines = read_input(path, "embedding file", DataError).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -287,3 +279,13 @@ def load_embedding_table(path) -> EmbeddingTable:
             raise DataError(f"embedding file {path} line {lineno}: non-finite value")
         vectors[parts[0]] = vec
     return EmbeddingTable(dim, vectors)
+
+
+def write_embedding_table(path, dim: int, rows: Iterable[tuple[str, np.ndarray]]) -> None:
+    """Write ``(id, vector)`` rows as the TSV ``load_embedding_table`` reads,
+    each value as its shortest round-trip ``repr``, so vectors reload
+    bit-identically and in order."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"#dim {dim}\n")
+        for key, vec in rows:
+            fh.write(key + "\t" + " ".join(repr(float(v)) for v in vec) + "\n")

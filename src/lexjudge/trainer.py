@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from . import encoder
 from .autodiff import Tensor
 from .clues import ClueSet, Lexicon, SectionAnchors, extract_clues, full_text_clues
 from .contrastive import ContrastiveConfig, train_contrastive
@@ -31,9 +32,7 @@ from .encoder import (
     apply_dropout_noise,
     clue_text,
     encode_fact,
-    featurize,
     label_key,
-    project_features,
     tanh_projection,
 )
 from .errors import ConfigError, DataError, DivergenceError, LexjudgeError
@@ -136,7 +135,7 @@ class TrainConfig:
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be positive when set")
         check_unit_rate(self.dropout_rate, "dropout_rate")
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 def _cross_entropy(facts: Tensor, labels: Tensor, gold: np.ndarray) -> Tensor:
@@ -381,10 +380,7 @@ def fit_model(
         raise ConfigError("exactly one of encoder_params or table must be given")
     if len(train_corpus) == 0:
         raise DataError("training corpus is empty")
-    try:
-        check_threshold(threshold)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    threshold = check_threshold(threshold, error=ConfigError)
     hashed = encoder_params is not None
     dim = encoder_params.output_dim if hashed else table.dim
     if train_cfg.use_graph and dim % train_cfg.heads:
@@ -416,11 +412,11 @@ def fit_model(
             # node vectors and the unfrozen encoder inputs all derive from them.
             texts = [clue_text(clues) for clues in fact_inputs]
             texts += [train_corpus.vocab(task).surface(i) for task, i in label_pairs]
-            text_features = np.stack([featurize(text, encoder_params) for text in texts])
+            text_features = np.stack([encoder.featurize(text, encoder_params) for text in texts])
 
         def node_matrix(encoder_params: HashedEncoderParams | None) -> np.ndarray:
             if hashed:
-                vectors = [project_features(row, encoder_params) for row in text_features]
+                vectors = [encoder.project_features(row, encoder_params) for row in text_features]
             else:
                 vectors = [table[case.id] for case in fact_inputs]
                 vectors += [table[label_key(task, i)] for task, i in label_pairs]

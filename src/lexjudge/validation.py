@@ -1,8 +1,48 @@
-"""Input validation helpers shared by the public API."""
+"""Input validation shared by the public API: the one reader of input
+files and the checks on values read from them."""
 
 from __future__ import annotations
 
+import json
+import numbers
+
 import numpy as np
+
+_KIND_NAMES = {bool: "a JSON boolean", int: "an integer", float: "a number"}
+
+
+def read_input(path, what: str, error: type[Exception], as_json: bool = False):
+    """The text of the input file at ``path``, or with ``as_json`` its JSON
+    document; a file that cannot be read, or is not valid JSON, raises
+    ``error`` naming it as ``what`` (e.g. ``"lexicon file"``)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh) if as_json else fh.read()
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def is_kind(value, kind: type) -> bool:
+    """Whether ``value`` is of ``kind``: a boolean for ``bool``, any integral
+    number for ``int``, any real number for ``float``; a bool is never an
+    integer or a number."""
+    if kind is bool:
+        return isinstance(value, bool)
+    number = numbers.Integral if kind is int else numbers.Real
+    return isinstance(value, number) and not isinstance(value, bool)
+
+
+def check_kind(value, kind: type, name: str, error: type[Exception] = ValueError):
+    """``value`` converted to ``kind`` when ``is_kind`` holds; otherwise, or
+    for an integer too large for a float, raises ``error`` naming ``name``."""
+    if is_kind(value, kind):
+        try:
+            return kind(value)
+        except OverflowError:
+            pass
+    raise error(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
 def check_vector(x, name: str = "x", dim: int | None = None) -> np.ndarray:
@@ -50,11 +90,11 @@ def check_unit_rate(value: float, name: str = "rate") -> float:
     return value
 
 
-def check_threshold(value, name: str = "threshold") -> float:
-    """Clue-match similarity threshold: a number in (0, 1]."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= 1:
-        raise ValueError(f"{name} must be a number in (0, 1], got {value!r}")
-    return value
+def check_threshold(value, name: str = "threshold", error: type[Exception] = ValueError) -> float:
+    """Clue-match similarity threshold: a number in (0, 1], as a float."""
+    if not is_kind(value, float) or not 0 < value <= 1:
+        raise error(f"{name} must be a number in (0, 1], got {value!r}")
+    return float(value)
 
 
 def check_positive(value, name: str = "value"):
@@ -63,7 +103,8 @@ def check_positive(value, name: str = "value"):
     return value
 
 
-def check_seed(value, name: str = "seed") -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < (1 << 64):
-        raise ValueError(f"{name} must be an unsigned 64-bit integer")
-    return value
+def check_seed(value, name: str = "seed", error: type[Exception] = ValueError) -> int:
+    """``value`` as a Python int, if it is an integer in [0, 2**64)."""
+    if not is_kind(value, int) or not 0 <= value < (1 << 64):
+        raise error(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+    return int(value)

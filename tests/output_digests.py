@@ -12,9 +12,10 @@ The script imports the ``src`` tree of its own checkout. It covers:
   per charge, seed 8; split 0.8 with seed 14; dim 16, 256 buckets; 3
   contrastive and 15 graph epochs; model seed 77; 4 heads): the checkpoint
   bytes, and the Python ``repr`` of ``loss_log`` and ``attention``;
-* the CLI ``trace``, ``pretrain``, ``train``, ``evaluate`` and ``predict``
-  outputs on ``tests/data/trace_corpus.jsonl`` with ``lexicon.json`` (seed
-  11, dim 16, 256 buckets, 3 contrastive and 25 graph epochs);
+* the CLI ``trace``, ``pretrain``, ``train``, ``evaluate``, ``predict`` and
+  ``ablate --grid full,no_graph`` outputs on ``tests/data/trace_corpus.jsonl``
+  with ``lexicon.json`` (seed 11, dim 16, 256 buckets, 3 contrastive and 25
+  graph epochs);
 * the checkpoint of the benchmark's fit recipe on the fit-confusable
   inputs of workload seed 111 (about 10 s).
 """
@@ -122,6 +123,8 @@ def cli_digests(work: Path):
         ["predict", "--checkpoint", str(work / "train" / "checkpoint.json"),
          "--in", str(data / "trace_corpus.jsonl"),
          "--out", str(work / "predict" / "predictions.jsonl")],
+        ["ablate", "--config", str(config), "--grid", "full,no_graph",
+         "--out", str(work / "ablate")],
     ]
     for argv in commands:
         for folder in ("trace", "predict"):
@@ -130,7 +133,7 @@ def cli_digests(work: Path):
             code = main(argv)
         if code != 0:
             raise SystemExit(f"lexjudge {argv[0]} exited {code}")
-    for folder in ("trace", "pretrain", "train", "evaluate", "predict"):
+    for folder in ("trace", "pretrain", "train", "evaluate", "predict", "ablate"):
         for path in sorted((work / folder).iterdir()):
             yield f"CLI {folder}/{path.name}", path.read_bytes()
 

@@ -64,7 +64,7 @@ class TestCheckpointSchema:
         assert set(doc["meta"]["vocabs"]) == {"imprisonment", "charge", "article"}
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="cannot read checkpoint .*missing.json"):
             load_checkpoint(tmp_path / "missing.json")
 
     def test_invalid_json(self, tmp_path):
@@ -183,6 +183,9 @@ class TestExactArrays:
         decoded = decode_array([[1.0, -0.0], [5e-324, 2.0]], "x", version=1)
         assert decoded.dtype == np.float64 and decoded.flags.writeable
         assert (bits(decoded) == bits([[1.0, -0.0], [5e-324, 2.0]])).all()
+        for element in ("0.5", True):
+            with pytest.raises(ValueError, match=f"x element must be a number, got {element!r}"):
+                decode_array([[1.0, -0.0], [element, 2.0]], "x", version=1)
 
 
 class TestVersion1Compatibility:
@@ -224,3 +227,17 @@ class TestVersion1Compatibility:
             ]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] and outputs[0] == outputs[1]
+
+    def test_v1_element_that_is_not_a_number_exits_3(self, fitted, tmp_path, capsys):
+        _, old = self.write_both(fitted, tmp_path)
+        doc = json.loads(old.read_text(encoding="utf-8"))
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps(synth.separable_records(2, seed=3)[0]) + "\n")
+        for element in ("0.5", True, 10**400):
+            doc["encoder"]["bias"][0] = element
+            old.write_text(json.dumps(doc), encoding="utf-8")
+            assert main([
+                "predict", "--checkpoint", str(old), "--in", str(corpus),
+                "--out", str(tmp_path / "predictions.jsonl"),
+            ]) == 3
+            assert "encoder.bias element must be a number" in capsys.readouterr().err

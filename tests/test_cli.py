@@ -87,6 +87,10 @@ LEXICON_EDITS = {
         lambda lexicon, anchors: anchors.update(process=5),
         "process anchor must be a string, got 5",
     ),
+    "section-anchor-unknown-key": (
+        lambda lexicon, anchors: anchors.update(preamble="[PREAMBLE]"),
+        "unknown section anchor key(s) ['preamble']",
+    ),
 }
 
 
@@ -359,6 +363,18 @@ MISTYPED_META = {
     "heads-bool": (lambda meta: meta.update(heads=True), "meta.heads must be an integer"),
     "heads-zero": (lambda meta: meta.update(heads=0), "meta.heads must be an integer"),
     "heads-float": (lambda meta: meta.update(heads=4.0), "meta.heads must be an integer"),
+    "leaky-slope-string": (
+        lambda meta: meta.update(leaky_slope="steep"),
+        "meta.leaky_slope must be a number, got 'steep'",
+    ),
+    "leaky-slope-bool": (
+        lambda meta: meta.update(leaky_slope=True),
+        "meta.leaky_slope must be a number, got True",
+    ),
+    "leaky-slope-beyond-float": (
+        lambda meta: meta.update(leaky_slope=10**400),
+        "meta.leaky_slope must be a number, got 1000",
+    ),
 }
 
 

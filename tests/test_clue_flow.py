@@ -4,6 +4,7 @@ and every call goes through ``lexjudge.trainer.extract_clues``, the name
 the benchmark's tracer wraps."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,18 +88,31 @@ def namespaces():
 
 def test_bench_tracer_installs_and_restores():
     """Every name ``bench/spans.py`` wraps still exists, its wrappers accept
-    the calls a fit and a prediction make, and leaving the block puts every
-    original back."""
+    the calls a fit and a prediction make, they see every featurize call
+    (counted by code object, whatever name the caller used), and leaving
+    the block puts every original back."""
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=3, seed=17)
     before = [dict(vars(ns)) for ns in namespaces()]
+    featurize_code = lexjudge.encoder.featurize.__code__
+    featurize_calls = []
+
+    def count_featurize(frame, event, arg):
+        if event == "call" and frame.f_code is featurize_code:
+            featurize_calls.append(None)
+
     tracer = spans.Tracer(enabled=True)
-    with tracer.install():
-        assert trainer.extract_clues is not before[0]["extract_clues"]
-        model = fit(corpus, lexicon, anchors).model
-        trainer.predict_records(model, corpus)
+    sys.setprofile(count_featurize)
+    try:
+        with tracer.install():
+            assert trainer.extract_clues is not before[0]["extract_clues"]
+            model = fit(corpus, lexicon, anchors).model
+            trainer.predict_records(model, corpus)
+    finally:
+        sys.setprofile(None)
+    assert tracer.counts["featurize_calls"] == len(featurize_calls) > 0
     for old, ns in zip(before, namespaces()):
         now = dict(vars(ns))
         assert now.keys() == old.keys()

@@ -362,8 +362,14 @@ class TestLexiconValidation:
         assert anchors.process == "[PROCESS]"
 
     def test_load_lexicon_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="cannot read lexicon file .*nope.json"):
             load_lexicon(tmp_path / "nope.json")
+
+    def test_load_lexicon_invalid_json(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{nope", encoding="utf-8")
+        with pytest.raises(ConfigError, match="lexicon file .*broken.json is not valid JSON"):
+            load_lexicon(path)
 
 
 class TestClueTracer:

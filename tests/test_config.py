@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import synth
-from lexjudge import ConfigError, Corpus, ScenarioKind, Task
+from lexjudge import (
+    ConfigError, ContrastiveConfig, Corpus, ScenarioKind, SplitSpec, Task, TrainConfig,
+)
 from lexjudge.config import RunConfig, load_run_config
 
 
@@ -37,6 +39,18 @@ class TestLoadRunConfig:
         contrastive = cfg.contrastive_config()
         assert contrastive.temperature == 0.05
         assert contrastive.negatives_per_anchor == 7
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "cannot read config file"), ("{nope", "config file .* is not valid JSON")],
+        ids=["missing", "invalid-json"],
+    )
+    def test_unreadable_file(self, tmp_path, text, message):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=message):
+            load_run_config(path)
 
     def test_version_required(self, tmp_path):
         with pytest.raises(ConfigError, match="version"):
@@ -166,6 +180,17 @@ class TestValueTypes:
         assert train.leaky_slope == 0.0 and type(train.leaky_slope) is float
         assert cfg.encoder_params().output_dim == 8
         assert cfg.threshold == 0.75 and type(cfg.threshold) is float
+
+    @pytest.mark.parametrize(
+        "make",
+        [TrainConfig, ContrastiveConfig, lambda seed: SplitSpec(0.8, seed=seed)],
+        ids=["train", "contrastive", "split"],
+    )
+    def test_numpy_integer_seed_is_stored_as_int(self, make):
+        """The seed check takes any integer, as every integer key does; the
+        config keeps a Python int, the type the splitmix64 arithmetic needs."""
+        seed = make(seed=np.int64(11)).seed
+        assert seed == 11 and type(seed) is int
 
     def test_null_batch_size_means_full_batch(self):
         assert RunConfig(train={"batch_size": None}).train_config().batch_size is None

@@ -43,6 +43,10 @@ class TestLoadCorpus:
         assert corpus.vocab(Task.ARTICLE).size == 2
         assert corpus.vocab(Task.IMPRISONMENT).size == 1
 
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read corpus file .*missing.jsonl"):
+            load_corpus(tmp_path / "missing.jsonl")
+
     def test_empty_file_is_an_error(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")

@@ -19,7 +19,9 @@ from lexjudge import (
     featurize,
     load_embedding_table,
 )
-from lexjudge.encoder import CLUE_SEPARATOR, clue_text, label_key, project_features
+from lexjudge.encoder import (
+    CLUE_SEPARATOR, clue_text, label_key, project_features, write_embedding_table,
+)
 from lexjudge.corpus import Task
 from lexjudge.rng import fnv1a_64
 
@@ -235,6 +237,28 @@ class TestEmbeddingTable:
         assert table.dim == 3
         assert np.array_equal(table["case-1"], [0.5, -1.25, 3.0])
         assert np.array_equal(table[label_key(Task.CHARGE, 0)], [1, 2, 3])
+
+    def test_writer_round_trips_bit_exactly_in_order(self, tmp_path):
+        """Every value, -0.0, a subnormal and +-1e308 included, reloads with
+        the same bits, and the ids stay in the order written."""
+        rows = [
+            ("case-2", np.array([-0.0, 5e-324, 0.1])),
+            ("case-1", np.array([1e308, -1e308, 1 / 3])),
+            (label_key(Task.CHARGE, 0), np.array([2.5, -1.25, 7.0])),
+        ]
+        path = tmp_path / "emb.tsv"
+        write_embedding_table(path, 3, rows)
+        table = load_embedding_table(path)
+        assert len(table) == len(rows)
+        assert [line.split("\t")[0] for line in path.read_text().splitlines()[1:]] == [
+            key for key, _ in rows
+        ]
+        for key, vector in rows:
+            assert (table[key].view(np.int64) == vector.view(np.int64)).all()
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read embedding file .*missing.tsv"):
+            load_embedding_table(tmp_path / "missing.tsv")
 
     def test_label_key_convention(self):
         assert label_key(Task.ARTICLE, 2) == "article:2"

@@ -279,7 +279,7 @@ class TestFitWork:
 
             return wrapper
 
-        for module in (lexjudge.encoder, lexjudge.trainer, lexjudge.contrastive):
+        for module in (lexjudge.encoder, lexjudge.contrastive):
             monkeypatch.setattr(module, "featurize", featurize(module.featurize))
         for module in (lexjudge.graph, lexjudge.trainer):
             monkeypatch.setattr(
