@@ -31,7 +31,9 @@ from .corpus import LabelVocab, Task, TASKS
 from .encoder import HashedEncoderParams, load_embedding_table
 from .errors import DataError
 from .trainer import AdamState, FittedModel
-from .validation import check_kind, check_seed, check_threshold, is_kind, read_input
+from .validation import (
+    check_kind, check_object, check_seed, check_threshold, is_kind, read_input, write_output,
+)
 
 FORMAT_VERSION = 2
 ARRAY_DTYPE = "<f8"
@@ -137,7 +139,8 @@ def build_checkpoint(model: FittedModel, optimizer: AdamState | None = None) -> 
 
 
 def save_checkpoint(path, model: FittedModel, optimizer: AdamState | None = None) -> None:
-    """Write the checkpoint document. A relative ``meta.embeddings_path``
+    """Write the checkpoint document with ``write_output``, so a path that
+    cannot be written is a ``ConfigError``. A relative ``meta.embeddings_path``
     (relative to the current directory) is rewritten relative to the
     checkpoint's own directory, so the checkpoint loads from anywhere."""
     doc = build_checkpoint(model, optimizer)
@@ -146,9 +149,7 @@ def save_checkpoint(path, model: FittedModel, optimizer: AdamState | None = None
         doc["meta"]["embeddings_path"] = os.path.relpath(
             table_path, os.path.dirname(os.path.abspath(path))
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, ensure_ascii=False)
-        fh.write("\n")
+    write_output(path, json.dumps(doc, ensure_ascii=False) + "\n")
 
 
 def load_checkpoint(path) -> tuple[FittedModel, dict]:
@@ -184,7 +185,7 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
             raise ValueError(f"meta.heads must be an integer of at least 1, got {heads!r}")
         vocabs = {
             Task(name): LabelVocab(Task(name), entries)
-            for name, entries in meta["vocabs"].items()
+            for name, entries in check_object(meta["vocabs"], "meta.vocabs").items()
         }
         encoder_doc = doc["encoder"]
         encoder_params = None
@@ -196,9 +197,11 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
                 ngram_min=encoder_doc["ngram_min"],
                 ngram_max=encoder_doc["ngram_max"],
             )
+        graph = check_object(doc["graph"], "graph")
+        matrices = check_object(graph.get("label_matrices", {}), "graph.label_matrices")
         label_matrices = {
             Task(name): decode_array(matrix, f"graph.label_matrices.{name}", version)
-            for name, matrix in doc["graph"].get("label_matrices", {}).items()
+            for name, matrix in matrices.items()
         }
         lexicon = (
             Lexicon.from_dict(meta["lexicon"]) if meta.get("lexicon") is not None else None

@@ -11,12 +11,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_run_config
 from .corpus import Corpus, Task, load_corpus, filter_scenario, split
 from .clues import load_lexicon
-from .contrastive import train_contrastive
 from .encoder import label_key, load_embedding_table, write_embedding_table
 from .errors import ConfigError, DataError, DivergenceError, LexjudgeError
 from .metrics import MetricsReport, ablation_table
@@ -25,9 +25,12 @@ from .trainer import (
     FittedModel,
     case_clues,
     evaluate_model,
+    fit_model,
     predict_records,
     run_pipeline,
+    training_split,
 )
+from .validation import write_output
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -98,47 +101,37 @@ def _out_dir(cfg: RunConfig, override: str | None) -> str:
     path = override or cfg.paths.get("output_dir")
     if not path:
         raise ConfigError("an output directory is required (paths.output_dir or --out)")
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
     return path
 
 
 def _load_inputs(cfg: RunConfig, corpus_override: str | None = None):
-    corpus_path = corpus_override or cfg.path("corpus", required=True)
-    if corpus_override and not os.path.exists(corpus_override):
-        raise DataError(f"corpus file does not exist: {corpus_override}")
-    corpus = load_corpus(corpus_path)
+    corpus = load_corpus(corpus_override or cfg.path("corpus", required=True))
     scenario = cfg.scenario_spec(corpus)
     if scenario is not None:
         corpus = filter_scenario(corpus, scenario, seed=derive(cfg.seed, "scenario"))
     return corpus
 
 
-def _load_lexicon(cfg: RunConfig):
-    lexicon_path = cfg.path("lexicon", required=True)
-    return load_lexicon(lexicon_path)
-
-
 def _write_tsv(path: str, header: list[str], rows: list[tuple]) -> None:
     # floats go through the shortest round-trip repr (numpy scalars coerced)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                "\t".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
-                + "\n"
-            )
+    lines = ["\t".join(header)]
+    lines += [
+        "\t".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+        for row in rows
+    ]
+    write_output(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: str, doc) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, ensure_ascii=False, indent=2)
-        fh.write("\n")
+    write_output(path, json.dumps(doc, ensure_ascii=False, indent=2) + "\n")
 
 
 def _write_jsonl(path: str, records) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_output(path, "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records))
 
 
 def _write_metrics(out_dir: str, name: str, reports: dict[Task, MetricsReport]) -> None:
@@ -159,17 +152,15 @@ def _print_metrics(reports: dict[Task, MetricsReport]) -> None:
         )
 
 
-def _pipeline_kwargs(cfg: RunConfig, train_overrides: dict | None = None) -> dict:
+def _pipeline_kwargs(cfg: RunConfig) -> dict:
     kwargs: dict = {
         "threshold": cfg.threshold,
         "split_spec": cfg.split_spec(),
         "contrastive_cfg": cfg.contrastive_config(),
-        "train_cfg": cfg.train_config(train_overrides),
+        "train_cfg": cfg.train_config(),
     }
     if cfg.backend == "hashed":
-        lexicon, anchors = _load_lexicon(cfg)
-        kwargs["lexicon"] = lexicon
-        kwargs["anchors"] = anchors
+        kwargs["lexicon"], kwargs["anchors"] = load_lexicon(cfg.path("lexicon", required=True))
         kwargs["encoder_params"] = cfg.encoder_params()
     else:
         embeddings_path = cfg.path("embeddings", required=True)
@@ -190,7 +181,7 @@ def _write_embeddings(path: str, model: FittedModel, train_corpus: Corpus) -> No
 
 def cmd_trace(args) -> int:
     cfg = load_run_config(args.config)
-    lexicon, anchors = _load_lexicon(cfg)
+    lexicon, anchors = load_lexicon(cfg.path("lexicon", required=True))
     corpus = _load_inputs(cfg, args.input)
     out_path = args.out
     if not out_path:
@@ -215,37 +206,20 @@ def cmd_pretrain(args) -> int:
     if cfg.backend != "hashed":
         raise ConfigError("pretrain requires the hashed encoder backend")
     out_dir = _out_dir(cfg, args.out)
-    kwargs = _pipeline_kwargs(cfg)
     corpus = _load_inputs(cfg)
-    train_cfg = kwargs["train_cfg"]
-    train_part, _, _ = split(corpus, kwargs["split_spec"])
-    clue_sets = [
-        case_clues(
-            case, kwargs["lexicon"], kwargs["anchors"], cfg.threshold,
-            train_cfg.use_clue_tracing,
-        )
-        for case in train_part
-    ]
-    params, history = train_contrastive(
-        kwargs["encoder_params"], clue_sets, kwargs["contrastive_cfg"]
-    )
-    model = FittedModel.trained(
-        train_cfg,
-        corpus.vocabs,
-        encoder_params=params,
-        lexicon=kwargs["lexicon"],
-        anchors=kwargs["anchors"],
-        threshold=cfg.threshold,
-    )
-    save_checkpoint(os.path.join(out_dir, "checkpoint.json"), model)
-    _write_tsv(
-        os.path.join(out_dir, "contrastive_loss.tsv"),
-        ["epoch", "mean_loss"],
-        [(epoch, value) for epoch, value in enumerate(history)],
-    )
-    if history:
-        print(f"contrastive: {len(history)} epochs, first {history[0]:.5f} last {history[-1]:.5f}")
-    print(f"checkpoint -> {os.path.join(out_dir, 'checkpoint.json')}")
+    kwargs = _pipeline_kwargs(cfg)
+    # ``train``'s stages 1 and 2 on its training split; the encoder stage 3
+    # would start from is kept, the untrained label matrices dropped.
+    train_part, _, _ = training_split(corpus, kwargs.pop("split_spec"))
+    kwargs["train_cfg"] = replace(kwargs["train_cfg"], epochs=0)
+    result = fit_model(train_part, **kwargs)
+    rows = [(epoch, value) for stage, epoch, value in result.loss_log if stage == "contrastive"]
+    checkpoint_path = os.path.join(out_dir, "checkpoint.json")
+    save_checkpoint(checkpoint_path, replace(result.model, label_matrices={}))
+    _write_tsv(os.path.join(out_dir, "contrastive_loss.tsv"), ["epoch", "mean_loss"], rows)
+    if rows:
+        print(f"contrastive: {len(rows)} epochs, first {rows[0][1]:.5f} last {rows[-1][1]:.5f}")
+    print(f"checkpoint -> {checkpoint_path}")
     return EXIT_OK
 
 
@@ -337,15 +311,15 @@ def cmd_ablate(args) -> int:
     out_dir = _out_dir(cfg, args.out)
     names = _parse_grid(args.grid)
     corpus = _load_inputs(cfg)
+    kwargs = _pipeline_kwargs(cfg)
     reports: dict[str, dict[Task, MetricsReport]] = {}
     for name in names:
         clue, contrastive, graph = ABLATION_COMBOS[name]
-        overrides = {
-            "use_clue_tracing": clue,
-            "use_contrastive": contrastive,
-            "use_graph": graph,
-        }
-        result = run_pipeline(corpus, **_pipeline_kwargs(cfg, overrides))
+        train_cfg = replace(
+            kwargs["train_cfg"],
+            use_clue_tracing=clue, use_contrastive=contrastive, use_graph=graph,
+        )
+        result = run_pipeline(corpus, **{**kwargs, "train_cfg": train_cfg})
         test_reports = (
             evaluate_model(result.model, result.test) if len(result.test) else {}
         )
@@ -358,8 +332,7 @@ def cmd_ablate(args) -> int:
         print(f"{name}: {summary}")
     table = ablation_table(reports, baseline="full")
     table_path = os.path.join(out_dir, "ablation.tsv")
-    with open(table_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(table)
+    write_output(table_path, table)
     _write_json(os.path.join(out_dir, "ablation.json"), {
         name: {task.value: r.as_dict() for task, r in per_task.items()}
         for name, per_task in reports.items()

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .base import BaseEstimator
 from .errors import ConfigError, NotFittedError
-from .validation import read_input
+from .validation import check_object, read_input
 
 if TYPE_CHECKING:
     from .corpus import CriminalCase
@@ -109,6 +109,7 @@ class Lexicon:
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "Lexicon":
+        obj = check_object(obj, "lexicon")
         templates = tuple(
             AreaTemplate(t["start"], t.get("end")) for t in obj.get("templates", ())
         )

@@ -133,10 +133,8 @@ class RunConfig:
         )
 
     @_section_values("train")
-    def train_config(self, overrides: dict | None = None) -> TrainConfig:
-        section = dict(self.train)
-        if overrides:
-            section.update(overrides)
+    def train_config(self) -> TrainConfig:
+        section = self.train
         tasks = section.get("tasks")
         if tasks is None:
             task_tuple = TASKS

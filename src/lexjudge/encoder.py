@@ -26,7 +26,9 @@ from .autodiff import Tensor
 from .clues import ClueSet
 from .errors import DataError
 from .rng import derive, fnv1a_64, glorot_uniform, stream_uniform
-from .validation import check_finite, check_kind, check_positive, check_unit_rate, read_input
+from .validation import (
+    check_finite, check_kind, check_positive, check_unit_rate, read_input, write_output,
+)
 
 if TYPE_CHECKING:
     from .corpus import Task
@@ -285,7 +287,6 @@ def write_embedding_table(path, dim: int, rows: Iterable[tuple[str, np.ndarray]]
     """Write ``(id, vector)`` rows as the TSV ``load_embedding_table`` reads,
     each value as its shortest round-trip ``repr``, so vectors reload
     bit-identically and in order."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"#dim {dim}\n")
-        for key, vec in rows:
-            fh.write(key + "\t" + " ".join(repr(float(v)) for v in vec) + "\n")
+    lines = [f"#dim {dim}\n"]
+    lines += [key + "\t" + " ".join(repr(float(v)) for v in vec) + "\n" for key, vec in rows]
+    write_output(path, "".join(lines))

@@ -512,6 +512,18 @@ class PipelineResult(FitResult):
     metrics: dict[Task, MetricsReport]
 
 
+def training_split(
+    corpus: Corpus, split_spec: SplitSpec | None = None
+) -> tuple[Corpus, Corpus, Corpus]:
+    """``split`` as the pipeline's stage ``split``: the (train, validation,
+    test) parts, an empty training part being a ``DataError``."""
+    with _stage("split"):
+        parts = split(corpus, split_spec or SplitSpec())
+        if len(parts[0]) == 0:
+            raise DataError("split produced an empty training set")
+    return parts
+
+
 def run_pipeline(
     corpus: Corpus,
     *,
@@ -527,11 +539,7 @@ def run_pipeline(
 ) -> PipelineResult:
     """The full staged pipeline: split, ``fit_model`` on the training part
     (stages 1 to 3), and validation metrics."""
-    split_spec = split_spec or SplitSpec()
-    with _stage("split"):
-        train_part, val_part, test_part = split(corpus, split_spec)
-        if len(train_part) == 0:
-            raise DataError("split produced an empty training set")
+    train_part, val_part, test_part = training_split(corpus, split_spec)
     result = fit_model(
         train_part,
         encoder_params=encoder_params,

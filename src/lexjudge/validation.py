@@ -1,5 +1,6 @@
-"""Input validation shared by the public API: the one reader of input
-files and the checks on values read from them."""
+"""The file boundary and input validation shared by the public API: the
+one reader of input files, the one writer of output files, and the checks
+on values read from them."""
 
 from __future__ import annotations
 
@@ -8,20 +9,34 @@ import numbers
 
 import numpy as np
 
+from .errors import ConfigError
+
 _KIND_NAMES = {bool: "a JSON boolean", int: "an integer", float: "a number"}
 
 
 def read_input(path, what: str, error: type[Exception], as_json: bool = False):
     """The text of the input file at ``path``, or with ``as_json`` its JSON
-    document; a file that cannot be read, or is not valid JSON, raises
-    ``error`` naming it as ``what`` (e.g. ``"lexicon file"``)."""
+    document; a file that cannot be read, is not UTF-8 or is not valid JSON
+    raises ``error`` naming it as ``what`` (e.g. ``"lexicon file"``)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh) if as_json else fh.read()
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def write_output(path, text: str) -> None:
+    """Write ``text`` to the output file at ``path`` as UTF-8, line ends
+    untranslated; a file that cannot be written raises ``ConfigError``."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
 def is_kind(value, kind: type) -> bool:
@@ -43,6 +58,13 @@ def check_kind(value, kind: type, name: str, error: type[Exception] = ValueError
         except OverflowError:
             pass
     raise error(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def check_object(value, name: str) -> dict:
+    """``value`` if it is a JSON object; otherwise raises ``ValueError`` naming ``name``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def check_vector(x, name: str = "x", dim: int | None = None) -> np.ndarray:

@@ -8,8 +8,9 @@ import pytest
 
 import synth
 from checkpoint_docs import decode, edit_array, to_v1
+from lexjudge import cli
 from lexjudge.cli import ABLATION_COMBOS, main
-from lexjudge import TASKS, DivergenceError, GatParams, load_corpus
+from lexjudge import TASKS, DivergenceError, GatParams, load_corpus, load_lexicon
 from lexjudge.encoder import label_key
 
 TRAIN_SECTION = {
@@ -124,6 +125,13 @@ class TestTraceCommand:
         empty.write_text("", encoding="utf-8")
         assert main(["trace", "--config", str(config_path), "--in", str(empty)]) == 3
 
+    def test_out_in_missing_directory_exits_2(self, tmp_path, capsys):
+        config_path, _ = write_config(tmp_path)
+        out = tmp_path / "missing" / "clues.jsonl"
+        assert main(["trace", "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(out) in err
+
     @pytest.mark.parametrize("name", LEXICON_EDITS)
     def test_malformed_lexicon_exits_2(
         self, tmp_path, trace_corpus_path, lexicon_path, capsys, name
@@ -157,6 +165,14 @@ class TestTrainCommand:
         assert attention[0] == "src_node\tdst_node\thead\tlayer\talpha"
         embeddings = (out_dir / "embeddings.tsv").read_text().strip().split("\n")
         assert embeddings[0] == "#dim 16"
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        config_path, _ = write_config(tmp_path)
+        out = tmp_path / "regular-file"
+        out.write_text("", encoding="utf-8")
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(out) in err
 
     def test_unknown_flag_is_an_error(self, tmp_path):
         config_path, _ = write_config(tmp_path)
@@ -266,6 +282,20 @@ class TestEvaluateAndPredict:
             assert sorted(ids) == sorted(corpus_ids)
         assert all(abs(sum(r["proba"]) - 1.0) < 1e-9 for r in rows)
 
+    def test_predict_out_in_missing_directory_exits_2(
+        self, trained_checkpoint, tmp_path, capsys
+    ):
+        corpus_path, doc = trained_checkpoint
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "missing" / "predictions.jsonl"
+        assert main([
+            "predict", "--checkpoint", str(checkpoint),
+            "--in", str(corpus_path), "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(out) in err
+
     def test_missing_checkpoint_exits_2(self, tmp_path):
         config_path, _ = write_config(tmp_path)
         assert main([
@@ -283,8 +313,9 @@ def trained_checkpoint(tmp_path_factory):
     return tmp_path / "corpus.jsonl", doc
 
 
-# Checkpoint corruptions whose parts each load but contradict one another:
-# (corrupt the document in place, expected message).
+# Checkpoint corruptions whose parts each load but contradict one another,
+# or whose section is not a JSON object: (corrupt the document in place,
+# expected message).
 CONTRADICTIONS = {
     "task-without-matrix": (
         lambda doc: doc["graph"]["label_matrices"].pop("article"),
@@ -295,6 +326,11 @@ CONTRADICTIONS = {
     ),
     "backend-bogus": (lambda doc: doc["meta"].update(backend="bogus"), "meta.backend 'bogus'"),
     "hashed-without-encoder": (lambda doc: doc.update(encoder={}), "exactly one encoder"),
+    "graph-list": (lambda doc: doc.update(graph=[]), "graph must be a JSON object, got list"),
+    "label-matrices-list": (
+        lambda doc: doc["graph"].update(label_matrices=[]),
+        "graph.label_matrices must be a JSON object, got list",
+    ),
 }
 
 
@@ -374,6 +410,12 @@ MISTYPED_META = {
     "leaky-slope-beyond-float": (
         lambda meta: meta.update(leaky_slope=10**400),
         "meta.leaky_slope must be a number, got 1000",
+    ),
+    "lexicon-list": (
+        lambda meta: meta.update(lexicon=[]), "lexicon must be a JSON object, got list"
+    ),
+    "vocabs-list": (
+        lambda meta: meta.update(vocabs=[]), "meta.vocabs must be a JSON object, got list"
     ),
 }
 
@@ -736,6 +778,38 @@ class TestPretrainCommand:
         assert lines[0] == "epoch\tmean_loss"
         assert len(lines) == 1 + CONTRASTIVE_SECTION["epochs"]
 
+    @pytest.mark.parametrize("use_contrastive", [True, False])
+    def test_pretrain_is_train_without_stage_3(self, tmp_path, use_contrastive):
+        """``pretrain`` writes the encoder ``train``'s stage 3 starts from
+        (which the frozen encoder keeps), and the contrastive rows of
+        ``train``'s loss log; without contrastive training there are none."""
+        config_path, _ = write_config(
+            tmp_path, train={**TRAIN_SECTION, "use_contrastive": use_contrastive}
+        )
+        for command in ("pretrain", "train"):
+            out = tmp_path / command
+            assert main([command, "--config", str(config_path), "--out", str(out)]) == 0
+        pretrained, trained = (
+            json.loads((tmp_path / command / "checkpoint.json").read_text())
+            for command in ("pretrain", "train")
+        )
+        assert pretrained["encoder"] == trained["encoder"]
+        rows = (tmp_path / "pretrain" / "contrastive_loss.tsv").read_text().split("\n")[1:-1]
+        log = (tmp_path / "train" / "loss_log.tsv").read_text().split("\n")[1:-1]
+        assert [row.split("\t") for row in rows] == [
+            line.split("\t")[1:] for line in log if line.startswith("contrastive\t")
+        ]
+        assert len(rows) == (CONTRASTIVE_SECTION["epochs"] if use_contrastive else 0)
+
+    def test_no_contrastive_epochs_accepts_any_negative_count(self, tmp_path):
+        """Without contrastive epochs the negative count is never drawn, so
+        one larger than the training split is no error in either command."""
+        config_path, _ = write_config(
+            tmp_path, contrastive={"epochs": 0, "negatives_per_anchor": 100}
+        )
+        for command in ("train", "pretrain"):
+            assert main([command, "--config", str(config_path)]) == 0
+
 
 def write_confusable_inputs(tmp_path, cases_per_charge=16, seed=44):
     corpus_path = tmp_path / "confusable.jsonl"
@@ -799,6 +873,22 @@ class TestAblateCommand:
         assert combos == ["full", "no_graph", "no_clue"]
         doc = json.loads((out_dir / "ablation.json").read_text())
         assert set(doc) == {"full", "no_graph", "no_clue"}
+
+    def test_inputs_are_built_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_load_lexicon(path):
+            calls.append(path)
+            return load_lexicon(path)
+
+        monkeypatch.setattr(cli, "load_lexicon", counting_load_lexicon)
+        config_path, _ = write_config(
+            tmp_path,
+            train={**TRAIN_SECTION, "epochs": 5},
+            contrastive={"epochs": 1, "negatives_per_anchor": 4},
+        )
+        assert main(["ablate", "--config", str(config_path), "--grid", "full,no_graph"]) == 0
+        assert len(calls) == 1
 
     def test_unknown_combo_exits_2(self, tmp_path):
         config_path, _ = write_config(tmp_path)

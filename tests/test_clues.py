@@ -371,6 +371,12 @@ class TestLexiconValidation:
         with pytest.raises(ConfigError, match="lexicon file .*broken.json is not valid JSON"):
             load_lexicon(path)
 
+    def test_load_lexicon_not_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]", encoding="utf-8")
+        with pytest.raises(ConfigError, match="lexicon must be a JSON object, got list"):
+            load_lexicon(path)
+
 
 class TestClueTracer:
     def test_transform_raw_strings(self):

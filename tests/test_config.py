@@ -42,12 +42,18 @@ class TestLoadRunConfig:
 
     @pytest.mark.parametrize(
         "text, message",
-        [(None, "cannot read config file"), ("{nope", "config file .* is not valid JSON")],
-        ids=["missing", "invalid-json"],
+        [
+            (None, "cannot read config file"),
+            ("{nope", "config file .* is not valid JSON"),
+            (b"\xff\xfe{\x00}\x00", "config file .* is not UTF-8"),
+        ],
+        ids=["missing", "invalid-json", "utf-16"],
     )
     def test_unreadable_file(self, tmp_path, text, message):
         path = tmp_path / "config.json"
-        if text is not None:
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
             path.write_text(text, encoding="utf-8")
         with pytest.raises(ConfigError, match=message):
             load_run_config(path)

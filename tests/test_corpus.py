@@ -68,6 +68,12 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match="line 2"):
             load_corpus(path)
 
+    def test_non_utf8_file_is_an_error(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(json.dumps(record(0)).encode() + b"\n" + b'{"id": "\xff"}\n')
+        with pytest.raises(DataError, match="corpus file .*corpus.jsonl is not UTF-8"):
+            load_corpus(path)
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_jsonl(path, [record(0), record(0)])
