@@ -184,7 +184,9 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
         if heads < 1:
             raise ValueError(f"meta.heads must be an integer of at least 1, got {heads!r}")
         vocabs = {
-            Task(name): LabelVocab(Task(name), entries)
+            Task(name): LabelVocab(
+                Task(name), check_object(entries, f"meta.vocabs.{name}", list)
+            )
             for name, entries in check_object(meta["vocabs"], "meta.vocabs").items()
         }
         encoder_doc = doc["encoder"]

@@ -293,9 +293,7 @@ def cmd_predict(args) -> int:
 def _parse_grid(grid: str) -> list[str]:
     if grid == "all":
         return list(ABLATION_COMBOS)
-    names = [name.strip() for name in grid.split(",") if name.strip()]
-    if not names:
-        raise ConfigError("--grid must name at least one combination")
+    names = list(dict.fromkeys(name.strip() for name in grid.split(",") if name.strip()))
     unknown = [n for n in names if n not in ABLATION_COMBOS]
     if unknown:
         raise ConfigError(
@@ -303,6 +301,8 @@ def _parse_grid(grid: str) -> list[str]:
         )
     if "full" not in names:
         names.insert(0, "full")
+    if len(names) < 2:
+        raise ConfigError("--grid must name at least one combination besides full")
     return names
 
 

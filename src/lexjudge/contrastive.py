@@ -78,9 +78,8 @@ def info_nce(
         g_pos, g_neg = np.split(g * g_sims * (1.0 / temperature), [1], axis=1)
         g_neg = g_neg[:, :, None]
         g_a = g_pos * p + (g_neg * neg_rows).sum(axis=1)
-        g_m = ad.segment_reduce(
-            np.add, (g_neg * a[:, None, :]).reshape(n * count, -1), neg_idx.reshape(-1),
-            len(m), 0.0,
+        g_m = ad.Segments(neg_idx, len(m)).reduce(
+            np.add, (g_neg * a[:, None, :]).reshape(n * count, -1), 0.0
         )
         # back through each row's normalization u = t / |t|
         for view, u, r, g_u in zip(views, (a, p, m), norms, (g_a, g_pos * a, g_m)):
@@ -103,9 +102,11 @@ def contrastive_objective(
     p = Tensor(np.asarray(projection, dtype=np.float64), requires_grad=with_grads)
     b = Tensor(np.asarray(bias, dtype=np.float64), requires_grad=with_grads)
     base = derive(cfg.dropout.seed, "contrastive-views", epoch)
+    nonzero = np.flatnonzero(features)
     views = [
         tanh_projection(
-            apply_dropout_noise(features, replace(cfg.dropout, seed=derive(base, view))), p, b
+            apply_dropout_noise(features, replace(cfg.dropout, seed=derive(base, view)), nonzero),
+            p, b,
         )
         for view in range(3)
     ]

@@ -25,7 +25,7 @@ import numpy as np
 from .autodiff import Tensor
 from .clues import ClueSet
 from .errors import DataError
-from .rng import derive, fnv1a_64, glorot_uniform, stream_uniform
+from .rng import derive, fnv1a_64, glorot_uniform, stream_u64_at, to_uniform
 from .validation import (
     check_finite, check_kind, check_positive, check_unit_rate, read_input, write_output,
 )
@@ -164,17 +164,27 @@ class DropoutSpec:
         check_unit_rate(self.rate, "dropout_rate")
 
 
-def apply_dropout_noise(features: np.ndarray, spec: DropoutSpec) -> np.ndarray:
+def apply_dropout_noise(
+    features: np.ndarray, spec: DropoutSpec, nonzero: np.ndarray | None = None
+) -> np.ndarray:
     """Bernoulli(1 - rate) mask with survivors scaled by 1 / (1 - rate).
 
-    The mask comes from the splitmix64 stream for ``spec.seed``, so a
-    given spec always produces the same mask.
+    The mask at flat index k is uniform k of the splitmix64 stream for
+    ``spec.seed``, so a given spec always produces the same mask. Zero
+    features stay zero either way, so uniforms are drawn only at the
+    nonzero flat indices, ``np.flatnonzero(features)``; a caller that
+    masks the same features several times passes them as ``nonzero``.
     """
     features = np.asarray(features, dtype=np.float64)
     if spec.rate == 0.0:
         return features.copy()
-    u = stream_uniform(spec.seed, features.size).reshape(features.shape)
-    return np.where(u >= spec.rate, features / (1.0 - spec.rate), 0.0)
+    if nonzero is None:
+        nonzero = np.flatnonzero(features)
+    flat = features.ravel()
+    kept = nonzero[to_uniform(stream_u64_at(spec.seed, nonzero)) >= spec.rate]
+    out = np.zeros(features.shape)
+    out.ravel()[kept] = flat[kept] / (1.0 - spec.rate)
+    return out
 
 
 def clue_text(clues: ClueSet) -> str:

@@ -10,11 +10,12 @@ over each node's one-hop neighborhood, and aggregated through an ELU.
 Layer one concatenates its heads, layer two averages them, so the output
 dimension matches the encoder dimension.
 
-The graph holds structure only. ``init_features`` returns the (N, d)
-node matrix, and every pass takes that matrix as an argument. Each layer
-is one tape node with its closed-form gradient: ``gat_forward`` runs it
-without gradients, ``gat_forward_tensors`` for training. The node-by-node
-oracle the pass is checked against lives in ``tests/gat_reference.py``.
+The graph holds structure only, and the edge plans derived from it.
+``init_features`` returns the (N, d) node matrix, and every pass takes
+that matrix as an argument. Each layer is one tape node with its
+closed-form gradient: ``gat_forward`` runs it without gradients,
+``gat_forward_tensors`` for training. The node-by-node oracle the pass
+is checked against lives in ``tests/gat_reference.py``.
 """
 
 from __future__ import annotations
@@ -53,7 +54,9 @@ def node_name(node: NodeKind) -> str:
 
 
 class ReasoningGraph:
-    """Typed nodes and ordered one-hop neighborhoods."""
+    """Typed nodes and ordered one-hop neighborhoods, with what the passes
+    over them derive from the structure alone: the label rows, and on
+    first use the label receivers and the edge plans."""
 
     def __init__(self, nodes: Sequence[NodeKind], neighbors: Sequence[Sequence[int]]):
         if len(nodes) != len(neighbors):
@@ -72,18 +75,63 @@ class ReasoningGraph:
         self.edge_dst = np.array(
             [j for ns in self.neighbors for j in ns], dtype=np.intp
         )
+        labels: dict[Task, list[tuple[int, int]]] = {}
+        for i, node in enumerate(self.nodes):
+            if isinstance(node, LabelNode):
+                labels.setdefault(node.task, []).append((node.label_id, i))
+        self._labels = {
+            task: np.array([i for _, i in sorted(pairs)], dtype=np.intp)
+            for task, pairs in labels.items()
+        }
+        self._receivers: dict[tuple[Task, ...], tuple[np.ndarray, dict]] = {}
+        self._plans: dict[bytes | None, tuple[ad.Segments, ...]] = {}
 
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    def label_indices(self, task: Task) -> list[int]:
-        out = [
-            (n.label_id, i)
-            for i, n in enumerate(self.nodes)
-            if isinstance(n, LabelNode) and n.task is task
-        ]
-        return [i for _, i in sorted(out)]
+    def label_indices(self, task: Task) -> np.ndarray:
+        """The node index of each label of ``task``, in label id order."""
+        return self._labels.get(task, np.zeros(0, dtype=np.intp))
+
+    def label_receivers(
+        self, tasks: Sequence[Task]
+    ) -> tuple[np.ndarray, dict[Task, ad.Segments]]:
+        """The sorted label nodes of ``tasks``, and where each task's labels
+        sit among them in label id order, as ``Segments`` over those rows
+        for ``gather_rows``; computed once per task tuple."""
+        key = tuple(tasks)
+        if key not in self._receivers:
+            receivers = np.sort(np.concatenate([self.label_indices(task) for task in key]))
+            positions = {
+                task: ad.Segments(
+                    np.searchsorted(receivers, self.label_indices(task)), len(receivers)
+                )
+                for task in key
+            }
+            self._receivers[key] = (receivers, positions)
+        return self._receivers[key]
+
+    def plan(self, receivers: np.ndarray | None = None) -> tuple[ad.Segments, ...]:
+        """The edges a pass into ``receivers`` (sorted node indices; all
+        nodes when None) aggregates, grouped by receiver row, by receiving
+        node and by sending node; made on first use."""
+        key = None if receivers is None else receivers.tobytes()
+        if key not in self._plans:
+            self._plans[key] = plan_edges(self, receivers)
+        return self._plans[key]
+
+
+def plan_edges(graph: ReasoningGraph, receivers: np.ndarray | None) -> tuple[ad.Segments, ...]:
+    """Keep the edges into ``receivers`` (every edge when None) and group them."""
+    src, dst, n = graph.edge_src, graph.edge_dst, graph.num_nodes
+    if receivers is None:
+        by_src = ad.Segments(src, n)
+        return by_src, by_src, ad.Segments(dst, n)
+    keep = np.isin(src, receivers)
+    src, dst = src[keep], dst[keep]
+    by_row = ad.Segments(np.searchsorted(receivers, src), len(receivers))
+    return by_row, ad.Segments(src, n), ad.Segments(dst, n)
 
 
 def build_graph(corpus: Corpus) -> ReasoningGraph:
@@ -246,24 +294,22 @@ def _forward_layer(
     only the edges into them are aggregated, and output row r is node
     ``receivers[r]``."""
     n, (n_heads, width, d_in) = graph.num_nodes, w.data.shape
-    src, dst, seg, n_out = graph.edge_src, graph.edge_dst, graph.edge_src, n
-    if receivers is not None:
-        keep = np.isin(src, receivers)
-        src, dst, n_out = src[keep], dst[keep], len(receivers)
-        seg = np.searchsorted(receivers, src)
+    by_seg, by_src, by_dst = graph.plan(receivers)
+    dst, seg, n_out = by_dst.ids, by_seg.ids, by_seg.num_segments
     w_flat = w.data.reshape((n_heads * width, d_in))
     a_src, a_dst = omega.data[:, :width], omega.data[:, width:]
     projected = (x.data @ w_flat.T).reshape((n, n_heads, width))
-    raw = (projected * a_src).sum(axis=2)[src] + (projected * a_dst).sum(axis=2)[dst]
+    receiving = projected if receivers is None else projected[receivers]
+    raw = (receiving * a_src).sum(axis=2)[seg] + (projected * a_dst).sum(axis=2)[dst]
     factor = np.where(raw > 0, 1.0, layer.leaky_slope)
     logits = raw * factor
-    shift = ad.segment_reduce(np.maximum, logits, seg, n_out, -np.inf)
+    shift = by_seg.reduce(np.maximum, logits, -np.inf)
     numer = np.exp(logits - shift[seg])
-    alpha = numer / ad.segment_reduce(np.add, numer, seg, n_out, 0.0)[seg]
+    alpha = numer / by_seg.reduce(np.add, numer, 0.0)[seg]
     if collect is not None:
         collect.extend((layer_no, h, alpha[:, h].copy()) for h in range(n_heads))
     sent = projected[dst]
-    summed = ad.segment_reduce(np.add, sent * alpha[:, :, None], seg, n_out, 0.0)
+    summed = by_seg.reduce(np.add, sent * alpha[:, :, None], 0.0)
     positive = summed > 0
     aggregated = np.where(positive, summed, np.expm1(summed))
     if layer.combine == "concat":
@@ -279,12 +325,12 @@ def _forward_layer(
         g_msg = (g_agg * np.where(positive, 1.0, aggregated + 1.0))[seg]
         g_alpha = (g_msg * sent).sum(axis=2)
         # back through the softmax over each segment, then the leaky ReLU
-        g_mean = ad.segment_reduce(np.add, g_alpha * alpha, seg, n_out, 0.0)[seg]
+        g_mean = by_seg.reduce(np.add, g_alpha * alpha, 0.0)[seg]
         g_raw = alpha * (g_alpha - g_mean) * factor
-        g_src = ad.segment_reduce(np.add, g_raw, src, n, 0.0)[:, :, None]
-        g_dst = ad.segment_reduce(np.add, g_raw, dst, n, 0.0)[:, :, None]
+        g_src = by_src.reduce(np.add, g_raw, 0.0)[:, :, None]
+        g_dst = by_dst.reduce(np.add, g_raw, 0.0)[:, :, None]
         g_proj = (
-            ad.segment_reduce(np.add, g_msg * alpha[:, :, None], dst, n, 0.0)
+            by_dst.reduce(np.add, g_msg * alpha[:, :, None], 0.0)
             + g_src * a_src + g_dst * a_dst
         ).reshape((n, n_heads * width))
         omega._accumulate(np.concatenate(

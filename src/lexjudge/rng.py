@@ -59,23 +59,34 @@ def derive(seed: int, *tags: int | str) -> int:
     return h
 
 
-def stream_u64(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """Outputs ``start+1 .. start+count`` of the splitmix64 sequence, vectorized."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = idx * np.uint64(GOLDEN) + np.uint64(seed & MASK64)
+def stream_u64_at(seed: int, indices) -> np.ndarray:
+    """Output ``k+1`` of the splitmix64 sequence for each index ``k`` of
+    ``indices``, vectorized."""
+    z = np.asarray(indices, dtype=np.uint64) * np.uint64(GOLDEN)
+    z += np.uint64((seed + GOLDEN) & MASK64)
     z ^= z >> np.uint64(30)
-    z = z * np.uint64(_MIX_A)
+    z *= np.uint64(_MIX_A)
     z ^= z >> np.uint64(27)
-    z = z * np.uint64(_MIX_B)
+    z *= np.uint64(_MIX_B)
     z ^= z >> np.uint64(31)
     return z
 
 
+def stream_u64(seed: int, count: int, start: int = 0) -> np.ndarray:
+    """Outputs ``start+1 .. start+count`` of the splitmix64 sequence, vectorized."""
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    return stream_u64_at(seed, np.arange(start, start + count, dtype=np.uint64))
+
+
+def to_uniform(outputs: np.ndarray) -> np.ndarray:
+    """Uniform doubles in [0, 1) from the top 53 bits of 64-bit outputs."""
+    return (outputs >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+
 def stream_uniform(seed: int, count: int, start: int = 0) -> np.ndarray:
     """``count`` uniform doubles in [0, 1) from the splitmix64 stream."""
-    return (stream_u64(seed, count, start) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    return to_uniform(stream_u64(seed, count, start))
 
 
 def glorot_uniform(shape: tuple[int, ...], fan_in: int, fan_out: int, seed: int) -> np.ndarray:

@@ -91,11 +91,21 @@ def adam_step(
             raise ValueError(f"gradient shape mismatch for {key!r}")
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite gradient for {key!r}")
-        m = state.beta1 * state.m[key] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[key] + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        new_params[key] = theta - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        # in place on fresh arrays, in the operation order of
+        # theta - lr * m_hat / (sqrt(v_hat) + eps)
+        m = state.m[key] * state.beta1
+        m += (1.0 - state.beta1) * g
+        v = state.v[key] * state.beta2
+        g2 = (1.0 - state.beta2) * g
+        g2 *= g
+        v += g2
+        step = m / (1.0 - state.beta1 ** t)
+        step *= state.learning_rate
+        denom = v / (1.0 - state.beta2 ** t)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        new_params[key] = theta - step
         new_m[key] = m
         new_v[key] = v
     return new_params, replace(state, m=new_m, v=new_v, t=t)
@@ -189,15 +199,9 @@ def stage3_objective(
     else:
         # The loss reads only label rows, so the last layer aggregates only
         # the edges into the label nodes of ``tasks``.
-        label_nodes = {task: graph.label_indices(task) for task in tasks}
-        receivers = np.array(
-            sorted(i for ids in label_nodes.values() for i in ids), dtype=np.intp
-        )
+        receivers, positions = graph.label_receivers(tasks)
         out = gat_forward_tensors(node_t, graph, leaves, gat, receivers=receivers)
-        label_mats = {
-            task: ad.gather_rows(out, np.searchsorted(receivers, ids))
-            for task, ids in label_nodes.items()
-        }
+        label_mats = {task: ad.gather_rows(out, at) for task, at in positions.items()}
     if rows is not None:
         facts = ad.gather_rows(facts, rows)
     loss_t = None
@@ -426,8 +430,10 @@ def fit_model(
         nodes = node_matrix(encoder_params)
         tasks = train_cfg.tasks
         golds = {task: np.array(train_corpus.gold_ids(task), dtype=np.intp) for task in tasks}
-        label_rows = {task: np.array(graph.label_indices(task), dtype=np.intp) for task in tasks}
+        label_rows = {task: graph.label_indices(task) for task in tasks}
         unfrozen = hashed and not train_cfg.freeze_encoder_after_contrastive
+        if unfrozen:
+            fact_nonzero = np.flatnonzero(text_features[:n_train])
 
         theta: dict[str, np.ndarray] = {}
         gat: GatParams | None = None
@@ -453,7 +459,7 @@ def fit_model(
                     train_cfg.dropout_rate, derive(train_cfg.seed, "stage3-dropout", epoch)
                 )
                 encoder_inputs = (
-                    apply_dropout_noise(text_features[:n_train], dropout),
+                    apply_dropout_noise(text_features[:n_train], dropout, fact_nonzero),
                     text_features[n_train:],
                 )
             rows = None

@@ -60,10 +60,12 @@ def check_kind(value, kind: type, name: str, error: type[Exception] = ValueError
     raise error(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def check_object(value, name: str) -> dict:
-    """``value`` if it is a JSON object; otherwise raises ``ValueError`` naming ``name``."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+def check_object(value, name: str, kind: type = dict):
+    """``value`` if it is a JSON object, or with ``kind=list`` a JSON list;
+    otherwise raises ``ValueError`` naming ``name``."""
+    if not isinstance(value, kind):
+        what = "object" if kind is dict else "list"
+        raise ValueError(f"{name} must be a JSON {what}, got {type(value).__name__}")
     return value
 
 

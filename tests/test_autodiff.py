@@ -3,14 +3,18 @@ and for every op of the composed oracle (``tests/tape_reference.py``) that
 the closed-form losses are held to."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import tape_reference as ref
 from lexjudge import autodiff as ad
-from lexjudge.autodiff import Tensor
+from lexjudge.autodiff import Segments, Tensor
 
 
 def finite_difference(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -185,7 +189,7 @@ class TestSegmentKernel:
         out = ref.segment_sum(ref.Tensor(x), self.IDS, 5).data
         np.testing.assert_allclose(out, expected, atol=1e-15)
         assert not out[2].any() and not out[4].any()
-        np.testing.assert_array_equal(ad.segment_reduce(np.add, x, self.IDS, 5, 0.0), out)
+        np.testing.assert_array_equal(Segments(self.IDS, 5).reduce(np.add, x, 0.0), out)
         weights = ref.Tensor(self.weights((5,) + shape[1:], 45))
         check(lambda t: (ref.segment_sum(t, self.IDS, 5) * weights).sum(), shape, seed=46)
 
@@ -212,7 +216,7 @@ class TestSegmentKernel:
 
     def test_no_rows_at_all(self):
         empty = np.zeros(0, dtype=np.intp)
-        out = ad.segment_reduce(np.add, np.zeros((0, 2)), empty, 3, 0.0)
+        out = Segments(empty, 3).reduce(np.add, np.zeros((0, 2)), 0.0)
         np.testing.assert_array_equal(out, np.zeros((3, 2)))
         leaf = Tensor(np.ones((3, 2)), requires_grad=True)
         probe(ad.gather_rows(leaf, empty), 1.0).backward()
@@ -242,6 +246,123 @@ def test_no_unbuffered_scatter_in_the_package():
     }
     assert not found
     assert scatter_calls("import numpy as np\nnp.add.at(a, i, b)\nnp.maximum.at(a, i, b)\n")
+
+
+KERNEL_CALLS = {"reduceat", "argsort"}
+
+
+def kernel_uses(path: Path) -> list[str]:
+    """``<module>.<scope>`` for every ``reduceat`` or ``argsort`` a source
+    file names, called or not."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        name = getattr(node, "attr", None) or getattr(node, "id", None)
+        if isinstance(node, (ast.Attribute, ast.Name)) and name in KERNEL_CALLS:
+            found.append(f"{scope}: {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_segments_is_the_one_grouping_kernel():
+    """Rows are grouped only by ``autodiff.Segments``, so every grouping
+    gets its plan and its bit-for-bit ``reduceat`` order from one place."""
+    package = Path(ad.__file__).resolve().parent
+    uses = [use for path in sorted(package.glob("*.py")) for use in kernel_uses(path)]
+    assert uses and all(use.startswith("autodiff.Segments.") for use in uses), uses
+
+
+# Values whose sums and maxima depend on order and sign: signed zeros,
+# infinities (inf - inf is NaN) and NaN.
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.25, 1e300, -1e-300])
+
+
+def assert_same_bits(out: np.ndarray, expected: np.ndarray) -> None:
+    np.testing.assert_array_equal(out, expected)
+    assert np.array_equal(np.signbit(out), np.signbit(expected))
+    assert out.dtype == expected.dtype == np.float64
+    assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+
+
+def grouping(lengths, width, seed, shuffle, special_share):
+    """Ids with ``lengths[s]`` rows in segment s (sorted, or shuffled),
+    and (rows, width) values with a share of them special."""
+    rng = np.random.default_rng(seed)
+    ids = np.repeat(np.arange(len(lengths)), lengths)
+    if shuffle:
+        ids = rng.permutation(ids)
+    values = rng.normal(size=(ids.size, width)) * 10.0 ** rng.integers(-3, 4, (ids.size, width))
+    special = rng.random(values.shape) < special_share
+    values[special] = rng.choice(SPECIAL, size=int(special.sum()))
+    return ids, values
+
+
+class TestSegments:
+    """``Segments.reduce`` against the sort-then-``reduceat`` oracle, bit
+    for bit."""
+
+    def check(self, ids, values, num_segments):
+        segments = Segments(ids, num_segments)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for ufunc, fill in ((np.add, 0.0), (np.maximum, -np.inf)):
+                expected = ref._segment_reduce(ufunc, values, ids, num_segments, fill)
+                assert_same_bits(segments.reduce(ufunc, values, fill), expected)
+
+    @given(
+        lengths=st.lists(
+            st.one_of(st.integers(0, 12), st.sampled_from([100, 131])), min_size=1, max_size=7
+        ),
+        width=st.sampled_from([1, 4, 12, 64, 256]),
+        seed=st.integers(0, 2**32 - 1),
+        shuffle=st.booleans(),
+        special_share=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    )
+    def test_matches_sort_then_reduceat(self, lengths, width, seed, shuffle, special_share):
+        ids, values = grouping(lengths, width, seed, shuffle, special_share)
+        self.check(ids, values, len(lengths) + 1)
+
+    @pytest.mark.parametrize("width", [1, 4, 12, 64, 256])
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize(
+        "lengths", [[*range(13), 100, 131, 0, 3], [100, 0, 9, 131]], ids=["all", "long"]
+    )
+    def test_every_run_length_across_the_short_run_bound(self, width, shuffle, lengths):
+        for special_share in (0.0, 0.3):
+            ids, values = grouping(lengths, width, 17 + width, shuffle, special_share)
+            self.check(ids, values, len(lengths))
+        ids, _ = grouping(lengths, width, 18, shuffle, 0.0)
+        zeros = np.where(np.random.default_rng(19).random((ids.size, width)) < 0.5, 0.0, -0.0)
+        self.check(ids, zeros, len(lengths))
+
+    def test_no_rows(self):
+        self.check(np.zeros(0, dtype=np.intp), np.zeros((0, 64)), 3)
+
+    def test_planning_imports_nothing(self):
+        """Plans are made mid-fit, when the heap is at its largest; a module
+        imported then (``np.unique`` imports ``numpy.ma``) keeps it from
+        shrinking afterwards, which raised the benchmark's peak RSS."""
+        code = (
+            "import sys, numpy as np; from lexjudge.autodiff import Segments; "
+            "before = set(sys.modules); "
+            "Segments(np.array([2, 0, 0, 1, 9, 9, 9]), 10).reduce(np.add, np.ones((7, 64)), 0.0); "
+            "print(sorted(set(sys.modules) - before))"
+        )
+        package_root = str(Path(ad.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": package_root}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_rows_of_any_shape(self):
+        ids, values = grouping([3, 0, 9, 1], 48, 20, True, 0.1)
+        self.check(ids, values.reshape(len(ids), 4, 12), 4)
 
 
 class TestSoftmaxPieces:

@@ -417,6 +417,10 @@ MISTYPED_META = {
     "vocabs-list": (
         lambda meta: meta.update(vocabs=[]), "meta.vocabs must be a JSON object, got list"
     ),
+    "vocabs-string": (
+        lambda meta: meta["vocabs"].update(charge="abc"),
+        "meta.vocabs.charge must be a JSON list, got str",
+    ),
 }
 
 
@@ -893,6 +897,34 @@ class TestAblateCommand:
     def test_unknown_combo_exits_2(self, tmp_path):
         config_path, _ = write_config(tmp_path)
         assert main(["ablate", "--config", str(config_path), "--grid", "nope"]) == 2
+
+    @pytest.mark.parametrize("grid", ["full", "full,full", " full , "])
+    def test_full_alone_exits_2(self, tmp_path, capsys, grid):
+        """The table compares each combination with ``full``, so ``full``
+        alone leaves nothing to compare."""
+        config_path, _ = write_config(tmp_path)
+        assert main(["ablate", "--config", str(config_path), "--grid", grid]) == 2
+        assert "--grid" in capsys.readouterr().err
+
+    def test_repeated_names_fit_once(self, tmp_path, monkeypatch):
+        fits, run_pipeline = [], cli.run_pipeline
+
+        def counting_run_pipeline(corpus, **kwargs):
+            fits.append(kwargs["train_cfg"].use_graph)
+            return run_pipeline(corpus, **kwargs)
+
+        monkeypatch.setattr(cli, "run_pipeline", counting_run_pipeline)
+        config_path, out_dir = write_config(
+            tmp_path,
+            train={**TRAIN_SECTION, "epochs": 5},
+            contrastive={"epochs": 1, "negatives_per_anchor": 4},
+        )
+        assert main([
+            "ablate", "--config", str(config_path), "--grid", "full,full,no_graph",
+        ]) == 0
+        assert fits == [True, False]
+        table = (out_dir / "ablation.tsv").read_text().strip().split("\n")
+        assert [line.split("\t")[0] for line in table[1:]] == ["full", "no_graph"]
 
 
 class TestHelp:

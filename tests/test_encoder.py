@@ -23,7 +23,7 @@ from lexjudge.encoder import (
     CLUE_SEPARATOR, clue_text, label_key, project_features, write_embedding_table,
 )
 from lexjudge.corpus import Task
-from lexjudge.rng import fnv1a_64
+from lexjudge.rng import derive, fnv1a_64, stream_uniform
 
 
 def clues(m="greed", a="seized the bag", h="injury"):
@@ -227,6 +227,27 @@ class TestDropout:
     def test_rate_bounds(self):
         with pytest.raises(ValueError):
             DropoutSpec(rate=1.0, seed=0)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.5])
+    def test_nonzero_draws_match_the_dense_mask(self, rate):
+        """Uniforms drawn only at nonzero features give the mask a uniform
+        at every cell gives: an all-zero row, a fully dense row, a sparse
+        row and the last flat index."""
+        rng = np.random.default_rng(11)
+        features = np.zeros((4, 50))
+        features[1] = rng.uniform(0.1, 1.0, 50)
+        features[2, [0, 7, 33]] = [0.5, 2.0, 1e-300]
+        features[3, -1] = 3.0
+        spec = DropoutSpec(rate=rate, seed=derive(5, "view"))
+        u = stream_uniform(spec.seed, features.size).reshape(features.shape)
+        dense = np.where(u >= rate, features / (1.0 - rate), 0.0)
+        for out in (
+            apply_dropout_noise(features, spec),
+            apply_dropout_noise(features, spec, np.flatnonzero(features)),
+        ):
+            assert np.array_equal(out.view(np.int64), dense.view(np.int64))
+        if rate:
+            assert 0 < np.count_nonzero(dense[1]) < 50
 
 
 class TestEmbeddingTable:

@@ -11,6 +11,7 @@ from lexjudge.rng import (
     glorot_uniform,
     mix64,
     stream_u64,
+    stream_u64_at,
     stream_uniform,
 )
 
@@ -30,6 +31,13 @@ class TestSplitMix64:
         whole = stream_u64(5, 30)
         tail = stream_u64(5, 10, start=20)
         assert np.array_equal(whole[20:], tail)
+
+    def test_draws_at_indices_are_the_stream_at_those_positions(self):
+        whole = stream_u64(9, 300)
+        picks = np.array([299, 0, 17, 17, 150, 1], dtype=np.int64)
+        assert np.array_equal(stream_u64_at(9, picks), whole[picks])
+        assert np.array_equal(stream_u64_at(9, np.arange(40, 90)), stream_u64(9, 50, start=40))
+        assert stream_u64_at(9, np.zeros(0, dtype=np.int64)).shape == (0,)
 
     def test_kth_output_definition(self):
         seed = 42

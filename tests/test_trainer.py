@@ -98,6 +98,38 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(params, {"v": np.zeros(2)}, state)
 
+    def test_matches_the_update_as_one_expression(self):
+        """Bit for bit over three steps, without touching its inputs."""
+        rng = np.random.default_rng(7)
+        shapes = {"a": (3, 4), "b": (5,), "c": (2, 2, 3)}
+        params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        state = AdamState.initialize(params, learning_rate=0.05)
+        expected, m, v = {k: p.copy() for k, p in params.items()}, dict(state.m), dict(state.v)
+        for t in range(1, 4):
+            grads = {k: rng.normal(size=shape) * 10.0 ** (t - 2) for k, shape in shapes.items()}
+            before = {k: (params[k].copy(), state.m[k].copy(), state.v[k].copy()) for k in shapes}
+            params, state = adam_step(params, grads, state)
+            for k, g in grads.items():
+                m[k] = state.beta1 * m[k] + (1.0 - state.beta1) * g
+                v[k] = state.beta2 * v[k] + (1.0 - state.beta2) * g * g
+                m_hat = m[k] / (1.0 - state.beta1 ** t)
+                v_hat = v[k] / (1.0 - state.beta2 ** t)
+                expected[k] = expected[k] - 0.05 * m_hat / (np.sqrt(v_hat) + state.eps)
+                assert np.array_equal(params[k].view(np.int64), expected[k].view(np.int64))
+                assert np.array_equal(state.m[k], m[k]) and np.array_equal(state.v[k], v[k])
+            if t > 1:
+                for k, arrays in before.items():
+                    after = (params[k], state.m[k], state.v[k])
+                    assert all(a is not b for a, b in zip(arrays, after))
+        assert state.t == 3
+
+    def test_non_finite_gradient_names_its_key(self):
+        params = {"a": np.zeros(2), "b": np.zeros(3)}
+        state = AdamState.initialize(params)
+        grads = {"a": np.zeros(2), "b": np.array([0.0, np.inf, 0.0])}
+        with pytest.raises(DivergenceError, match="'b'"):
+            adam_step(params, grads, state)
+
 
 class TestTotalLoss:
     def test_perfect_one_hot_predictions(self):
@@ -297,6 +329,30 @@ class TestFitWork:
         )
         n, labels = len(corpus), sum(corpus.vocab(task).size for task in TASKS)
         assert counts == {"featurize": 2 * n + labels, "full passes": 1}
+
+    def test_each_pass_is_planned_once(self, monkeypatch):
+        """The graph plans its edges once per receiver set: over 250 epochs,
+        one plan for every full layer (the first of each pass, and the final
+        pass) and one for the label-only last layer."""
+        corpus, lexicon, anchors = synth_corpus(cases_per_charge=2)
+        planned = []
+
+        def plan_edges(graph, receivers):
+            planned.append(receivers)
+            return real(graph, receivers)
+
+        real = lexjudge.graph.plan_edges
+        monkeypatch.setattr(lexjudge.graph, "plan_edges", plan_edges)
+        fit_model(
+            corpus,
+            encoder_params=HashedEncoderParams.initialize(output_dim=4, bucket_count=32, seed=1),
+            lexicon=lexicon,
+            anchors=anchors,
+            contrastive_cfg=small_contrastive(epochs=0),
+            train_cfg=TrainConfig(epochs=250, seed=3, heads=2),
+        )
+        assert len(planned) == 2
+        assert planned[0] is None and planned[1] is not None
 
 
 class TestRunPipeline:
