@@ -227,7 +227,6 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
             heads=heads,
             leaky_slope=check_kind(meta["leaky_slope"], float, "meta.leaky_slope"),
             seed=check_seed(meta["seed"], "meta.seed"),
-            embeddings_path=table_path,
             table=table,
         )
         if (meta["backend"], meta["dim"]) != (model.backend_kind, model.dim):

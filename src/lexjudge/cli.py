@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(cfg: RunConfig, override: str | None) -> str:
-    path = override or cfg.paths.get("output_dir")
+    path = override or cfg.path("output_dir")
     if not path:
         raise ConfigError("an output directory is required (paths.output_dir or --out)")
     try:
@@ -163,9 +163,7 @@ def _pipeline_kwargs(cfg: RunConfig) -> dict:
         kwargs["lexicon"], kwargs["anchors"] = load_lexicon(cfg.path("lexicon", required=True))
         kwargs["encoder_params"] = cfg.encoder_params()
     else:
-        embeddings_path = cfg.path("embeddings", required=True)
-        kwargs["table"] = load_embedding_table(embeddings_path)
-        kwargs["embeddings_path"] = embeddings_path
+        kwargs["table"] = load_embedding_table(cfg.path("embeddings", required=True))
     return kwargs
 
 
@@ -228,7 +226,7 @@ def cmd_train(args) -> int:
     out_dir = _out_dir(cfg, args.out)
     corpus = _load_inputs(cfg)
     result = run_pipeline(corpus, **_pipeline_kwargs(cfg))
-    checkpoint_path = cfg.paths.get("checkpoint") or os.path.join(out_dir, "checkpoint.json")
+    checkpoint_path = cfg.path("checkpoint") or os.path.join(out_dir, "checkpoint.json")
     save_checkpoint(checkpoint_path, result.model, result.optimizer_state)
     _write_tsv(
         os.path.join(out_dir, "loss_log.tsv"),
@@ -266,7 +264,7 @@ def _load_trained(path: str) -> FittedModel:
 
 def cmd_evaluate(args) -> int:
     cfg = load_run_config(args.config)
-    checkpoint_path = args.checkpoint or cfg.paths.get("checkpoint")
+    checkpoint_path = args.checkpoint or cfg.path("checkpoint")
     if not checkpoint_path:
         raise ConfigError("evaluate needs --checkpoint or paths.checkpoint")
     model = _load_trained(checkpoint_path)

@@ -17,6 +17,7 @@ projection's row count or the table's ``#dim``.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable
 
@@ -226,7 +227,10 @@ def encode_label(surface_text: str, params: HashedEncoderParams) -> np.ndarray:
 
 
 class EmbeddingTable:
-    """Fixed-dimension vectors keyed by id (precomputed-embedding backend)."""
+    """Fixed-dimension vectors keyed by id (precomputed-embedding backend);
+    ``path`` is the file ``load_embedding_table`` read them from."""
+
+    path: str | None = None
 
     def __init__(self, dim: int, vectors: dict[str, np.ndarray]):
         if dim <= 0:
@@ -290,7 +294,9 @@ def load_embedding_table(path) -> EmbeddingTable:
         if not np.all(np.isfinite(vec)):
             raise DataError(f"embedding file {path} line {lineno}: non-finite value")
         vectors[parts[0]] = vec
-    return EmbeddingTable(dim, vectors)
+    table = EmbeddingTable(dim, vectors)
+    table.path = os.fspath(path)
+    return table
 
 
 def write_embedding_table(path, dim: int, rows: Iterable[tuple[str, np.ndarray]]) -> None:

@@ -136,6 +136,10 @@ class TrainConfig:
     def __post_init__(self):
         if not self.tasks:
             raise ValueError("tasks must be non-empty")
+        if len(set(self.tasks)) != len(self.tasks):
+            raise ValueError(
+                f"tasks must not repeat a task, got {[Task(t).value for t in self.tasks]}"
+            )
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
         if self.learning_rate <= 0:
@@ -238,13 +242,14 @@ class FittedModel:
     ``fact_vector`` traces each case afresh and stores nothing on it.
 
     The encoder is exactly one of ``encoder_params`` (hashed backend) or
-    ``table`` (precomputed backend); ``dim`` and ``backend_kind`` derive
-    from it. Every task in ``tasks`` has a vocabulary and, once any label
-    matrices exist (a pre-trained encoder has none), a finite
-    (vocabulary size, ``dim``) matrix; a violation raises ``ValueError``.
-    The GAT parameters stay in training: unseen cases never join the graph,
-    so scoring reads only the label matrices. The toggles, ``heads`` and
-    ``leaky_slope`` are provenance: they record how the labels were trained."""
+    ``table`` (precomputed backend); ``dim``, ``backend_kind`` and
+    ``embeddings_path`` derive from it. Every task in ``tasks`` has a
+    vocabulary and, once any label matrices exist (a pre-trained encoder
+    has none), a finite (vocabulary size, ``dim``) matrix; a violation
+    raises ``ValueError``. The GAT parameters stay in training: unseen
+    cases never join the graph, so scoring reads only the label matrices.
+    The toggles, ``heads`` and ``leaky_slope`` are provenance: they record
+    how the labels were trained."""
 
     tasks: tuple[Task, ...]
     vocabs: dict[Task, LabelVocab]
@@ -259,7 +264,6 @@ class FittedModel:
     heads: int
     leaky_slope: float
     seed: int
-    embeddings_path: str | None = None
     table: EmbeddingTable | None = None
 
     def __post_init__(self):
@@ -292,6 +296,11 @@ class FittedModel:
     def backend_kind(self) -> str:
         return "hashed" if self.encoder_params is not None else "precomputed"
 
+    @property
+    def embeddings_path(self) -> str | None:
+        """The file the embedding table was read from, if it was read from one."""
+        return self.table.path if self.table is not None else None
+
     @classmethod
     def trained(
         cls,
@@ -300,7 +309,6 @@ class FittedModel:
         *,
         encoder_params: HashedEncoderParams | None = None,
         table: EmbeddingTable | None = None,
-        embeddings_path: str | None = None,
         label_matrices: dict[Task, np.ndarray] | None = None,
         lexicon: Lexicon | None = None,
         anchors: SectionAnchors | None = None,
@@ -322,7 +330,6 @@ class FittedModel:
             heads=cfg.heads,
             leaky_slope=cfg.leaky_slope,
             seed=cfg.seed,
-            embeddings_path=embeddings_path,
             table=table,
         )
 
@@ -363,7 +370,6 @@ def fit_model(
     *,
     encoder_params: HashedEncoderParams | None = None,
     table: EmbeddingTable | None = None,
-    embeddings_path: str | None = None,
     lexicon: Lexicon | None = None,
     anchors: SectionAnchors | None = None,
     threshold: float = 0.8,
@@ -501,7 +507,6 @@ def fit_model(
         train_corpus.vocabs,
         encoder_params=encoder_params,
         table=table,
-        embeddings_path=embeddings_path,
         label_matrices=label_matrices,
         lexicon=lexicon,
         anchors=anchors,
@@ -539,7 +544,6 @@ def run_pipeline(
     split_spec: SplitSpec | None = None,
     encoder_params: HashedEncoderParams | None = None,
     table: EmbeddingTable | None = None,
-    embeddings_path: str | None = None,
     contrastive_cfg: ContrastiveConfig | None = None,
     train_cfg: TrainConfig | None = None,
 ) -> PipelineResult:
@@ -550,7 +554,6 @@ def run_pipeline(
         train_part,
         encoder_params=encoder_params,
         table=table,
-        embeddings_path=embeddings_path,
         lexicon=lexicon,
         anchors=anchors,
         threshold=threshold,

@@ -11,7 +11,10 @@ import numpy as np
 
 from .errors import ConfigError
 
-_KIND_NAMES = {bool: "a JSON boolean", int: "an integer", float: "a number"}
+_KIND_NAMES = {
+    bool: "a JSON boolean", int: "an integer", float: "a number", str: "a string",
+    list: "a JSON list",
+}
 
 
 def read_input(path, what: str, error: type[Exception], as_json: bool = False):
@@ -40,11 +43,11 @@ def write_output(path, text: str) -> None:
 
 
 def is_kind(value, kind: type) -> bool:
-    """Whether ``value`` is of ``kind``: a boolean for ``bool``, any integral
-    number for ``int``, any real number for ``float``; a bool is never an
-    integer or a number."""
-    if kind is bool:
-        return isinstance(value, bool)
+    """Whether ``value`` is of ``kind``: a boolean for ``bool``, a string for
+    ``str``, a list for ``list``, any integral number for ``int``, any real
+    number for ``float``; a bool is never an integer or a number."""
+    if kind in (bool, str, list):
+        return isinstance(value, kind)
     number = numbers.Integral if kind is int else numbers.Real
     return isinstance(value, number) and not isinstance(value, bool)
 

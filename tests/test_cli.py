@@ -132,6 +132,14 @@ class TestTraceCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(out) in err
 
+    def test_mistyped_key_of_an_unread_section_exits_2(self, tmp_path, capsys):
+        """Every key is checked when the config loads, including those of
+        sections that ``trace`` never reads."""
+        config_path, out_dir = write_config(tmp_path, train={**TRAIN_SECTION, "epochs": 2.9})
+        assert main(["trace", "--config", str(config_path)]) == 2
+        assert "config error: train.epochs must be an integer, got 2.9" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("name", LEXICON_EDITS)
     def test_malformed_lexicon_exits_2(
         self, tmp_path, trace_corpus_path, lexicon_path, capsys, name
@@ -223,6 +231,31 @@ class TestTrainCommand:
         config_path, _ = write_config(tmp_path, **overrides)
         assert main(["train", "--config", str(config_path)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value", [("corpus", ["a"]), ("output_dir", 7), ("checkpoint", True)]
+    )
+    def test_mistyped_path_exits_2_before_any_work(self, tmp_path, capsys, key, value):
+        config_path, _ = write_config(tmp_path)
+        doc = json.loads(config_path.read_text(encoding="utf-8"))
+        doc["paths"][key] = value
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["train", "--config", str(config_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: paths.{key} must be a string, got {value!r}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_repeated_task_exits_2_before_any_stage(self, tmp_path, capsys):
+        config_path, out_dir = write_config(
+            tmp_path, train={**TRAIN_SECTION, "tasks": ["charge", "charge"]}
+        )
+        assert main(["train", "--config", str(config_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: invalid train section: tasks must not repeat")
+        assert not (out_dir / "checkpoint.json").exists()
 
     def test_divergence_exit_code(self, tmp_path, monkeypatch):
         config_path, _ = write_config(tmp_path)

@@ -1,6 +1,7 @@
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import synth
 from lexjudge import (
     ConfigError, ContrastiveConfig, Corpus, ScenarioKind, SplitSpec, Task, TrainConfig,
 )
-from lexjudge.config import RunConfig, load_run_config
+from lexjudge.config import CONFIG_SCHEMA, RunConfig, load_run_config
 
 
 def write_config(tmp_path, doc):
@@ -91,6 +92,45 @@ class TestLoadRunConfig:
     def test_seed_must_be_an_unsigned_integer(self, tmp_path, seed):
         with pytest.raises(ConfigError, match="seed must be an unsigned 64-bit integer, got"):
             load_run_config(write_config(tmp_path, base_doc(seed=seed)))
+
+    @pytest.mark.parametrize(
+        "section, key, value, kind",
+        [
+            ("paths", "corpus", ["a"], "a string"),
+            ("paths", "output_dir", 7, "a string"),
+            ("paths", "checkpoint", True, "a string"),
+            ("scenario", "case_cap", 2.5, "an integer"),
+            ("scenario", "charge_allowlist", "robbery", "a JSON list"),
+            ("split", "seed", "13", "an integer"),
+            ("encoder", "backend", 5, "a string"),
+            ("contrastive", "epochs", 3.0, "an integer"),
+            ("train", "tasks", "charge", "a JSON list"),
+            ("train", "use_graph", "false", "a JSON boolean"),
+            ("tracer", "threshold", "0.5", "a number"),
+        ],
+    )
+    def test_every_key_is_checked_at_load(self, tmp_path, section, key, value, kind):
+        doc = base_doc(**{section: {key: value}})
+        message = f"{section}.{key} must be {kind}, got {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_run_config(write_config(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("paths", "corpus"),
+            ("encoder", "backend"),
+            ("split", "seed"),
+            ("contrastive", "dropout_rate"),
+            ("train", "tasks"),
+            ("train", "epochs"),
+            ("tracer", "threshold"),
+        ],
+    )
+    def test_null_only_where_the_default_is_none(self, tmp_path, section, key):
+        doc = base_doc(**{section: {key: None}})
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{key} must be")):
+            load_run_config(write_config(tmp_path, doc))
 
     def test_invalid_task_name(self, tmp_path):
         doc = base_doc(train={"tasks": ["charge", "sentence"]})
@@ -240,6 +280,29 @@ class TestScenarioResolution:
         }
         assert spec.case_cap == 5
 
+    def test_null_count_where_the_preset_leaves_it_unset(self, tmp_path):
+        doc = base_doc(scenario={
+            "kind": "low_frequency", "min_article_count": None, "case_cap": None,
+            "charge_allowlist": None,
+        })
+        spec = load_run_config(write_config(tmp_path, doc)).scenario_spec(self.corpus())
+        assert (spec.min_charge_count, spec.max_charge_count) == (50, 100)
+        assert (spec.min_article_count, spec.case_cap, spec.charge_allowlist) == (None,) * 3
+
+    @pytest.mark.parametrize(
+        "kind, key",
+        [
+            ("high_frequency", "min_article_count"),
+            ("low_frequency", "max_charge_count"),
+            ("confusing", "min_charge_count"),
+        ],
+    )
+    def test_null_count_where_the_preset_sets_it(self, tmp_path, kind, key):
+        doc = base_doc(scenario={"kind": kind, key: None})
+        message = f"scenario.{key} must be an integer, got None"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_run_config(write_config(tmp_path, doc))
+
     def test_unknown_allowlist_surface(self, tmp_path):
         doc = base_doc(scenario={"kind": "confusing", "charge_allowlist": ["arson"]})
         cfg = load_run_config(write_config(tmp_path, doc))
@@ -251,3 +314,20 @@ class TestScenarioResolution:
         cfg = load_run_config(write_config(tmp_path, doc))
         with pytest.raises(ConfigError, match="kind"):
             cfg.scenario_spec(self.corpus())
+
+
+def test_readme_schema_names_every_key():
+    """README's "Config schema" table has a row for each section of
+    ``CONFIG_SCHEMA`` and no other, naming each of its keys in backticks."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8").split("### Config schema", 1)[1]
+    rows = {}
+    for line in text.split("\n\n")[2].split("\n"):
+        cells = re.split(r"(?<!\\)\|", line)  # a cell may hold an escaped \|
+        name = re.fullmatch(r"`(\w+)`", cells[1].strip())
+        if name:
+            rows[name.group(1)] = cells[2]
+    assert set(rows) == set(CONFIG_SCHEMA)
+    for section, kinds in CONFIG_SCHEMA.items():
+        missing = [key for key in kinds if f"`{key}`" not in rows[section]]
+        assert not missing, f"README's {section} row does not name {missing}"

@@ -91,6 +91,12 @@ class TestEstimatorProtocol:
     def test_repr_mentions_params(self):
         assert "dim=256" in repr(JudgmentClassifier())
 
+    def test_repeated_task_is_a_config_error(self):
+        corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=1, seed=4)
+        clf = JudgmentClassifier(lexicon=lexicon, anchors=anchors, tasks=("charge", "charge"))
+        with pytest.raises(ConfigError, match="invalid train section: tasks must not repeat"):
+            clf.fit(corpus)
+
     def test_out_of_range_threshold_is_a_config_error(self):
         corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=1, seed=4)
         clf = JudgmentClassifier(lexicon=lexicon, anchors=anchors, threshold=0.0)

@@ -510,11 +510,11 @@ class TestPrecomputedBackend:
         precomputed = run_pipeline(
             corpus,
             table=load_embedding_table(table_path),
-            embeddings_path=str(table_path),
             split_spec=split_spec,
             contrastive_cfg=small_contrastive(epochs=3),
             train_cfg=train_cfg,
         )
+        assert precomputed.model.embeddings_path == str(table_path)
         hashed_graph_losses = [v for s, _, v in hashed.loss_log if s == "graph"]
         precomputed_losses = [v for s, _, v in precomputed.loss_log if s == "graph"]
         assert precomputed_losses == hashed_graph_losses
@@ -531,6 +531,13 @@ class TestTrainConfigValidation:
     def test_tasks_non_empty(self):
         with pytest.raises(ValueError):
             TrainConfig(tasks=())
+
+    def test_tasks_distinct(self):
+        """A repeated task would count its loss twice and yield predictions
+        of the wrong length."""
+        message = r"tasks must not repeat a task, got \['charge', 'article', 'charge'\]"
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(tasks=(Task.CHARGE, Task.ARTICLE, Task.CHARGE))
 
     def test_negative_epochs(self):
         with pytest.raises(ValueError):
