@@ -15,7 +15,7 @@ from dataclasses import replace
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_run_config
-from .corpus import Corpus, Task, load_corpus, filter_scenario, split
+from .corpus import Task, load_corpus, filter_scenario, split
 from .clues import load_lexicon
 from .encoder import label_key, load_embedding_table, write_embedding_table
 from .errors import ConfigError, DataError, DivergenceError, LexjudgeError
@@ -23,6 +23,7 @@ from .metrics import MetricsReport, ablation_table
 from .rng import derive
 from .trainer import (
     FittedModel,
+    PipelineResult,
     case_clues,
     evaluate_model,
     fit_model,
@@ -167,8 +168,9 @@ def _pipeline_kwargs(cfg: RunConfig) -> dict:
     return kwargs
 
 
-def _write_embeddings(path: str, model: FittedModel, train_corpus: Corpus) -> None:
-    rows = [(case.id, model.fact_vector(case)) for case in train_corpus]
+def _write_embeddings(path: str, result: PipelineResult) -> None:
+    model = result.model
+    rows = list(zip(result.train.ids(), result.fact_vectors))
     rows += [
         (label_key(task, label_id), vector)
         for task in model.tasks
@@ -241,7 +243,7 @@ def cmd_train(args) -> int:
         ["src_node", "dst_node", "head", "layer", "alpha"],
         result.attention,
     )
-    _write_embeddings(os.path.join(out_dir, "embeddings.tsv"), result.model, result.train)
+    _write_embeddings(os.path.join(out_dir, "embeddings.tsv"), result)
     print(f"checkpoint -> {checkpoint_path}")
     return EXIT_OK
 

@@ -58,11 +58,12 @@ _STAGES = {
 
 @contextmanager
 def _section_values(name: str):
-    """Report a value that a section's config object rejects as a
-    ConfigError naming the section (used as a method decorator)."""
+    """Report a value that a section's config object rejects, or a size it
+    cannot allocate, as a ConfigError naming the section (used as a method
+    decorator)."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, MemoryError) as exc:
         raise ConfigError(f"invalid {name} section: {exc}") from exc
 
 
@@ -179,8 +180,7 @@ class RunConfig:
                 allowlist = frozenset(vocab.label_id(s) for s in allowlist)
             except KeyError as exc:
                 raise ConfigError(f"scenario allowlist: {exc}") from exc
-        counts = {**SCENARIO_DEFAULTS[kind], **values}
-        return ScenarioSpec(kind=kind, charge_allowlist=allowlist, **counts)
+        return ScenarioSpec.preset(kind, charge_allowlist=allowlist, **values)
 
 
 def load_run_config(path, seed_flag: int | None = None) -> RunConfig:

@@ -254,14 +254,13 @@ class ScenarioKind(enum.Enum):
     CONFUSING = "confusing"
 
 
-# The count bounds of each scenario when a spec or a config leaves them out.
+# The count bounds of each scenario when ``ScenarioSpec.preset`` or a config
+# leaves them out.
 SCENARIO_DEFAULTS: dict[ScenarioKind, dict[str, int]] = {
     ScenarioKind.HIGH_FREQUENCY: {"min_charge_count": 101, "min_article_count": 10},
     ScenarioKind.LOW_FREQUENCY: {"min_charge_count": 50, "max_charge_count": 100},
     ScenarioKind.CONFUSING: {"min_charge_count": 0},
 }
-_HIGH = SCENARIO_DEFAULTS[ScenarioKind.HIGH_FREQUENCY]
-_LOW = SCENARIO_DEFAULTS[ScenarioKind.LOW_FREQUENCY]
 
 
 @dataclass(frozen=True)
@@ -286,26 +285,11 @@ class ScenarioSpec:
             raise ValueError("case_cap must be positive when present")
 
     @classmethod
-    def high_frequency(cls, min_charge_count: int = _HIGH["min_charge_count"],
-                       min_article_count: int | None = _HIGH["min_article_count"],
-                       case_cap: int | None = None) -> "ScenarioSpec":
-        """Charges with more than 100 cases (and reasonably frequent articles)."""
-        return cls(ScenarioKind.HIGH_FREQUENCY, min_charge_count=min_charge_count,
-                   min_article_count=min_article_count, case_cap=case_cap)
-
-    @classmethod
-    def low_frequency(cls, min_charge_count: int = _LOW["min_charge_count"],
-                      max_charge_count: int = _LOW["max_charge_count"],
-                      case_cap: int | None = None) -> "ScenarioSpec":
-        """Charges whose frequency lies in [50, 100] by default."""
-        return cls(ScenarioKind.LOW_FREQUENCY, min_charge_count=min_charge_count,
-                   max_charge_count=max_charge_count, case_cap=case_cap)
-
-    @classmethod
-    def confusing(cls, charge_allowlist, case_cap: int | None = None) -> "ScenarioSpec":
-        """An explicit set of mutually confusable charges."""
-        return cls(ScenarioKind.CONFUSING, charge_allowlist=frozenset(charge_allowlist),
-                   case_cap=case_cap)
+    def preset(cls, kind: ScenarioKind | str, **overrides) -> "ScenarioSpec":
+        """A spec of ``kind`` whose counts default to its preset in
+        ``SCENARIO_DEFAULTS``; ``overrides`` set any field, counts included."""
+        kind = ScenarioKind(kind)
+        return cls(kind, **{**SCENARIO_DEFAULTS[kind], **overrides})
 
 
 def filter_scenario(corpus: Corpus, spec: ScenarioSpec, seed: int = 0) -> Corpus:

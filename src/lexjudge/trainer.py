@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -53,15 +53,16 @@ from .validation import check_seed, check_threshold, check_unit_rate
 
 @dataclass(frozen=True, eq=False)
 class AdamState:
-    """First/second moments per parameter, step counter, and hyperparameters."""
+    """First/second moments per parameter, step counter and learning rate;
+    β1, β2 and ε are fixed class constants."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     learning_rate: float = 0.01
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
 
     @classmethod
     def initialize(
@@ -185,19 +186,22 @@ def stage3_objective(
     Labels are the graph forward pass's label rows when ``gat`` gives the
     layer structure, else ``theta["labels.<task>"]``. Cases are the frozen
     ``fact_vectors``, with the (N, d) node matrix ``nodes`` feeding the
-    graph, or, given ``encoder_inputs`` (fact and label features), both are
-    encoded through ``theta``'s ``encoder.projection``/``encoder.bias`` and
-    their concatenation is the node matrix. That concatenation relies on
-    ``build_graph``'s node order: facts first, then labels task by task in
-    vocabulary order. ``rows`` selects the minibatch."""
+    graph, or, given ``encoder_inputs`` (fact and label features), the facts
+    are encoded through ``theta``'s ``encoder.projection``/``encoder.bias``
+    and, when ``gat`` is set, so are the labels, their concatenation being
+    the node matrix. That concatenation relies on ``build_graph``'s node
+    order: facts first, then labels task by task in vocabulary order.
+    ``rows`` selects the minibatch."""
     leaves = {k: Tensor(v, requires_grad=with_grads) for k, v in theta.items()}
     if encoder_inputs is None:
         facts = Tensor(fact_vectors)
         node_t = Tensor(nodes)
     else:
         projection, bias = leaves["encoder.projection"], leaves["encoder.bias"]
-        facts, labels = (tanh_projection(x, projection, bias) for x in encoder_inputs)
-        node_t = ad.concat([facts, labels], axis=0)
+        facts = tanh_projection(encoder_inputs[0], projection, bias)
+        if gat is not None:
+            labels = tanh_projection(encoder_inputs[1], projection, bias)
+            node_t = ad.concat([facts, labels], axis=0)
     if gat is None:
         label_mats = {task: leaves[f"labels.{task.value}"] for task in tasks}
     else:
@@ -301,38 +305,6 @@ class FittedModel:
         """The file the embedding table was read from, if it was read from one."""
         return self.table.path if self.table is not None else None
 
-    @classmethod
-    def trained(
-        cls,
-        cfg: TrainConfig,
-        vocabs: Mapping[Task, LabelVocab],
-        *,
-        encoder_params: HashedEncoderParams | None = None,
-        table: EmbeddingTable | None = None,
-        label_matrices: dict[Task, np.ndarray] | None = None,
-        lexicon: Lexicon | None = None,
-        anchors: SectionAnchors | None = None,
-        threshold: float = 0.8,
-    ) -> "FittedModel":
-        """The model a training run produces: toggles, heads, slope and seed
-        come from ``cfg``."""
-        return cls(
-            tasks=tuple(cfg.tasks),
-            vocabs=dict(vocabs),
-            label_matrices=label_matrices if label_matrices is not None else {},
-            encoder_params=encoder_params,
-            lexicon=lexicon,
-            anchors=anchors,
-            threshold=threshold,
-            use_clue_tracing=cfg.use_clue_tracing,
-            use_contrastive=cfg.use_contrastive,
-            use_graph=cfg.use_graph,
-            heads=cfg.heads,
-            leaky_slope=cfg.leaky_slope,
-            seed=cfg.seed,
-            table=table,
-        )
-
     def fact_vector(self, case: CriminalCase) -> np.ndarray:
         if self.encoder_params is None:
             return self.table[case.id]
@@ -351,10 +323,15 @@ class FittedModel:
 
 @dataclass(eq=False)
 class FitResult:
+    """A fit's outputs. ``fact_vectors`` holds each training case's final
+    fact vector, in corpus order: the fact rows of the node matrix the
+    final label matrices were computed from."""
+
     model: FittedModel
     loss_log: list[tuple[str, int, float]]
     attention: list[tuple]
     optimizer_state: AdamState | None
+    fact_vectors: np.ndarray
 
 
 @contextmanager
@@ -502,17 +479,23 @@ def fit_model(
         else:
             label_matrices = {task: theta[f"labels.{task.value}"].copy() for task in tasks}
 
-    model = FittedModel.trained(
-        train_cfg,
-        train_corpus.vocabs,
-        encoder_params=encoder_params,
-        table=table,
+    model = FittedModel(
+        tasks=tuple(tasks),
+        vocabs=dict(train_corpus.vocabs),
         label_matrices=label_matrices,
+        encoder_params=encoder_params,
         lexicon=lexicon,
         anchors=anchors,
         threshold=threshold,
+        use_clue_tracing=train_cfg.use_clue_tracing,
+        use_contrastive=train_cfg.use_contrastive,
+        use_graph=train_cfg.use_graph,
+        heads=train_cfg.heads,
+        leaky_slope=train_cfg.leaky_slope,
+        seed=train_cfg.seed,
+        table=table,
     )
-    return FitResult(model, loss_log, attention, state)
+    return FitResult(model, loss_log, attention, state, nodes[:n_train])
 
 
 @dataclass(eq=False)

@@ -8,9 +8,12 @@ import pytest
 
 import synth
 from checkpoint_docs import decode, edit_array, to_v1
+import lexjudge.trainer as trainer
 from lexjudge import cli
 from lexjudge.cli import ABLATION_COMBOS, main
-from lexjudge import TASKS, DivergenceError, GatParams, load_corpus, load_lexicon
+from lexjudge import (
+    TASKS, DivergenceError, GatParams, SplitSpec, load_corpus, load_lexicon, split,
+)
 from lexjudge.encoder import label_key
 
 TRAIN_SECTION = {
@@ -256,6 +259,44 @@ class TestTrainCommand:
         assert out == ""
         assert err.startswith("config error: invalid train section: tasks must not repeat")
         assert not (out_dir / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "pretrain", "ablate"])
+    def test_unallocatable_encoder_exits_2(self, tmp_path, capsys, command):
+        """An encoder too large to allocate (2**40 × 4096 float64 is 32 PiB,
+        beyond any address space) is a config error, not a MemoryError."""
+        config_path, out_dir = write_config(
+            tmp_path, encoder={**ENCODER_SECTION, "output_dim": 2**40, "bucket_count": 4096}
+        )
+        assert main([command, "--config", str(config_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: invalid encoder section: Unable to allocate")
+        assert not (out_dir / "checkpoint.json").exists()
+
+    def test_train_traces_each_case_once(
+        self, tmp_path, trace_corpus_path, lexicon_path, monkeypatch
+    ):
+        """``train`` traces each training case once, for the fit, and each
+        validation case once, for its metrics; ``embeddings.tsv`` is written
+        from the fit's fact vectors, so no training case is traced again."""
+        traced = []
+        original = trainer.extract_clues
+
+        def counting(case, *args, **kwargs):
+            traced.append(case.id)
+            return original(case, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "extract_clues", counting)
+        paths = {"corpus": trace_corpus_path, "lexicon": lexicon_path}
+        config_path, out_dir = write_config(
+            tmp_path, paths={**paths, "output_dir": str(tmp_path / "out")}
+        )
+        assert main(["train", "--config", str(config_path)]) == 0
+        train_part, val_part, _ = split(load_corpus(trace_corpus_path), SplitSpec(0.8, seed=13))
+        assert (len(train_part), len(val_part)) == (16, 2)
+        assert traced == train_part.ids() + val_part.ids()
+        embedded = (out_dir / "embeddings.tsv").read_text(encoding="utf-8").split("\n")[1:17]
+        assert [line.split("\t")[0] for line in embedded] == train_part.ids()
 
     def test_divergence_exit_code(self, tmp_path, monkeypatch):
         config_path, _ = write_config(tmp_path)

@@ -14,6 +14,7 @@ from lexjudge import (
     load_corpus,
     split,
 )
+from lexjudge.corpus import SCENARIO_DEFAULTS, ScenarioKind
 
 
 def record(i, charge="theft", article="a1", imprisonment="m1", fact="some fact text"):
@@ -110,28 +111,30 @@ def corpus_with_counts(counts: dict[str, int]) -> Corpus:
 class TestFilterScenario:
     def test_high_frequency_keeps_only_frequent_charge(self):
         corpus = corpus_with_counts({"X": 150, "Y": 60, "Z": 20})
-        spec = ScenarioSpec.high_frequency(min_charge_count=100, min_article_count=None)
+        spec = ScenarioSpec.preset("high_frequency", min_charge_count=100, min_article_count=None)
         out = filter_scenario(corpus, spec)
         assert len(out) == 150
         assert out.vocab(Task.CHARGE).entries == ("X",)
 
     def test_low_frequency_band(self):
         corpus = corpus_with_counts({"X": 150, "Y": 60, "Z": 20})
-        out = filter_scenario(corpus, ScenarioSpec.low_frequency(50, 100))
+        spec = ScenarioSpec.preset("low_frequency", min_charge_count=50, max_charge_count=100)
+        out = filter_scenario(corpus, spec)
         assert len(out) == 60
         assert out.vocab(Task.CHARGE).entries == ("Y",)
 
     def test_confusing_allowlist_with_cap(self):
         corpus = corpus_with_counts({"X": 150, "Y": 60})
         allow = {corpus.vocab(Task.CHARGE).label_id("X")}
-        out = filter_scenario(corpus, ScenarioSpec.confusing(allow, case_cap=10), seed=3)
+        spec = ScenarioSpec.preset("confusing", charge_allowlist=frozenset(allow), case_cap=10)
+        out = filter_scenario(corpus, spec, seed=3)
         assert len(out) == 10
         assert set(out.vocab(Task.CHARGE).entries) == {"X"}
         assert all(c.labels.charge == 0 for c in out)
 
     def test_cap_is_seeded_and_order_preserving(self):
         corpus = corpus_with_counts({"X": 40})
-        spec = ScenarioSpec.confusing({0}, case_cap=11)
+        spec = ScenarioSpec.preset("confusing", charge_allowlist=frozenset({0}), case_cap=11)
         first = filter_scenario(corpus, spec, seed=9)
         second = filter_scenario(corpus, spec, seed=9)
         third = filter_scenario(corpus, spec, seed=10)
@@ -144,11 +147,7 @@ class TestFilterScenario:
         records = [record(i, charge="X", article=f"rare-{i}") for i in range(5)]
         records += [record(100 + i, charge="X", article="common") for i in range(5)]
         corpus = Corpus.from_records(records)
-        spec = ScenarioSpec(
-            kind=ScenarioSpec.high_frequency().kind,
-            min_charge_count=1,
-            min_article_count=5,
-        )
+        spec = ScenarioSpec.preset("high_frequency", min_charge_count=1, min_article_count=5)
         out = filter_scenario(corpus, spec)
         assert len(out) == 5
         assert out.vocab(Task.ARTICLE).entries == ("common",)
@@ -156,11 +155,11 @@ class TestFilterScenario:
     def test_empty_result_is_an_error(self):
         corpus = corpus_with_counts({"X": 5})
         with pytest.raises(DataError, match="empty"):
-            filter_scenario(corpus, ScenarioSpec.high_frequency(min_charge_count=100))
+            filter_scenario(corpus, ScenarioSpec.preset("high_frequency", min_charge_count=100))
 
     def test_idempotent_on_high_frequency(self):
         corpus = corpus_with_counts({"X": 150, "Y": 60})
-        spec = ScenarioSpec.high_frequency(min_charge_count=100, min_article_count=None)
+        spec = ScenarioSpec.preset("high_frequency", min_charge_count=100, min_article_count=None)
         once = filter_scenario(corpus, spec)
         twice = filter_scenario(once, spec)
         assert once.ids() == twice.ids()
@@ -214,11 +213,22 @@ class TestSplit:
 class TestScenarioSpecValidation:
     def test_min_above_max_rejected(self):
         with pytest.raises(ValueError):
-            ScenarioSpec.low_frequency(min_charge_count=101, max_charge_count=100)
+            ScenarioSpec.preset("low_frequency", min_charge_count=101, max_charge_count=100)
 
     def test_non_positive_cap_rejected(self):
         with pytest.raises(ValueError):
-            ScenarioSpec.confusing({0}, case_cap=0)
+            ScenarioSpec.preset("confusing", charge_allowlist=frozenset({0}), case_cap=0)
+
+    @pytest.mark.parametrize("kind", list(ScenarioKind))
+    def test_preset_fills_the_kinds_counts(self, kind):
+        assert ScenarioSpec.preset(kind) == ScenarioSpec(kind, **SCENARIO_DEFAULTS[kind])
+        assert ScenarioSpec.preset(kind.value, case_cap=3) == ScenarioSpec(
+            kind, **SCENARIO_DEFAULTS[kind], case_cap=3
+        )
+
+    def test_preset_of_an_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            ScenarioSpec.preset("rare")
 
     def test_split_fraction_bounds(self):
         with pytest.raises(ValueError):

@@ -97,6 +97,14 @@ class TestEstimatorProtocol:
         with pytest.raises(ConfigError, match="invalid train section: tasks must not repeat"):
             clf.fit(corpus)
 
+    def test_unallocatable_encoder_is_a_config_error(self):
+        """2**40 × 4096 float64 is 32 PiB: no allocation is attempted that
+        could succeed."""
+        corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=1, seed=4)
+        clf = JudgmentClassifier(lexicon=lexicon, anchors=anchors, dim=2**40, bucket_count=4096)
+        with pytest.raises(ConfigError, match="invalid encoder section: Unable to allocate"):
+            clf.fit(corpus)
+
     def test_out_of_range_threshold_is_a_config_error(self):
         corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=1, seed=4)
         clf = JudgmentClassifier(lexicon=lexicon, anchors=anchors, threshold=0.0)

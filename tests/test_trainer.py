@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -33,7 +34,9 @@ from lexjudge import (
     save_checkpoint,
 )
 from lexjudge.corpus import LabelVocab
-from lexjudge.encoder import apply_dropout_noise, encode_fact, encode_label
+from lexjudge.encoder import (
+    EmbeddingTable, apply_dropout_noise, encode_fact, encode_label, label_key,
+)
 from lexjudge.graph import (
     FactNode, GatParams, LabelNode, ReasoningGraph, build_graph, init_features,
 )
@@ -122,6 +125,15 @@ class TestAdam:
                     after = (params[k], state.m[k], state.v[k])
                     assert all(a is not b for a, b in zip(arrays, after))
         assert state.t == 3
+
+    def test_fixed_constants_are_not_fields(self):
+        """Only the moments, step count and learning rate are state; β1, β2
+        and ε are class constants with the usual values."""
+        assert [f.name for f in dataclasses.fields(AdamState)] == ["m", "v", "t", "learning_rate"]
+        state = AdamState.initialize({"w": np.zeros(2)}, learning_rate=0.05)
+        assert (state.beta1, state.beta2, state.eps) == (0.9, 0.999, 1e-8)
+        with pytest.raises(TypeError):
+            AdamState(m={}, v={}, beta1=0.5)
 
     def test_non_finite_gradient_names_its_key(self):
         params = {"a": np.zeros(2), "b": np.zeros(3)}
@@ -353,6 +365,42 @@ class TestFitWork:
         )
         assert len(planned) == 2
         assert planned[0] is None and planned[1] is not None
+
+
+class TestFitResultFactVectors:
+    """``FitResult.fact_vectors`` is what the fitted model's ``fact_vector``
+    gives each training case, bit for bit, so a caller can use the fit's
+    vectors instead of tracing and encoding the training cases again."""
+
+    @pytest.mark.parametrize("setup", ["frozen hashed", "unfrozen hashed", "precomputed"])
+    def test_equal_the_models_fact_vectors(self, setup):
+        corpus, lexicon, anchors = synth_corpus(cases_per_charge=3)
+        if setup == "precomputed":
+            rng = np.random.default_rng(4)
+            keys = corpus.ids() + [
+                label_key(task, i) for task in TASKS for i in range(corpus.vocab(task).size)
+            ]
+            encoder = {"table": EmbeddingTable(8, {key: rng.normal(size=8) for key in keys})}
+        else:
+            encoder = {
+                "encoder_params": HashedEncoderParams.initialize(
+                    output_dim=8, bucket_count=64, seed=1
+                ),
+                "lexicon": lexicon,
+                "anchors": anchors,
+            }
+        result = fit_model(
+            corpus,
+            **encoder,
+            contrastive_cfg=small_contrastive(epochs=2),
+            train_cfg=TrainConfig(
+                epochs=3, seed=3, heads=2,
+                freeze_encoder_after_contrastive=setup != "unfrozen hashed",
+            ),
+        )
+        expected = np.stack([result.model.fact_vector(case) for case in corpus])
+        assert result.fact_vectors.shape == expected.shape
+        assert result.fact_vectors.tobytes() == expected.tobytes()
 
 
 class TestRunPipeline:
@@ -643,6 +691,28 @@ class TestStage3Objective:
         expected = total_loss(hf, golds, {Task.CHARGE: theta["labels.charge"]}, self.tasks)
         assert objective(theta, False)[0] == pytest.approx(expected, abs=1e-12)
 
+    def test_unfrozen_label_finetune_projects_only_the_facts(self, monkeypatch):
+        """Without ``gat`` the loss reads the label matrices from ``theta``,
+        so of the encoder inputs only the fact features are projected."""
+        graph, _, _, encoder, features, golds = stage3_instance()
+        labels = np.random.default_rng(6).normal(size=(3, 8)) * 0.5
+        theta = {"labels.charge": labels, **encoder}
+        calls = []
+        original = lexjudge.trainer.tanh_projection
+
+        def counting(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(lexjudge.trainer, "tanh_projection", counting)
+        value, _ = stage3_objective(
+            theta, graph, golds, self.tasks, encoder_inputs=(features[:3], features[3:])
+        )
+        assert len(calls) == 1
+        hf = np.tanh(features[:3] @ encoder["encoder.projection"].T + encoder["encoder.bias"])
+        expected = total_loss(hf, golds, {Task.CHARGE: labels}, self.tasks)
+        assert value == pytest.approx(expected, abs=1e-12)
+
     def test_fit_model_logs_the_checked_objective(self):
         """The first graph loss of a frozen, full-batch fit is
         stage-3 objective's value on the same graph, parameters and golds."""
@@ -683,9 +753,11 @@ def array_holder(kind: str):
     gat = GatParams.initialize(8, 2, 1)
     state = AdamState.initialize({"w": np.ones(3)})
     vocabs = {task: LabelVocab(task, ["a", "b"]) for task in TASKS}
-    model = FittedModel.trained(
-        TrainConfig(), vocabs, encoder_params=encoder,
-        label_matrices={task: np.ones((2, 2)) for task in TASKS},
+    model = FittedModel(
+        tasks=TASKS, vocabs=vocabs, label_matrices={task: np.ones((2, 2)) for task in TASKS},
+        encoder_params=encoder, lexicon=None, anchors=None, threshold=0.8,
+        use_clue_tracing=True, use_contrastive=True, use_graph=True, heads=4,
+        leaky_slope=0.2, seed=0,
     )
     return {
         "HashedEncoderParams": encoder,
@@ -693,7 +765,7 @@ def array_holder(kind: str):
         "GatParams": gat,
         "AdamState": state,
         "FittedModel": model,
-        "FitResult": FitResult(model, [], [], state),
+        "FitResult": FitResult(model, [], [], state, np.ones((2, 2))),
     }[kind]
 
 
