@@ -160,12 +160,13 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
     embedding table is loaded from that path, a relative one resolved
     against the checkpoint's own directory. Format versions 1 and 2 load.
     ``decode_array`` checks each stored array, ``FittedModel`` checks the
-    label matrices against the vocabularies and the encoder, and
+    tasks and label matrices against the vocabularies and the encoder, and
     ``meta.backend`` and ``meta.dim`` must agree with the encoder loaded;
-    the toggles must be booleans, the tasks distinct, ``meta.seed`` an
-    unsigned 64-bit integer, ``meta.heads`` a positive integer and
-    ``meta.leaky_slope`` a number. Every violation is a ``DataError``. A
-    legacy ``graph.layers`` list is ignored.
+    the toggles must be booleans, ``meta.tasks`` a non-empty list of
+    distinct tasks, ``meta.seed`` an unsigned 64-bit integer,
+    ``meta.heads`` a positive integer and ``meta.leaky_slope`` a number.
+    Every violation is a ``DataError``. A legacy ``graph.layers`` list is
+    ignored.
     """
     doc = read_input(path, "checkpoint", DataError, as_json=True)
     try:
@@ -173,7 +174,7 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
         version = meta["format_version"]
         if type(version) is not int or version not in (1, FORMAT_VERSION):
             raise DataError(f"unsupported checkpoint format version {version!r}")
-        tasks = tuple(Task(t) for t in meta["tasks"])
+        tasks = tuple(Task(t) for t in check_object(meta["tasks"], "meta.tasks", list))
         if len(set(tasks)) != len(tasks):
             raise ValueError(f"meta.tasks must not repeat a task, got {meta['tasks']!r}")
         toggles = {

@@ -26,10 +26,8 @@ from .trainer import (
     PipelineResult,
     case_clues,
     evaluate_model,
-    fit_model,
     predict_records,
     run_pipeline,
-    training_split,
 )
 from .validation import write_output
 
@@ -210,9 +208,8 @@ def cmd_pretrain(args) -> int:
     kwargs = _pipeline_kwargs(cfg)
     # ``train``'s stages 1 and 2 on its training split; the encoder stage 3
     # would start from is kept, the untrained label matrices dropped.
-    train_part, _, _ = training_split(corpus, kwargs.pop("split_spec"))
     kwargs["train_cfg"] = replace(kwargs["train_cfg"], epochs=0)
-    result = fit_model(train_part, **kwargs)
+    result = run_pipeline(corpus, **kwargs)
     rows = [(epoch, value) for stage, epoch, value in result.loss_log if stage == "contrastive"]
     checkpoint_path = os.path.join(out_dir, "checkpoint.json")
     save_checkpoint(checkpoint_path, replace(result.model, label_matrices={}))
@@ -235,9 +232,10 @@ def cmd_train(args) -> int:
         ["stage", "epoch", "loss"],
         result.loss_log,
     )
-    if result.metrics:
-        _write_metrics(out_dir, "metrics_val", result.metrics)
-        _print_metrics(result.metrics)
+    if len(result.validation):
+        reports = evaluate_model(result.model, result.validation)
+        _write_metrics(out_dir, "metrics_val", reports)
+        _print_metrics(reports)
     _write_tsv(
         os.path.join(out_dir, "attention.tsv"),
         ["src_node", "dst_node", "head", "layer", "alpha"],
@@ -312,6 +310,8 @@ def cmd_ablate(args) -> int:
     names = _parse_grid(args.grid)
     corpus = _load_inputs(cfg)
     kwargs = _pipeline_kwargs(cfg)
+    if len(_split_by_name(corpus, kwargs["split_spec"], "test")) == 0:
+        raise DataError("ablation requires a non-empty test split")
     reports: dict[str, dict[Task, MetricsReport]] = {}
     for name in names:
         clue, contrastive, graph = ABLATION_COMBOS[name]
@@ -320,15 +320,8 @@ def cmd_ablate(args) -> int:
             use_clue_tracing=clue, use_contrastive=contrastive, use_graph=graph,
         )
         result = run_pipeline(corpus, **{**kwargs, "train_cfg": train_cfg})
-        test_reports = (
-            evaluate_model(result.model, result.test) if len(result.test) else {}
-        )
-        if not test_reports:
-            raise DataError("ablation requires a non-empty test split")
-        reports[name] = test_reports
-        summary = " ".join(
-            f"{task.value}_f1={r.f1:.4f}" for task, r in test_reports.items()
-        )
+        reports[name] = evaluate_model(result.model, result.test)
+        summary = " ".join(f"{task.value}_f1={r.f1:.4f}" for task, r in reports[name].items())
         print(f"{name}: {summary}")
     table = ablation_table(reports, baseline="full")
     table_path = os.path.join(out_dir, "ablation.tsv")

@@ -133,11 +133,8 @@ class JudgmentClassifier(BaseEstimator):
 
     def predict(self, corpus, task="charge") -> np.ndarray:
         """Predicted label surface strings for one task."""
-        model = self._require_fitted()
-        task = _as_task(task, model)
-        vocab = model.vocabs[task]
-        out = [vocab.surface(model.predict_case(case)[task]) for case in corpus]
-        return np.array(out, dtype=object)
+        task = _as_task(task, self._require_fitted())
+        return self.predict_all(corpus)[task]
 
     def predict_all(self, corpus) -> dict[Task, np.ndarray]:
         """Predicted label surface strings for every task; each case is
@@ -155,7 +152,8 @@ class JudgmentClassifier(BaseEstimator):
         """Softmax probabilities over the task's label vocabulary, row per case."""
         model = self._require_fitted()
         task = _as_task(task, model)
-        return np.stack([_softmax(model.scores(case)[task]) for case in corpus])
+        rows = [_softmax(model.scores(case)[task]) for case in corpus]
+        return np.array(rows, dtype=np.float64).reshape(len(rows), model.vocabs[task].size)
 
     def score(self, corpus: Corpus, task="charge") -> float:
         """Accuracy on one task."""

@@ -247,10 +247,10 @@ class FittedModel:
 
     The encoder is exactly one of ``encoder_params`` (hashed backend) or
     ``table`` (precomputed backend); ``dim``, ``backend_kind`` and
-    ``embeddings_path`` derive from it. Every task in ``tasks`` has a
-    vocabulary and, once any label matrices exist (a pre-trained encoder
-    has none), a finite (vocabulary size, ``dim``) matrix; a violation
-    raises ``ValueError``. The GAT parameters stay in training: unseen
+    ``embeddings_path`` derive from it. ``tasks`` is non-empty, and each
+    of its tasks has a vocabulary and, once any label matrices exist (a
+    pre-trained encoder has none), a finite (vocabulary size, ``dim``)
+    matrix; a violation raises ``ValueError``. The GAT parameters stay in training: unseen
     cases never join the graph, so scoring reads only the label matrices.
     The toggles, ``heads`` and ``leaky_slope`` are provenance: they record
     how the labels were trained."""
@@ -271,6 +271,8 @@ class FittedModel:
     table: EmbeddingTable | None = None
 
     def __post_init__(self):
+        if not self.tasks:
+            raise ValueError("a model needs at least one task")
         if (self.encoder_params is None) == (self.table is None):
             raise ValueError("a model needs exactly one encoder: hashed parameters or a table")
         for task in self.tasks:
@@ -503,19 +505,6 @@ class PipelineResult(FitResult):
     train: Corpus
     validation: Corpus
     test: Corpus
-    metrics: dict[Task, MetricsReport]
-
-
-def training_split(
-    corpus: Corpus, split_spec: SplitSpec | None = None
-) -> tuple[Corpus, Corpus, Corpus]:
-    """``split`` as the pipeline's stage ``split``: the (train, validation,
-    test) parts, an empty training part being a ``DataError``."""
-    with _stage("split"):
-        parts = split(corpus, split_spec or SplitSpec())
-        if len(parts[0]) == 0:
-            raise DataError("split produced an empty training set")
-    return parts
 
 
 def run_pipeline(
@@ -530,9 +519,13 @@ def run_pipeline(
     contrastive_cfg: ContrastiveConfig | None = None,
     train_cfg: TrainConfig | None = None,
 ) -> PipelineResult:
-    """The full staged pipeline: split, ``fit_model`` on the training part
-    (stages 1 to 3), and validation metrics."""
-    train_part, val_part, test_part = training_split(corpus, split_spec)
+    """The staged pipeline: the seeded split (stage ``split``, an empty
+    training part being a ``DataError``), then ``fit_model`` on the
+    training part (stages 1 to 3). Scoring a split is left to the caller."""
+    with _stage("split"):
+        train_part, val_part, test_part = split(corpus, split_spec or SplitSpec())
+        if len(train_part) == 0:
+            raise DataError("split produced an empty training set")
     result = fit_model(
         train_part,
         encoder_params=encoder_params,
@@ -543,13 +536,7 @@ def run_pipeline(
         contrastive_cfg=contrastive_cfg,
         train_cfg=train_cfg,
     )
-    metrics: dict[Task, MetricsReport] = {}
-    if len(val_part) > 0:
-        with _stage("evaluate"):
-            metrics = evaluate_model(result.model, val_part)
-    return PipelineResult(
-        **vars(result), train=train_part, validation=val_part, test=test_part, metrics=metrics
-    )
+    return PipelineResult(**vars(result), train=train_part, validation=val_part, test=test_part)
 
 
 def evaluate_model(
@@ -593,7 +580,7 @@ def predict_records(model: FittedModel, corpus: Corpus) -> list[dict]:
                 {
                     "id": case.id,
                     "task": task.value,
-                    "pred": model.vocabs[task].surface(int(np.argmax(scores[task]))),
+                    "pred": model.vocabs[task].surface(predict_label(scores[task])),
                     "proba": [float(p) for p in proba],
                 }
             )

@@ -467,6 +467,10 @@ MISTYPED_META = {
         lambda meta: meta.update(tasks=["charge", "charge"]),
         "meta.tasks must not repeat a task",
     ),
+    "tasks-object": (
+        lambda meta: meta.update(tasks={"charge": 1}),
+        "meta.tasks must be a JSON list, got dict",
+    ),
     "seed-negative": (lambda meta: meta.update(seed=-1), "meta.seed must be an unsigned"),
     "seed-bool": (lambda meta: meta.update(seed=True), "meta.seed must be an unsigned"),
     "seed-string": (lambda meta: meta.update(seed="11"), "meta.seed must be an unsigned"),
@@ -571,13 +575,34 @@ class TestCheckpointValidation:
     @pytest.mark.parametrize("name", MISTYPED_META)
     def test_mistyped_meta_field_exits_3(self, trained_checkpoint, tmp_path, capsys, name):
         """Each of these loaded before and changed what ``predict`` did: a
-        string toggle reads as true, a repeated task writes every row twice."""
+        string toggle reads as true, a repeated task writes every row twice,
+        an object of tasks reads as its keys."""
         edit, message = MISTYPED_META[name]
         assert self.predict_with(
             trained_checkpoint, tmp_path, lambda doc: edit(doc["meta"])
         ) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and message in err
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_no_tasks_exits_3(self, trained_checkpoint, tmp_path, capsys, command):
+        """A checkpoint without tasks would predict and score nothing, and
+        exit 0 having written no row."""
+        corpus_path, doc = trained_checkpoint
+        doc = copy.deepcopy(doc)
+        doc["meta"]["tasks"] = []
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+        config_path, out_dir = write_config(tmp_path)
+        argv = {
+            "predict": ["--in", str(corpus_path), "--out", str(tmp_path / "preds.jsonl")],
+            "evaluate": ["--config", str(config_path)],
+        }[command]
+        assert main([command, "--checkpoint", str(checkpoint), *argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "a model needs at least one task" in err
+        assert not (tmp_path / "preds.jsonl").exists()
+        assert not (out_dir / "metrics_test.json").exists()
 
     def test_mismatched_meta_dim_exits_3(self, trained_checkpoint, tmp_path, capsys):
         def corrupt(doc):
@@ -967,6 +992,57 @@ class TestAblateCommand:
         )
         assert main(["ablate", "--config", str(config_path), "--grid", "full,no_graph"]) == 0
         assert len(calls) == 1
+
+    def test_scores_only_the_test_split(
+        self, tmp_path, trace_corpus_path, lexicon_path, monkeypatch
+    ):
+        """Each combination is scored once, on the test split. A tracing
+        combination traces the training cases for its fit and the test
+        cases for its score, and no validation case."""
+        scored, traced = [], []
+        evaluate, extract = trainer.evaluate_model, trainer.extract_clues
+
+        def counting_evaluate(model, corpus, *args, **kwargs):
+            scored.append(corpus.ids())
+            return evaluate(model, corpus, *args, **kwargs)
+
+        def counting_extract(case, *args, **kwargs):
+            traced.append(case.id)
+            return extract(case, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "evaluate_model", counting_evaluate)
+        monkeypatch.setattr(cli, "evaluate_model", counting_evaluate)
+        monkeypatch.setattr(trainer, "extract_clues", counting_extract)
+        paths = {"corpus": trace_corpus_path, "lexicon": lexicon_path}
+        config_path, _ = write_config(
+            tmp_path,
+            paths={**paths, "output_dir": str(tmp_path / "out")},
+            train={**TRAIN_SECTION, "epochs": 5},
+            contrastive={"epochs": 1, "negatives_per_anchor": 4},
+        )
+        assert main(["ablate", "--config", str(config_path), "--grid", "all"]) == 0
+        train_part, _, test_part = split(load_corpus(trace_corpus_path), SplitSpec(0.8, seed=13))
+        assert (len(train_part), len(test_part)) == (16, 2)
+        assert scored == [test_part.ids()] * 8
+        tracing = sum(clue for clue, _, _ in ABLATION_COMBOS.values())
+        assert tracing == 4
+        assert traced == (train_part.ids() + test_part.ids()) * tracing
+
+    def test_empty_test_split_exits_3_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        fits, fit_model = [], trainer.fit_model
+
+        def counting_fit_model(corpus, **kwargs):
+            fits.append(len(corpus))
+            return fit_model(corpus, **kwargs)
+
+        monkeypatch.setattr(trainer, "fit_model", counting_fit_model)
+        config_path, out_dir = write_config(tmp_path, split={"train_fraction": 0.95, "seed": 13})
+        parts = split(load_corpus(tmp_path / "corpus.jsonl"), SplitSpec(0.95, seed=13))
+        assert [len(part) for part in parts][1:] == [1, 0]
+        assert main(["ablate", "--config", str(config_path)]) == 3
+        assert fits == []
+        assert capsys.readouterr().err == "data error: ablation requires a non-empty test split\n"
+        assert not (out_dir / "ablation.tsv").exists()
 
     def test_unknown_combo_exits_2(self, tmp_path):
         config_path, _ = write_config(tmp_path)

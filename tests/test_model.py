@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import synth
-from lexjudge import ConfigError, JudgmentClassifier, NotFittedError, SplitSpec, Task, split
+from lexjudge import (
+    ConfigError, Corpus, JudgmentClassifier, NotFittedError, SplitSpec, Task, split,
+)
 
 
 @pytest.fixture(scope="module")
@@ -36,10 +38,20 @@ class TestEstimatorSurface:
         assert proba.shape == (len(test), 3)
         np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-9)
 
+    def test_empty_corpus_gives_empty_arrays(self, fitted):
+        clf, _, test = fitted
+        empty = Corpus([], test.vocabs)
+        proba = clf.predict_proba(empty, task="article")
+        assert proba.shape == (0, 3) and proba.dtype == np.float64
+        assert clf.predict(empty, task="article").shape == (0,)
+        assert all(preds.shape == (0,) for preds in clf.predict_all(empty).values())
+
     def test_predict_all_covers_tasks(self, fitted):
         clf, _, test = fitted
         out = clf.predict_all(test)
         assert set(out) == set(Task)
+        for task in Task:
+            assert list(out[task]) == list(clf.predict(test, task=task))
 
     def test_evaluate_reports(self, fitted):
         clf, train, _ = fitted

@@ -419,7 +419,7 @@ class TestRunPipeline:
         save_checkpoint(path, result.model, result.optimizer_state)
         model, optimizer = load_checkpoint(path)
         assert model.dim == 8
-        assert result.metrics  # chance-level but well-formed
+        assert evaluate_model(result.model, result.validation)  # chance-level but well-formed
         assert json.loads(path.read_text())["meta"]["backend"] == "hashed"
 
     def test_split_sizes_consistent(self):
@@ -436,6 +436,26 @@ class TestRunPipeline:
         assert len(result.train) == 12
         assert len(result.validation) == 2
         assert len(result.test) == 1
+
+    def test_scores_no_split(self, monkeypatch):
+        """The pipeline is the split and the fit; each caller scores the
+        split it reports, so the pipeline itself evaluates nothing."""
+        scored = []
+        monkeypatch.setattr(
+            "lexjudge.trainer.evaluate_model", lambda model, corpus: scored.append(corpus)
+        )
+        corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=5, seed=3)
+        result = run_pipeline(
+            corpus,
+            lexicon=lexicon,
+            anchors=anchors,
+            split_spec=SplitSpec(0.8, seed=4),
+            encoder_params=HashedEncoderParams.initialize(output_dim=8, bucket_count=128, seed=1),
+            contrastive_cfg=small_contrastive(epochs=1),
+            train_cfg=TrainConfig(epochs=1, seed=0),
+        )
+        assert len(result.validation) == 2
+        assert scored == []
 
     def test_predict_records_cover_each_case_once_per_task(self):
         corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=4, seed=3)
@@ -566,11 +586,13 @@ class TestPrecomputedBackend:
         hashed_graph_losses = [v for s, _, v in hashed.loss_log if s == "graph"]
         precomputed_losses = [v for s, _, v in precomputed.loss_log if s == "graph"]
         assert precomputed_losses == hashed_graph_losses
+        hashed_metrics = evaluate_model(model, hashed.validation)
+        precomputed_metrics = evaluate_model(precomputed.model, precomputed.validation)
         for task in TASKS:
             assert np.array_equal(
                 precomputed.model.label_matrices[task], model.label_matrices[task]
             )
-            assert precomputed.metrics[task].acc == hashed.metrics[task].acc
+            assert precomputed_metrics[task].acc == hashed_metrics[task].acc
         # nothing trainable to pre-train
         assert not [s for s, _, _ in precomputed.loss_log if s == "contrastive"]
 
