@@ -209,8 +209,9 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
         lexicon = (
             Lexicon.from_dict(meta["lexicon"]) if meta.get("lexicon") is not None else None
         )
-        anchors_doc = meta.get("anchors")
-        anchors = SectionAnchors.from_dict(anchors_doc) if anchors_doc is not None else None
+        anchors = meta.get("anchors")
+        if anchors is not None:
+            anchors = SectionAnchors.from_dict(anchors, "meta.anchors")
         table = None
         table_path = meta.get("embeddings_path")
         if table_path:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .base import BaseEstimator
-from .errors import ConfigError, NotFittedError
+from .errors import ConfigError, DataError, NotFittedError
 from .validation import check_object, read_input
 
 if TYPE_CHECKING:
@@ -66,13 +66,18 @@ class SectionAnchors:
             _check_text(getattr(self, name), f"{name} anchor")
 
     @classmethod
-    def from_dict(cls, obj: Mapping) -> "SectionAnchors":
+    def from_dict(cls, obj: Mapping, name: str) -> "SectionAnchors":
         """The anchors of a lexicon's ``sections`` object or a checkpoint's
-        ``meta.anchors``: one phrase per section name, and no other key."""
+        ``meta.anchors``, named ``name`` in errors: one phrase per section
+        name, and no other key."""
+        obj = check_object(obj, name)
         unknown = sorted(set(obj) - set(SECTION_NAMES))
         if unknown:
             raise ValueError(f"unknown section anchor key(s) {unknown}")
-        return cls(*(obj[name] for name in SECTION_NAMES))
+        missing = [section for section in SECTION_NAMES if section not in obj]
+        if missing:
+            raise ValueError(f"{name} lacks the anchor(s) of section(s) {missing}")
+        return cls(*(obj[section] for section in SECTION_NAMES))
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in SECTION_NAMES}
@@ -139,8 +144,10 @@ def load_lexicon(path) -> tuple[Lexicon, SectionAnchors]:
     """Read a lexicon JSON file; returns the term lexicon and section anchors."""
     obj = read_input(path, "lexicon file", ConfigError, as_json=True)
     try:
-        return Lexicon.from_dict(obj), SectionAnchors.from_dict(obj["sections"])
-    except (KeyError, TypeError, ValueError) as exc:
+        return Lexicon.from_dict(obj), SectionAnchors.from_dict(obj["sections"], "sections")
+    except KeyError as exc:
+        raise ConfigError(f"lexicon file {path} has an invalid schema: missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"lexicon file {path} has an invalid schema: {exc}") from exc
 
 
@@ -458,7 +465,7 @@ def extract_clues(
     sections = case.sections
     if sections is None:
         if anchors is None:
-            raise ValueError(f"case {case.id} has no sections and no anchors were given")
+            raise DataError(f"case {case.id} has no sections and no anchors were given")
         sections = segment_sections(case.fact_text, anchors)
     return trace_sections(sections, lexicon, threshold)
 

@@ -62,11 +62,12 @@ def info_nce(
     """Mean InfoNCE loss over L2-normalized rows as one tape node: anchor i
     scores its positive (row i of ``positives``) and the rows ``neg_idx[i]``
     of ``negatives`` by cosine over ``temperature``, and the loss is the
-    softmax cross-entropy of those scores with the positive as gold. Rows
-    must be nonzero."""
+    softmax cross-entropy of those scores with the positive as gold. A zero
+    row has no cosine, and makes the loss NaN."""
     views = (anchors, positives, negatives)
     norms = [np.sqrt((t.data * t.data).sum(axis=1, keepdims=True)) for t in views]
-    a, p, m = (t.data / r for t, r in zip(views, norms))
+    with np.errstate(invalid="ignore"):
+        a, p, m = (t.data / r for t, r in zip(views, norms))
     n, count = neg_idx.shape
     neg_rows = m[neg_idx]  # (n, count, d)
     pos_sim = (a * p).sum(axis=1) * (1.0 / temperature)
@@ -97,7 +98,8 @@ def contrastive_objective(
     with_grads: bool = True,
 ) -> tuple[float, dict[str, np.ndarray] | None]:
     """Mean contrastive loss of one epoch over hashed feature rows, with
-    analytic gradients for the projection and bias when requested."""
+    analytic gradients for the projection and bias when requested (skipped
+    for a non-finite value)."""
     features = np.asarray(features, dtype=np.float64)
     p = Tensor(np.asarray(projection, dtype=np.float64), requires_grad=with_grads)
     b = Tensor(np.asarray(bias, dtype=np.float64), requires_grad=with_grads)
@@ -115,7 +117,7 @@ def contrastive_objective(
     )
     loss = info_nce(*views, neg_idx, cfg.temperature)
     value = float(loss.data)
-    if not with_grads:
+    if not with_grads or not np.isfinite(value):
         return value, None
     loss.backward()
     return value, {"projection": p.grad, "bias": b.grad}

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 from .clues import SectionMap
 from .errors import DataError
 from .rng import SplitMix64, derive
-from .validation import check_fraction, check_seed, read_input
+from .validation import check_fraction, check_seed, check_unicode, read_input
 
 
 class Task(enum.Enum):
@@ -242,7 +242,7 @@ def load_corpus(path) -> Corpus:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{where}: invalid JSON: {exc}") from exc
-        records.append(_parse_record(obj, where))
+        records.append(_parse_record(check_unicode(obj, line, where, DataError), where))
     if not records:
         raise DataError("empty corpus")
     return _build_corpus(records)

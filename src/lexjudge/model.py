@@ -14,7 +14,7 @@ from .config import RunConfig
 from .corpus import Corpus, Task, TASKS
 from .encoder import EmbeddingTable
 from .errors import ConfigError, NotFittedError
-from .predictor import predict_proba as _softmax
+from .predictor import predict_label, predict_proba as _softmax
 from .trainer import evaluate_model, fit_model
 
 
@@ -140,19 +140,18 @@ class JudgmentClassifier(BaseEstimator):
         """Predicted label surface strings for every task; each case is
         traced and scored once."""
         model = self._require_fitted()
-        predicted = [model.predict_case(case) for case in corpus]
         return {
             task: np.array(
-                [model.vocabs[task].surface(p[task]) for p in predicted], dtype=object
+                [model.vocabs[task].surface(predict_label(r)) for r in rows], dtype=object
             )
-            for task in model.tasks
+            for task, rows in model.score_rows(corpus).items()
         }
 
     def predict_proba(self, corpus, task="charge") -> np.ndarray:
         """Softmax probabilities over the task's label vocabulary, row per case."""
         model = self._require_fitted()
         task = _as_task(task, model)
-        rows = [_softmax(model.scores(case)[task]) for case in corpus]
+        rows = [_softmax(r) for r in model.score_rows(corpus)[task]]
         return np.array(rows, dtype=np.float64).reshape(len(rows), model.vocabs[task].size)
 
     def score(self, corpus: Corpus, task="charge") -> float:

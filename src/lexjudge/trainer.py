@@ -315,12 +315,16 @@ class FittedModel:
         )
         return encode_fact(clues, self.encoder_params)
 
-    def scores(self, case: CriminalCase) -> dict[Task, np.ndarray]:
-        hf = self.fact_vector(case)
-        return {task: score_case(hf, self.label_matrices[task]) for task in self.tasks}
-
-    def predict_case(self, case: CriminalCase) -> dict[Task, int]:
-        return {task: predict_label(s) for task, s in self.scores(case).items()}
+    def score_rows(self, corpus: Corpus) -> dict[Task, list[np.ndarray]]:
+        """The one scoring loop: per task, each case's scores against the
+        task's label matrix, in corpus order. Each case is traced and
+        encoded once, and its rows are computed one product at a time."""
+        rows: dict[Task, list[np.ndarray]] = {task: [] for task in self.tasks}
+        for case in corpus:
+            hf = self.fact_vector(case)
+            for task, task_rows in rows.items():
+                task_rows.append(score_case(hf, self.label_matrices[task]))
+        return rows
 
 
 @dataclass(eq=False)
@@ -558,30 +562,26 @@ def evaluate_model(
         if unknown:
             raise DataError(f"{task.value} labels unknown to the model: {unknown}")
         golds[task] = [model.vocabs[task].label_id(s) for s in surfaces]
-    preds: dict[Task, list[int]] = {task: [] for task in tasks}
-    for case in corpus:
-        predicted = model.predict_case(case)
-        for task in tasks:
-            preds[task].append(predicted[task])
+    rows = model.score_rows(corpus)
     return {
-        task: report(golds[task], preds[task], model.vocabs[task].size, task=task)
+        task: report(
+            golds[task], [predict_label(r) for r in rows[task]], model.vocabs[task].size,
+            task=task,
+        )
         for task in tasks
     }
 
 
 def predict_records(model: FittedModel, corpus: Corpus) -> list[dict]:
     """Prediction rows for the output JSONL: one object per case per task."""
-    rows = []
-    for case in corpus:
-        scores = model.scores(case)
-        for task in model.tasks:
-            proba = predict_proba(scores[task])
-            rows.append(
-                {
-                    "id": case.id,
-                    "task": task.value,
-                    "pred": model.vocabs[task].surface(predict_label(scores[task])),
-                    "proba": [float(p) for p in proba],
-                }
-            )
-    return rows
+    rows = model.score_rows(corpus)
+    return [
+        {
+            "id": case.id,
+            "task": task.value,
+            "pred": model.vocabs[task].surface(predict_label(rows[task][i])),
+            "proba": [float(p) for p in predict_proba(rows[task][i])],
+        }
+        for i, case in enumerate(corpus)
+        for task in model.tasks
+    ]

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import re
 
 import numpy as np
 
@@ -15,21 +16,36 @@ _KIND_NAMES = {
     bool: "a JSON boolean", int: "an integer", float: "a number", str: "a string",
     list: "a JSON list",
 }
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # a UTF-16 surrogate's JSON escape
 
 
 def read_input(path, what: str, error: type[Exception], as_json: bool = False):
     """The text of the input file at ``path``, or with ``as_json`` its JSON
     document; a file that cannot be read, is not UTF-8 or is not valid JSON
-    raises ``error`` naming it as ``what`` (e.g. ``"lexicon file"``)."""
+    raises ``error`` naming it as ``what`` (e.g. ``"lexicon file"``), and
+    so does a document that ``check_unicode`` refuses."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh) if as_json else fh.read()
+            text = fh.read()
+        return check_unicode(json.loads(text), text, f"{what} {path}", error) if as_json else text
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise error(f"{what} {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def check_unicode(value, text: str, where: str, error: type[Exception]):
+    """``value``, parsed from the JSON ``text``, if every string in it is
+    valid Unicode; a lone surrogate, which no output file can encode,
+    raises ``error`` naming ``where``. Only a surrogate escape in ``text``
+    can make one, so text without a backslash costs one byte search, far
+    faster than the escape's pattern."""
+    if "\\" in text and _SURROGATE_ESCAPE.search(text):
+        if re.search("[\ud800-\udfff]", json.dumps(value, ensure_ascii=False)):
+            raise error(f"{where} holds a lone surrogate, which is not valid text")
+    return value
 
 
 def write_output(path, text: str) -> None:

@@ -160,6 +160,22 @@ class TestTraceCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
 
+    def test_lexicon_without_sections_exits_2(
+        self, tmp_path, trace_corpus_path, lexicon_path, capsys
+    ):
+        with open(lexicon_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        del doc["sections"]
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(json.dumps(doc), encoding="utf-8")
+        config_path, _ = write_config(tmp_path)
+        assert main([
+            "trace", "--config", str(config_path), "--in", trace_corpus_path,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"lexicon file {lexicon} has an invalid schema: missing 'sections'" in err
+
 
 class TestTrainCommand:
     def test_train_emits_artifacts(self, tmp_path):
@@ -306,6 +322,17 @@ class TestTrainCommand:
 
         monkeypatch.setattr("lexjudge.cli.run_pipeline", explode)
         assert main(["train", "--config", str(config_path)]) == 4
+
+    def test_zero_contrastive_view_exits_4(self, tmp_path, capsys):
+        """With one hash bucket every text has one feature, which dropout
+        removes from some view rows; a zero row has no cosine, so the
+        contrastive loss is NaN and the run diverges, with no warning
+        (RuntimeWarnings are errors under this suite)."""
+        config_path, _ = write_config(
+            tmp_path, encoder={**ENCODER_SECTION, "bucket_count": 1}
+        )
+        assert main(["train", "--config", str(config_path)]) == 4
+        assert "contrastive loss diverged at epoch" in capsys.readouterr().err
 
     def test_seed_env_var_changes_artifacts_and_flag_wins(self, tmp_path, monkeypatch):
         config_path, out_dir = write_config(tmp_path)
@@ -671,6 +698,47 @@ class TestCheckpointValidation:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and message in err
 
+    @pytest.mark.parametrize(
+        "anchors, message",
+        [
+            ({}, "meta.anchors lacks the anchor(s) of section(s) "
+                 "['statement', 'date', 'location', 'process']"),
+            ({"statement": "[STATEMENT]", "date": "[DATE]"},
+             "meta.anchors lacks the anchor(s) of section(s) ['location', 'process']"),
+            ([], "meta.anchors must be a JSON object, got list"),
+        ],
+        ids=["empty-object", "two-sections", "list"],
+    )
+    def test_malformed_meta_anchors_exits_3(
+        self, trained_checkpoint, tmp_path, capsys, anchors, message
+    ):
+        assert self.predict_with(
+            trained_checkpoint, tmp_path, lambda doc: doc["meta"].update(anchors=anchors)
+        ) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
+
+    def test_null_anchors_on_cases_without_sections_exits_3(
+        self, trained_checkpoint, tmp_path, capsys, trace_corpus_path
+    ):
+        """A model trained on cases that carry their sections may have no
+        anchors, so a null ``meta.anchors`` loads; predicting cases that
+        carry none is then a data error naming the first such case."""
+        _, doc = trained_checkpoint
+        doc = copy.deepcopy(doc)
+        doc["meta"]["anchors"] = None
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "preds.jsonl"
+        assert main([
+            "predict", "--checkpoint", str(checkpoint), "--in", trace_corpus_path,
+            "--out", str(out),
+        ]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "case trace-000 has no sections and no anchors were given" in err
+        assert not out.exists()
+
     def test_legacy_gat_layers_are_ignored(self, trained_checkpoint, tmp_path):
         """A checkpoint in the older format, whose graph section also holds
         the GAT layers, predicts the same bytes as one without them."""
@@ -705,6 +773,62 @@ class TestCheckpointValidation:
 
         assert self.predict_with(trained_checkpoint, tmp_path, corrupt) == 3
         assert "meta.threshold" in capsys.readouterr().err
+
+
+class TestLoneSurrogate:
+    """The JSON escape of a lone UTF-16 surrogate, such as ``"\\udcff"``, is
+    valid JSON but not text: no UTF-8 file can hold it. The readers refuse
+    it, naming the corpus line or the checkpoint file, before any work."""
+
+    def predict(self, trained_checkpoint, tmp_path, edit_record=None, edit_doc=None):
+        corpus_path, doc = trained_checkpoint
+        records = [json.loads(line) for line in corpus_path.read_text("utf-8").splitlines()]
+        doc = copy.deepcopy(doc)
+        if edit_record:
+            edit_record(records[1])
+        if edit_doc:
+            edit_doc(doc)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "preds.jsonl"
+        code = main([
+            "predict", "--checkpoint", str(checkpoint), "--in", str(corpus), "--out", str(out),
+        ])
+        return code, checkpoint, out
+
+    @pytest.mark.parametrize("field", ["id", "fact"])
+    def test_in_a_corpus_record_exits_3(self, trained_checkpoint, tmp_path, capsys, field):
+        def edit(record):
+            record[field] = "\udcff" + record[field]
+
+        code, _, out = self.predict(trained_checkpoint, tmp_path, edit_record=edit)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 2 holds a lone surrogate")
+        assert not out.exists()
+
+    def test_in_a_checkpoint_vocabulary_exits_3(self, trained_checkpoint, tmp_path, capsys):
+        def edit(doc):
+            doc["meta"]["vocabs"]["charge"][0] = "\udcff"
+
+        code, checkpoint, out = self.predict(trained_checkpoint, tmp_path, edit_doc=edit)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: checkpoint {checkpoint} holds a lone surrogate")
+        assert not out.exists()
+
+    def test_a_surrogate_pair_is_text(self, trained_checkpoint, tmp_path):
+        """A character beyond the Basic Multilingual Plane is escaped as a
+        surrogate pair, which decodes to one valid character."""
+        def edit(record):
+            record["fact"] = "\U0001F600 " + record["fact"]
+
+        code, _, out = self.predict(trained_checkpoint, tmp_path, edit_record=edit)
+        assert code == 0
+        assert '"\\ud83d\\ude00' in (tmp_path / "corpus.jsonl").read_text("utf-8")
+        assert out.exists()
 
 
 def write_full_table(path, corpus_path, dim=16, seed=3):

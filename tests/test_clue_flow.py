@@ -66,17 +66,37 @@ def test_predict_records_traces_each_case_once(traced_ids):
     assert traced_ids == [case.id for case in corpus]
 
 
-def test_predict_all_traces_each_case_once(traced_ids):
+def test_evaluate_model_traces_each_case_once(traced_ids):
+    corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=3, seed=17)
+    model = fit(corpus, lexicon, anchors).model
+    traced_ids.clear()
+    trainer.evaluate_model(model, corpus)
+    assert traced_ids == [case.id for case in corpus]
+
+
+def fitted_classifier():
     corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=3, seed=17)
     clf = JudgmentClassifier(
         lexicon=lexicon, anchors=anchors, dim=8, bucket_count=64, heads=2,
         epochs=2, contrastive_epochs=2, negatives_per_anchor=3, seed=6,
     ).fit(corpus)
+    return clf, corpus
+
+
+def test_predict_all_traces_each_case_once(traced_ids):
+    clf, corpus = fitted_classifier()
     traced_ids.clear()
     out = clf.predict_all(corpus)
     assert traced_ids == [case.id for case in corpus]
     for task, labels in out.items():
         assert list(labels) == list(clf.predict(corpus, task))
+
+
+def test_estimator_predict_proba_traces_each_case_once(traced_ids):
+    clf, corpus = fitted_classifier()
+    traced_ids.clear()
+    clf.predict_proba(corpus, "article")
+    assert traced_ids == [case.id for case in corpus]
 
 
 def namespaces():

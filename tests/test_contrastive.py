@@ -161,6 +161,19 @@ class TestGradients:
         assert worst <= 1e-4
 
 
+    def test_zero_view_row_gives_nan_and_no_gradients(self):
+        """A row whose features are all zero, with a zero bias, projects to
+        a zero view row, which has no cosine: the loss is NaN, which
+        training reports as a divergence, no gradient is computed, and no
+        RuntimeWarning is raised (one would be an error under this suite)."""
+        features = np.ones((5, 4))
+        features[2] = 0.0
+        value, grads = contrastive_objective(
+            features, np.full((3, 4), 0.1), np.zeros(3), tiny_config(negatives_per_anchor=2)
+        )
+        assert np.isnan(value) and grads is None
+
+
 class TestObjectiveMatchesOracle:
     @pytest.mark.parametrize("epoch", [0, 3])
     def test_value_is_mean_of_per_anchor_losses(self, epoch):

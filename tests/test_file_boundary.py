@@ -18,8 +18,10 @@ PACKAGE = Path(lexjudge.__file__).resolve().parent
 FILE_CALLS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
 
 
-def file_calls(path: Path) -> list[str]:
-    """``<module>.<function>`` for every file-opening call in a source file."""
+def named_calls(path: Path, names: set[str]) -> list[tuple[str, str]]:
+    """``(<module>.<function>, name)`` for every call of one of ``names``, by
+    name or as a method, in a source file; a method's function is written
+    ``<class>.<method>``."""
     found = []
 
     def visit(node, scope):
@@ -28,8 +30,8 @@ def file_calls(path: Path) -> list[str]:
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in FILE_CALLS:
-                found.append(scope)
+            if name in names:
+                found.append((scope, name))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -38,5 +40,7 @@ def file_calls(path: Path) -> list[str]:
 
 
 def test_only_the_reader_and_the_writer_open_files():
-    calls = sorted(call for path in PACKAGE.glob("*.py") for call in file_calls(path))
+    calls = sorted(
+        scope for path in PACKAGE.glob("*.py") for scope, _ in named_calls(path, FILE_CALLS)
+    )
     assert calls == ["validation.read_input", "validation.write_output"]
