@@ -237,6 +237,8 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
                 f"{meta['dim']!r} contradict its {model.backend_kind} encoder of "
                 f"dimension {model.dim}"
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise DataError(f"checkpoint {path} has an invalid schema: missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise DataError(f"checkpoint {path} has an invalid schema: {exc}") from exc
     return model, doc.get("optimizer", {})

@@ -258,7 +258,7 @@ def _load_trained(path: str) -> FittedModel:
         raise ConfigError(f"checkpoint does not exist: {path}")
     model, _ = load_checkpoint(path)
     if not model.label_matrices:
-        raise DataError("checkpoint has no trained label representations")
+        raise DataError(f"checkpoint {path} has no trained label representations")
     return model
 
 

@@ -13,16 +13,13 @@ back through the row normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .clues import ClueSet
-from .encoder import (
-    DropoutSpec, HashedEncoderParams, apply_dropout_noise, clue_text, featurize, tanh_projection,
-)
+from .encoder import DropoutSpec, HashedEncoderParams, apply_dropout_noise, tanh_projection
+from .encoder import featurize  # unused here; bench/spans.py wraps this name
 from .errors import ConfigError, DivergenceError
 from .predictor import softmax_cross_entropy
 from .rng import SplitMix64, derive
@@ -124,14 +121,15 @@ def contrastive_objective(
 
 
 def train_contrastive(
-    params: HashedEncoderParams, clue_sets: Sequence[ClueSet], cfg: ContrastiveConfig
+    params: HashedEncoderParams, features: np.ndarray, cfg: ContrastiveConfig
 ) -> tuple[HashedEncoderParams, list[float]]:
-    """Train the encoder projection contrastively on one clue set per case;
+    """Train the encoder projection contrastively on hashed feature rows,
+    one (``bucket_count``,) row per case as ``featurize`` makes them;
     returns the updated params and the mean loss per epoch (measured
     entering the epoch)."""
     from .trainer import AdamState, adam_step  # deferred: trainer imports this module
 
-    n = len(clue_sets)
+    n = len(features)
     if n <= cfg.negatives_per_anchor:
         raise ConfigError(
             f"negatives_per_anchor={cfg.negatives_per_anchor} requires more "
@@ -140,7 +138,6 @@ def train_contrastive(
     if cfg.epochs == 0:
         return params, []
 
-    features = np.stack([featurize(clue_text(clues), params) for clues in clue_sets])
     theta = {"projection": params.projection.copy(), "bias": params.bias.copy()}
     state = AdamState.initialize(theta, learning_rate=cfg.learning_rate)
     history: list[float] = []
@@ -152,4 +149,4 @@ def train_contrastive(
             raise DivergenceError(f"contrastive loss diverged at epoch {epoch}")
         theta, state = adam_step(theta, grads, state)
         history.append(value)
-    return params.with_weights(theta["projection"], theta["bias"]), history
+    return replace(params, projection=theta["projection"], bias=theta["bias"]), history

@@ -18,7 +18,7 @@ projection's row count or the table's ``#dim``.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -39,20 +39,22 @@ if TYPE_CHECKING:
 CLUE_SEPARATOR = "\x1f"
 
 
-# Most n-gram hashes one encoder's memo keeps; past it, new n-grams are
-# hashed on every call. Clue texts repeat few distinct n-grams (hundreds on
-# the benchmark corpora), so the cap only bounds pathological inputs.
+# The n-gram memo maps each n-gram seen to its full 64-bit FNV-1a hash, so
+# ``featurize`` hashes a distinct n-gram once per process. A hash depends
+# on the n-gram alone, not on an encoder's bucket count or weights, so one
+# memo serves every encoder. Past ``HASH_MEMO_CAP`` entries it stops
+# growing and new n-grams are hashed on every call; clue texts repeat few
+# distinct n-grams (hundreds on the benchmark corpora), so the cap only
+# bounds pathological inputs.
 HASH_MEMO_CAP = 65_536
+_ngram_hashes: dict[str, int] = {}
 
 
 @dataclass(eq=False)
 class HashedEncoderParams:
     """Hashing configuration plus the trainable projection and bias.
 
-    ``hash_memo`` maps each n-gram seen to its full 64-bit FNV-1a hash, so
-    ``featurize`` hashes a distinct n-gram once per encoder. It holds no
-    state of the model: ``repr`` and checkpoints ignore it. Params compare
-    by identity, as every dataclass holding arrays does.
+    Params compare by identity, as every dataclass holding arrays does.
     """
 
     projection: np.ndarray
@@ -60,9 +62,6 @@ class HashedEncoderParams:
     bucket_count: int = 4096
     ngram_min: int = 1
     ngram_max: int = 3
-    hash_memo: dict[str, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         self.projection = np.asarray(self.projection, dtype=np.float64)
@@ -115,19 +114,12 @@ class HashedEncoderParams:
             ngram_max=ngram_max,
         )
 
-    def with_weights(self, projection: np.ndarray, bias: np.ndarray) -> "HashedEncoderParams":
-        """New weights, same hashing; the hashes do not depend on the
-        weights, so the new params share this one's memo."""
-        params = replace(self, projection=projection, bias=bias)
-        params.hash_memo = self.hash_memo
-        return params
-
 
 def featurize(text: str, params: HashedEncoderParams) -> np.ndarray:
     """Hashed character n-gram counts, L2-normalized (zero for empty text).
 
     Each n-gram's bucket is its FNV-1a 64 hash over UTF-8 bytes, mod
-    ``bucket_count``; the hashes come from the encoder's memo.
+    ``bucket_count``; the hashes come from the module's memo.
     """
     length = len(text)
     grams = [
@@ -135,7 +127,7 @@ def featurize(text: str, params: HashedEncoderParams) -> np.ndarray:
         for n in range(params.ngram_min, min(params.ngram_max, length) + 1)
         for i in range(length - n + 1)
     ]
-    memo = params.hash_memo
+    memo = _ngram_hashes
     hashes = []
     for gram in grams:
         h = memo.get(gram)

@@ -363,9 +363,10 @@ def fit_model(
 
     Exactly one of ``encoder_params`` (hashed backend) or ``table``
     (precomputed backend) must be given. On the hashed backend stage 1
-    traces each training case once into a clue set, and those clue sets
-    are the encoder's input; the precomputed backend looks cases up by id
-    and skips the contrastive stage, having no trainable encoder.
+    traces each training case once into a clue set, and the encoder's
+    input is each clue text and label surface featurized once; the
+    precomputed backend looks cases up by id and skips the contrastive
+    stage, having no trainable encoder.
     """
     train_cfg = train_cfg or TrainConfig()
     contrastive_cfg = contrastive_cfg or ContrastiveConfig()
@@ -388,24 +389,26 @@ def fit_model(
                 for case in train_corpus
             ]
 
+    n_train = len(train_corpus)
+    sizes = [train_corpus.vocab(task).size for task in TASKS]
+    label_pairs = [(task, i) for task, size in zip(TASKS, sizes) for i in range(size)]
+    if hashed:
+        # The hashed rows of every node, featurized once in node order: the
+        # contrastive inputs, the node vectors and the unfrozen encoder
+        # inputs all derive from them.
+        texts = [clue_text(clues) for clues in fact_inputs]
+        texts += [train_corpus.vocab(task).surface(i) for task, i in label_pairs]
+        text_features = np.stack([encoder.featurize(text, encoder_params) for text in texts])
+
     if hashed and train_cfg.use_contrastive and contrastive_cfg.epochs > 0:
         with _stage("contrastive"):
             encoder_params, history = train_contrastive(
-                encoder_params, fact_inputs, contrastive_cfg
+                encoder_params, text_features[:n_train], contrastive_cfg
             )
         loss_log.extend(("contrastive", epoch, value) for epoch, value in enumerate(history))
 
     with _stage("graph"):
         graph = build_graph(train_corpus)
-        n_train = len(train_corpus)
-        sizes = [train_corpus.vocab(task).size for task in TASKS]
-        label_pairs = [(task, i) for task, size in zip(TASKS, sizes) for i in range(size)]
-        if hashed:
-            # The hashed rows of every node, featurized once in node order;
-            # node vectors and the unfrozen encoder inputs all derive from them.
-            texts = [clue_text(clues) for clues in fact_inputs]
-            texts += [train_corpus.vocab(task).surface(i) for task, i in label_pairs]
-            text_features = np.stack([encoder.featurize(text, encoder_params) for text in texts])
 
         def node_matrix(encoder_params: HashedEncoderParams | None) -> np.ndarray:
             if hashed:
@@ -470,8 +473,9 @@ def fit_model(
             loss_log.append((stage_name, epoch, value))
 
         if unfrozen:
-            encoder_params = encoder_params.with_weights(
-                theta["encoder.projection"], theta["encoder.bias"]
+            encoder_params = replace(
+                encoder_params,
+                projection=theta["encoder.projection"], bias=theta["encoder.bias"],
             )
             nodes = node_matrix(encoder_params)
 

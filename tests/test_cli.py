@@ -638,6 +638,36 @@ class TestCheckpointValidation:
         assert self.predict_with(trained_checkpoint, tmp_path, corrupt) == 3
         assert "meta.dim" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [("meta", "toggles"), ("encoder", "bucket_count"), ("meta.lexicon", "motivation")],
+        ids=["meta-toggles", "encoder-bucket-count", "meta-lexicon-motivation"],
+    )
+    def test_missing_key_is_named_as_missing(
+        self, trained_checkpoint, tmp_path, capsys, section, key
+    ):
+        def corrupt(doc):
+            container = doc
+            for part in section.split("."):
+                container = container[part]
+            del container[key]
+
+        assert self.predict_with(trained_checkpoint, tmp_path, corrupt) == 3
+        err = capsys.readouterr().err
+        path = tmp_path / "checkpoint.json"
+        assert f"checkpoint {path} has an invalid schema: missing '{key}'" in err
+
+    def test_untrained_checkpoint_is_named(self, trained_checkpoint, tmp_path, capsys):
+        """A checkpoint without label matrices (a pre-trained encoder) names
+        itself in the error."""
+        def corrupt(doc):
+            doc["graph"]["label_matrices"] = {}
+
+        assert self.predict_with(trained_checkpoint, tmp_path, corrupt) == 3
+        err = capsys.readouterr().err
+        path = tmp_path / "checkpoint.json"
+        assert f"checkpoint {path} has no trained label representations" in err
+
     @pytest.mark.parametrize("name", CONTRADICTIONS)
     def test_contradicting_state_exits_3(self, trained_checkpoint, tmp_path, capsys, name):
         corrupt, message = CONTRADICTIONS[name]

@@ -18,6 +18,7 @@ from lexjudge import (
 from lexjudge import apply_dropout_noise
 from lexjudge.autodiff import Tensor
 from lexjudge.contrastive import _sample_negatives, info_nce
+from lexjudge.encoder import clue_text, featurize
 from lexjudge.rng import derive
 
 from contrastive_reference import contrastive_loss, cosine_sim, loss_from_similarities
@@ -208,19 +209,21 @@ class TestObjectiveMatchesOracle:
 
 
 class TestTrainContrastive:
-    def build_clue_sets(self, n_per=17, cap=None):
+    def build_features(self, params, n_per=17, cap=None):
+        """The hashed rows of the synthetic cases' clue texts, one per case,
+        as ``fit_model`` hands them to ``train_contrastive``."""
         corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=n_per, seed=9)
-        return [
-            case_clues(case, lexicon, anchors, 0.8, use_clue_tracing=True)
+        return np.stack([
+            featurize(clue_text(case_clues(case, lexicon, anchors, 0.8, True)), params)
             for case in corpus.cases[:cap]
-        ]
+        ])
 
     def test_descent_on_50_synthetic_cases_30_epochs(self):
-        clue_sets = self.build_clue_sets(cap=50)
-        assert len(clue_sets) == 50
         params = HashedEncoderParams.initialize(output_dim=16, bucket_count=256, seed=2)
+        features = self.build_features(params, cap=50)
+        assert len(features) == 50
         cfg = tiny_config(epochs=30, negatives_per_anchor=7)
-        trained, history = train_contrastive(params, clue_sets, cfg)
+        trained, history = train_contrastive(params, features, cfg)
         assert len(history) == 30
         assert history[-1] < history[0]
         assert not np.array_equal(trained.projection, params.projection)
@@ -228,33 +231,33 @@ class TestTrainContrastive:
     def test_zero_encoder_diverges_with_diagnostic(self):
         # all-zero projection collapses every view to the zero vector, so
         # the cosine similarities are undefined and training must abort
-        clue_sets = self.build_clue_sets(n_per=3)
         params = HashedEncoderParams(
             projection=np.zeros((8, 256)), bias=np.zeros(8), bucket_count=256
         )
+        features = self.build_features(params, n_per=3)
         with pytest.raises(DivergenceError, match="epoch 0"):
             with np.errstate(invalid="ignore"):
-                train_contrastive(params, clue_sets, tiny_config(epochs=2))
+                train_contrastive(params, features, tiny_config(epochs=2))
 
     def test_zero_epochs_is_noop(self):
-        clue_sets = self.build_clue_sets(n_per=3)
         params = HashedEncoderParams.initialize(output_dim=8, bucket_count=64, seed=2)
-        trained, history = train_contrastive(params, clue_sets, tiny_config(epochs=0))
+        features = self.build_features(params, n_per=3)
+        trained, history = train_contrastive(params, features, tiny_config(epochs=0))
         assert history == []
         assert np.array_equal(trained.projection, params.projection)
 
     def test_too_many_negatives_rejected(self):
-        clue_sets = self.build_clue_sets(n_per=2)  # 6 cases
         params = HashedEncoderParams.initialize(output_dim=8, bucket_count=64, seed=2)
+        features = self.build_features(params, n_per=2)  # 6 cases
         with pytest.raises(ConfigError):
-            train_contrastive(params, clue_sets, tiny_config(negatives_per_anchor=6))
+            train_contrastive(params, features, tiny_config(negatives_per_anchor=6))
 
     def test_deterministic(self):
-        clue_sets = self.build_clue_sets(n_per=4)
         params = HashedEncoderParams.initialize(output_dim=8, bucket_count=64, seed=2)
+        features = self.build_features(params, n_per=4)
         cfg = tiny_config(epochs=4)
-        a, hist_a = train_contrastive(params, clue_sets, cfg)
-        b, hist_b = train_contrastive(params, clue_sets, cfg)
+        a, hist_a = train_contrastive(params, features, cfg)
+        b, hist_b = train_contrastive(params, features, cfg)
         assert hist_a == hist_b
         assert np.array_equal(a.projection, b.projection)
 

@@ -46,6 +46,14 @@ def hashing_params(buckets=64, ngram_min=1, ngram_max=3):
     )
 
 
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty n-gram memo in place of the module's for one test."""
+    empty = {}
+    monkeypatch.setattr(lexjudge.encoder, "_ngram_hashes", empty)
+    return empty
+
+
 class TestHashNgram:
     def test_published_fnv1a_vector(self):
         # published FNV-1a 64 test vector for "a"
@@ -56,19 +64,19 @@ class TestHashNgram:
         vec = featurize("a", hashing_params(buckets=8, ngram_min=1, ngram_max=1))
         assert np.array_equal(vec, np.eye(8)[4])
 
-    def test_deterministic(self):
+    def test_deterministic(self, memo):
         params = hashing_params(buckets=4096)
         first = featurize("same input", params)
-        assert params.hash_memo  # the second call reads the memo
+        assert memo  # the second call reads the memo
         assert featurize("same input", params).tobytes() == first.tobytes()
         assert first.tobytes() == featurize("same input", hashing_params(4096)).tobytes()
 
-    def test_rejects_empty(self):
+    def test_rejects_empty(self, memo):
         # the empty string is never an n-gram: nothing is hashed or stored
         params = hashing_params(ngram_min=2, ngram_max=3)
         assert not featurize("", params).any()
         assert not featurize("a", params).any()
-        assert params.hash_memo == {}
+        assert memo == {}
 
 
 class TestFeaturize:
@@ -124,41 +132,42 @@ class TestFeaturizeMatchesReference:
         assert featurize(text, params).tobytes() == expected
         assert featurize(text, params).tobytes() == expected  # from the memo
 
-    def test_earlier_texts_do_not_change_later_features(self):
-        used = hashing_params(buckets=7)
-        featurize("seized the bag \u62a2\u52ab", used)
+    def test_earlier_texts_do_not_change_later_features(self, memo):
+        params = hashing_params(buckets=7)
+        featurize("seized the bag \u62a2\u52ab", params)
         later = "the bag was seized \U0001F600"
-        assert featurize(later, used).tobytes() == featurize(later, hashing_params(7)).tobytes()
+        assert featurize(later, params).tobytes() == featurize_reference(later, params).tobytes()
 
-    def test_memo_holds_hashes_not_buckets(self):
-        # a memo filled under one bucket count serves another unchanged
+    def test_memo_holds_hashes_not_buckets(self, memo):
+        # the memo filled under one bucket count serves another unchanged
         small, large = hashing_params(buckets=7), hashing_params(buckets=2048)
-        large.hash_memo = small.hash_memo
         text = "greed" + CLUE_SEPARATOR + "seized the bag" + CLUE_SEPARATOR + "\u4f24\u5bb3"
         for params in (small, large, small, large):
             assert featurize(text, params).tobytes() == featurize_reference(text, params).tobytes()
 
-    def test_with_weights_shares_the_memo(self):
+    def test_new_weights_keep_the_features(self):
         params = small_params()
         before = featurize("some clue text", params)
-        moved = params.with_weights(params.projection + 1.0, params.bias + 1.0)
-        assert moved.hash_memo is params.hash_memo
+        moved = dataclasses.replace(
+            params, projection=params.projection + 1.0, bias=params.bias + 1.0
+        )
         assert featurize("some clue text", moved).tobytes() == before.tobytes()
 
-    def test_memo_stops_growing_at_its_cap(self, monkeypatch):
+    def test_params_hold_no_cache(self):
+        assert [f.name for f in dataclasses.fields(HashedEncoderParams)] == [
+            "projection", "bias", "bucket_count", "ngram_min", "ngram_max",
+        ]
+
+    def test_memo_stops_growing_at_its_cap(self, monkeypatch, memo):
         monkeypatch.setattr(lexjudge.encoder, "HASH_MEMO_CAP", 5)
         params = hashing_params(buckets=64)
         text = "abcdefghij"
         assert featurize(text, params).tobytes() == featurize_reference(text, params).tobytes()
-        assert len(params.hash_memo) == 5
+        assert len(memo) == 5
         assert featurize(text + "klm", params).tobytes() == (
             featurize_reference(text + "klm", params).tobytes()
         )
-        assert len(params.hash_memo) == 5
-
-    def test_memo_is_not_part_of_the_model(self):
-        (memo,) = [f for f in dataclasses.fields(HashedEncoderParams) if f.name == "hash_memo"]
-        assert not (memo.init or memo.repr or memo.compare)
+        assert len(memo) == 5
 
 
 class TestEncode:

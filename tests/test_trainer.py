@@ -299,10 +299,10 @@ class TestFitModel:
 
 class TestFitWork:
     """Counted the way the benchmark's tracer wraps module names: a hashed
-    fit with contrastive epochs featurizes each clue text twice (the
-    contrastive stage, then stage 3) and each label surface once, frozen or
-    not, and runs the full-graph forward pass once, for the final label
-    matrices and the attention together."""
+    fit with contrastive epochs featurizes each clue text and each label
+    surface once, frozen or not, for the contrastive stage and stage 3
+    together, and runs the full-graph forward pass once, for the final
+    label matrices and the attention together."""
 
     @pytest.mark.parametrize("freeze", [True, False], ids=["frozen", "unfrozen"])
     def test_featurize_calls_and_full_passes(self, monkeypatch, freeze):
@@ -340,7 +340,7 @@ class TestFitWork:
             ),
         )
         n, labels = len(corpus), sum(corpus.vocab(task).size for task in TASKS)
-        assert counts == {"featurize": 2 * n + labels, "full passes": 1}
+        assert counts == {"featurize": n + labels, "full passes": 1}
 
     def test_each_pass_is_planned_once(self, monkeypatch):
         """The graph plans its edges once per receiver set: over 250 epochs,
