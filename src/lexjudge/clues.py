@@ -368,9 +368,13 @@ def match_element(
     window is that close. Otherwise one bit-vector pass over the area gives,
     for each end offset, a lower bound on the distance of every window
     ending there; only starts with a window ending within the cut-off are
-    verified. Verification runs the same DP anchored at each such start,
-    which yields the distance of every width at once. Windows within the
-    cut-off are scored with ``fuzzy_score`` and accepted as before.
+    candidates. Verification runs the same DP anchored at a candidate start,
+    which yields the distance of every width at once, and each window's
+    score is ``fuzzy_score``'s expression applied to that distance. Putting
+    the lower bounds in place of the distances gives each start an upper
+    bound on its score: starts are verified best bound first, and the rest
+    are dropped once a bound falls strictly below the threshold or the best
+    score found so far (a start that can only tie is still verified).
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
@@ -403,23 +407,33 @@ def match_element(
         cutoff = _max_accepted_distance(max(high, len(term)), threshold)
         if not _may_match(area, term, cutoff):
             continue
+        bounds = _bit_distances(area, term, anchored=False)
         starts = {
             start
-            for end, bound in enumerate(_bit_distances(area, term, anchored=False))
+            for end, bound in enumerate(bounds)
             if bound <= cutoff
             for start in range(max(0, end - high), end - low + 1)
         }
-        for start in starts:
-            window = area[start : start + high]
-            distances = _bit_distances(window, term, anchored=True)
-            for width in range(low, len(window) + 1):
-                if distances[width] > cutoff:
-                    continue
-                score = fuzzy_score(window[:width], term)
-                if score < threshold:
-                    continue
+        # (-score bound, start): the bound is the score with each window's
+        # distance replaced by the filter's lower bound at its end.
+        order = sorted(
+            (
+                -max(
+                    1.0 - bounds[start + width] / max(width, len(term))
+                    for width in range(low, min(high, len(area) - start) + 1)
+                ),
+                start,
+            )
+            for start in starts
+        )
+        for neg_bound, start in order:
+            if -neg_bound < (threshold if fuzzy_best is None else -fuzzy_best[0]):
+                break
+            distances = _bit_distances(area[start : start + high], term, anchored=True)
+            for width in range(low, len(distances)):
+                score = 1.0 - distances[width] / max(width, len(term))
                 key = (-score, start, index, width)
-                if fuzzy_best is None or key < fuzzy_best:
+                if score >= threshold and (fuzzy_best is None or key < fuzzy_best):
                     fuzzy_best = key
     if fuzzy_best is None:
         return None

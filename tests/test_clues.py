@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import synth
 from clue_reference import levenshtein_reference, match_element_reference
 
 from lexjudge import (
@@ -22,6 +25,7 @@ from lexjudge import (
     match_element,
     segment_sections,
 )
+from lexjudge import clues
 from lexjudge.clues import _max_accepted_distance, _may_match
 
 ANCHORS = SectionAnchors("[S]", "[D]", "[L]", "[P]")
@@ -225,11 +229,86 @@ class TestMatchElementAgreesWithReference:
     @example(("aXc aYc", ["abc", "abc"], 0.5))
     @example(("盗窃 gread 盗", ["greed"], 0.8))
     @example(("xx abcdefgXYj xx", ["abcdefghij"], 0.8))
+    # ties on score: starts 4, 5 and 7 all score 0.5, and start 5 has the
+    # higher bound, so it is verified before the winning start 4
+    @example(("ddbddbcdcac", ["abac"], 0.5))
+    # ties on score across the two terms at start 0: the earlier term wins
+    @example(("acacbbaa", ["bcac", "aac"], 0.5))
     def test_same_match_result(self, inputs):
         area, terms, threshold = inputs
         assert match_element(area, terms, threshold) == match_element_reference(
             area, terms, threshold
         )
+
+    def test_long_areas_of_misspelled_clues(self):
+        """Areas of 60-90 characters, where many starts pass the filter and
+        the best-bound-first order decides how many are verified."""
+        rng = random.Random(23)
+        # the reference scores every window by a full DP, so its time grows
+        # with the square of the term: phrases of up to 24 characters keep
+        # the test to a few seconds
+        phrases = sorted({
+            term
+            for table in (synth.SEPARABLE, synth.CONFUSABLE)
+            for spec in table.values()
+            for name in ("motivation", "action", "harm")
+            for term in spec[name]
+            if len(term) <= 24
+        })
+        letters = "abcdefghijklmnopqrstuvwxyz "
+        cases = 0
+        while cases < 40:
+            clues_used = [rng.choice(phrases) for _ in range(3)]
+            edited = []
+            for phrase in clues_used:
+                for _ in range(rng.randint(1, 2)):
+                    at = rng.randrange(len(phrase) - 1)
+                    phrase = rng.choice((
+                        phrase[:at] + rng.choice(letters) + phrase[at + 1 :],
+                        phrase[:at] + phrase[at + 1 :],
+                        phrase[:at] + rng.choice(letters) + phrase[at:],
+                        phrase[:at] + phrase[at + 1] + phrase[at] + phrase[at + 2 :],
+                    ))
+                edited.append(phrase)
+            area = "; ".join(edited) + "."
+            if not 60 <= len(area) <= 90:
+                continue
+            terms = rng.sample(clues_used + rng.sample(phrases, 2), rng.randint(1, 3))
+            threshold = rng.choice((0.5, 0.8))
+            assert match_element(area, terms, threshold) == match_element_reference(
+                area, terms, threshold
+            ), (area, terms, threshold)
+            cases += 1
+
+
+class TestFuzzyPassWork:
+    def test_windows_are_scored_from_the_verification_pass(self, monkeypatch):
+        """Each verified start costs one anchored DP pass, and no window is
+        scored by a second one. On this area, scoring each window through
+        ``levenshtein`` made 68 anchored passes, 42 of them for the scores;
+        verification alone makes 13."""
+        lexicon = synth._lexicon(synth.CONFUSABLE)
+        area = "a violent impusle; threatened the celrk with a knife; minor boidly injury"
+        calls = {"anchored": 0, "levenshtein": 0}
+        bit_distances, levenshtein_ = clues._bit_distances, clues.levenshtein
+
+        def counting_bit_distances(text, term, anchored):
+            calls["anchored"] += anchored
+            return bit_distances(text, term, anchored)
+
+        def counting_levenshtein(a, b):
+            calls["levenshtein"] += 1
+            return levenshtein_(a, b)
+
+        monkeypatch.setattr(clues, "_bit_distances", counting_bit_distances)
+        monkeypatch.setattr(clues, "levenshtein", counting_levenshtein)
+        found = [
+            match_element(area, lexicon.terms_for(name), 0.8)
+            for name in ("motivation", "action", "harm")
+        ]
+        assert [m.kind for m in found] == [Provenance.FUZZY] * 3
+        assert calls["levenshtein"] == 0
+        assert calls["anchored"] <= 13
 
 
 class TestFuzzyPassBounds:
