@@ -17,8 +17,10 @@ projection's row count or the table's ``#dim``.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -119,24 +121,23 @@ def featurize(text: str, params: HashedEncoderParams) -> np.ndarray:
     """Hashed character n-gram counts, L2-normalized (zero for empty text).
 
     Each n-gram's bucket is its FNV-1a 64 hash over UTF-8 bytes, mod
-    ``bucket_count``; the hashes come from the module's memo.
+    ``bucket_count``; the hashes come from the module's memo. The n-grams
+    of each length extend those one shorter by a character, and the memo
+    is read for all of them at once; only the misses are hashed.
     """
-    length = len(text)
-    grams = [
-        text[i : i + n]
-        for n in range(params.ngram_min, min(params.ngram_max, length) + 1)
-        for i in range(length - n + 1)
-    ]
+    levels = [list(text)]
+    for n in range(2, min(params.ngram_max, len(text)) + 1):
+        levels.append(list(map(operator.add, levels[-1], text[n - 1 :])))
+    grams = list(chain.from_iterable(levels[params.ngram_min - 1 :]))
     memo = _ngram_hashes
-    hashes = []
-    for gram in grams:
-        h = memo.get(gram)
-        if h is None:
-            h = fnv1a_64(gram.encode("utf-8"))
-            if len(memo) < HASH_MEMO_CAP:
-                memo[gram] = h
-        hashes.append(h)
-    buckets = np.array(hashes, dtype=np.uint64) % np.uint64(params.bucket_count)
+    hashes = list(map(memo.get, grams))
+    if not all(hashes):  # a miss reads None (a hash of 0 would only cost the scan)
+        for i, h in enumerate(hashes):
+            if h is None:
+                hashes[i] = h = fnv1a_64(grams[i].encode("utf-8"))
+                if len(memo) < HASH_MEMO_CAP:
+                    memo[grams[i]] = h
+    buckets = np.fromiter(hashes, np.uint64, len(hashes)) % np.uint64(params.bucket_count)
     counts = np.bincount(
         buckets.astype(np.intp), minlength=params.bucket_count
     ).astype(np.float64)

@@ -14,7 +14,7 @@ from .config import RunConfig
 from .corpus import Corpus, Task, TASKS
 from .encoder import EmbeddingTable
 from .errors import ConfigError, NotFittedError
-from .predictor import predict_label, predict_proba as _softmax
+from .predictor import best_label, softmax
 from .trainer import evaluate_model, fit_model
 
 
@@ -29,6 +29,15 @@ def _as_task(task, model) -> Task:
         trained = [t.value for t in model.tasks]
         raise ConfigError(f"the model was not trained on task {task.value!r}; tasks: {trained}")
     return task
+
+
+def _surfaces(model, corpus, tasks) -> dict[Task, np.ndarray]:
+    """Predicted label surface strings for each of ``tasks``; each case is
+    traced and scored once."""
+    return {
+        task: np.array([model.vocabs[task].surface(best_label(r)) for r in rows], dtype=object)
+        for task, rows in model.score_rows(corpus, tasks).items()
+    }
 
 
 class JudgmentClassifier(BaseEstimator):
@@ -133,33 +142,28 @@ class JudgmentClassifier(BaseEstimator):
 
     def predict(self, corpus, task="charge") -> np.ndarray:
         """Predicted label surface strings for one task."""
-        task = _as_task(task, self._require_fitted())
-        return self.predict_all(corpus)[task]
+        model = self._require_fitted()
+        task = _as_task(task, model)
+        return _surfaces(model, corpus, (task,))[task]
 
     def predict_all(self, corpus) -> dict[Task, np.ndarray]:
         """Predicted label surface strings for every task; each case is
         traced and scored once."""
         model = self._require_fitted()
-        return {
-            task: np.array(
-                [model.vocabs[task].surface(predict_label(r)) for r in rows], dtype=object
-            )
-            for task, rows in model.score_rows(corpus).items()
-        }
+        return _surfaces(model, corpus, model.tasks)
 
     def predict_proba(self, corpus, task="charge") -> np.ndarray:
         """Softmax probabilities over the task's label vocabulary, row per case."""
         model = self._require_fitted()
         task = _as_task(task, model)
-        rows = [_softmax(r) for r in model.score_rows(corpus)[task]]
+        rows = [softmax(r) for r in model.score_rows(corpus, (task,))[task]]
         return np.array(rows, dtype=np.float64).reshape(len(rows), model.vocabs[task].size)
 
     def score(self, corpus: Corpus, task="charge") -> float:
         """Accuracy on one task."""
         model = self._require_fitted()
         task = _as_task(task, model)
-        reports = evaluate_model(model, corpus, tasks=(task,))
-        return reports[task].acc
+        return evaluate_model(model, corpus, tasks=(task,))[task].acc
 
     def evaluate(self, corpus: Corpus):
         """Full per-task metrics reports."""

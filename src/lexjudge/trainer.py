@@ -46,7 +46,9 @@ from .graph import (
     init_features,
 )
 from .metrics import MetricsReport, report
-from .predictor import predict_label, predict_proba, score_case, softmax_cross_entropy
+# ``bench/spans.py`` wraps ``predict_proba`` by this module's name; prediction
+# itself reads the checked rows through ``softmax``.
+from .predictor import best_label, predict_proba, score_case, softmax, softmax_cross_entropy
 from .rng import SplitMix64, derive
 from .validation import check_seed, check_threshold, check_unit_rate
 
@@ -315,11 +317,14 @@ class FittedModel:
         )
         return encode_fact(clues, self.encoder_params)
 
-    def score_rows(self, corpus: Corpus) -> dict[Task, list[np.ndarray]]:
-        """The one scoring loop: per task, each case's scores against the
-        task's label matrix, in corpus order. Each case is traced and
-        encoded once, and its rows are computed one product at a time."""
-        rows: dict[Task, list[np.ndarray]] = {task: [] for task in self.tasks}
+    def score_rows(self, corpus: Corpus, tasks: Sequence[Task]) -> dict[Task, list[np.ndarray]]:
+        """The one scoring loop: per task of ``tasks``, each case's scores
+        against the task's label matrix, in corpus order. Each case is
+        traced and encoded once, and its rows are computed one product at
+        a time; ``score_case`` checks each row as it makes it, and
+        ``__post_init__`` checked the label matrices, so each row may be
+        read unchecked."""
+        rows: dict[Task, list[np.ndarray]] = {task: [] for task in tasks}
         for case in corpus:
             hf = self.fact_vector(case)
             for task, task_rows in rows.items():
@@ -561,16 +566,14 @@ def evaluate_model(
     golds: dict[Task, list[int]] = {}
     for task in tasks:
         surfaces = [corpus.vocab(task).surface(i) for i in corpus.gold_ids(task)]
-        known = set(model.vocabs[task].entries)
-        unknown = sorted({s for s in surfaces if s not in known})
+        unknown = sorted(set(surfaces).difference(model.vocabs[task].entries))
         if unknown:
             raise DataError(f"{task.value} labels unknown to the model: {unknown}")
         golds[task] = [model.vocabs[task].label_id(s) for s in surfaces]
-    rows = model.score_rows(corpus)
+    rows = model.score_rows(corpus, tasks)
     return {
         task: report(
-            golds[task], [predict_label(r) for r in rows[task]], model.vocabs[task].size,
-            task=task,
+            golds[task], [best_label(r) for r in rows[task]], model.vocabs[task].size, task=task
         )
         for task in tasks
     }
@@ -578,14 +581,14 @@ def evaluate_model(
 
 def predict_records(model: FittedModel, corpus: Corpus) -> list[dict]:
     """Prediction rows for the output JSONL: one object per case per task."""
-    rows = model.score_rows(corpus)
+    rows = model.score_rows(corpus, model.tasks)
     return [
         {
             "id": case.id,
             "task": task.value,
-            "pred": model.vocabs[task].surface(predict_label(rows[task][i])),
-            "proba": [float(p) for p in predict_proba(rows[task][i])],
+            "pred": model.vocabs[task].surface(best_label(row)),
+            "proba": softmax(row).tolist(),
         }
-        for i, case in enumerate(corpus)
-        for task in model.tasks
+        for case, *case_rows in zip(corpus, *rows.values())
+        for task, row in zip(model.tasks, case_rows)
     ]

@@ -95,9 +95,7 @@ def check_vector(x, name: str = "x", dim: int | None = None) -> np.ndarray:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise ValueError(f"{name} must have length {dim}, got {arr.shape[0]}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
+    return check_finite(arr, name)
 
 
 def check_matrix(x, name: str = "x", cols: int | None = None) -> np.ndarray:
@@ -107,9 +105,7 @@ def check_matrix(x, name: str = "x", cols: int | None = None) -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     if cols is not None and arr.shape[1] != cols:
         raise ValueError(f"{name} must have {cols} columns, got {arr.shape[1]}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
+    return check_finite(arr, name)
 
 
 def check_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:

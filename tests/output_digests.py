@@ -17,7 +17,10 @@ The script imports the ``src`` tree of its own checkout. It covers:
   with ``lexicon.json`` (seed 11, dim 16, 256 buckets, 3 contrastive and 25
   graph epochs);
 * the checkpoint of the benchmark's fit recipe on the fit-confusable
-  inputs of workload seed 111 (about 10 s).
+  inputs of workload seed 111 (about 10 s), and the prediction rows
+  (``predict_records``, written as the CLI ``predict`` writes them) of
+  that checkpoint, reloaded, on the predict-exact and predict-fuzzy
+  request sets of workload seed 111.
 """
 
 from __future__ import annotations
@@ -45,8 +48,10 @@ from lexjudge import (  # noqa: E402
     HashedEncoderParams,
     SplitSpec,
     TrainConfig,
+    load_checkpoint,
     load_corpus,
     load_lexicon,
+    predict_records,
     run_pipeline,
     save_checkpoint,
 )
@@ -165,6 +170,14 @@ def bench_digest(work: Path):
     path = work / "checkpoint.json"
     save_checkpoint(path, result.model, result.optimizer_state)
     yield "bench recipe checkpoint", path.read_bytes()
+    model, _ = load_checkpoint(path)
+    for workload in ("predict-exact", "predict-fuzzy"):
+        folder = work / workload
+        folder.mkdir()
+        paths, _ = w.write_inputs(workload, 111, folder)
+        rows = [row for req in paths.requests for row in predict_records(model, load_corpus(req))]
+        lines = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+        yield f"bench recipe predictions, {workload} requests", lines.encode()
 
 
 def main_digests() -> None:

@@ -169,6 +169,17 @@ class TestFeaturizeMatchesReference:
         )
         assert len(memo) == 5
 
+    def test_repeated_misses_past_the_cap(self, monkeypatch, memo):
+        # The memo is read for every n-gram before any miss is hashed, so a
+        # missed n-gram that repeats within one text is hashed at each
+        # occurrence; past the cap, later texts miss it again.
+        monkeypatch.setattr(lexjudge.encoder, "HASH_MEMO_CAP", 3)
+        params = hashing_params(buckets=64)
+        text = "abab \u4e2d\u6587\u4e2d\u6587 \U0001F600\U0001F600\U0001F600"
+        for _ in range(2):
+            assert featurize(text, params).tobytes() == featurize_reference(text, params).tobytes()
+        assert sorted(memo) == [" ", "a", "b"]
+
 
 class TestEncode:
     def test_identical_clue_sets_identical_vectors(self):

@@ -55,6 +55,14 @@ class TestPredictProba:
             direct = np.exp(logits) / np.exp(logits).sum()
             np.testing.assert_allclose(predict_proba(logits), direct, atol=1e-12)
 
+    def test_bytes_of_the_max_shifted_formula(self):
+        # every reader of score rows takes its probabilities from this kernel
+        rng = np.random.default_rng(8)
+        for size in (1, 2, 5, 9, 33):
+            logits = rng.normal(size=size) * 10
+            shifted = np.exp(logits - logits.max())
+            assert predict_proba(logits).tobytes() == (shifted / shifted.sum()).tobytes()
+
     def test_shift_invariance(self):
         logits = np.array([0.3, -1.2, 2.0])
         a = predict_proba(logits)
