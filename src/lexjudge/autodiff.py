@@ -1,99 +1,40 @@
-"""A minimal reverse-mode tape over numpy arrays.
+"""The loss handle each training objective returns, and the one
+scatter-free kernel that groups rows.
 
-The tape only orders nodes. Each loss is built from a few nodes whose
-backward is a hand-written closed-form gradient, kept next to the loss it
-differentiates: the GAT layer in ``graph``, the tanh projection in
-``encoder``, the softmax cross-entropy in ``trainer`` and the InfoNCE loss
-in ``contrastive``. This module adds only the glue between them (sum,
-concatenation, row gather) and the one scatter-free kernel that groups
-rows, ``Segments``: a grouping planned once (stable order by segment id,
-run starts and lengths) that reduces bit for bit like a stable sort
-followed by one ``reduceat``, but wide rows in short runs are summed
-position by position instead of one inner loop per (segment, column).
-Everything is float64. Graphs are rebuilt every optimization step, so
-leaf gradients never need zeroing.
+Each loss is a fixed handful of forward steps. Each step returns its
+output with a closure that maps the output's gradient to its inputs'
+gradients by a hand-written closed form, kept next to the step: the GAT
+layer in ``graph``, the tanh projection in ``encoder`` and the InfoNCE
+loss in ``contrastive``; ``trainer.stage3_objective`` holds the softmax
+cross-entropy. Each objective calls those closures in a written-out
+order, and ``Tensor`` holds only the loss value and the closure that
+runs them.
+
+``Segments`` is a grouping planned once (stable order by segment id, run
+starts and lengths) that reduces bit for bit like a stable sort followed
+by one ``reduceat``, but wide rows in short runs are summed position by
+position instead of one inner loop per (segment, column). The objectives
+also use it to scatter a row gather's gradient back onto the rows,
+duplicates summed. Everything is float64.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    """A loss ``value`` and ``backward()``, which runs the loss's backward
+    steps and returns the gradients they give."""
 
-    def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+    __slots__ = ("value", "_backward")
 
-    @classmethod
-    def _node(cls, data, parents, backward) -> "Tensor":
-        """A tensor computed from ``parents``; ``backward(g)`` hands each
-        parent its share of the output gradient ``g`` through
-        ``_accumulate``. Nothing is recorded unless a parent needs a
-        gradient."""
-        out = cls(data)
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
-        return out
+    def __init__(self, value: float, backward):
+        self.value = value
+        self._backward = backward
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad``, which has this tensor's shape, to its gradient."""
-        if not self.requires_grad:
-            return
-        self.grad = grad if self.grad is None else self.grad + grad
-
-    def backward(self) -> None:
-        """Backpropagate from a scalar output."""
-        if self.data.size != 1:
-            raise ValueError("backward() requires a scalar output")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen or not node.requires_grad:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        """Sum of two tensors of one shape (a constant may broadcast)."""
-        a, b = self, other
-
-        def backward(g):
-            a._accumulate(g)
-            b._accumulate(g)
-
-        return Tensor._node(a.data + b.data, (a, b), backward)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = list(tensors)
-    sizes = [p.data.shape[axis] for p in parts]
-    bounds = np.cumsum(sizes)[:-1]
-
-    def backward(g):
-        for part, piece in zip(parts, np.split(np.asarray(g), bounds, axis=axis)):
-            part._accumulate(piece)
-
-    return Tensor._node(np.concatenate([p.data for p in parts], axis=axis), parts, backward)
+    def backward(self):
+        return self._backward()
 
 
 # ``reduceat`` runs one inner loop per (segment, column), which is cheap
@@ -178,17 +119,3 @@ class Segments:
         out = np.full(shape, fill, dtype=np.float64)
         out[self._present] = reduced
         return out
-
-
-def gather_rows(a: Tensor, index) -> Tensor:
-    """Select rows (axis 0) by integer index, or by the ``Segments`` of a
-    reused index over ``a``'s rows; duplicate selections accumulate."""
-    rows = index if isinstance(index, Segments) else None
-    idx = rows.ids if rows is not None else np.asarray(index, dtype=np.intp)
-
-    def backward(g):
-        g = np.asarray(g, dtype=np.float64).reshape((idx.size,) + a.data.shape[1:])
-        by_row = rows if rows is not None else Segments(idx, a.data.shape[0])
-        a._accumulate(by_row.reduce(np.add, g, 0.0))
-
-    return Tensor._node(a.data[idx], (a,), backward)

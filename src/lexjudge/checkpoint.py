@@ -29,7 +29,7 @@ import numpy as np
 from .clues import Lexicon, SectionAnchors
 from .corpus import LabelVocab, Task, TASKS
 from .encoder import HashedEncoderParams, load_embedding_table
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .trainer import AdamState, FittedModel
 from .validation import (
     check_kind, check_object, check_seed, check_threshold, is_kind, read_input, write_output,
@@ -142,7 +142,15 @@ def save_checkpoint(path, model: FittedModel, optimizer: AdamState | None = None
     """Write the checkpoint document with ``write_output``, so a path that
     cannot be written is a ``ConfigError``. A relative ``meta.embeddings_path``
     (relative to the current directory) is rewritten relative to the
-    checkpoint's own directory, so the checkpoint loads from anywhere."""
+    checkpoint's own directory, so the checkpoint loads from anywhere. A
+    model whose embedding table was built in memory has no path to record,
+    so no checkpoint of it could load: that is a ``ConfigError``, raised
+    before anything is written."""
+    if model.table is not None and model.table.path is None:
+        raise ConfigError(
+            "cannot save a model whose embedding table was built in memory: read the "
+            "table with load_embedding_table so the checkpoint can record its path"
+        )
     doc = build_checkpoint(model, optimizer)
     table_path = doc["meta"]["embeddings_path"]
     if table_path and not os.path.isabs(table_path):

@@ -5,9 +5,9 @@ projection they form the anchor and its positive. Negatives are randomly
 sampled other cases, one dropout view per case per epoch. The loss is the
 temperature-scaled softmax over cosine similarities with the positive term
 kept in the denominator, and one full-batch Adam step runs per epoch on
-the projection and bias. An epoch's loss is four tape nodes: the tanh
-projection of each view and ``info_nce``, whose closed-form gradient runs
-back through the row normalization.
+the projection and bias. An epoch's loss is four steps, each with its
+closed-form backward: the tanh projection of each view and ``info_nce``,
+whose gradient runs back through the row normalization.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .encoder import DropoutSpec, HashedEncoderParams, apply_dropout_noise, tanh_projection
 from .encoder import featurize  # unused here; bench/spans.py wraps this name
 from .errors import ConfigError, DivergenceError
@@ -54,17 +53,22 @@ def _sample_negatives(n: int, count: int, seed: int) -> np.ndarray:
 
 
 def info_nce(
-    anchors: Tensor, positives: Tensor, negatives: Tensor, neg_idx: np.ndarray, temperature: float
-) -> Tensor:
-    """Mean InfoNCE loss over L2-normalized rows as one tape node: anchor i
-    scores its positive (row i of ``positives``) and the rows ``neg_idx[i]``
-    of ``negatives`` by cosine over ``temperature``, and the loss is the
+    anchors: np.ndarray,
+    positives: np.ndarray,
+    negatives: np.ndarray,
+    neg_idx: np.ndarray,
+    temperature: float,
+):
+    """Mean InfoNCE loss over L2-normalized rows, and the backward step
+    mapping its gradient to those of the three views: anchor i scores its
+    positive (row i of ``positives``) and the rows ``neg_idx[i]`` of
+    ``negatives`` by cosine over ``temperature``, and the loss is the
     softmax cross-entropy of those scores with the positive as gold. A zero
     row has no cosine, and makes the loss NaN."""
     views = (anchors, positives, negatives)
-    norms = [np.sqrt((t.data * t.data).sum(axis=1, keepdims=True)) for t in views]
+    norms = [np.sqrt((t * t).sum(axis=1, keepdims=True)) for t in views]
     with np.errstate(invalid="ignore"):
-        a, p, m = (t.data / r for t, r in zip(views, norms))
+        a, p, m = (t / r for t, r in zip(views, norms))
     n, count = neg_idx.shape
     neg_rows = m[neg_idx]  # (n, count, d)
     pos_sim = (a * p).sum(axis=1) * (1.0 / temperature)
@@ -80,10 +84,12 @@ def info_nce(
             np.add, (g_neg * a[:, None, :]).reshape(n * count, -1), 0.0
         )
         # back through each row's normalization u = t / |t|
-        for view, u, r, g_u in zip(views, (a, p, m), norms, (g_a, g_pos * a, g_m)):
-            view._accumulate((g_u - u * (g_u * u).sum(axis=1, keepdims=True)) / r)
+        return tuple(
+            (g_u - u * (g_u * u).sum(axis=1, keepdims=True)) / r
+            for u, r, g_u in zip((a, p, m), norms, (g_a, g_pos * a, g_m))
+        )
 
-    return Tensor._node(value, views, backward)
+    return value, backward
 
 
 def contrastive_objective(
@@ -96,28 +102,35 @@ def contrastive_objective(
 ) -> tuple[float, dict[str, np.ndarray] | None]:
     """Mean contrastive loss of one epoch over hashed feature rows, with
     analytic gradients for the projection and bias when requested (skipped
-    for a non-finite value)."""
+    for a non-finite value): InfoNCE's backward step, then each view's
+    projection step, summed view 0 + view 1 + view 2."""
     features = np.asarray(features, dtype=np.float64)
-    p = Tensor(np.asarray(projection, dtype=np.float64), requires_grad=with_grads)
-    b = Tensor(np.asarray(bias, dtype=np.float64), requires_grad=with_grads)
+    projection = np.asarray(projection, dtype=np.float64)
+    bias = np.asarray(bias, dtype=np.float64)
     base = derive(cfg.dropout.seed, "contrastive-views", epoch)
     nonzero = np.flatnonzero(features)
     views = [
         tanh_projection(
             apply_dropout_noise(features, replace(cfg.dropout, seed=derive(base, view)), nonzero),
-            p, b,
+            projection, bias,
         )
         for view in range(3)
     ]
     neg_idx = _sample_negatives(
         len(features), cfg.negatives_per_anchor, derive(cfg.seed, "epoch", epoch)
     )
-    loss = info_nce(*views, neg_idx, cfg.temperature)
-    value = float(loss.data)
+    value, info_nce_backward = info_nce(*(out for out, _ in views), neg_idx, cfg.temperature)
+    value = float(value)
     if not with_grads or not np.isfinite(value):
         return value, None
-    loss.backward()
-    return value, {"projection": p.grad, "bias": b.grad}
+
+    def backward():
+        (g_p0, g_b0), (g_p1, g_b1), (g_p2, g_b2) = (
+            step(g) for (_, step), g in zip(views, info_nce_backward(1.0))
+        )
+        return {"projection": g_p0 + g_p1 + g_p2, "bias": g_b0 + g_b1 + g_b2}
+
+    return value, ad.Tensor(value, backward).backward()
 
 
 def train_contrastive(

@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .autodiff import Tensor
 from .clues import ClueSet
 from .errors import DataError
 from .rng import derive, fnv1a_64, glorot_uniform, stream_u64_at, to_uniform
@@ -196,17 +195,17 @@ def project_features(features: np.ndarray, params: HashedEncoderParams) -> np.nd
     return np.tanh(params.projection @ features + params.bias)
 
 
-def tanh_projection(features: np.ndarray, projection: Tensor, bias: Tensor) -> Tensor:
-    """``project_features`` over the rows of ``features`` as one tape node:
-    tanh(features @ projectionᵀ + bias), differentiable in the weights."""
-    out = np.tanh(features @ projection.data.T + bias.data)
+def tanh_projection(features: np.ndarray, projection: np.ndarray, bias: np.ndarray):
+    """``project_features`` over the rows of ``features``:
+    tanh(features @ projectionᵀ + bias), and the backward step mapping the
+    output's gradient to the gradients of ``projection`` and ``bias``."""
+    out = np.tanh(features @ projection.T + bias)
 
     def backward(g):
         g_pre = g * (1.0 - out * out)
-        projection._accumulate((features.T @ g_pre).T)
-        bias._accumulate(g_pre.sum(axis=0))
+        return (features.T @ g_pre).T, g_pre.sum(axis=0)
 
-    return Tensor._node(out, (projection, bias), backward)
+    return out, backward
 
 
 def encode_fact(clues: ClueSet, params: HashedEncoderParams) -> np.ndarray:

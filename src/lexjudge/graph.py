@@ -12,10 +12,11 @@ dimension matches the encoder dimension.
 
 The graph holds structure only, and the edge plans derived from it.
 ``init_features`` returns the (N, d) node matrix, and every pass takes
-that matrix as an argument. Each layer is one tape node with its
-closed-form gradient: ``gat_forward`` runs it without gradients,
-``gat_forward_tensors`` for training. The node-by-node oracle the pass
-is checked against lives in ``tests/gat_reference.py``.
+that matrix as an argument. Each layer is one step that returns its
+output with its closed-form backward; ``gat_forward_tensors`` composes
+the two for training, and ``gat_forward`` runs them without gradients.
+The node-by-node oracle the pass is checked against lives in
+``tests/gat_reference.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .corpus import Corpus, Task, TASKS
 from .errors import DataError
 from .rng import derive, glorot_uniform
@@ -99,7 +99,8 @@ class ReasoningGraph:
     ) -> tuple[np.ndarray, dict[Task, ad.Segments]]:
         """The sorted label nodes of ``tasks``, and where each task's labels
         sit among them in label id order, as ``Segments`` over those rows
-        for ``gather_rows``; computed once per task tuple."""
+        that scatter a gradient back onto them; computed once per task
+        tuple."""
         key = tuple(tasks)
         if key not in self._receivers:
             receivers = np.sort(np.concatenate([self.label_indices(task) for task in key]))
@@ -275,30 +276,32 @@ class GatParams:
 
 
 def _forward_layer(
-    x: Tensor,
+    x: np.ndarray,
     graph: ReasoningGraph,
     layer: LayerParams,
-    w: Tensor,
-    omega: Tensor,
+    w: np.ndarray,
+    omega: np.ndarray,
     collect: list | None,
     layer_no: int,
     receivers: np.ndarray | None = None,
-) -> Tensor:
-    """One layer with its H heads stacked, as one tape node: projections
-    ``(N, H, d)``, edge logits and attention ``(E, H)``, messages
-    ``(E, H, d)``, then ELU and the heads concatenated or averaged.
+):
+    """One layer with its H heads stacked, and its backward step:
+    projections ``(N, H, d)``, edge logits and attention ``(E, H)``,
+    messages ``(E, H, d)``, then ELU and the heads concatenated or
+    averaged. ``backward(g, input_grad)`` maps the output's gradient to
+    those of ``x`` (None unless ``input_grad``), ``w`` and ``omega``.
 
     The edge logit ``omega·[Wh_i ‖ Wh_j]`` is the sum of a source score
     ``omega[:d]·Wh_i`` and a destination score ``omega[d:]·Wh_j``, so both
     are computed once per node. With ``receivers`` (sorted node indices)
     only the edges into them are aggregated, and output row r is node
     ``receivers[r]``."""
-    n, (n_heads, width, d_in) = graph.num_nodes, w.data.shape
+    n, (n_heads, width, d_in) = graph.num_nodes, w.shape
     by_seg, by_src, by_dst = graph.plan(receivers)
     dst, seg, n_out = by_dst.ids, by_seg.ids, by_seg.num_segments
-    w_flat = w.data.reshape((n_heads * width, d_in))
-    a_src, a_dst = omega.data[:, :width], omega.data[:, width:]
-    projected = (x.data @ w_flat.T).reshape((n, n_heads, width))
+    w_flat = w.reshape((n_heads * width, d_in))
+    a_src, a_dst = omega[:, :width], omega[:, width:]
+    projected = (x @ w_flat.T).reshape((n, n_heads, width))
     receiving = projected if receivers is None else projected[receivers]
     raw = (receiving * a_src).sum(axis=2)[seg] + (projected * a_dst).sum(axis=2)[dst]
     factor = np.where(raw > 0, 1.0, layer.leaky_slope)
@@ -317,7 +320,7 @@ def _forward_layer(
     else:
         out = aggregated.sum(axis=1) * (1.0 / n_heads)
 
-    def backward(g):
+    def backward(g, input_grad):
         if layer.combine == "concat":
             g_agg = g.reshape((n_out, n_heads, width))
         else:
@@ -333,36 +336,48 @@ def _forward_layer(
             by_dst.reduce(np.add, g_msg * alpha[:, :, None], 0.0)
             + g_src * a_src + g_dst * a_dst
         ).reshape((n, n_heads * width))
-        omega._accumulate(np.concatenate(
+        g_omega = np.concatenate(
             [(g_src * projected).sum(axis=0), (g_dst * projected).sum(axis=0)], axis=1
-        ))
-        w._accumulate((x.data.T @ g_proj).T.reshape(w.data.shape))
-        if x.requires_grad:
-            x._accumulate(g_proj @ w_flat)
+        )
+        g_w = (x.T @ g_proj).T.reshape(w.shape)
+        return (g_proj @ w_flat if input_grad else None), g_w, g_omega
 
-    return Tensor._node(out, (x, w, omega), backward)
+    return out, backward
 
 
 def gat_forward_tensors(
-    features: Tensor,
+    features: np.ndarray,
     graph: ReasoningGraph,
-    tensors: Mapping[str, Tensor],
+    tensors: Mapping[str, np.ndarray],
     params: GatParams,
     collect: list | None = None,
     receivers: np.ndarray | None = None,
-) -> Tensor:
-    """Both layers as a differentiable function of ``tensors``, keyed as
-    ``GatParams.to_param_dict``; ``params`` supplies the layer structure.
-    With ``receivers`` (sorted node indices) the last layer computes only
-    their rows, in that order."""
-    x = features
+):
+    """Both layers over the (N, d) node matrix ``features`` with the weights
+    ``tensors``, keyed as ``GatParams.to_param_dict``; ``params`` supplies
+    the layer structure. With ``receivers`` (sorted node indices) the last
+    layer computes only their rows, in that order. Returns the output and
+    ``backward(g, input_grad)``, which runs the layers' steps last to
+    first and returns the gradient of ``features`` (None unless
+    ``input_grad``) and those of ``tensors``, keyed alike."""
+    x, steps = features, []
     last = len(params.layers) - 1
     for li, layer in enumerate(params.layers):
-        x = _forward_layer(
+        x, step = _forward_layer(
             x, graph, layer, tensors[f"gat.layer{li}.W"], tensors[f"gat.layer{li}.omega"],
             collect, li, receivers if li == last else None,
         )
-    return x
+        steps.append(step)
+
+    def backward(g, input_grad):
+        grads = {}
+        for li in reversed(range(len(steps))):
+            g, grads[f"gat.layer{li}.W"], grads[f"gat.layer{li}.omega"] = steps[li](
+                g, li > 0 or input_grad
+            )
+        return g, grads
+
+    return x, backward
 
 
 def gat_forward(
@@ -376,9 +391,9 @@ def gat_forward(
     label representations)."""
     if not np.all(np.isfinite(features)):
         raise DataError("graph features contain non-finite values")
-    tensors = {k: Tensor(v) for k, v in params.to_param_dict().items()}
-    out = gat_forward_tensors(Tensor(features), graph, tensors, params, collect_attention)
-    result = out.data
+    result, _ = gat_forward_tensors(
+        features, graph, params.to_param_dict(), params, collect_attention
+    )
     if not np.all(np.isfinite(result)):
         raise DataError("graph forward pass produced non-finite values")
     return result

@@ -8,20 +8,24 @@ Inference-time fact vectors always come from the encoder; the graph only
 propagates case semantics into the label nodes, and unseen cases never
 join the transductive graph. With ``use_graph=False`` the per-task label
 matrices themselves are fine-tuned under the same loss, starting from the
-encoded label surface texts.
+encoded label surface texts. ``stage3_objective`` runs the forward steps
+(encoder, graph, one cross-entropy per task) and then their closed-form
+backward steps in a written-out order, so its gradients are summed in the
+same order on every run.
 """
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from . import encoder
-from .autodiff import Tensor
 from .clues import ClueSet, Lexicon, SectionAnchors, extract_clues, full_text_clues
 from .contrastive import ContrastiveConfig, train_contrastive
 from .corpus import Corpus, CriminalCase, LabelVocab, SplitSpec, Task, TASKS, split
@@ -155,19 +159,6 @@ class TrainConfig:
         object.__setattr__(self, "seed", check_seed(self.seed))
 
 
-def _cross_entropy(facts: Tensor, labels: Tensor, gold: np.ndarray) -> Tensor:
-    """``softmax_cross_entropy`` of the scores ``facts @ labelsᵀ`` against
-    the gold label ids, as one tape node."""
-    value, g_logits = softmax_cross_entropy(facts.data @ labels.data.T, gold)
-
-    def backward(g):
-        g_scores = g * g_logits
-        facts._accumulate(g_scores @ labels.data)
-        labels._accumulate((facts.data.T @ g_scores).T)
-
-    return Tensor._node(value, (facts, labels), backward)
-
-
 def stage3_objective(
     theta: Mapping[str, np.ndarray],
     graph: ReasoningGraph,
@@ -193,37 +184,64 @@ def stage3_objective(
     and, when ``gat`` is set, so are the labels, their concatenation being
     the node matrix. That concatenation relies on ``build_graph``'s node
     order: facts first, then labels task by task in vocabulary order.
-    ``rows`` selects the minibatch."""
-    leaves = {k: Tensor(v, requires_grad=with_grads) for k, v in theta.items()}
-    if encoder_inputs is None:
-        facts = Tensor(fact_vectors)
-        node_t = Tensor(nodes)
-    else:
-        projection, bias = leaves["encoder.projection"], leaves["encoder.bias"]
-        facts = tanh_projection(encoder_inputs[0], projection, bias)
+    ``rows`` selects the minibatch.
+
+    The backward steps run in a fixed order, and each sum adds in task
+    order: every task's cross-entropy, the label rows scattered back onto
+    the graph output, the graph, and the encoder, whose fact gradient is
+    the tasks' (scattered back from the minibatch) plus the graph's."""
+    unfrozen = encoder_inputs is not None
+    facts = fact_vectors
+    if unfrozen:
+        weights = theta["encoder.projection"], theta["encoder.bias"]
+        facts, project_facts = tanh_projection(encoder_inputs[0], *weights)
         if gat is not None:
-            labels = tanh_projection(encoder_inputs[1], projection, bias)
-            node_t = ad.concat([facts, labels], axis=0)
+            labels, project_labels = tanh_projection(encoder_inputs[1], *weights)
+            nodes = np.concatenate([facts, labels], axis=0)
     if gat is None:
-        label_mats = {task: leaves[f"labels.{task.value}"] for task in tasks}
+        label_mats = {task: theta[f"labels.{task.value}"] for task in tasks}
     else:
         # The loss reads only label rows, so the last layer aggregates only
         # the edges into the label nodes of ``tasks``.
         receivers, positions = graph.label_receivers(tasks)
-        out = gat_forward_tensors(node_t, graph, leaves, gat, receivers=receivers)
-        label_mats = {task: ad.gather_rows(out, at) for task, at in positions.items()}
-    if rows is not None:
-        facts = ad.gather_rows(facts, rows)
-    loss_t = None
+        out, graph_backward = gat_forward_tensors(nodes, graph, theta, gat, receivers=receivers)
+        label_mats = {task: out[at.ids] for task, at in positions.items()}
+    batch = facts if rows is None else facts[rows]
+    values, g_scores = [], []
     for task in tasks:
         ids = np.asarray(golds[task], dtype=np.intp)
-        term = _cross_entropy(facts, label_mats[task], ids if rows is None else ids[rows])
-        loss_t = term if loss_t is None else loss_t + term
-    value = float(loss_t.data)
+        term, g = softmax_cross_entropy(
+            batch @ label_mats[task].T, ids if rows is None else ids[rows]
+        )
+        values.append(term)
+        g_scores.append(g)
+    value = float(reduce(operator.add, values))
     if not with_grads or not np.isfinite(value):
         return value, None
-    loss_t.backward()
-    return value, {k: leaf.grad for k, leaf in leaves.items()}
+
+    def backward():
+        grads = {}
+        g_labels = {task: (batch.T @ g).T for task, g in zip(tasks, g_scores)}
+        if gat is None:
+            grads.update((f"labels.{task.value}", g) for task, g in g_labels.items())
+        else:
+            scattered = [positions[task].reduce(np.add, g_labels[task], 0.0) for task in tasks]
+            g_nodes, gat_grads = graph_backward(reduce(operator.add, scattered), unfrozen)
+            grads.update(gat_grads)
+        if unfrozen:
+            g_facts = reduce(operator.add, [g @ label_mats[t] for t, g in zip(tasks, g_scores)])
+            if rows is not None:
+                g_facts = ad.Segments(rows, len(facts)).reduce(np.add, g_facts, 0.0)
+            g_projection, g_bias = project_facts(
+                g_facts if gat is None else g_facts + g_nodes[: len(facts)]
+            )
+            if gat is not None:
+                g_p, g_b = project_labels(g_nodes[len(facts):])
+                g_projection, g_bias = g_projection + g_p, g_bias + g_b
+            grads["encoder.projection"], grads["encoder.bias"] = g_projection, g_bias
+        return {key: grads[key] for key in theta}
+
+    return value, ad.Tensor(value, backward).backward()
 
 
 def case_clues(

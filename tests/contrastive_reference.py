@@ -3,9 +3,9 @@
 The contrastive loss of one anchor, composed from scalar cosine
 similarities: the temperature-scaled softmax with the positive kept in the
 denominator, computed with a max shift. The production objective batches
-every anchor of an epoch into one closed-form InfoNCE node; tests hold
-its value to the mean of this per-anchor loss. Nothing here uses the
-tape.
+every anchor of an epoch into one InfoNCE step with a closed-form
+backward; tests hold its value to the mean of this per-anchor loss.
+Nothing here uses ``lexjudge.autodiff``.
 """
 
 from __future__ import annotations

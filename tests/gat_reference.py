@@ -5,7 +5,7 @@ The attention network composed node by node from its per-edge operations
 cross-entropy composed case by case from the predictor's scoring and
 softmax. Slow, but each step reads as the documented formula, so the
 gradient checks and the vectorized forward pass are held to them. Nothing
-here uses the autodiff tape or the production forward pass.
+here uses ``lexjudge.autodiff`` or the production forward pass.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
-"""Finite-difference checks for the tape's own ops (``lexjudge.autodiff``)
-and for every op of the composed oracle (``tests/tape_reference.py``) that
-the closed-form losses are held to."""
+"""Finite-difference checks for every op of the composed oracle
+(``tests/tape_reference.py``) that the closed-form losses are held to, and
+for ``lexjudge.autodiff.Segments``, the kernel that groups rows and
+scatters a row gather's gradient back onto the rows."""
 
 import ast
 import os
@@ -14,7 +15,7 @@ from hypothesis import given, strategies as st
 
 import tape_reference as ref
 from lexjudge import autodiff as ad
-from lexjudge.autodiff import Segments, Tensor
+from lexjudge.autodiff import Segments
 
 
 def finite_difference(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -32,22 +33,32 @@ def finite_difference(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
     return grad
 
 
-def check(build, shape, seed, atol=1e-7, rtol=1e-5, tensor=ref.Tensor):
-    """``build`` maps a ``tensor`` to a scalar; its gradient must match
+def check(build, shape, seed, atol=1e-7, rtol=1e-5):
+    """``build`` maps a ``ref.Tensor`` to a scalar; its gradient must match
     central differences."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=shape)
-    leaf = tensor(x.copy(), requires_grad=True)
+    leaf = ref.Tensor(x.copy(), requires_grad=True)
     build(leaf).backward()
-    numeric = finite_difference(lambda arr: float(build(tensor(arr)).data), x)
+    numeric = finite_difference(lambda arr: float(build(ref.Tensor(arr)).data), x)
     np.testing.assert_allclose(leaf.grad, numeric, atol=atol, rtol=rtol)
 
 
-def probe(t: Tensor, weights) -> Tensor:
-    """The scalar ``sum(t * weights)`` as a tape node, so the tape's own
-    ops can be checked without an arithmetic op of the tape."""
-    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), t.data.shape)
-    return Tensor._node((t.data * weights).sum(), (t,), lambda g: t._accumulate(g * weights))
+def gather_grad(x: np.ndarray, index, weights) -> np.ndarray:
+    """The gradient in ``x`` of ``sum(x[index] * weights)``, as the
+    objectives' backward steps take a row gather's: the output gradient
+    scattered back onto the rows by ``Segments``."""
+    idx = np.asarray(index, dtype=np.intp)
+    g = np.broadcast_to(weights, idx.shape + x.shape[1:])
+    return Segments(idx, len(x)).reduce(np.add, g.reshape((idx.size,) + x.shape[1:]), 0.0)
+
+
+def check_gather(index, shape, weights, seed):
+    """``gather_grad`` against central differences."""
+    x = np.random.default_rng(seed).normal(size=shape)
+    idx = np.asarray(index, dtype=np.intp)
+    numeric = finite_difference(lambda arr: float((arr[idx] * weights).sum()), x.copy())
+    np.testing.assert_allclose(gather_grad(x, idx, weights), numeric, atol=1e-7, rtol=1e-5)
 
 
 class TestElementwiseOps:
@@ -117,22 +128,10 @@ class TestMatmul:
 
 
 class TestStructuralOps:
-    """``concat`` and ``gather_rows`` are the tape's; the rest the oracle's."""
-
-    def test_concat_axis1(self):
-        rng = np.random.default_rng(17)
-        other = rng.normal(size=(3, 2))
-        weights = rng.normal(size=(3, 4))
-        check(
-            lambda t: probe(ad.concat([t, Tensor(other)], axis=1), weights),
-            (3, 2),
-            seed=18,
-            tensor=Tensor,
-        )
+    """A row gather's gradient is ``Segments``'; the rest are the oracle's."""
 
     def test_gather_rows_accumulates_duplicates(self):
-        idx = np.array([0, 1, 1, 2])
-        check(lambda t: probe(ad.gather_rows(t, idx), 2.0), (3, 2), seed=19, tensor=Tensor)
+        check_gather(np.array([0, 1, 1, 2]), (3, 2), 2.0, seed=19)
 
     def test_segment_sum(self):
         seg = np.array([0, 0, 1, 2, 2, 2])
@@ -150,8 +149,8 @@ class TestStructuralOps:
 class TestSegmentKernel:
     """The row-grouping ops on ids that are unsorted, repeated, or leave a
     segment empty, for ``(E,)``, ``(E, H)`` and ``(E, H, d)`` inputs: the
-    tape's ``gather_rows`` and kernel, the oracle's segment sum and
-    softmax."""
+    gradient of a row gather through ``Segments``, and the oracle's segment
+    sum and softmax."""
 
     IDS = np.array([3, 0, 3, 1, 0, 3, 1])  # segment 2 receives no rows
     SHAPES = [(7,), (7, 2), (7, 2, 3)]
@@ -162,23 +161,16 @@ class TestSegmentKernel:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_gather_rows_grad(self, shape):
         weights = self.weights((len(self.IDS),) + shape[1:], 40)
-        check(
-            lambda t: probe(ad.gather_rows(t, self.IDS), weights),
-            (5,) + shape[1:],
-            seed=41,
-            tensor=Tensor,
-        )
+        check_gather(self.IDS, (5,) + shape[1:], weights, seed=41)
 
     def test_gather_rows_two_dim_index_grad(self):
         idx = np.array([[4, 0, 4], [2, 2, 1]])
-        weights = self.weights((2, 3, 2), 42)
-        check(lambda t: probe(ad.gather_rows(t, idx), weights), (5, 2), seed=43, tensor=Tensor)
+        check_gather(idx, (5, 2), self.weights((2, 3, 2), 42), seed=43)
 
     def test_gather_rows_unselected_rows_get_zero_grad(self):
-        leaf = Tensor(np.ones((5, 2)), requires_grad=True)
-        probe(ad.gather_rows(leaf, self.IDS), 2.0).backward()
+        grad = gather_grad(np.ones((5, 2)), self.IDS, 2.0)
         counts = np.bincount(self.IDS, minlength=5)
-        np.testing.assert_array_equal(leaf.grad, 2.0 * counts[:, None] * np.ones((5, 2)))
+        np.testing.assert_array_equal(grad, 2.0 * counts[:, None] * np.ones((5, 2)))
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_segment_sum_values_and_grad(self, shape):
@@ -218,9 +210,7 @@ class TestSegmentKernel:
         empty = np.zeros(0, dtype=np.intp)
         out = Segments(empty, 3).reduce(np.add, np.zeros((0, 2)), 0.0)
         np.testing.assert_array_equal(out, np.zeros((3, 2)))
-        leaf = Tensor(np.ones((3, 2)), requires_grad=True)
-        probe(ad.gather_rows(leaf, empty), 1.0).backward()
-        np.testing.assert_array_equal(leaf.grad, np.zeros((3, 2)))
+        np.testing.assert_array_equal(gather_grad(np.ones((3, 2)), empty, 1.0), np.zeros((3, 2)))
 
 
 def scatter_calls(source: str) -> list[str]:
@@ -411,31 +401,3 @@ class TestSoftmaxPieces:
             (3, 4),
             seed=28,
         )
-
-
-class TestEngine:
-    """The production tape: ordering, accumulation and pruning."""
-
-    def test_backward_requires_scalar(self):
-        t = Tensor(np.ones(3), requires_grad=True)
-        with pytest.raises(ValueError):
-            (t + t).backward()
-
-    def test_grad_accumulates_across_reuse(self):
-        t = Tensor(np.array([2.0]), requires_grad=True)
-        ((t + t) + ad.gather_rows(t, [0])).backward()  # d/dt (t + t + t) = 3
-        assert t.grad[0] == pytest.approx(3.0)
-
-    def test_constants_are_pruned(self):
-        const = Tensor(np.ones(3))
-        out = ad.concat([const + Tensor(2.0), const])
-        assert not out.requires_grad
-        assert out._parents == ()
-
-    def test_deep_chain_no_recursion_error(self):
-        t = Tensor(np.array([0.001]), requires_grad=True)
-        out, zero = t, Tensor(0.0)
-        for _ in range(3000):
-            out = out + zero
-        out.backward()
-        assert t.grad[0] == pytest.approx(1.0)

@@ -8,6 +8,7 @@ import synth
 from checkpoint_docs import array_slots, to_v1
 from lexjudge import (
     TASKS,
+    ConfigError,
     ContrastiveConfig,
     DataError,
     DropoutSpec,
@@ -19,6 +20,9 @@ from lexjudge import (
     save_checkpoint,
 )
 from lexjudge.checkpoint import FORMAT_VERSION, decode_array, encode_array
+from lexjudge.encoder import (
+    EmbeddingTable, label_key, load_embedding_table, write_embedding_table,
+)
 from lexjudge.cli import main
 
 
@@ -56,6 +60,28 @@ class TestCheckpointSchema:
         assert list(doc["graph"]) == ["label_matrices"]
         model, _ = load_checkpoint(path)
         assert not hasattr(model, "gat")
+
+    def test_in_memory_table_is_refused_before_writing(self, tmp_path):
+        """A table built in memory has no path for ``load_checkpoint`` to
+        read it from, so saving its model writes nothing; the same vectors
+        read from a file save and load."""
+        corpus, _, _ = synth.separable_corpus(cases_per_charge=2, seed=8)
+        keys = [case.id for case in corpus] + [
+            label_key(task, i) for task in TASKS for i in range(corpus.vocab(task).size)
+        ]
+        rng = np.random.default_rng(0)
+        vectors = {key: rng.normal(size=8) for key in keys}
+        train_cfg = TrainConfig(epochs=1, seed=6, heads=2)
+        model = fit_model(corpus, table=EmbeddingTable(8, vectors), train_cfg=train_cfg).model
+        path = tmp_path / "checkpoint.json"
+        with pytest.raises(ConfigError, match="built in memory"):
+            save_checkpoint(path, model)
+        assert not path.exists()
+        write_embedding_table(tmp_path / "table.tsv", 8, vectors.items())
+        model = dataclasses.replace(model, table=load_embedding_table(tmp_path / "table.tsv"))
+        save_checkpoint(path, model)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.embeddings_path == str(tmp_path / "table.tsv")
 
     def test_meta_embeds_lexicon_and_vocabs(self, fitted):
         doc = build_checkpoint(fitted.model)

@@ -144,3 +144,55 @@ def test_bench_tracer_installs_and_restores():
         "predictor.score", "trainer.fit_model",
     } <= names
     assert len(tracer.clue_sets) == 2 * len(corpus)
+
+
+# Names the tracer wraps that nothing calls any more: prediction reads the
+# checked rows through ``softmax``, ``match_element`` scores windows from
+# its own DP distances, and the contrastive stage takes featurized rows.
+UNCALLED_HOOKS = {"trainer.predict_proba", "clues.fuzzy_score", "contrastive.featurize"}
+
+
+def test_every_bench_hook_is_called(monkeypatch):
+    """A traced pipeline, evaluation and prediction call every name the
+    tracer wraps, except ``UNCALLED_HOOKS``, and the backward spans carry
+    both stage tags."""
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer(enabled=True)
+    short = {
+        trainer: "trainer", lexjudge.clues: "clues", lexjudge.encoder: "encoder",
+        lexjudge.contrastive: "contrastive", lexjudge.autodiff.Tensor: "autodiff.Tensor",
+    }
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    hooks = []
+    for owner, attr, _ in tracer._patches():
+        hooks.append(f"{short[owner]}.{attr}")
+        monkeypatch.setattr(owner, attr, counting(hooks[-1], getattr(owner, attr)))
+    corpus, lexicon, anchors = synth.separable_corpus(cases_per_charge=4, seed=17)
+    with tracer.install():
+        result = trainer.run_pipeline(
+            corpus,
+            lexicon=lexicon,
+            anchors=anchors,
+            encoder_params=HashedEncoderParams.initialize(output_dim=8, bucket_count=64, seed=1),
+            contrastive_cfg=ContrastiveConfig(
+                epochs=2, negatives_per_anchor=3, dropout=DropoutSpec(0.1, 4), seed=5
+            ),
+            train_cfg=TrainConfig(epochs=2, seed=6, heads=2),
+        )
+        trainer.evaluate_model(result.model, result.test)
+        trainer.predict_records(result.model, result.test)
+    assert len(hooks) == len(set(hooks)) > len(UNCALLED_HOOKS)
+    assert UNCALLED_HOOKS <= set(hooks)
+    assert sorted(set(hooks) - set(calls)) == sorted(UNCALLED_HOOKS)
+    tags = {span[6] for span in tracer.spans if span[1] == "autodiff.backward"}
+    assert tags == {"contrastive", "graph"}

@@ -16,7 +16,6 @@ from lexjudge import (
     train_contrastive,
 )
 from lexjudge import apply_dropout_noise
-from lexjudge.autodiff import Tensor
 from lexjudge.contrastive import _sample_negatives, info_nce
 from lexjudge.encoder import clue_text, featurize
 from lexjudge.rng import derive
@@ -119,17 +118,17 @@ def tiny_config(**overrides):
 
 class TestGradients:
     def test_anchor_gradient_matches_central_differences(self):
-        # dim-8 instance; analytic side is the InfoNCE tape node
+        # dim-8 instance; analytic side is the InfoNCE step's backward
         rng = np.random.default_rng(5)
         anchor0 = rng.normal(size=8)
         positive = rng.normal(size=8)
         negatives = rng.normal(size=(4, 8))
         tau = 0.1
 
-        leaf = Tensor(anchor0[None].copy(), requires_grad=True)
-        info_nce(
-            leaf, Tensor(positive[None]), Tensor(negatives), np.array([[0, 1, 2, 3]]), tau
-        ).backward()
+        _, backward = info_nce(
+            anchor0[None].copy(), positive[None], negatives, np.array([[0, 1, 2, 3]]), tau
+        )
+        g_anchor, _, _ = backward(1.0)
         step = 1e-4
         for i in range(8):
             up = anchor0.copy(); up[i] += step
@@ -138,7 +137,7 @@ class TestGradients:
                 contrastive_loss(up, positive, list(negatives), tau)
                 - contrastive_loss(down, positive, list(negatives), tau)
             ) / (2 * step)
-            rel = abs(leaf.grad[0, i] - numeric) / max(abs(numeric), 1e-8)
+            rel = abs(g_anchor[0, i] - numeric) / max(abs(numeric), 1e-8)
             assert rel <= 1e-4
 
     def test_projection_gradient_matches_central_differences(self):

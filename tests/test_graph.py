@@ -17,7 +17,6 @@ from lexjudge import (
     encode_label,
     init_features,
 )
-from lexjudge.autodiff import Tensor
 from lexjudge.graph import (
     FactNode,
     LabelNode,
@@ -369,10 +368,9 @@ class TestLabelOnlyLastLayer:
         _, params, graphs = bench_graphs
         graph, features = graphs[name]
         receivers = label_nodes(graph)
-        tensors = {k: Tensor(v) for k, v in params.to_param_dict().items()}
-        partial = gat_forward_tensors(
-            Tensor(features), graph, tensors, params, receivers=receivers
-        ).data
+        partial, _ = gat_forward_tensors(
+            features, graph, params.to_param_dict(), params, receivers=receivers
+        )
         full = gat_forward(graph, features, params)
         assert partial.shape == (len(receivers), params.output_dim)
         np.testing.assert_allclose(partial, full[receivers], rtol=0, atol=1e-12)

@@ -2,11 +2,11 @@
 package keeps them out of its production modules.
 
 Each ``tests/*_reference.py`` module is parsed, not imported: none may
-import the autodiff tape, the trainer or the contrastive module, nor any
-production forward pass, objective or featurizer by name. The names that
-moved to those modules, or were deleted as test-only wrappers or as ops
-of the composed tape that closed-form nodes replaced, must not come back
-into ``lexjudge``.
+import ``lexjudge.autodiff``, the trainer or the contrastive module, nor
+any production forward pass, objective or featurizer by name. The names
+that moved to those modules, or were deleted as test-only wrappers, as
+ops of the composed tape that closed-form steps replaced, or with the
+production tape, must not come back into ``lexjudge``.
 """
 
 import ast
@@ -31,6 +31,7 @@ MOVED_OR_DELETED = (
     "hash_ngram",
     "elu", "leaky_relu", "segment_softmax", "logsumexp", "l2_normalize_rows",
     "_mean_ce", "_onehot",
+    "concat", "gather_rows", "_cross_entropy",
 )
 
 
