@@ -1,5 +1,6 @@
-"""The loss handle each training objective returns, and the one
-scatter-free kernel that groups rows.
+"""The loss handle each training objective returns, the one
+scatter-free kernel that groups rows, and the one product that sums over
+rows.
 
 Each loss is a fixed handful of forward steps. Each step returns its
 output with a closure that maps the output's gradient to its inputs'
@@ -16,6 +17,14 @@ by one ``reduceat``, but wide rows in short runs are summed position by
 position instead of one inner loop per (segment, column). The objectives
 also use it to scatter a row gather's gradient back onto the rows,
 duplicates summed. Everything is float64.
+
+``t_matmul`` is every weight gradient's ``a.T @ b``: OpenBLAS splits a
+product that sums over rows across its threads, and how it splits, and so
+how the sums round, depends on the thread count. Rows zero-padded to a
+multiple of 32 gave the one-thread bits at every thread count and size
+tried; that is an observed property of OpenBLAS, not a documented one, so
+``tests/test_blas_threads.py`` fits a model at one and two threads and
+compares the checkpoints.
 """
 
 from __future__ import annotations
@@ -35,6 +44,16 @@ class Tensor:
 
     def backward(self):
         return self._backward()
+
+
+def t_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a.T @ b`` with both operands' rows zero-padded to a multiple of 32,
+    so the bits do not depend on the BLAS thread count."""
+    pad = -len(a) % 32
+    if pad:
+        a = np.concatenate([a, np.zeros((pad,) + a.shape[1:])])
+        b = np.concatenate([b, np.zeros((pad,) + b.shape[1:])])
+    return a.T @ b
 
 
 # ``reduceat`` runs one inner loop per (segment, column), which is cheap

@@ -5,7 +5,10 @@ consumes:
 
 * a deterministic feature-hashing encoder — character n-gram counts hashed
   with FNV-1a 64 into buckets, L2-normalized, then mapped through a
-  trainable projection with a tanh output; and
+  trainable projection with a tanh output. ``featurize`` hashes all of a
+  text's n-grams in one numpy pass over its UTF-8 bytes and holds no
+  state, so a text's features and its cost do not depend on earlier
+  calls; and
 * ingestion of precomputed embeddings from a TSV table (vectors are taken
   as given; nothing is trainable on this path).
 
@@ -17,17 +20,16 @@ projection's row count or the table's ``#dim``.
 
 from __future__ import annotations
 
-import operator
 import os
 from dataclasses import dataclass
-from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from .autodiff import t_matmul
 from .clues import ClueSet
 from .errors import DataError
-from .rng import derive, fnv1a_64, glorot_uniform, stream_u64_at, to_uniform
+from .rng import FNV_OFFSET_BASIS, FNV_PRIME, derive, glorot_uniform, stream_u64_at, to_uniform
 from .validation import (
     check_finite, check_kind, check_positive, check_unit_rate, read_input, write_output,
 )
@@ -38,17 +40,6 @@ if TYPE_CHECKING:
 # U+001F unit separator joins the clue fields before hashing; it cannot
 # occur in natural text, so clue boundaries never alias content n-grams.
 CLUE_SEPARATOR = "\x1f"
-
-
-# The n-gram memo maps each n-gram seen to its full 64-bit FNV-1a hash, so
-# ``featurize`` hashes a distinct n-gram once per process. A hash depends
-# on the n-gram alone, not on an encoder's bucket count or weights, so one
-# memo serves every encoder. Past ``HASH_MEMO_CAP`` entries it stops
-# growing and new n-grams are hashed on every call; clue texts repeat few
-# distinct n-grams (hundreds on the benchmark corpora), so the cap only
-# bounds pathological inputs.
-HASH_MEMO_CAP = 65_536
-_ngram_hashes: dict[str, int] = {}
 
 
 @dataclass(eq=False)
@@ -120,30 +111,34 @@ def featurize(text: str, params: HashedEncoderParams) -> np.ndarray:
     """Hashed character n-gram counts, L2-normalized (zero for empty text).
 
     Each n-gram's bucket is its FNV-1a 64 hash over UTF-8 bytes, mod
-    ``bucket_count``; the hashes come from the module's memo. The n-grams
-    of each length extend those one shorter by a character, and the memo
-    is read for all of them at once; only the misses are hashed.
+    ``bucket_count``. FNV-1a folds bytes left to right, so the hashes of
+    the n-grams at every start are those of the (n-1)-grams folded on by
+    the next character's bytes: one vectorized step per byte column,
+    masked where a character has fewer bytes. Nothing is kept between
+    calls.
     """
-    levels = [list(text)]
-    for n in range(2, min(params.ngram_max, len(text)) + 1):
-        levels.append(list(map(operator.add, levels[-1], text[n - 1 :])))
-    grams = list(chain.from_iterable(levels[params.ngram_min - 1 :]))
-    memo = _ngram_hashes
-    hashes = list(map(memo.get, grams))
-    if not all(hashes):  # a miss reads None (a hash of 0 would only cost the scan)
-        for i, h in enumerate(hashes):
-            if h is None:
-                hashes[i] = h = fnv1a_64(grams[i].encode("utf-8"))
-                if len(memo) < HASH_MEMO_CAP:
-                    memo[grams[i]] = h
-    buckets = np.fromiter(hashes, np.uint64, len(hashes)) % np.uint64(params.bucket_count)
-    counts = np.bincount(
-        buckets.astype(np.intp), minlength=params.bucket_count
-    ).astype(np.float64)
+    raw = text.encode("utf-8")
+    if len(raw) == len(text):  # ASCII: one byte per character
+        columns, masks = np.frombuffer(raw, np.uint8).astype(np.uint64)[None], [None]
+    else:  # zero padding: reading a character's 4th byte stays in bounds
+        data = np.frombuffer(raw + bytes(3), np.uint8)
+        bounds = np.flatnonzero((data & 0xC0) != 0x80)[: len(text) + 1]  # lead bytes, end
+        widths = bounds[1:] - bounds[:-1]
+        columns = data[bounds[:-1] + np.arange(widths.max())[:, None]].astype(np.uint64)
+        masks = [None if k < widths.min() else widths > k for k in range(len(columns))]
+    h, prime = np.full(len(text) + 1, FNV_OFFSET_BASIS, np.uint64), np.uint64(FNV_PRIME)
+    hashes = [h[:0]]  # a text shorter than ngram_min has no n-grams
+    for n in range(1, min(params.ngram_max, len(text)) + 1):
+        h = h[:-1]  # the n-grams start at 0 .. len(text) - n
+        for column, mask in zip(columns, masks):
+            folded = (h ^ column[n - 1 :]) * prime
+            h = folded if mask is None else np.where(mask[n - 1 :], folded, h)
+        if n >= params.ngram_min:
+            hashes.append(h)
+    buckets = (np.concatenate(hashes) % np.uint64(params.bucket_count)).astype(np.intp)
+    counts = np.bincount(buckets, minlength=params.bucket_count).astype(np.float64)
     norm = np.linalg.norm(counts)
-    if norm > 0.0:
-        counts /= norm
-    return counts
+    return counts / norm if norm > 0.0 else counts
 
 
 @dataclass(frozen=True)
@@ -203,7 +198,7 @@ def tanh_projection(features: np.ndarray, projection: np.ndarray, bias: np.ndarr
 
     def backward(g):
         g_pre = g * (1.0 - out * out)
-        return (features.T @ g_pre).T, g_pre.sum(axis=0)
+        return t_matmul(features, g_pre).T, g_pre.sum(axis=0)
 
     return out, backward
 

@@ -63,11 +63,12 @@ class ReasoningGraph:
             raise ValueError("nodes and neighbors must align")
         self.nodes: list[NodeKind] = list(nodes)
         self.neighbors: list[list[int]] = [list(ns) for ns in neighbors]
+        edges = {(i, j) for i, ns in enumerate(self.neighbors) for j in ns}
         for i, ns in enumerate(self.neighbors):
-            if i not in ns:
+            if (i, i) not in edges:
                 raise ValueError(f"node {i} is missing its self-loop")
             for j in ns:
-                if i not in self.neighbors[j]:
+                if (j, i) not in edges:
                     raise ValueError(f"edge {i}->{j} has no reverse")
         self.edge_src = np.array(
             [i for i, ns in enumerate(self.neighbors) for _ in ns], dtype=np.intp
@@ -339,7 +340,7 @@ def _forward_layer(
         g_omega = np.concatenate(
             [(g_src * projected).sum(axis=0), (g_dst * projected).sum(axis=0)], axis=1
         )
-        g_w = (x.T @ g_proj).T.reshape(w.shape)
+        g_w = ad.t_matmul(x, g_proj).T.reshape(w.shape)
         return (g_proj @ w_flat if input_grad else None), g_w, g_omega
 
     return out, backward

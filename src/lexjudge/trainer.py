@@ -221,7 +221,7 @@ def stage3_objective(
 
     def backward():
         grads = {}
-        g_labels = {task: (batch.T @ g).T for task, g in zip(tasks, g_scores)}
+        g_labels = {task: ad.t_matmul(batch, g).T for task, g in zip(tasks, g_scores)}
         if gat is None:
             grads.update((f"labels.{task.value}", g) for task, g in g_labels.items())
         else:

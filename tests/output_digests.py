@@ -20,7 +20,11 @@ The script imports the ``src`` tree of its own checkout. It covers:
   inputs of workload seed 111 (about 10 s), and the prediction rows
   (``predict_records``, written as the CLI ``predict`` writes them) of
   that checkpoint, reloaded, on the predict-exact and predict-fuzzy
-  request sets of workload seed 111.
+  request sets of workload seed 111;
+* ``featurize`` over 401 seeded texts, one of each length from 0 to 400
+  characters, mixing characters of one to four UTF-8 bytes and the clue
+  separator, at 7 and 4,096 buckets and n-gram ranges (1, 3), (2, 4) and
+  (3, 5): the concatenated feature bytes.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -48,6 +53,7 @@ from lexjudge import (  # noqa: E402
     HashedEncoderParams,
     SplitSpec,
     TrainConfig,
+    featurize,
     load_checkpoint,
     load_corpus,
     load_lexicon,
@@ -56,6 +62,7 @@ from lexjudge import (  # noqa: E402
     save_checkpoint,
 )
 from lexjudge.cli import main  # noqa: E402
+from lexjudge.encoder import CLUE_SEPARATOR  # noqa: E402
 from lexjudge.rng import derive  # noqa: E402
 
 BRANCHES = {
@@ -180,10 +187,33 @@ def bench_digest(work: Path):
         yield f"bench recipe predictions, {workload} requests", lines.encode()
 
 
+# one code point range per UTF-8 width: ASCII, Latin-1 to Cyrillic, CJK, emoji
+SCRIPTS = [(0x20, 0x7E), (0xA0, 0x4FF), (0x4E00, 0x9FFF), (0x1F600, 0x1F64F)]
+
+
+def featurize_digests(work: Path):
+    rng = random.Random("featurize digests")
+    texts = [
+        "".join(
+            CLUE_SEPARATOR if rng.random() < 0.02 else chr(rng.randint(*rng.choice(SCRIPTS)))
+            for _ in range(length)
+        )
+        for length in range(401)
+    ]
+    for buckets in (7, 4096):
+        for ngrams in ((1, 3), (2, 4), (3, 5)):
+            params = HashedEncoderParams(
+                projection=[[0.0] * buckets], bias=[0.0], bucket_count=buckets,
+                ngram_min=ngrams[0], ngram_max=ngrams[1],
+            )
+            data = b"".join(featurize(text, params).tobytes() for text in texts)
+            yield f"featurize, {buckets} buckets, n-grams {ngrams[0]}-{ngrams[1]}", data
+
+
 def main_digests() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for section in (branch_digests, cli_digests, bench_digest):
+        for section in (branch_digests, cli_digests, bench_digest, featurize_digests):
             folder = work / section.__name__
             folder.mkdir()
             for name, data in section(folder):

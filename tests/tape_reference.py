@@ -6,9 +6,11 @@ leaky ReLU, reductions, row gather, segment sum and softmax,
 concatenation, max-shifted log-sum-exp and row normalization), and of the
 stage-3 and contrastive losses composed from those ops. Each op's
 backward is its textbook derivative, so the composition's gradients are
-the chain rule applied mechanically; the production losses, one
-closed-form tape node per step, are held to them. Nothing here imports
-the production tape, the trainer or the contrastive module.
+the chain rule applied mechanically. The production losses have no
+tape: each forward step returns its output with a hand-written
+closed-form backward, and each objective calls those in a fixed order;
+their gradients are held to this composition's. Nothing here imports
+``autodiff``, the trainer or the contrastive module.
 """
 
 from __future__ import annotations

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-import lexjudge.encoder
 from encoder_reference import featurize_reference
 from lexjudge import (
     ClueSet,
@@ -46,14 +45,6 @@ def hashing_params(buckets=64, ngram_min=1, ngram_max=3):
     )
 
 
-@pytest.fixture
-def memo(monkeypatch):
-    """An empty n-gram memo in place of the module's for one test."""
-    empty = {}
-    monkeypatch.setattr(lexjudge.encoder, "_ngram_hashes", empty)
-    return empty
-
-
 class TestHashNgram:
     def test_published_fnv1a_vector(self):
         # published FNV-1a 64 test vector for "a"
@@ -64,19 +55,17 @@ class TestHashNgram:
         vec = featurize("a", hashing_params(buckets=8, ngram_min=1, ngram_max=1))
         assert np.array_equal(vec, np.eye(8)[4])
 
-    def test_deterministic(self, memo):
+    def test_deterministic(self):
         params = hashing_params(buckets=4096)
         first = featurize("same input", params)
-        assert memo  # the second call reads the memo
         assert featurize("same input", params).tobytes() == first.tobytes()
         assert first.tobytes() == featurize("same input", hashing_params(4096)).tobytes()
 
-    def test_rejects_empty(self, memo):
-        # the empty string is never an n-gram: nothing is hashed or stored
+    def test_rejects_empty(self):
+        # the empty string is never an n-gram, nor is a text shorter than ngram_min
         params = hashing_params(ngram_min=2, ngram_max=3)
         assert not featurize("", params).any()
         assert not featurize("a", params).any()
-        assert memo == {}
 
 
 class TestFeaturize:
@@ -107,9 +96,11 @@ class TestFeaturize:
         assert np.array_equal(a, b)
 
 
-# ASCII, CJK, astral-plane emoji and the clue separator
+# characters of one to four UTF-8 bytes (ASCII, Latin-1 to Cyrillic, CJK,
+# astral-plane emoji) and the clue separator
 CHARACTERS = st.one_of(
     st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+    st.characters(min_codepoint=0xA0, max_codepoint=0x4FF),
     st.characters(min_codepoint=0x4E00, max_codepoint=0x9FFF),
     st.characters(min_codepoint=0x1F600, max_codepoint=0x1F64F),
     st.just(CLUE_SEPARATOR),
@@ -119,27 +110,26 @@ NGRAM_RANGES = [(1, 1), (1, 3), (2, 2), (2, 4), (3, 5)]
 
 class TestFeaturizeMatchesReference:
     @given(
-        text=st.text(CHARACTERS, max_size=40),
+        text=st.text(CHARACTERS, max_size=400),
         buckets=st.sampled_from([1, 7, 64, 2048]),
         ngrams=st.sampled_from(NGRAM_RANGES),
     )
     @example(text="", buckets=64, ngrams=(1, 3))
     @example(text="ab", buckets=7, ngrams=(3, 5))
     @example(text="\U0001F600\u4e2d" + CLUE_SEPARATOR + "a", buckets=2048, ngrams=(1, 3))
+    @example(text="a\u00e9\u4e2d\U0001F600" * 100, buckets=7, ngrams=(3, 5))
+    @example(text=("\u0416" + CLUE_SEPARATOR + "\u6587\u6587x") * 80, buckets=2048, ngrams=(2, 4))
     def test_bytes_equal_the_reference(self, text, buckets, ngrams):
         params = hashing_params(buckets, *ngrams)
-        expected = featurize_reference(text, params).tobytes()
-        assert featurize(text, params).tobytes() == expected
-        assert featurize(text, params).tobytes() == expected  # from the memo
+        assert featurize(text, params).tobytes() == featurize_reference(text, params).tobytes()
 
-    def test_earlier_texts_do_not_change_later_features(self, memo):
+    def test_earlier_texts_do_not_change_later_features(self):
         params = hashing_params(buckets=7)
         featurize("seized the bag \u62a2\u52ab", params)
         later = "the bag was seized \U0001F600"
         assert featurize(later, params).tobytes() == featurize_reference(later, params).tobytes()
 
-    def test_memo_holds_hashes_not_buckets(self, memo):
-        # the memo filled under one bucket count serves another unchanged
+    def test_one_text_under_two_bucket_counts(self):
         small, large = hashing_params(buckets=7), hashing_params(buckets=2048)
         text = "greed" + CLUE_SEPARATOR + "seized the bag" + CLUE_SEPARATOR + "\u4f24\u5bb3"
         for params in (small, large, small, large):
@@ -158,27 +148,19 @@ class TestFeaturizeMatchesReference:
             "projection", "bias", "bucket_count", "ngram_min", "ngram_max",
         ]
 
-    def test_memo_stops_growing_at_its_cap(self, monkeypatch, memo):
-        monkeypatch.setattr(lexjudge.encoder, "HASH_MEMO_CAP", 5)
-        params = hashing_params(buckets=64)
-        text = "abcdefghij"
+    def test_more_distinct_ngrams_than_a_memo_would_hold(self):
+        # 30,000 random CJK characters: over 65,536 distinct 1-3-grams
+        rng = np.random.default_rng(29)
+        text = "".join(map(chr, rng.integers(0x4E00, 0xA000, 30_000)))
+        distinct = {text[i : i + n] for n in (1, 2, 3) for i in range(len(text) - n + 1)}
+        assert len(distinct) > 65_536
+        params = hashing_params(buckets=4096)
         assert featurize(text, params).tobytes() == featurize_reference(text, params).tobytes()
-        assert len(memo) == 5
-        assert featurize(text + "klm", params).tobytes() == (
-            featurize_reference(text + "klm", params).tobytes()
-        )
-        assert len(memo) == 5
 
-    def test_repeated_misses_past_the_cap(self, monkeypatch, memo):
-        # The memo is read for every n-gram before any miss is hashed, so a
-        # missed n-gram that repeats within one text is hashed at each
-        # occurrence; past the cap, later texts miss it again.
-        monkeypatch.setattr(lexjudge.encoder, "HASH_MEMO_CAP", 3)
+    def test_ngrams_repeated_within_a_text(self):
         params = hashing_params(buckets=64)
         text = "abab \u4e2d\u6587\u4e2d\u6587 \U0001F600\U0001F600\U0001F600"
-        for _ in range(2):
-            assert featurize(text, params).tobytes() == featurize_reference(text, params).tobytes()
-        assert sorted(memo) == [" ", "a", "b"]
+        assert featurize(text, params).tobytes() == featurize_reference(text, params).tobytes()
 
 
 class TestEncode:
