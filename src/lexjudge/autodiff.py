@@ -7,9 +7,10 @@ output with a closure that maps the output's gradient to its inputs'
 gradients by a hand-written closed form, kept next to the step: the GAT
 layer in ``graph``, the tanh projection in ``encoder`` and the InfoNCE
 loss in ``contrastive``; ``trainer.stage3_objective`` holds the softmax
-cross-entropy. Each objective calls those closures in a written-out
-order, and ``Tensor`` holds only the loss value and the closure that
-runs them.
+cross-entropy. Each objective runs its forward steps and returns a
+``Tensor``: the loss value and the closure that calls the backward steps
+in a written-out order. ``trainer.descend`` checks the value and then
+calls ``backward()``, once per epoch.
 
 ``Segments`` is a grouping planned once (stable order by segment id, run
 starts and lengths) that reduces bit for bit like a stable sort followed

@@ -214,20 +214,15 @@ def segment_sections(doc_text: str, anchors: SectionAnchors) -> SectionMap:
     """
     if not doc_text:
         raise ValueError("doc_text must be non-empty")
-    order = (
-        ("statement", anchors.statement),
-        ("date", anchors.date),
-        ("location", anchors.location),
-        ("process", anchors.process),
-    )
     located: list[tuple[str, int, int]] = []
     cursor = 0
-    for name, anchor in order:
+    for name in SECTION_NAMES:
+        anchor = getattr(anchors, name)
         at = doc_text.find(anchor, cursor)
         if at >= 0:
             located.append((name, at, at + len(anchor)))
             cursor = at + len(anchor)
-    texts = {"statement": "", "date": "", "location": "", "process": ""}
+    texts = dict.fromkeys(SECTION_NAMES, "")
     for k, (name, _, content_start) in enumerate(located):
         content_end = located[k + 1][1] if k + 1 < len(located) else len(doc_text)
         texts[name] = doc_text[content_start:content_end].strip()

@@ -5,9 +5,10 @@ projection they form the anchor and its positive. Negatives are randomly
 sampled other cases, one dropout view per case per epoch. The loss is the
 temperature-scaled softmax over cosine similarities with the positive term
 kept in the denominator, and one full-batch Adam step runs per epoch on
-the projection and bias. An epoch's loss is four steps, each with its
-closed-form backward: the tanh projection of each view and ``info_nce``,
-whose gradient runs back through the row normalization.
+the projection and bias, through ``trainer.descend``. An epoch's loss is
+four steps, each with its closed-form backward: the tanh projection of
+each view and ``info_nce``, whose gradient runs back through the row
+normalization. ``contrastive_objective`` returns the epoch's loss handle.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .encoder import DropoutSpec, HashedEncoderParams, apply_dropout_noise, tanh_projection
 from .encoder import featurize  # unused here; bench/spans.py wraps this name
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError
 from .predictor import softmax_cross_entropy
 from .rng import SplitMix64, derive
 from .validation import check_positive, check_seed
@@ -98,12 +99,11 @@ def contrastive_objective(
     bias: np.ndarray,
     cfg: ContrastiveConfig,
     epoch: int = 0,
-    with_grads: bool = True,
-) -> tuple[float, dict[str, np.ndarray] | None]:
-    """Mean contrastive loss of one epoch over hashed feature rows, with
-    analytic gradients for the projection and bias when requested (skipped
-    for a non-finite value): InfoNCE's backward step, then each view's
-    projection step, summed view 0 + view 1 + view 2."""
+) -> ad.Tensor:
+    """Mean contrastive loss of one epoch over hashed feature rows, as a loss
+    handle whose ``backward()`` gives the projection and bias gradients:
+    InfoNCE's backward step, then each view's projection step, summed
+    view 0 + view 1 + view 2."""
     features = np.asarray(features, dtype=np.float64)
     projection = np.asarray(projection, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
@@ -120,9 +120,6 @@ def contrastive_objective(
         len(features), cfg.negatives_per_anchor, derive(cfg.seed, "epoch", epoch)
     )
     value, info_nce_backward = info_nce(*(out for out, _ in views), neg_idx, cfg.temperature)
-    value = float(value)
-    if not with_grads or not np.isfinite(value):
-        return value, None
 
     def backward():
         (g_p0, g_b0), (g_p1, g_b1), (g_p2, g_b2) = (
@@ -130,7 +127,7 @@ def contrastive_objective(
         )
         return {"projection": g_p0 + g_p1 + g_p2, "bias": g_b0 + g_b1 + g_b2}
 
-    return value, ad.Tensor(value, backward).backward()
+    return ad.Tensor(float(value), backward)
 
 
 def train_contrastive(
@@ -140,7 +137,7 @@ def train_contrastive(
     one (``bucket_count``,) row per case as ``featurize`` makes them;
     returns the updated params and the mean loss per epoch (measured
     entering the epoch)."""
-    from .trainer import AdamState, adam_step  # deferred: trainer imports this module
+    from .trainer import descend  # deferred: trainer imports this module
 
     n = len(features)
     if n <= cfg.negatives_per_anchor:
@@ -148,18 +145,11 @@ def train_contrastive(
             f"negatives_per_anchor={cfg.negatives_per_anchor} requires more "
             f"than {cfg.negatives_per_anchor} cases, corpus has {n}"
         )
-    if cfg.epochs == 0:
-        return params, []
-
-    theta = {"projection": params.projection.copy(), "bias": params.bias.copy()}
-    state = AdamState.initialize(theta, learning_rate=cfg.learning_rate)
-    history: list[float] = []
-    for epoch in range(cfg.epochs):
-        value, grads = contrastive_objective(
+    theta, _, history = descend(
+        lambda theta, epoch: contrastive_objective(
             features, theta["projection"], theta["bias"], cfg, epoch
-        )
-        if not np.isfinite(value):
-            raise DivergenceError(f"contrastive loss diverged at epoch {epoch}")
-        theta, state = adam_step(theta, grads, state)
-        history.append(value)
+        ),
+        {"projection": params.projection, "bias": params.bias},
+        cfg.epochs, cfg.learning_rate, "contrastive loss",
+    )
     return replace(params, projection=theta["projection"], bias=theta["bias"]), history

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .clues import SectionMap
+from .clues import SECTION_NAMES, SectionMap
 from .errors import DataError
 from .rng import SplitMix64, derive
 from .validation import check_fraction, check_seed, check_unicode, read_input
@@ -167,9 +167,9 @@ def _parse_sections(obj: dict, where: str) -> SectionMap | None:
     if not isinstance(sections, dict):
         raise DataError(f"{where}: 'sections' must be an object")
     for key in sections:
-        if key not in ("statement", "date", "location", "process"):
+        if key not in SECTION_NAMES:
             raise DataError(f"{where}: unknown section {key!r}")
-    values = {k: sections.get(k, "") for k in ("statement", "date", "location", "process")}
+    values = {k: sections.get(k, "") for k in SECTION_NAMES}
     for key, value in values.items():
         if not isinstance(value, str):
             raise DataError(f"{where}: section {key!r} must be a string")

@@ -9,9 +9,11 @@ propagates case semantics into the label nodes, and unseen cases never
 join the transductive graph. With ``use_graph=False`` the per-task label
 matrices themselves are fine-tuned under the same loss, starting from the
 encoded label surface texts. ``stage3_objective`` runs the forward steps
-(encoder, graph, one cross-entropy per task) and then their closed-form
-backward steps in a written-out order, so its gradients are summed in the
-same order on every run.
+(encoder, graph, one cross-entropy per task) and returns the loss handle,
+whose backward runs their closed-form backward steps in a written-out
+order, so its gradients are summed in the same order on every run.
+``descend`` is the one training loop: contrastive pre-training and
+stage 3 each pass it an objective that builds one epoch's loss handle.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import ClassVar, Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -118,6 +120,28 @@ def adam_step(
     return new_params, replace(state, m=new_m, v=new_v, t=t)
 
 
+def descend(
+    objective: Callable[[dict[str, np.ndarray], int], ad.Tensor],
+    theta: dict[str, np.ndarray], epochs: int, learning_rate: float, what: str,
+) -> tuple[dict[str, np.ndarray], AdamState, list[float]]:
+    """The one training loop: per epoch, ``objective(theta, epoch)`` builds
+    the loss handle and one Adam step follows its gradients. Returns the
+    final parameters, the optimizer state and the loss entering each
+    epoch; a non-finite loss raises ``DivergenceError`` naming ``what``
+    before its backward steps run."""
+    state = AdamState.initialize(theta, learning_rate=learning_rate)
+    values: list[float] = []
+    for epoch in range(epochs):
+        loss = objective(theta, epoch)
+        if not np.isfinite(loss.value):
+            raise DivergenceError(f"{what} diverged at epoch {epoch}")
+        values.append(loss.value)
+        grads = loss.backward()
+        del loss  # its closures hold the epoch's forward arrays; free them before the step
+        theta, state = adam_step(theta, grads, state)
+    return theta, state, values
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Stage-3 configuration and the ablation toggles.
@@ -170,11 +194,10 @@ def stage3_objective(
     nodes: np.ndarray | None = None,
     encoder_inputs: tuple[np.ndarray, np.ndarray] | None = None,
     rows: np.ndarray | None = None,
-    with_grads: bool = True,
-) -> tuple[float, dict[str, np.ndarray] | None]:
+) -> ad.Tensor:
     """Sum over ``tasks`` of the batch-mean cross-entropy of case-label dot
-    products, with gradients for every entry of ``theta`` when requested
-    (skipped for a non-finite value).
+    products, as a loss handle whose ``backward()`` gives the gradient of
+    every entry of ``theta``.
 
     Labels are the graph forward pass's label rows when ``gat`` gives the
     layer structure, else ``theta["labels.<task>"]``. Cases are the frozen
@@ -215,9 +238,6 @@ def stage3_objective(
         )
         values.append(term)
         g_scores.append(g)
-    value = float(reduce(operator.add, values))
-    if not with_grads or not np.isfinite(value):
-        return value, None
 
     def backward():
         grads = {}
@@ -241,7 +261,7 @@ def stage3_objective(
             grads["encoder.projection"], grads["encoder.bias"] = g_projection, g_bias
         return {key: grads[key] for key in theta}
 
-    return value, ad.Tensor(value, backward).backward()
+    return ad.Tensor(float(reduce(operator.add, values)), backward)
 
 
 def case_clues(
@@ -270,8 +290,9 @@ class FittedModel:
     ``embeddings_path`` derive from it. ``tasks`` is non-empty, and each
     of its tasks has a vocabulary and, once any label matrices exist (a
     pre-trained encoder has none), a finite (vocabulary size, ``dim``)
-    matrix; a violation raises ``ValueError``. The GAT parameters stay in training: unseen
-    cases never join the graph, so scoring reads only the label matrices.
+    matrix; a violation raises ``ValueError``. The GAT parameters stay in
+    training: unseen cases never join the graph, so scoring reads only the
+    label matrices.
     The toggles, ``heads`` and ``leaky_slope`` are provenance: they record
     how the labels were trained."""
 
@@ -464,10 +485,9 @@ def fit_model(
             theta["encoder.projection"] = encoder_params.projection.copy()
             theta["encoder.bias"] = encoder_params.bias.copy()
 
-        state = AdamState.initialize(theta, learning_rate=train_cfg.learning_rate)
         stage_name = "graph" if train_cfg.use_graph else "label_finetune"
 
-        for epoch in range(train_cfg.epochs):
+        def objective(theta: dict[str, np.ndarray], epoch: int) -> ad.Tensor:
             encoder_inputs = None
             if unfrozen:
                 dropout = DropoutSpec(
@@ -482,18 +502,15 @@ def fit_model(
                 order = list(range(n_train))
                 SplitMix64(derive(train_cfg.seed, "batch", epoch)).shuffle(order)
                 rows = np.array(sorted(order[: train_cfg.batch_size]), dtype=np.intp)
-            value, grads = stage3_objective(
-                theta, graph, golds, tasks,
-                gat=gat,
-                fact_vectors=nodes[:n_train],
-                nodes=nodes,
-                encoder_inputs=encoder_inputs,
-                rows=rows,
+            return stage3_objective(
+                theta, graph, golds, tasks, gat=gat, fact_vectors=nodes[:n_train], nodes=nodes,
+                encoder_inputs=encoder_inputs, rows=rows,
             )
-            if not np.isfinite(value):
-                raise DivergenceError(f"training loss diverged at epoch {epoch}")
-            theta, state = adam_step(theta, grads, state)
-            loss_log.append((stage_name, epoch, value))
+
+        theta, state, values = descend(
+            objective, theta, train_cfg.epochs, train_cfg.learning_rate, "training loss"
+        )
+        loss_log.extend((stage_name, epoch, value) for epoch, value in enumerate(values))
 
         if unfrozen:
             encoder_params = replace(

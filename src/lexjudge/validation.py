@@ -5,6 +5,7 @@ on values read from them."""
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import re
 
@@ -70,12 +71,17 @@ def is_kind(value, kind: type) -> bool:
 
 def check_kind(value, kind: type, name: str, error: type[Exception] = ValueError):
     """``value`` converted to ``kind`` when ``is_kind`` holds; otherwise, or
-    for an integer too large for a float, raises ``error`` naming ``name``."""
+    for an integer too large for a float, or for a float that is NaN or
+    infinite (which Python's ``json`` reads), raises ``error`` naming ``name``."""
     if is_kind(value, kind):
         try:
-            return kind(value)
+            converted = kind(value)
         except OverflowError:
             pass
+        else:
+            if kind is not float or math.isfinite(converted):
+                return converted
+            raise error(f"{name} must be a finite number, got non-finite {value!r}")
     raise error(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 

@@ -39,6 +39,7 @@ from lexjudge.trainer import stage3_objective
 
 from contrastive_reference import contrastive_loss, cosine_sim
 from gat_reference import graph_loss_reference
+from gradcheck import worst_gradient_error
 
 
 def _report(number: int, name: str, ok: bool, detail: str = ""):
@@ -69,7 +70,6 @@ def six_node_instance(seed=123):
 def test_criterion_1_gradient_oracle():
     started = time.perf_counter()
     step = 1e-4
-    worst = 0.0
 
     # (a) contrastive loss w.r.t. the encoder projection, dim-8 instance
     rng = np.random.default_rng(17)
@@ -80,42 +80,29 @@ def test_criterion_1_gradient_oracle():
         temperature=0.05, negatives_per_anchor=3, epochs=1,
         dropout=DropoutSpec(rate=0.1, seed=4), seed=9,
     )
-    _, grads = contrastive_objective(features, projection, bias, cfg, epoch=0)
-    for i in range(projection.shape[0]):
-        for j in range(projection.shape[1]):
-            up = projection.copy(); up[i, j] += step
-            down = projection.copy(); down[i, j] -= step
-            f_up, _ = contrastive_objective(features, up, bias, cfg, 0, with_grads=False)
-            f_down, _ = contrastive_objective(features, down, bias, cfg, 0, with_grads=False)
-            numeric = (f_up - f_down) / (2 * step)
-            worst = max(worst, abs(grads["projection"][i, j] - numeric) / max(abs(numeric), 1e-6))
+    worst = worst_gradient_error(
+        lambda theta: contrastive_objective(features, theta["projection"], bias, cfg, 0),
+        {"projection": projection}, ["projection"], step,
+    )
 
     # (b) total_loss through the 2-layer, 2-head graph forward pass,
     #     w.r.t. every W and omega, against the loop-composed reference
     graph, features, params, hf, golds = six_node_instance()
     tasks = (Task.CHARGE,)
-    value, ggrads = stage3_objective(
-        params.to_param_dict(), graph, golds, tasks, gat=params, fact_vectors=hf, nodes=features
-    )
-    reference = graph_loss_reference(graph, features, params, hf, golds, tasks)
-    assert value == pytest.approx(reference, abs=1e-12)
+
+    def objective(theta):
+        return stage3_objective(
+            theta, graph, golds, tasks, gat=params, fact_vectors=hf, nodes=features
+        )
+
+    def reference(theta):
+        return graph_loss_reference(
+            graph, features, params.with_param_dict(theta), hf, golds, tasks
+        )
+
     theta = params.to_param_dict()
-    for key, matrix in theta.items():
-        flat = matrix.reshape(-1)
-        grad_flat = ggrads[key].reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + step
-            up = graph_loss_reference(
-                graph, features, params.with_param_dict(theta), hf, golds, tasks
-            )
-            flat[i] = original - step
-            down = graph_loss_reference(
-                graph, features, params.with_param_dict(theta), hf, golds, tasks
-            )
-            flat[i] = original
-            numeric = (up - down) / (2 * step)
-            worst = max(worst, abs(grad_flat[i] - numeric) / max(abs(numeric), 1e-6))
+    assert objective(theta).value == pytest.approx(reference(theta), abs=1e-12)
+    worst = max(worst, worst_gradient_error(objective, theta, list(theta), step, reference))
 
     elapsed = time.perf_counter() - started
     _report(

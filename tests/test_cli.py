@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import shutil
 
@@ -250,6 +251,32 @@ class TestTrainCommand:
         config_path, _ = write_config(tmp_path, **overrides)
         assert main(["train", "--config", str(config_path)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("train", "learning_rate", math.nan),
+            ("train", "learning_rate", math.inf),
+            ("train", "leaky_slope", math.nan),
+            ("train", "leaky_slope", -math.inf),
+            ("contrastive", "learning_rate", math.nan),
+            ("contrastive", "temperature", math.inf),
+            ("contrastive", "temperature", math.nan),
+        ],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, section, key, value):
+        """Python's ``json`` reads NaN and Infinity; each of these used to
+        train, and either diverge (exit 4) or, for an infinite temperature,
+        exit 0 with every score 0."""
+        defaults = {"train": TRAIN_SECTION, "contrastive": CONTRASTIVE_SECTION}
+        config_path, out_dir = write_config(
+            tmp_path, **{section: {**defaults[section], key: value}}
+        )
+        assert main(["train", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {section}.{key} must be a finite number, got non-finite {value!r}\n"
+        )
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "key, value", [("corpus", ["a"]), ("output_dir", 7), ("checkpoint", True)]
@@ -515,6 +542,14 @@ MISTYPED_META = {
     "leaky-slope-beyond-float": (
         lambda meta: meta.update(leaky_slope=10**400),
         "meta.leaky_slope must be a number, got 1000",
+    ),
+    "leaky-slope-nan": (
+        lambda meta: meta.update(leaky_slope=math.nan),
+        "meta.leaky_slope must be a finite number, got non-finite nan",
+    ),
+    "leaky-slope-infinity": (
+        lambda meta: meta.update(leaky_slope=math.inf),
+        "meta.leaky_slope must be a finite number, got non-finite inf",
     ),
     "lexicon-list": (
         lambda meta: meta.update(lexicon=[]), "lexicon must be a JSON object, got list"

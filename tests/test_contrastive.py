@@ -16,11 +16,13 @@ from lexjudge import (
     train_contrastive,
 )
 from lexjudge import apply_dropout_noise
+from lexjudge import autodiff as ad
 from lexjudge.contrastive import _sample_negatives, info_nce
 from lexjudge.encoder import clue_text, featurize
 from lexjudge.rng import derive
 
 from contrastive_reference import contrastive_loss, cosine_sim, loss_from_similarities
+from gradcheck import worst_gradient_error
 
 
 class TestCosineSim:
@@ -146,32 +148,31 @@ class TestGradients:
         projection = rng.normal(size=(8, 16)) * 0.3
         bias = rng.normal(size=8) * 0.1
         cfg = tiny_config(epochs=1)
-        _, grads = contrastive_objective(features, projection, bias, cfg, epoch=0)
-        step = 1e-4
-        worst = 0.0
-        for i in range(projection.shape[0]):
-            for j in range(projection.shape[1]):
-                up = projection.copy(); up[i, j] += step
-                down = projection.copy(); down[i, j] -= step
-                f_up, _ = contrastive_objective(features, up, bias, cfg, 0, with_grads=False)
-                f_down, _ = contrastive_objective(features, down, bias, cfg, 0, with_grads=False)
-                numeric = (f_up - f_down) / (2 * step)
-                rel = abs(grads["projection"][i, j] - numeric) / max(abs(numeric), 1e-6)
-                worst = max(worst, rel)
+        worst = worst_gradient_error(
+            lambda theta: contrastive_objective(features, theta["projection"], bias, cfg, 0),
+            {"projection": projection}, ["projection"], step=1e-4,
+        )
         assert worst <= 1e-4
 
-
-    def test_zero_view_row_gives_nan_and_no_gradients(self):
+    def test_zero_view_row_gives_nan_and_no_gradients(self, monkeypatch):
         """A row whose features are all zero, with a zero bias, projects to
         a zero view row, which has no cosine: the loss is NaN, which
-        training reports as a divergence, no gradient is computed, and no
-        RuntimeWarning is raised (one would be an error under this suite)."""
+        training reports as a divergence before any backward step runs, and
+        no RuntimeWarning is raised (one would be an error under this
+        suite)."""
         features = np.ones((5, 4))
         features[2] = 0.0
-        value, grads = contrastive_objective(
-            features, np.full((3, 4), 0.1), np.zeros(3), tiny_config(negatives_per_anchor=2)
+        params = HashedEncoderParams(
+            projection=np.full((3, 4), 0.1), bias=np.zeros(3), bucket_count=4
         )
-        assert np.isnan(value) and grads is None
+        cfg = tiny_config(negatives_per_anchor=2)
+        loss = contrastive_objective(features, params.projection, params.bias, cfg)
+        assert np.isnan(loss.value)
+        backward_calls = []
+        monkeypatch.setattr(ad.Tensor, "backward", lambda loss: backward_calls.append(loss))
+        with pytest.raises(DivergenceError, match="contrastive loss diverged at epoch 0"):
+            train_contrastive(params, features, cfg)
+        assert backward_calls == []
 
 
 class TestObjectiveMatchesOracle:
@@ -184,9 +185,7 @@ class TestObjectiveMatchesOracle:
         projection = rng.normal(size=(8, 24)) * 0.3
         bias = rng.normal(size=8) * 0.1
         cfg = tiny_config(negatives_per_anchor=4)
-        value, _ = contrastive_objective(
-            features, projection, bias, cfg, epoch, with_grads=False
-        )
+        value = contrastive_objective(features, projection, bias, cfg, epoch).value
 
         base = derive(cfg.dropout.seed, "contrastive-views", epoch)
         anchors, positives, negatives = (

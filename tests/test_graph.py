@@ -35,6 +35,7 @@ from gat_reference import (
     gat_forward_reference,
     graph_loss_reference,
 )
+from gradcheck import worst_gradient_error
 
 
 def mini_corpus(records):
@@ -381,17 +382,18 @@ class TestLabelOnlyLastLayer:
         golds = {task: corpus.gold_ids(task) for task in Task}
         tasks = tuple(Task)
         theta = params.to_param_dict()
-        (v_a, g_a), (v_b, g_b) = (
+        loss_a, loss_b = (
             stage3_objective(
                 theta, graph, golds, tasks, gat=params, fact_vectors=hf, nodes=features
             )
             for graph, features in graphs.values()
         )
-        assert v_b == pytest.approx(v_a, abs=1e-12)
+        assert loss_b.value == pytest.approx(loss_a.value, abs=1e-12)
+        g_a, g_b = loss_a.backward(), loss_b.backward()
         for key in theta:
             np.testing.assert_allclose(g_b[key], g_a[key], rtol=0, atol=1e-12)
         reference = graph_loss_reference(*graphs["labels interleaved"], params, hf, golds, tasks)
-        assert v_b == pytest.approx(reference, abs=1e-12)
+        assert loss_b.value == pytest.approx(reference, abs=1e-12)
 
 
 class TestAttentionExport:
@@ -439,34 +441,19 @@ class TestGraphGradients:
         golds = {Task.CHARGE: [0, 1, 2]}
         tasks = (Task.CHARGE,)
 
-        value, grads = stage3_objective(
-            params.to_param_dict(), graph, golds, tasks, gat=params, fact_vectors=hf,
-            nodes=features,
-        )
-        reference = graph_loss_reference(graph, features, params, hf, golds, tasks)
-        assert value == pytest.approx(reference, abs=1e-12)
+        def objective(theta):
+            return stage3_objective(
+                theta, graph, golds, tasks, gat=params, fact_vectors=hf, nodes=features
+            )
+
+        def reference(theta):
+            return graph_loss_reference(
+                graph, features, params.with_param_dict(theta), hf, golds, tasks
+            )
 
         theta = params.to_param_dict()
-        step = 1e-4
-        worst = 0.0
-        for key, matrix in theta.items():
-            flat = matrix.reshape(-1)
-            grad_flat = grads[key].reshape(-1)
-            for i in range(flat.size):
-                original = flat[i]
-                flat[i] = original + step
-                up = graph_loss_reference(
-                    graph, features, params.with_param_dict(theta), hf, golds, tasks
-                )
-                flat[i] = original - step
-                down = graph_loss_reference(
-                    graph, features, params.with_param_dict(theta), hf, golds, tasks
-                )
-                flat[i] = original
-                numeric = (up - down) / (2 * step)
-                rel = abs(grad_flat[i] - numeric) / max(abs(numeric), 1e-6)
-                worst = max(worst, rel)
-        assert worst <= 1e-4
+        assert objective(theta).value == pytest.approx(reference(theta), abs=1e-12)
+        assert worst_gradient_error(objective, theta, list(theta), 1e-4, reference) <= 1e-4
 
 
 class TestParamPlumbing:

@@ -50,8 +50,10 @@ def digest_branches() -> dict[str, dict]:
 BRANCHES = digest_branches()
 
 
-def assert_same(value, grads, ref_value, ref_grads):
-    assert abs(value - ref_value) <= ATOL
+def assert_same(loss, ref_value, ref_grads):
+    """The loss handle's value and gradients equal the composed tape's."""
+    assert abs(loss.value - ref_value) <= ATOL
+    grads = loss.backward()
     assert grads.keys() == ref_grads.keys()
     for key in grads:
         np.testing.assert_allclose(grads[key], ref_grads[key], rtol=0, atol=ATOL, err_msg=key)
@@ -87,12 +89,12 @@ def test_stage3_closed_form_equals_the_composed_tape(monkeypatch, name):
         train_cfg=TrainConfig(epochs=3, seed=77, heads=4, **overrides),
     )
     assert len(calls) == 3
-    for args, kwargs, (value, grads) in calls:
+    for args, kwargs, loss in calls:
         assert (kwargs["gat"] is None) == (overrides.get("use_graph") is False)
         unfrozen = overrides.get("freeze_encoder_after_contrastive") is False
         assert (kwargs["encoder_inputs"] is not None) == unfrozen
         assert (kwargs["rows"] is not None) == ("batch_size" in overrides)
-        assert_same(value, grads, *ref.stage3_composed(*args, **kwargs))
+        assert_same(loss, *ref.stage3_composed(*args, **kwargs))
 
 
 def contrastive_features(n_per=4):
@@ -110,9 +112,8 @@ def test_contrastive_closed_form_equals_the_composed_tape(epoch):
     cfg = ContrastiveConfig(
         negatives_per_anchor=3, dropout=DropoutSpec(rate=0.1, seed=5), seed=6
     )
-    value, grads = contrastive_objective(features, params.projection, params.bias, cfg, epoch)
     assert_same(
-        value, grads,
+        contrastive_objective(features, params.projection, params.bias, cfg, epoch),
         *ref.contrastive_composed(features, params.projection, params.bias, cfg, epoch),
     )
 
@@ -142,11 +143,12 @@ class TestExtremeScores:
             out, gat_forward_reference(graph, features, params), rtol=0, atol=1e-9
         )
         golds = {task: corpus.gold_ids(task) for task in TASKS}
-        value, grads = trainer.stage3_objective(
+        loss = trainer.stage3_objective(
             params.to_param_dict(), graph, golds, TASKS,
             gat=params, fact_vectors=features[: len(corpus)], nodes=features,
         )
-        assert np.isfinite(value)
+        assert np.isfinite(loss.value)
+        grads = loss.backward()
         assert all(np.all(np.isfinite(g)) for g in grads.values())
 
     def test_cross_entropy_scores_near_1e3(self):
@@ -163,10 +165,11 @@ class TestExtremeScores:
         facts = np.tanh(features @ theta["encoder.projection"].T + theta["encoder.bias"])
         logits = facts @ theta["labels.charge"].T
         assert np.abs(logits).max() > 1e3
-        value, grads = trainer.stage3_objective(
+        loss = trainer.stage3_objective(
             theta, None, {Task.CHARGE: gold}, (Task.CHARGE,),
             encoder_inputs=(features, np.zeros((0, 6))),
         )
+        value, grads = loss.value, loss.backward()
         shift = logits.max(axis=1)
         expected = np.mean(
             shift + np.log(np.exp(logits - shift[:, None]).sum(axis=1)) - logits[range(5), gold]

@@ -1,10 +1,14 @@
+import ast
 import dataclasses
 import json
 import math
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lexjudge.autodiff as ad
 import lexjudge.contrastive
 import lexjudge.encoder
 import lexjudge.graph
@@ -41,9 +45,10 @@ from lexjudge.graph import (
     FactNode, GatParams, LabelNode, ReasoningGraph, build_graph, init_features,
 )
 from lexjudge.rng import derive
-from lexjudge.trainer import FitResult, FittedModel, stage3_objective
+from lexjudge.trainer import FitResult, FittedModel, descend, stage3_objective
 
 from gat_reference import total_loss
+from gradcheck import worst_gradient_error
 
 
 def small_contrastive(epochs=3):
@@ -141,6 +146,116 @@ class TestAdam:
         grads = {"a": np.zeros(2), "b": np.array([0.0, np.inf, 0.0])}
         with pytest.raises(DivergenceError, match="'b'"):
             adam_step(params, grads, state)
+
+
+class TestDescend:
+    @staticmethod
+    def quadratic(values, backward_calls):
+        """Loss handles of sum((w - 1)^2) whose value at each epoch is
+        ``values[epoch]`` when given; each backward call is recorded."""
+        def objective(theta, epoch):
+            w = theta["w"]
+
+            def backward():
+                backward_calls.append(epoch)
+                return {"w": 2.0 * (w - 1.0)}
+
+            value = values[epoch] if epoch < len(values) else float(((w - 1.0) ** 2).sum())
+            return ad.Tensor(value, backward)
+
+        return objective
+
+    def test_steps_adam_on_each_handle(self):
+        calls = []
+        theta = {"w": np.zeros(3)}
+        final, state, values = descend(self.quadratic([], calls), theta, 3, 0.1, "loss")
+        expected, expected_state = theta, AdamState.initialize(theta, learning_rate=0.1)
+        for _ in range(3):
+            grads = {"w": 2.0 * (expected["w"] - 1.0)}
+            expected, expected_state = adam_step(expected, grads, expected_state)
+        assert calls == [0, 1, 2] and state.t == 3 and len(values) == 3
+        assert np.array_equal(final["w"], expected["w"])
+        assert values[0] == 3.0 and values[2] < values[0]
+
+    def test_zero_epochs_returns_the_start(self):
+        theta = {"w": np.zeros(2)}
+        final, state, values = descend(self.quadratic([], []), theta, 0, 0.1, "loss")
+        assert final is theta and state.t == 0 and values == []
+
+    def test_frees_each_handle_before_its_step(self, monkeypatch):
+        """A handle's closures hold its epoch's forward arrays, so the loop
+        lets go of it before the Adam step and the next forward pass."""
+        class Forward:
+            pass
+
+        held = []
+
+        def objective(theta, epoch):
+            forward = Forward()
+            held.append(weakref.ref(forward))
+
+            def backward():
+                assert isinstance(forward, Forward)
+                return {"w": np.ones(2)}
+
+            return ad.Tensor(1.0, backward)
+
+        def step(params, grads, state):
+            assert held[-1]() is None
+            return adam_step(params, grads, state)
+
+        monkeypatch.setattr(lexjudge.trainer, "adam_step", step)
+        descend(objective, {"w": np.zeros(2)}, 2, 0.1, "loss")
+        assert len(held) == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_stops_before_its_backward(self, bad):
+        calls = []
+        objective = self.quadratic([1.0, bad], calls)
+        with pytest.raises(DivergenceError, match="^demo loss diverged at epoch 1$"):
+            descend(objective, {"w": np.zeros(2)}, 3, 0.1, "demo loss")
+        assert calls == [0]
+
+
+def training_loop_sites(source: str) -> tuple[list[str], list[str]]:
+    """``<scope>`` of every ``adam_step`` call in ``source``, and of every
+    function or lambda with a ``with_grads`` parameter."""
+    calls, switches = [], []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            params = [a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)]
+            if "with_grads" in params:
+                switches.append(scope)
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (getattr(func, "id", None) or getattr(func, "attr", None)) == "adam_step":
+                calls.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return calls, switches
+
+
+def test_descend_is_the_one_training_loop():
+    """Both stages train through ``trainer.descend``: ``adam_step`` is
+    called in one place, and no function takes a ``with_grads`` switch,
+    since every objective returns its loss handle."""
+    package = Path(lexjudge.trainer.__file__).resolve().parent
+    calls, switches = [], []
+    for path in sorted(package.glob("*.py")):
+        found = training_loop_sites(path.read_text(encoding="utf-8"))
+        calls += [f"{path.stem}{scope}" for scope in found[0]]
+        switches += [f"{path.stem}{scope}" for scope in found[1]]
+    assert calls == ["trainer.descend"]
+    assert switches == []
+    assert training_loop_sites(
+        "def f(x, *, with_grads=True):\n    m.adam_step(x)\n"
+        "g = lambda with_grads: adam_step(1)\n"
+    ) == ([".f", ""], [".f", ""])
 
 
 class TestTotalLoss:
@@ -642,27 +757,6 @@ def stage3_instance(seed=123):
     return graph, node_matrix, gat, encoder, features, {Task.CHARGE: [0, 1, 2]}
 
 
-def worst_gradient_error(objective, theta, keys, step=1e-4):
-    """Largest relative error of the analytic gradient of ``objective``
-    against central differences, over every entry of ``keys``
-    (criterion 1's measure)."""
-    _, grads = objective(theta, True)
-    worst = 0.0
-    for key in keys:
-        flat = theta[key].reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + step
-            up, _ = objective(theta, False)
-            flat[i] = original - step
-            down, _ = objective(theta, False)
-            flat[i] = original
-            numeric = (up - down) / (2 * step)
-            rel = abs(grads[key].reshape(-1)[i] - numeric) / max(abs(numeric), 1e-6)
-            worst = max(worst, rel)
-    return worst
-
-
 class TestStage3Objective:
     tasks = (Task.CHARGE,)
 
@@ -671,10 +765,9 @@ class TestStage3Objective:
         view = apply_dropout_noise(features[:3], DropoutSpec(rate=0.2, seed=21))
         theta = {**gat.to_param_dict(), **{k: v.copy() for k, v in encoder.items()}}
 
-        def objective(theta, with_grads):
+        def objective(theta):
             return stage3_objective(
-                theta, graph, golds, self.tasks, gat=gat,
-                encoder_inputs=(view, features[3:]), with_grads=with_grads,
+                theta, graph, golds, self.tasks, gat=gat, encoder_inputs=(view, features[3:])
             )
 
         assert worst_gradient_error(objective, theta, list(encoder)) <= 1e-4
@@ -685,18 +778,17 @@ class TestStage3Objective:
         theta = gat.to_param_dict()
         rows = np.array([0, 2], dtype=np.intp)
 
-        def objective(theta, with_grads):
+        def objective(theta):
             return stage3_objective(
                 theta, graph, golds, self.tasks, gat=gat, fact_vectors=hf, nodes=nodes,
-                rows=rows, with_grads=with_grads,
+                rows=rows,
             )
 
         assert worst_gradient_error(objective, theta, list(theta)) <= 1e-4
-        full, _ = stage3_objective(
+        full = stage3_objective(
             theta, graph, golds, self.tasks, gat=gat, fact_vectors=hf, nodes=nodes
         )
-        batch, _ = objective(theta, False)
-        assert batch != full
+        assert objective(theta).value != full.value
 
     def test_label_finetune_gradients(self):
         graph, _, _, _, _, golds = stage3_instance()
@@ -704,14 +796,12 @@ class TestStage3Objective:
         hf = rng.normal(size=(3, 8)) * 0.8
         theta = {"labels.charge": rng.normal(size=(3, 8)) * 0.5}
 
-        def objective(theta, with_grads):
-            return stage3_objective(
-                theta, graph, golds, self.tasks, fact_vectors=hf, with_grads=with_grads
-            )
+        def objective(theta):
+            return stage3_objective(theta, graph, golds, self.tasks, fact_vectors=hf)
 
         assert worst_gradient_error(objective, theta, list(theta)) <= 1e-4
         expected = total_loss(hf, golds, {Task.CHARGE: theta["labels.charge"]}, self.tasks)
-        assert objective(theta, False)[0] == pytest.approx(expected, abs=1e-12)
+        assert objective(theta).value == pytest.approx(expected, abs=1e-12)
 
     def test_unfrozen_label_finetune_projects_only_the_facts(self, monkeypatch):
         """Without ``gat`` the loss reads the label matrices from ``theta``,
@@ -727,9 +817,9 @@ class TestStage3Objective:
             return original(*args)
 
         monkeypatch.setattr(lexjudge.trainer, "tanh_projection", counting)
-        value, _ = stage3_objective(
+        value = stage3_objective(
             theta, graph, golds, self.tasks, encoder_inputs=(features[:3], features[3:])
-        )
+        ).value
         assert len(calls) == 1
         hf = np.tanh(features[:3] @ encoder["encoder.projection"].T + encoder["encoder.bias"])
         expected = total_loss(hf, golds, {Task.CHARGE: labels}, self.tasks)
@@ -761,10 +851,10 @@ class TestStage3Objective:
         )
         gat = GatParams.initialize(8, 2, derive(train_cfg.seed, "gat-init"), 0.2)
         golds = {task: corpus.gold_ids(task) for task in TASKS}
-        value, _ = stage3_objective(
+        value = stage3_objective(
             gat.to_param_dict(), graph, golds, TASKS,
-            gat=gat, fact_vectors=nodes[: len(corpus)], nodes=nodes, with_grads=False,
-        )
+            gat=gat, fact_vectors=nodes[: len(corpus)], nodes=nodes,
+        ).value
         first = next(v for stage, _, v in result.loss_log if stage == "graph")
         assert first == value
 
