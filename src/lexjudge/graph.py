@@ -56,7 +56,7 @@ def node_name(node: NodeKind) -> str:
 class ReasoningGraph:
     """Typed nodes and ordered one-hop neighborhoods, with what the passes
     over them derive from the structure alone: the label rows, and on
-    first use the label receivers and the edge plans."""
+    first use the edge plans."""
 
     def __init__(self, nodes: Sequence[NodeKind], neighbors: Sequence[Sequence[int]]):
         if len(nodes) != len(neighbors):
@@ -84,7 +84,6 @@ class ReasoningGraph:
             task: np.array([i for _, i in sorted(pairs)], dtype=np.intp)
             for task, pairs in labels.items()
         }
-        self._receivers: dict[tuple[Task, ...], tuple[np.ndarray, dict]] = {}
         self._plans: dict[bytes | None, tuple[ad.Segments, ...]] = {}
 
     @property
@@ -95,29 +94,11 @@ class ReasoningGraph:
         """The node index of each label of ``task``, in label id order."""
         return self._labels.get(task, np.zeros(0, dtype=np.intp))
 
-    def label_receivers(
-        self, tasks: Sequence[Task]
-    ) -> tuple[np.ndarray, dict[Task, ad.Segments]]:
-        """The sorted label nodes of ``tasks``, and where each task's labels
-        sit among them in label id order, as ``Segments`` over those rows
-        that scatter a gradient back onto them; computed once per task
-        tuple."""
-        key = tuple(tasks)
-        if key not in self._receivers:
-            receivers = np.sort(np.concatenate([self.label_indices(task) for task in key]))
-            positions = {
-                task: ad.Segments(
-                    np.searchsorted(receivers, self.label_indices(task)), len(receivers)
-                )
-                for task in key
-            }
-            self._receivers[key] = (receivers, positions)
-        return self._receivers[key]
-
     def plan(self, receivers: np.ndarray | None = None) -> tuple[ad.Segments, ...]:
-        """The edges a pass into ``receivers`` (sorted node indices; all
-        nodes when None) aggregates, grouped by receiver row, by receiving
-        node and by sending node; made on first use."""
+        """The edges a pass into ``receivers`` (distinct node indices in
+        output row order; all nodes when None) aggregates, grouped by
+        output row, by receiving node and by sending node; made on first
+        use."""
         key = None if receivers is None else receivers.tobytes()
         if key not in self._plans:
             self._plans[key] = plan_edges(self, receivers)
@@ -125,15 +106,19 @@ class ReasoningGraph:
 
 
 def plan_edges(graph: ReasoningGraph, receivers: np.ndarray | None) -> tuple[ad.Segments, ...]:
-    """Keep the edges into ``receivers`` (every edge when None) and group them."""
+    """Keep the edges into ``receivers`` (every edge when None) and group
+    them. Output row r is node ``receivers[r]``; each group keeps the
+    edges in graph order, so a row sums the same edges in the same order
+    whatever the order of ``receivers``."""
     src, dst, n = graph.edge_src, graph.edge_dst, graph.num_nodes
     if receivers is None:
         by_src = ad.Segments(src, n)
         return by_src, by_src, ad.Segments(dst, n)
-    keep = np.isin(src, receivers)
+    row = np.full(n, -1, dtype=np.intp)
+    row[receivers] = np.arange(len(receivers))
+    keep = row[src] >= 0
     src, dst = src[keep], dst[keep]
-    by_row = ad.Segments(np.searchsorted(receivers, src), len(receivers))
-    return by_row, ad.Segments(src, n), ad.Segments(dst, n)
+    return ad.Segments(row[src], len(receivers)), ad.Segments(src, n), ad.Segments(dst, n)
 
 
 def build_graph(corpus: Corpus) -> ReasoningGraph:
@@ -280,8 +265,6 @@ def _forward_layer(
     x: np.ndarray,
     graph: ReasoningGraph,
     layer: LayerParams,
-    w: np.ndarray,
-    omega: np.ndarray,
     collect: list | None,
     layer_no: int,
     receivers: np.ndarray | None = None,
@@ -290,13 +273,15 @@ def _forward_layer(
     projections ``(N, H, d)``, edge logits and attention ``(E, H)``,
     messages ``(E, H, d)``, then ELU and the heads concatenated or
     averaged. ``backward(g, input_grad)`` maps the output's gradient to
-    those of ``x`` (None unless ``input_grad``), ``w`` and ``omega``.
+    those of ``x`` (None unless ``input_grad``), ``layer.W`` and
+    ``layer.omega``.
 
     The edge logit ``omega·[Wh_i ‖ Wh_j]`` is the sum of a source score
     ``omega[:d]·Wh_i`` and a destination score ``omega[d:]·Wh_j``, so both
-    are computed once per node. With ``receivers`` (sorted node indices)
-    only the edges into them are aggregated, and output row r is node
-    ``receivers[r]``."""
+    are computed once per node. With ``receivers`` (distinct node indices,
+    in any order) only the edges into them are aggregated, and output row
+    r is node ``receivers[r]``."""
+    w, omega = layer.W, layer.omega
     n, (n_heads, width, d_in) = graph.num_nodes, w.shape
     by_seg, by_src, by_dst = graph.plan(receivers)
     dst, seg, n_out = by_dst.ids, by_seg.ids, by_seg.num_segments
@@ -349,25 +334,21 @@ def _forward_layer(
 def gat_forward_tensors(
     features: np.ndarray,
     graph: ReasoningGraph,
-    tensors: Mapping[str, np.ndarray],
     params: GatParams,
     collect: list | None = None,
     receivers: np.ndarray | None = None,
 ):
-    """Both layers over the (N, d) node matrix ``features`` with the weights
-    ``tensors``, keyed as ``GatParams.to_param_dict``; ``params`` supplies
-    the layer structure. With ``receivers`` (sorted node indices) the last
-    layer computes only their rows, in that order. Returns the output and
+    """Both layers of ``params`` over the (N, d) node matrix ``features``.
+    With ``receivers`` (distinct node indices, in any order) the last layer
+    computes only their rows, in that order. Returns the output and
     ``backward(g, input_grad)``, which runs the layers' steps last to
     first and returns the gradient of ``features`` (None unless
-    ``input_grad``) and those of ``tensors``, keyed alike."""
+    ``input_grad``) and those of the weights, keyed as
+    ``GatParams.to_param_dict``."""
     x, steps = features, []
     last = len(params.layers) - 1
     for li, layer in enumerate(params.layers):
-        x, step = _forward_layer(
-            x, graph, layer, tensors[f"gat.layer{li}.W"], tensors[f"gat.layer{li}.omega"],
-            collect, li, receivers if li == last else None,
-        )
+        x, step = _forward_layer(x, graph, layer, collect, li, receivers if li == last else None)
         steps.append(step)
 
     def backward(g, input_grad):
@@ -392,9 +373,7 @@ def gat_forward(
     label representations)."""
     if not np.all(np.isfinite(features)):
         raise DataError("graph features contain non-finite values")
-    result, _ = gat_forward_tensors(
-        features, graph, params.to_param_dict(), params, collect_attention
-    )
+    result, _ = gat_forward_tensors(features, graph, params, collect_attention)
     if not np.all(np.isfinite(result)):
         raise DataError("graph forward pass produced non-finite values")
     return result

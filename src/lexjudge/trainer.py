@@ -56,7 +56,7 @@ from .metrics import MetricsReport, report
 # itself reads the checked rows through ``softmax``.
 from .predictor import best_label, predict_proba, score_case, softmax, softmax_cross_entropy
 from .rng import SplitMix64, derive
-from .validation import check_seed, check_threshold, check_unit_rate
+from .validation import check_positive, check_seed, check_threshold, check_unit_rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,8 +173,9 @@ class TrainConfig:
             )
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        check_positive(self.learning_rate, "learning_rate")
+        if not np.isfinite(self.leaky_slope):
+            raise ValueError(f"leaky_slope must be finite, got {self.leaky_slope}")
         if self.heads < 1:
             raise ValueError("heads must be at least 1")
         if self.batch_size is not None and self.batch_size < 1:
@@ -200,19 +201,23 @@ def stage3_objective(
     every entry of ``theta``.
 
     Labels are the graph forward pass's label rows when ``gat`` gives the
-    layer structure, else ``theta["labels.<task>"]``. Cases are the frozen
-    ``fact_vectors``, with the (N, d) node matrix ``nodes`` feeding the
-    graph, or, given ``encoder_inputs`` (fact and label features), the facts
-    are encoded through ``theta``'s ``encoder.projection``/``encoder.bias``
-    and, when ``gat`` is set, so are the labels, their concatenation being
-    the node matrix. That concatenation relies on ``build_graph``'s node
+    layer structure, with ``theta``'s ``gat.*`` weights, else
+    ``theta["labels.<task>"]``. Cases are the frozen ``fact_vectors``, with
+    the (N, d) node matrix ``nodes`` feeding the graph, or, given
+    ``encoder_inputs`` (fact and label features), the facts are encoded
+    through ``theta``'s ``encoder.projection``/``encoder.bias`` and, when
+    ``gat`` is set, so are the labels, their concatenation being the node
+    matrix. That concatenation relies on ``build_graph``'s node
     order: facts first, then labels task by task in vocabulary order.
     ``rows`` selects the minibatch.
 
+    The graph's last layer outputs the label rows of ``tasks`` task by
+    task, so each task's label matrix is one block of its output, and the
+    gradients of those blocks, concatenated, are the output's gradient.
     The backward steps run in a fixed order, and each sum adds in task
-    order: every task's cross-entropy, the label rows scattered back onto
-    the graph output, the graph, and the encoder, whose fact gradient is
-    the tasks' (scattered back from the minibatch) plus the graph's."""
+    order: every task's cross-entropy, the graph, and the encoder, whose
+    fact gradient is the tasks' (scattered back from the minibatch) plus
+    the graph's."""
     unfrozen = encoder_inputs is not None
     facts = fact_vectors
     if unfrozen:
@@ -226,9 +231,12 @@ def stage3_objective(
     else:
         # The loss reads only label rows, so the last layer aggregates only
         # the edges into the label nodes of ``tasks``.
-        receivers, positions = graph.label_receivers(tasks)
-        out, graph_backward = gat_forward_tensors(nodes, graph, theta, gat, receivers=receivers)
-        label_mats = {task: out[at.ids] for task, at in positions.items()}
+        blocks = [graph.label_indices(task) for task in tasks]
+        out, graph_backward = gat_forward_tensors(
+            nodes, graph, gat.with_param_dict(theta), receivers=np.concatenate(blocks)
+        )
+        ends = np.cumsum([len(block) for block in blocks])
+        label_mats = dict(zip(tasks, np.split(out, ends[:-1])))
     batch = facts if rows is None else facts[rows]
     values, g_scores = [], []
     for task in tasks:
@@ -245,8 +253,7 @@ def stage3_objective(
         if gat is None:
             grads.update((f"labels.{task.value}", g) for task, g in g_labels.items())
         else:
-            scattered = [positions[task].reduce(np.add, g_labels[task], 0.0) for task in tasks]
-            g_nodes, gat_grads = graph_backward(reduce(operator.add, scattered), unfrozen)
+            g_nodes, gat_grads = graph_backward(np.concatenate(list(g_labels.values())), unfrozen)
             grads.update(gat_grads)
         if unfrozen:
             g_facts = reduce(operator.add, [g @ label_mats[t] for t, g in zip(tasks, g_scores)])

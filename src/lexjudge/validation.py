@@ -143,8 +143,9 @@ def check_threshold(value, name: str = "threshold", error: type[Exception] = Val
 
 
 def check_positive(value, name: str = "value"):
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value}")
+    """``value`` if it is a positive number short of infinity; NaN fails too."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
 
 

@@ -8,10 +8,11 @@ that a change leaves every output byte unchanged:
 
 The script imports the ``src`` tree of its own checkout. It covers:
 
-* eight stage-3 branches of ``run_pipeline`` (separable corpus, 5 cases
+* ten stage-3 branches of ``run_pipeline`` (separable corpus, 5 cases
   per charge, seed 8; split 0.8 with seed 14; dim 16, 256 buckets; 3
-  contrastive and 15 graph epochs; model seed 77; 4 heads): the checkpoint
-  bytes, and the Python ``repr`` of ``loss_log`` and ``attention``;
+  contrastive and 15 graph epochs; model seed 77; 4 heads), two of them
+  on a task subset out of node order: the checkpoint bytes, and the
+  Python ``repr`` of ``loss_log`` and ``attention``;
 * the CLI ``trace``, ``pretrain``, ``train``, ``evaluate``, ``predict`` and
   ``ablate --grid full,no_graph`` outputs on ``tests/data/trace_corpus.jsonl``
   with ``lexicon.json`` (seed 11, dim 16, 256 buckets, 3 contrastive and 25
@@ -52,6 +53,7 @@ from lexjudge import (  # noqa: E402
     DropoutSpec,
     HashedEncoderParams,
     SplitSpec,
+    Task,
     TrainConfig,
     featurize,
     load_checkpoint,
@@ -83,6 +85,11 @@ BRANCHES = {
     },
     "graph, no clue tracing, no contrastive": {
         "use_clue_tracing": False, "use_contrastive": False,
+    },
+    "graph, tasks article and charge": {"tasks": (Task.ARTICLE, Task.CHARGE)},
+    "graph, tasks article and charge, unfrozen, minibatch 7": {
+        "tasks": (Task.ARTICLE, Task.CHARGE), "freeze_encoder_after_contrastive": False,
+        "batch_size": 7,
     },
 }
 

@@ -265,6 +265,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tiny_config(temperature=0.0)
 
+    @pytest.mark.parametrize("field", ["temperature", "learning_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_number_refused(self, field, value):
+        """An infinite temperature scales every similarity to 0, which makes
+        the stage a silent no-op; NaN compares false with every bound."""
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite, got"):
+            tiny_config(**{field: value})
+
     def test_negatives_at_least_one(self):
         with pytest.raises(ValueError):
             tiny_config(negatives_per_anchor=0)

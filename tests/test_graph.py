@@ -369,12 +369,23 @@ class TestLabelOnlyLastLayer:
         _, params, graphs = bench_graphs
         graph, features = graphs[name]
         receivers = label_nodes(graph)
-        partial, _ = gat_forward_tensors(
-            features, graph, params.to_param_dict(), params, receivers=receivers
-        )
+        partial, _ = gat_forward_tensors(features, graph, params, receivers=receivers)
         full = gat_forward(graph, features, params)
         assert partial.shape == (len(receivers), params.output_dim)
         np.testing.assert_allclose(partial, full[receivers], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["bench order", "labels interleaved"])
+    def test_receivers_in_any_order_give_the_full_pass_rows(self, bench_graphs, name):
+        """Stage 3 passes the label nodes task by task; each output row sums
+        the same edges in the same order whatever the receivers' order."""
+        _, params, graphs = bench_graphs
+        graph, features = graphs[name]
+        full = gat_forward(graph, features, params)
+        in_task_order = np.concatenate([graph.label_indices(task) for task in Task])
+        shuffled = np.random.default_rng(8).permutation(in_task_order)
+        for receivers in (in_task_order, in_task_order[::-1], shuffled):
+            partial, _ = gat_forward_tensors(features, graph, params, receivers=receivers)
+            assert np.array_equal(partial, full[receivers])
 
     def test_stage3_objective_independent_of_node_order(self, bench_graphs):
         corpus, params, graphs = bench_graphs

@@ -733,6 +733,24 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError, match="dropout_rate"):
             TrainConfig(dropout_rate=rate)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("learning_rate", math.nan, "learning_rate must be positive and finite, got nan"),
+            ("learning_rate", math.inf, "learning_rate must be positive and finite, got inf"),
+            ("leaky_slope", math.nan, "leaky_slope must be finite, got nan"),
+            ("leaky_slope", -math.inf, "leaky_slope must be finite, got -inf"),
+        ],
+        ids=["learning_rate-nan", "learning_rate-inf", "leaky_slope-nan", "leaky_slope-neg-inf"],
+    )
+    def test_non_finite_number_refused(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{field: value})
+
+    def test_large_integer_learning_rate_is_positive(self):
+        """The finiteness bound compares, so an int past the float range stays valid."""
+        assert TrainConfig(learning_rate=10**400).learning_rate == 10**400
+
 
 def stage3_instance(seed=123):
     """3 fact nodes + 3 charge-label nodes, dim 8, 2 heads per layer: the
