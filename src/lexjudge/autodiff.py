@@ -19,7 +19,8 @@ position instead of one inner loop per (segment, column). The objectives
 also use it to scatter a row gather's gradient back onto the rows,
 duplicates summed. Everything is float64.
 
-``t_matmul`` is every weight gradient's ``a.T @ b``: OpenBLAS splits a
+``t_matmul`` is every product that sums over rows: each weight gradient's
+``a.T @ b``, and the label-only GAT layer's block products. OpenBLAS splits a
 product that sums over rows across its threads, and how it splits, and so
 how the sums round, depends on the thread count. Rows zero-padded to a
 multiple of 32 gave the one-thread bits at every thread count and size
@@ -48,13 +49,14 @@ class Tensor:
 
 
 def t_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a.T @ b`` with both operands' rows zero-padded to a multiple of 32,
-    so the bits do not depend on the BLAS thread count."""
-    pad = -len(a) % 32
+    """``a.T @ b``, or for stacks of matrices each ``a[k].T @ b[k]``, with
+    both operands' rows zero-padded to a multiple of 32, so the bits do not
+    depend on the BLAS thread count."""
+    pad = -a.shape[-2] % 32
     if pad:
-        a = np.concatenate([a, np.zeros((pad,) + a.shape[1:])])
-        b = np.concatenate([b, np.zeros((pad,) + b.shape[1:])])
-    return a.T @ b
+        a = np.concatenate([a, np.zeros(a.shape[:-2] + (pad, a.shape[-1]))], axis=-2)
+        b = np.concatenate([b, np.zeros(b.shape[:-2] + (pad, b.shape[-1]))], axis=-2)
+    return np.swapaxes(a, -1, -2) @ b
 
 
 # ``reduceat`` runs one inner loop per (segment, column), which is cheap

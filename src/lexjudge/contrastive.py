@@ -99,16 +99,19 @@ def contrastive_objective(
     bias: np.ndarray,
     cfg: ContrastiveConfig,
     epoch: int = 0,
+    nonzero: np.ndarray | None = None,
 ) -> ad.Tensor:
     """Mean contrastive loss of one epoch over hashed feature rows, as a loss
     handle whose ``backward()`` gives the projection and bias gradients:
     InfoNCE's backward step, then each view's projection step, summed
-    view 0 + view 1 + view 2."""
+    view 0 + view 1 + view 2. ``nonzero`` is ``np.flatnonzero(features)``,
+    computed here when not given."""
     features = np.asarray(features, dtype=np.float64)
     projection = np.asarray(projection, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
     base = derive(cfg.dropout.seed, "contrastive-views", epoch)
-    nonzero = np.flatnonzero(features)
+    if nonzero is None:
+        nonzero = np.flatnonzero(features)
     views = [
         tanh_projection(
             apply_dropout_noise(features, replace(cfg.dropout, seed=derive(base, view)), nonzero),
@@ -145,9 +148,10 @@ def train_contrastive(
             f"negatives_per_anchor={cfg.negatives_per_anchor} requires more "
             f"than {cfg.negatives_per_anchor} cases, corpus has {n}"
         )
+    nonzero = np.flatnonzero(features)  # the same every epoch
     theta, _, history = descend(
         lambda theta, epoch: contrastive_objective(
-            features, theta["projection"], theta["bias"], cfg, epoch
+            features, theta["projection"], theta["bias"], cfg, epoch, nonzero
         ),
         {"projection": params.projection, "bias": params.bias},
         cfg.epochs, cfg.learning_rate, "contrastive loss",

@@ -13,9 +13,15 @@ dimension matches the encoder dimension.
 The graph holds structure only, and the edge plans derived from it.
 ``init_features`` returns the (N, d) node matrix, and every pass takes
 that matrix as an argument. Each layer is one step that returns its
-output with its closed-form backward; ``gat_forward_tensors`` composes
-the two for training, and ``gat_forward`` runs them without gradients.
-The node-by-node oracle the pass is checked against lives in
+output with its closed-form backward. ``_forward_layer`` gives every
+node's row: it projects every node and aggregates the projected messages
+over every edge. A pass that asks for some receivers only ends in
+``_receiver_layer`` instead, which aggregates the layer's inputs over the
+edges into those receivers and then projects only their rows; stage 3
+asks for the label rows, the only rows its loss reads. The two layers'
+rows agree up to rounding. ``gat_forward_tensors`` composes the layers
+for training, and ``gat_forward`` runs the full pass without gradients.
+The node-by-node oracle the passes are checked against lives in
 ``tests/gat_reference.py``.
 """
 
@@ -84,7 +90,7 @@ class ReasoningGraph:
             task: np.array([i for _, i in sorted(pairs)], dtype=np.intp)
             for task, pairs in labels.items()
         }
-        self._plans: dict[bytes | None, tuple[ad.Segments, ...]] = {}
+        self._plans: dict[bytes | None, tuple[ad.Segments, ad.Segments]] = {}
 
     @property
     def num_nodes(self) -> int:
@@ -94,31 +100,36 @@ class ReasoningGraph:
         """The node index of each label of ``task``, in label id order."""
         return self._labels.get(task, np.zeros(0, dtype=np.intp))
 
-    def plan(self, receivers: np.ndarray | None = None) -> tuple[ad.Segments, ...]:
+    def plan(self, receivers: np.ndarray | None = None) -> tuple[ad.Segments, ad.Segments]:
         """The edges a pass into ``receivers`` (distinct node indices in
         output row order; all nodes when None) aggregates, grouped by
-        output row, by receiving node and by sending node; made on first
-        use."""
+        output row and by sending node; made on first use."""
         key = None if receivers is None else receivers.tobytes()
         if key not in self._plans:
             self._plans[key] = plan_edges(self, receivers)
         return self._plans[key]
 
 
-def plan_edges(graph: ReasoningGraph, receivers: np.ndarray | None) -> tuple[ad.Segments, ...]:
+def plan_edges(
+    graph: ReasoningGraph, receivers: np.ndarray | None
+) -> tuple[ad.Segments, ad.Segments]:
     """Keep the edges into ``receivers`` (every edge when None) and group
-    them. Output row r is node ``receivers[r]``; each group keeps the
-    edges in graph order, so a row sums the same edges in the same order
-    whatever the order of ``receivers``."""
+    them by output row and by sending node. Output row r is node
+    ``receivers[r]``; each group keeps the edges in graph order, so a row
+    sums the same edges in the same order whatever the order of
+    ``receivers``. Receivers that repeat a node or name one outside the
+    graph raise ``ValueError``."""
     src, dst, n = graph.edge_src, graph.edge_dst, graph.num_nodes
     if receivers is None:
-        by_src = ad.Segments(src, n)
-        return by_src, by_src, ad.Segments(dst, n)
+        return ad.Segments(src, n), ad.Segments(dst, n)
+    if receivers.size and (receivers.min() < 0 or receivers.max() >= n):
+        raise ValueError(f"receivers must be node indices in [0, {n})")
     row = np.full(n, -1, dtype=np.intp)
     row[receivers] = np.arange(len(receivers))
+    if np.count_nonzero(row >= 0) != len(receivers):
+        raise ValueError("receivers must not repeat a node")
     keep = row[src] >= 0
-    src, dst = src[keep], dst[keep]
-    return ad.Segments(row[src], len(receivers)), ad.Segments(src, n), ad.Segments(dst, n)
+    return ad.Segments(row[src[keep]], len(receivers)), ad.Segments(dst[keep], n)
 
 
 def build_graph(corpus: Corpus) -> ReasoningGraph:
@@ -261,61 +272,82 @@ class GatParams:
         ])
 
 
+def _edge_softmax(raw: np.ndarray, by_row: ad.Segments, leaky_slope: float):
+    """Attention ``(E, H)`` from the raw edge logits: a leaky ReLU, then a
+    max-shifted softmax over the edges of each output row. Returns it with
+    the step that maps its gradient to that of ``raw``."""
+    row = by_row.ids
+    factor = np.where(raw > 0, 1.0, leaky_slope)
+    logits = raw * factor
+    shift = by_row.reduce(np.maximum, logits, -np.inf)
+    numer = np.exp(logits - shift[row])
+    alpha = numer / by_row.reduce(np.add, numer, 0.0)[row]
+
+    def backward(g_alpha):
+        g_mean = by_row.reduce(np.add, g_alpha * alpha, 0.0)[row]
+        return alpha * (g_alpha - g_mean) * factor
+
+    return alpha, backward
+
+
+def _elu_combine(summed: np.ndarray, combine: str):
+    """ELU of the ``(rows, H, d)`` per-head sums, then the heads
+    concatenated or averaged. Returns the output with the step that maps
+    its gradient to that of ``summed``."""
+    n_out, n_heads, width = summed.shape
+    positive = summed > 0
+    aggregated = np.where(positive, summed, np.expm1(summed))
+    if combine == "concat":
+        out = aggregated.reshape((n_out, n_heads * width))
+    else:
+        out = aggregated.sum(axis=1) * (1.0 / n_heads)
+
+    def backward(g):
+        if combine == "concat":
+            g_agg = g.reshape(summed.shape)
+        else:
+            g_agg = np.broadcast_to((g * (1.0 / n_heads))[:, None, :], summed.shape)
+        return g_agg * np.where(positive, 1.0, aggregated + 1.0)
+
+    return out, backward
+
+
 def _forward_layer(
     x: np.ndarray,
     graph: ReasoningGraph,
     layer: LayerParams,
     collect: list | None,
     layer_no: int,
-    receivers: np.ndarray | None = None,
 ):
-    """One layer with its H heads stacked, and its backward step:
-    projections ``(N, H, d)``, edge logits and attention ``(E, H)``,
-    messages ``(E, H, d)``, then ELU and the heads concatenated or
-    averaged. ``backward(g, input_grad)`` maps the output's gradient to
-    those of ``x`` (None unless ``input_grad``), ``layer.W`` and
-    ``layer.omega``.
+    """One layer over every node, with its H heads stacked, and its
+    backward step: projections ``(N, H, d)``, edge logits and attention
+    ``(E, H)``, messages ``(E, H, d)``, then ELU and the heads
+    concatenated or averaged. ``backward(g, input_grad)`` maps the output's
+    gradient to those of ``x`` (None unless ``input_grad``), ``layer.W``
+    and ``layer.omega``.
 
     The edge logit ``omega·[Wh_i ‖ Wh_j]`` is the sum of a source score
     ``omega[:d]·Wh_i`` and a destination score ``omega[d:]·Wh_j``, so both
-    are computed once per node. With ``receivers`` (distinct node indices,
-    in any order) only the edges into them are aggregated, and output row
-    r is node ``receivers[r]``."""
+    are computed once per node."""
     w, omega = layer.W, layer.omega
     n, (n_heads, width, d_in) = graph.num_nodes, w.shape
-    by_seg, by_src, by_dst = graph.plan(receivers)
-    dst, seg, n_out = by_dst.ids, by_seg.ids, by_seg.num_segments
+    by_src, by_dst = graph.plan()
+    src, dst = by_src.ids, by_dst.ids
     w_flat = w.reshape((n_heads * width, d_in))
     a_src, a_dst = omega[:, :width], omega[:, width:]
     projected = (x @ w_flat.T).reshape((n, n_heads, width))
-    receiving = projected if receivers is None else projected[receivers]
-    raw = (receiving * a_src).sum(axis=2)[seg] + (projected * a_dst).sum(axis=2)[dst]
-    factor = np.where(raw > 0, 1.0, layer.leaky_slope)
-    logits = raw * factor
-    shift = by_seg.reduce(np.maximum, logits, -np.inf)
-    numer = np.exp(logits - shift[seg])
-    alpha = numer / by_seg.reduce(np.add, numer, 0.0)[seg]
+    raw = (projected * a_src).sum(axis=2)[src] + (projected * a_dst).sum(axis=2)[dst]
+    alpha, softmax_backward = _edge_softmax(raw, by_src, layer.leaky_slope)
     if collect is not None:
         collect.extend((layer_no, h, alpha[:, h].copy()) for h in range(n_heads))
     sent = projected[dst]
-    summed = by_seg.reduce(np.add, sent * alpha[:, :, None], 0.0)
-    positive = summed > 0
-    aggregated = np.where(positive, summed, np.expm1(summed))
-    if layer.combine == "concat":
-        out = aggregated.reshape((n_out, n_heads * width))
-    else:
-        out = aggregated.sum(axis=1) * (1.0 / n_heads)
+    out, combine_backward = _elu_combine(
+        by_src.reduce(np.add, sent * alpha[:, :, None], 0.0), layer.combine
+    )
 
     def backward(g, input_grad):
-        if layer.combine == "concat":
-            g_agg = g.reshape((n_out, n_heads, width))
-        else:
-            g_agg = np.broadcast_to((g * (1.0 / n_heads))[:, None, :], aggregated.shape)
-        g_msg = (g_agg * np.where(positive, 1.0, aggregated + 1.0))[seg]
-        g_alpha = (g_msg * sent).sum(axis=2)
-        # back through the softmax over each segment, then the leaky ReLU
-        g_mean = by_seg.reduce(np.add, g_alpha * alpha, 0.0)[seg]
-        g_raw = alpha * (g_alpha - g_mean) * factor
+        g_msg = combine_backward(g)[src]
+        g_raw = softmax_backward((g_msg * sent).sum(axis=2))
         g_src = by_src.reduce(np.add, g_raw, 0.0)[:, :, None]
         g_dst = by_dst.reduce(np.add, g_raw, 0.0)[:, :, None]
         g_proj = (
@@ -331,6 +363,72 @@ def _forward_layer(
     return out, backward
 
 
+def _receiver_layer(
+    x: np.ndarray,
+    graph: ReasoningGraph,
+    layer: LayerParams,
+    collect: list | None,
+    layer_no: int,
+    receivers: np.ndarray,
+):
+    """The rows of one layer for ``receivers`` only (distinct node indices,
+    in any order; output row r is node ``receivers[r]``), with the backward
+    step of ``_forward_layer``'s signature. It aggregates first and
+    projects after: head h's sum ``Σⱼ αₕⱼ Wₕxⱼ`` is ``Wₕ Σⱼ αₕⱼ xⱼ``.
+
+    - Each node's source and destination scores are ``x`` times the 2H
+      vectors ``Wₕᵀω[:d]`` and ``Wₕᵀω[d:]``; the softmax over each
+      receiver's edges is ``_forward_layer``'s.
+    - The attention is scattered into a dense block A, stored as
+      ``(N, H·R)``, and ``z = A·x`` gives the ``(H, R, d_in)`` sums; Wₕ
+      then projects those R rows only.
+    - The backward reassociates the same way: ``g_A = g_z·xᵀ`` is read back
+      at each edge, ``g_x`` is ``Σₕ Aₕᵀg_zₕ`` plus the scores' share, and
+      the gradients of W and ω pass through the 2H vectors.
+
+    Every product that sums over rows goes through ``autodiff.t_matmul``."""
+    w, omega = layer.W, layer.omega
+    n, (n_heads, width, d_in) = graph.num_nodes, w.shape
+    by_row, by_dst = graph.plan(receivers)
+    row, dst, n_out = by_row.ids, by_dst.ids, by_row.num_segments
+    halves = omega.reshape((n_heads, 2, width))
+    vectors = (halves @ w).reshape((2 * n_heads, d_in))
+    scores = (x @ vectors.T).reshape((n, n_heads, 2))
+    raw = scores[receivers, :, 0][row] + scores[dst, :, 1]
+    alpha, softmax_backward = _edge_softmax(raw, by_row, layer.leaky_slope)
+    if collect is not None:
+        collect.extend((layer_no, h, alpha[:, h].copy()) for h in range(n_heads))
+    # edge e of head h is entry (dst[e], h·R + row[e]) of the block; a
+    # repeated edge adds its weights, as the full pass sums its messages
+    at = (dst[:, None] * n_heads + np.arange(n_heads)) * n_out + row[:, None]
+    block = np.bincount(
+        at.ravel(), weights=alpha.ravel(), minlength=n * n_heads * n_out
+    ).reshape((n, n_heads * n_out))
+    z = ad.t_matmul(block, x).reshape((n_heads, n_out, d_in))
+    out, combine_backward = _elu_combine(
+        (z @ w.transpose(0, 2, 1)).transpose(1, 0, 2), layer.combine
+    )
+
+    def backward(g, input_grad):
+        g_sum = combine_backward(g).transpose(1, 0, 2)
+        g_z = (g_sum @ w).reshape((n_heads * n_out, d_in))
+        g_raw = softmax_backward((x @ g_z.T).reshape(-1)[at])
+        g_scores = np.zeros((n, n_heads, 2))
+        g_scores[receivers, :, 0] = by_row.reduce(np.add, g_raw, 0.0)
+        g_scores[:, :, 1] = by_dst.reduce(np.add, g_raw, 0.0)
+        g_scores = g_scores.reshape((n, 2 * n_heads))
+        g_vectors = ad.t_matmul(x, g_scores).T.reshape((n_heads, 2, d_in))
+        g_w = ad.t_matmul(g_sum, z)
+        g_w += halves.transpose(0, 2, 1) @ g_vectors
+        g_omega = (g_vectors @ w.transpose(0, 2, 1)).reshape(omega.shape)
+        g_x = None
+        if input_grad:
+            g_x = ad.t_matmul(block.T, g_z) + g_scores @ vectors
+        return g_x, g_w, g_omega
+
+    return out, backward
+
+
 def gat_forward_tensors(
     features: np.ndarray,
     graph: ReasoningGraph,
@@ -340,15 +438,18 @@ def gat_forward_tensors(
 ):
     """Both layers of ``params`` over the (N, d) node matrix ``features``.
     With ``receivers`` (distinct node indices, in any order) the last layer
-    computes only their rows, in that order. Returns the output and
-    ``backward(g, input_grad)``, which runs the layers' steps last to
-    first and returns the gradient of ``features`` (None unless
-    ``input_grad``) and those of the weights, keyed as
+    is ``_receiver_layer``, which computes only their rows, in that order.
+    Returns the output and ``backward(g, input_grad)``, which runs the
+    layers' steps last to first and returns the gradient of ``features``
+    (None unless ``input_grad``) and those of the weights, keyed as
     ``GatParams.to_param_dict``."""
     x, steps = features, []
     last = len(params.layers) - 1
     for li, layer in enumerate(params.layers):
-        x, step = _forward_layer(x, graph, layer, collect, li, receivers if li == last else None)
+        if li == last and receivers is not None:
+            x, step = _receiver_layer(x, graph, layer, collect, li, receivers)
+        else:
+            x, step = _forward_layer(x, graph, layer, collect, li)
         steps.append(step)
 
     def backward(g, input_grad):

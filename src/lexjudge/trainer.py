@@ -184,6 +184,19 @@ class TrainConfig:
         object.__setattr__(self, "seed", check_seed(self.seed))
 
 
+def graph_label_matrices(
+    nodes: np.ndarray, graph: ReasoningGraph, gat: GatParams, tasks: Sequence[Task]
+) -> tuple[dict[Task, np.ndarray], Callable]:
+    """Each task's enhanced label matrix from the graph pass over the node
+    matrix ``nodes``, and the pass's backward. The loss reads only label
+    rows, so the last layer computes only the label nodes of ``tasks``,
+    task by task: each task's matrix is one block of its output."""
+    blocks = [graph.label_indices(task) for task in tasks]
+    out, backward = gat_forward_tensors(nodes, graph, gat, receivers=np.concatenate(blocks))
+    ends = np.cumsum([len(block) for block in blocks])
+    return dict(zip(tasks, np.split(out, ends[:-1]))), backward
+
+
 def stage3_objective(
     theta: Mapping[str, np.ndarray],
     graph: ReasoningGraph,
@@ -211,13 +224,11 @@ def stage3_objective(
     order: facts first, then labels task by task in vocabulary order.
     ``rows`` selects the minibatch.
 
-    The graph's last layer outputs the label rows of ``tasks`` task by
-    task, so each task's label matrix is one block of its output, and the
-    gradients of those blocks, concatenated, are the output's gradient.
-    The backward steps run in a fixed order, and each sum adds in task
-    order: every task's cross-entropy, the graph, and the encoder, whose
-    fact gradient is the tasks' (scattered back from the minibatch) plus
-    the graph's."""
+    The gradients of ``graph_label_matrices``' blocks, concatenated, are
+    its output's gradient. The backward steps run in a fixed order, and
+    each sum adds in task order: every task's cross-entropy, the graph,
+    and the encoder, whose fact gradient is the tasks' (scattered back
+    from the minibatch) plus the graph's."""
     unfrozen = encoder_inputs is not None
     facts = fact_vectors
     if unfrozen:
@@ -229,14 +240,9 @@ def stage3_objective(
     if gat is None:
         label_mats = {task: theta[f"labels.{task.value}"] for task in tasks}
     else:
-        # The loss reads only label rows, so the last layer aggregates only
-        # the edges into the label nodes of ``tasks``.
-        blocks = [graph.label_indices(task) for task in tasks]
-        out, graph_backward = gat_forward_tensors(
-            nodes, graph, gat.with_param_dict(theta), receivers=np.concatenate(blocks)
+        label_mats, graph_backward = graph_label_matrices(
+            nodes, graph, gat.with_param_dict(theta), tasks
         )
-        ends = np.cumsum([len(block) for block in blocks])
-        label_mats = dict(zip(tasks, np.split(out, ends[:-1])))
     batch = facts if rows is None else facts[rows]
     values, g_scores = [], []
     for task in tasks:
@@ -473,7 +479,6 @@ def fit_model(
         nodes = node_matrix(encoder_params)
         tasks = train_cfg.tasks
         golds = {task: np.array(train_corpus.gold_ids(task), dtype=np.intp) for task in tasks}
-        label_rows = {task: graph.label_indices(task) for task in tasks}
         unfrozen = hashed and not train_cfg.freeze_encoder_after_contrastive
         if unfrozen:
             fact_nonzero = np.flatnonzero(text_features[:n_train])
@@ -487,7 +492,7 @@ def fit_model(
             theta.update(gat.to_param_dict())
         else:
             for task in tasks:
-                theta[f"labels.{task.value}"] = nodes[label_rows[task]]
+                theta[f"labels.{task.value}"] = nodes[graph.label_indices(task)]
         if unfrozen:
             theta["encoder.projection"] = encoder_params.projection.copy()
             theta["encoder.bias"] = encoder_params.bias.copy()
@@ -530,9 +535,10 @@ def fit_model(
         if train_cfg.use_graph:
             gat = gat.with_param_dict(theta)
             collected: list = []
-            final = gat_forward(graph, nodes, gat, collect_attention=collected)
-            label_matrices = {task: final[label_rows[task]] for task in tasks}
+            gat_forward(graph, nodes, gat, collect_attention=collected)
             attention = attention_export(graph, collected)
+            # the label matrices come from the pass the loss read them from
+            label_matrices, _ = graph_label_matrices(nodes, graph, gat, tasks)
         else:
             label_matrices = {task: theta[f"labels.{task.value}"].copy() for task in tasks}
 

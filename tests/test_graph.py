@@ -17,6 +17,7 @@ from lexjudge import (
     encode_label,
     init_features,
 )
+from lexjudge.autodiff import Tensor
 from lexjudge.graph import (
     FactNode,
     LabelNode,
@@ -376,16 +377,35 @@ class TestLabelOnlyLastLayer:
 
     @pytest.mark.parametrize("name", ["bench order", "labels interleaved"])
     def test_receivers_in_any_order_give_the_full_pass_rows(self, bench_graphs, name):
-        """Stage 3 passes the label nodes task by task; each output row sums
-        the same edges in the same order whatever the receivers' order."""
+        """Stage 3 passes the label nodes task by task. The label-only last
+        layer aggregates before it projects, so its rows round apart from
+        the full pass's: they equal them within the tolerance above, and
+        every order of the same receivers gives the same rows bit for
+        bit."""
         _, params, graphs = bench_graphs
         graph, features = graphs[name]
         full = gat_forward(graph, features, params)
         in_task_order = np.concatenate([graph.label_indices(task) for task in Task])
-        shuffled = np.random.default_rng(8).permutation(in_task_order)
-        for receivers in (in_task_order, in_task_order[::-1], shuffled):
-            partial, _ = gat_forward_tensors(features, graph, params, receivers=receivers)
-            assert np.array_equal(partial, full[receivers])
+        rows, _ = gat_forward_tensors(features, graph, params, receivers=in_task_order)
+        np.testing.assert_allclose(rows, full[in_task_order], rtol=0, atol=1e-12)
+        reverse = np.arange(len(in_task_order))[::-1]
+        shuffled = np.random.default_rng(8).permutation(len(in_task_order))
+        for order in (reverse, shuffled):
+            partial, _ = gat_forward_tensors(
+                features, graph, params, receivers=in_task_order[order]
+            )
+            assert np.array_equal(partial, rows[order])
+
+    def test_repeated_edge_counts_each_time(self):
+        """A neighbourhood may list a node twice: the block adds both
+        weights, as the full pass adds both messages."""
+        graph = star_graph([[0, 1, 1, 2], [1, 0, 0], [2, 0]])
+        features = np.random.default_rng(2).normal(size=(3, 4))
+        params = GatParams.initialize(dim=4, heads=2, seed=3)
+        receivers = np.array([1, 0])
+        partial, _ = gat_forward_tensors(features, graph, params, receivers=receivers)
+        full = gat_forward(graph, features, params)
+        np.testing.assert_allclose(partial, full[receivers], rtol=0, atol=1e-12)
 
     def test_stage3_objective_independent_of_node_order(self, bench_graphs):
         corpus, params, graphs = bench_graphs
@@ -405,6 +425,27 @@ class TestLabelOnlyLastLayer:
             np.testing.assert_allclose(g_b[key], g_a[key], rtol=0, atol=1e-12)
         reference = graph_loss_reference(*graphs["labels interleaved"], params, hf, golds, tasks)
         assert loss_b.value == pytest.approx(reference, abs=1e-12)
+
+
+class TestInvalidReceivers:
+    """A receiver set that repeats a node or names one outside the graph
+    is refused before any edge is planned."""
+
+    def check(self, receivers, message):
+        graph = star_graph([[0, 1, 2], [1, 0], [2, 0]])
+        features = np.random.default_rng(0).normal(size=(3, 4))
+        params = GatParams.initialize(dim=4, heads=2, seed=1)
+        with pytest.raises(ValueError, match=message):
+            gat_forward_tensors(features, graph, params, receivers=np.array(receivers))
+
+    def test_duplicate_receivers_rejected(self):
+        self.check([2, 2], "must not repeat a node")
+
+    def test_negative_receivers_rejected(self):
+        self.check([1, -1], r"node indices in \[0, 3\)")
+
+    def test_out_of_range_receivers_rejected(self):
+        self.check([0, 3], r"node indices in \[0, 3\)")
 
 
 class TestAttentionExport:
@@ -451,6 +492,71 @@ class TestGraphGradients:
         hf = rng.normal(size=(3, 8)) * 0.8
         golds = {Task.CHARGE: [0, 1, 2]}
         tasks = (Task.CHARGE,)
+
+        def objective(theta):
+            return stage3_objective(
+                theta, graph, golds, tasks, gat=params, fact_vectors=hf, nodes=features
+            )
+
+        def reference(theta):
+            return graph_loss_reference(
+                graph, features, params.with_param_dict(theta), hf, golds, tasks
+            )
+
+        theta = params.to_param_dict()
+        assert objective(theta).value == pytest.approx(reference(theta), abs=1e-12)
+        assert worst_gradient_error(objective, theta, list(theta), 1e-4, reference) <= 1e-4
+
+
+class TestReceiverLayerGradients:
+    """The label-only last layer's closed-form backward against central
+    differences, on its own and inside the stage-3 loss."""
+
+    @pytest.mark.parametrize("combine", ["average", "concat"])
+    @pytest.mark.parametrize("input_grad", [True, False], ids=["input grad", "no input grad"])
+    def test_layer_matches_central_differences(self, combine, input_grad):
+        """A one-layer pass into receivers out of node order (a fact and
+        the label nodes, reversed), under a fixed linear loss."""
+        _, graph, _, _ = random_instance(10, n_cases=4)
+        rng = np.random.default_rng(31)
+        receivers = np.concatenate([label_nodes(graph)[::-1], [1]])
+        layer = LayerParams(
+            rng.normal(size=(2, 3, 4)) * 0.8, rng.normal(size=(2, 6)) * 0.8, combine
+        )
+        params = GatParams([layer])
+        weights = rng.normal(size=(len(receivers), layer.output_dim))
+        theta = {"x": rng.normal(size=(graph.num_nodes, 4)), **params.to_param_dict()}
+
+        def objective(theta):
+            out, backward = gat_forward_tensors(
+                theta["x"], graph, params.with_param_dict(theta), receivers=receivers
+            )
+
+            def grads():
+                g_x, g_weights = backward(weights, input_grad)
+                return {"x": g_x, **g_weights}
+
+            return Tensor(float((out * weights).sum()), grads)
+
+        assert (objective(theta).backward()["x"] is None) == (not input_grad)
+        keys = [key for key in theta if input_grad or key != "x"]
+        assert worst_gradient_error(objective, theta, keys, 1e-5) <= 1e-5
+
+    @pytest.mark.parametrize(
+        "tasks", [(Task.CHARGE,), (Task.ARTICLE, Task.CHARGE), (Task.IMPRISONMENT, Task.ARTICLE)],
+        ids=["one task", "tasks out of node order", "one-label task"],
+    )
+    def test_stage3_matches_central_differences(self, tasks):
+        """Every case shares one imprisonment label, so that task's block is
+        a single row."""
+        corpus = mini_corpus([rec(i, "xyz"[i % 3], f"a{i % 2}") for i in range(5)])
+        assert corpus.vocab(Task.IMPRISONMENT).size == 1
+        graph = build_graph(corpus)
+        rng = np.random.default_rng(12)
+        features = rng.normal(size=(graph.num_nodes, 4)) * 0.8
+        hf = rng.normal(size=(len(corpus), 4)) * 0.8
+        params = GatParams.initialize(dim=4, heads=2, seed=13)
+        golds = {task: corpus.gold_ids(task) for task in Task}
 
         def objective(theta):
             return stage3_objective(

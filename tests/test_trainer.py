@@ -416,8 +416,8 @@ class TestFitWork:
     """Counted the way the benchmark's tracer wraps module names: a hashed
     fit with contrastive epochs featurizes each clue text and each label
     surface once, frozen or not, for the contrastive stage and stage 3
-    together, and runs the full-graph forward pass once, for the final
-    label matrices and the attention together."""
+    together, and runs the full-graph forward pass once, for the attention;
+    the final label matrices come from the label-only pass."""
 
     @pytest.mark.parametrize("freeze", [True, False], ids=["frozen", "unfrozen"])
     def test_featurize_calls_and_full_passes(self, monkeypatch, freeze):
@@ -460,7 +460,8 @@ class TestFitWork:
     def test_each_pass_is_planned_once(self, monkeypatch):
         """The graph plans its edges once per receiver set: over 250 epochs,
         one plan for every full layer (the first of each pass, and the final
-        pass) and one for the label-only last layer."""
+        full pass) and one for the label-only last layer, which the final
+        label matrices reuse."""
         corpus, lexicon, anchors = synth_corpus(cases_per_charge=2)
         planned = []
 
@@ -480,6 +481,43 @@ class TestFitWork:
         )
         assert len(planned) == 2
         assert planned[0] is None and planned[1] is not None
+
+
+class TestFinalLabelMatrices:
+    """The saved label matrices come from the kernel the stage-3 loss reads
+    them from: the label-only last layer over the final node matrix, with
+    the final weights, one block per task in task order."""
+
+    def test_saved_matrices_are_the_label_only_pass_rows(self, monkeypatch, tmp_path):
+        corpus, lexicon, anchors = synth_corpus(cases_per_charge=3)
+        calls = []
+        real = lexjudge.trainer.gat_forward_tensors
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lexjudge.trainer, "gat_forward_tensors", recording)
+        tasks = (Task.ARTICLE, Task.CHARGE)
+        result = fit_model(
+            corpus,
+            encoder_params=HashedEncoderParams.initialize(output_dim=8, bucket_count=64, seed=1),
+            lexicon=lexicon,
+            anchors=anchors,
+            contrastive_cfg=small_contrastive(epochs=2),
+            train_cfg=TrainConfig(epochs=3, seed=3, heads=2, tasks=tasks),
+        )
+        assert len(calls) == 3 + 1  # one per epoch, then the final pass
+        (nodes, graph, gat), kwargs = calls[-1]
+        receivers = np.concatenate([graph.label_indices(task) for task in tasks])
+        assert kwargs.keys() == {"receivers"}
+        assert np.array_equal(kwargs["receivers"], receivers)
+        rows, _ = real(nodes, graph, gat, receivers=receivers)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, result.model, result.optimizer_state)
+        saved = load_checkpoint(path)[0].label_matrices
+        assert np.array_equal(np.concatenate([saved[task] for task in tasks]), rows)
+        assert np.array_equal(nodes[: len(corpus)], result.fact_vectors)
 
 
 class TestFitResultFactVectors:
