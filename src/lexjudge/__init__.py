@@ -52,7 +52,6 @@ from .encoder import (
     HashedEncoderParams,
     apply_dropout_noise,
     encode_fact,
-    encode_label,
     featurize,
     load_embedding_table,
 )

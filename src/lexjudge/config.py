@@ -153,11 +153,6 @@ class RunConfig:
         values = self._given("train")
         if "freeze_encoder" in values:
             values["freeze_encoder_after_contrastive"] = values.pop("freeze_encoder")
-        if "tasks" in values:
-            try:
-                values["tasks"] = tuple(Task(t) for t in values["tasks"])
-            except ValueError as exc:
-                raise ConfigError(f"invalid task in train.tasks: {exc}") from exc
         return TrainConfig(**values, seed=self.seed)
 
     @_section_values("scenario")

@@ -64,18 +64,29 @@ def info_nce(
     mapping its gradient to those of the three views: anchor i scores its
     positive (row i of ``positives``) and the rows ``neg_idx[i]`` of
     ``negatives`` by cosine over ``temperature``, and the loss is the
-    softmax cross-entropy of those scores with the positive as gold. A zero
-    row has no cosine, and makes the loss NaN."""
+    softmax cross-entropy of those scores with the positive as gold.
+
+    A zero row, such as a view whose every feature dropout removed,
+    normalizes to the zero vector: its cosines are 0, and no gradient
+    flows back through its normalization. An anchor whose own view is zero
+    has no loss term, so the loss is the mean over the other anchors, and
+    NaN when every anchor's view is zero."""
     views = (anchors, positives, negatives)
     norms = [np.sqrt((t * t).sum(axis=1, keepdims=True)) for t in views]
-    with np.errstate(invalid="ignore"):
-        a, p, m = (t / r for t, r in zip(views, norms))
+    live = norms[0][:, 0] != 0.0
+    if not live.any():
+        return np.nan, None
+    # a zero row divided by an infinite norm stays zero, and so does its gradient
+    norms = [np.where(r == 0.0, np.inf, r) for r in norms]
+    a, p, m = (t / r for t, r in zip(views, norms))
     n, count = neg_idx.shape
     neg_rows = m[neg_idx]  # (n, count, d)
     pos_sim = (a * p).sum(axis=1) * (1.0 / temperature)
     neg_sim = (a[:, None, :] * neg_rows).sum(axis=2) * (1.0 / temperature)
     scores = np.concatenate([pos_sim[:, None], neg_sim], axis=1)
-    value, g_sims = softmax_cross_entropy(scores, np.zeros(n, dtype=np.intp))
+    value, g_live = softmax_cross_entropy(scores[live], np.zeros(live.sum(), dtype=np.intp))
+    g_sims = np.zeros_like(scores)
+    g_sims[live] = g_live
 
     def backward(g):
         g_pos, g_neg = np.split(g * g_sims * (1.0 / temperature), [1], axis=1)

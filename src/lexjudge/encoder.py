@@ -12,10 +12,10 @@ consumes:
 * ingestion of precomputed embeddings from a TSV table (vectors are taken
   as given; nothing is trainable on this path).
 
-The hashed encoder maps a case's clue set (``encode_fact``) and a label's
-surface text (``encode_label``); the table keys a case by its id and a
-label by ``label_key``. Either way the vectors share one dimension: the
-projection's row count or the table's ``#dim``.
+The hashed encoder maps a case's clue set (``encode_fact``), and a label's
+surface text is ``project_features`` of its ``featurize``; the table keys
+a case by its id and a label by ``label_key``. Either way the vectors
+share one dimension: the projection's row count or the table's ``#dim``.
 """
 
 from __future__ import annotations
@@ -161,11 +161,11 @@ def apply_dropout_noise(
     ``spec.seed``, so a given spec always produces the same mask. Zero
     features stay zero either way, so uniforms are drawn only at the
     nonzero flat indices, ``np.flatnonzero(features)``; a caller that
-    masks the same features several times passes them as ``nonzero``.
+    masks the same features several times passes them as ``nonzero``. At
+    rate 0 every uniform, being below 1, keeps its entry, and each entry is
+    divided by 1.0: the features come back unchanged, as a new array.
     """
     features = np.asarray(features, dtype=np.float64)
-    if spec.rate == 0.0:
-        return features.copy()
     if nonzero is None:
         nonzero = np.flatnonzero(features)
     flat = features.ravel()
@@ -206,11 +206,6 @@ def tanh_projection(features: np.ndarray, projection: np.ndarray, bias: np.ndarr
 def encode_fact(clues: ClueSet, params: HashedEncoderParams) -> np.ndarray:
     """Representation of a criminal fact from its clue set."""
     return project_features(featurize(clue_text(clues), params), params)
-
-
-def encode_label(surface_text: str, params: HashedEncoderParams) -> np.ndarray:
-    """Representation of an instrument label from its surface text."""
-    return project_features(featurize(surface_text, params), params)
 
 
 class EmbeddingTable:

@@ -13,14 +13,16 @@ dimension matches the encoder dimension.
 The graph holds structure only, and the edge plans derived from it.
 ``init_features`` returns the (N, d) node matrix, and every pass takes
 that matrix as an argument. Each layer is one step that returns its
-output with its closed-form backward. ``_forward_layer`` gives every
-node's row: it projects every node and aggregates the projected messages
-over every edge. A pass that asks for some receivers only ends in
-``_receiver_layer`` instead, which aggregates the layer's inputs over the
-edges into those receivers and then projects only their rows; stage 3
+output with its closed-form backward and writes nothing else.
+``_forward_layer`` gives every node's row, and also returns its attention
+over every edge: it projects every node and aggregates the projected
+messages over every edge. A pass that asks for some receivers only ends
+in ``_receiver_layer`` instead, which aggregates the layer's inputs over
+the edges into those receivers and then projects only their rows; stage 3
 asks for the label rows, the only rows its loss reads. The two layers'
 rows agree up to rounding. ``gat_forward_tensors`` composes the layers
-for training, and ``gat_forward`` runs the full pass without gradients.
+for training and is the one place that collects attention, from full
+layers only; ``gat_forward`` runs the full pass without gradients.
 The node-by-node oracle the passes are checked against lives in
 ``tests/gat_reference.py``.
 """
@@ -312,19 +314,13 @@ def _elu_combine(summed: np.ndarray, combine: str):
     return out, backward
 
 
-def _forward_layer(
-    x: np.ndarray,
-    graph: ReasoningGraph,
-    layer: LayerParams,
-    collect: list | None,
-    layer_no: int,
-):
-    """One layer over every node, with its H heads stacked, and its
-    backward step: projections ``(N, H, d)``, edge logits and attention
-    ``(E, H)``, messages ``(E, H, d)``, then ELU and the heads
-    concatenated or averaged. ``backward(g, input_grad)`` maps the output's
-    gradient to those of ``x`` (None unless ``input_grad``), ``layer.W``
-    and ``layer.omega``.
+def _forward_layer(x: np.ndarray, graph: ReasoningGraph, layer: LayerParams):
+    """One layer over every node, with its H heads stacked: projections
+    ``(N, H, d)``, edge logits and attention ``(E, H)``, messages
+    ``(E, H, d)``, then ELU and the heads concatenated or averaged. Returns
+    the output, the attention in graph edge order and the backward step:
+    ``backward(g, input_grad)`` maps the output's gradient to those of
+    ``x`` (None unless ``input_grad``), ``layer.W`` and ``layer.omega``.
 
     The edge logit ``omega·[Wh_i ‖ Wh_j]`` is the sum of a source score
     ``omega[:d]·Wh_i`` and a destination score ``omega[d:]·Wh_j``, so both
@@ -338,8 +334,6 @@ def _forward_layer(
     projected = (x @ w_flat.T).reshape((n, n_heads, width))
     raw = (projected * a_src).sum(axis=2)[src] + (projected * a_dst).sum(axis=2)[dst]
     alpha, softmax_backward = _edge_softmax(raw, by_src, layer.leaky_slope)
-    if collect is not None:
-        collect.extend((layer_no, h, alpha[:, h].copy()) for h in range(n_heads))
     sent = projected[dst]
     out, combine_backward = _elu_combine(
         by_src.reduce(np.add, sent * alpha[:, :, None], 0.0), layer.combine
@@ -360,20 +354,16 @@ def _forward_layer(
         g_w = ad.t_matmul(x, g_proj).T.reshape(w.shape)
         return (g_proj @ w_flat if input_grad else None), g_w, g_omega
 
-    return out, backward
+    return out, alpha, backward
 
 
 def _receiver_layer(
-    x: np.ndarray,
-    graph: ReasoningGraph,
-    layer: LayerParams,
-    collect: list | None,
-    layer_no: int,
-    receivers: np.ndarray,
+    x: np.ndarray, graph: ReasoningGraph, layer: LayerParams, receivers: np.ndarray
 ):
     """The rows of one layer for ``receivers`` only (distinct node indices,
-    in any order; output row r is node ``receivers[r]``), with the backward
-    step of ``_forward_layer``'s signature. It aggregates first and
+    in any order; output row r is node ``receivers[r]``), with a backward
+    step of ``_forward_layer``'s signature. Its attention covers only the
+    edges into ``receivers``, so it is not returned. It aggregates first and
     projects after: head h's sum ``Σⱼ αₕⱼ Wₕxⱼ`` is ``Wₕ Σⱼ αₕⱼ xⱼ``.
 
     - Each node's source and destination scores are ``x`` times the 2H
@@ -396,8 +386,6 @@ def _receiver_layer(
     scores = (x @ vectors.T).reshape((n, n_heads, 2))
     raw = scores[receivers, :, 0][row] + scores[dst, :, 1]
     alpha, softmax_backward = _edge_softmax(raw, by_row, layer.leaky_slope)
-    if collect is not None:
-        collect.extend((layer_no, h, alpha[:, h].copy()) for h in range(n_heads))
     # edge e of head h is entry (dst[e], h·R + row[e]) of the block; a
     # repeated edge adds its weights, as the full pass sums its messages
     at = (dst[:, None] * n_heads + np.arange(n_heads)) * n_out + row[:, None]
@@ -439,6 +427,8 @@ def gat_forward_tensors(
     """Both layers of ``params`` over the (N, d) node matrix ``features``.
     With ``receivers`` (distinct node indices, in any order) the last layer
     is ``_receiver_layer``, which computes only their rows, in that order.
+    Each full layer's attention is appended to ``collect``, when given, as
+    one ``(layer, head, alpha)`` entry per head, with one weight per edge.
     Returns the output and ``backward(g, input_grad)``, which runs the
     layers' steps last to first and returns the gradient of ``features``
     (None unless ``input_grad``) and those of the weights, keyed as
@@ -447,9 +437,11 @@ def gat_forward_tensors(
     last = len(params.layers) - 1
     for li, layer in enumerate(params.layers):
         if li == last and receivers is not None:
-            x, step = _receiver_layer(x, graph, layer, collect, li, receivers)
+            x, step = _receiver_layer(x, graph, layer, receivers)
         else:
-            x, step = _forward_layer(x, graph, layer, collect, li)
+            x, alpha, step = _forward_layer(x, graph, layer)
+            if collect is not None:
+                collect.extend((li, h, alpha[:, h].copy()) for h in range(alpha.shape[1]))
         steps.append(step)
 
     def backward(g, input_grad):
@@ -481,13 +473,14 @@ def gat_forward(
 
 
 def attention_export(graph: ReasoningGraph, collected: Sequence[tuple]) -> list[tuple]:
-    """Rows (src_node, dst_node, head, layer, alpha) for every edge of the
-    ``(layer, head, alpha)`` entries a full ``gat_forward`` pass collected."""
+    """Rows (src_node, dst_node, head, layer, alpha) for every edge of each
+    ``(layer, head, alpha)`` entry a pass collected; an ``alpha`` with not
+    one weight per edge raises ``ValueError``."""
     names = [node_name(node) for node in graph.nodes]
     src = [names[i] for i in graph.edge_src]
     dst = [names[j] for j in graph.edge_dst]
     return [
         (s, d, head_no, layer_no, a)
         for layer_no, head_no, alpha in collected
-        for s, d, a in zip(src, dst, alpha.tolist())
+        for s, d, a in zip(src, dst, alpha.tolist(), strict=True)
     ]

@@ -165,12 +165,15 @@ class TrainConfig:
     dropout_rate: float = 0.5
 
     def __post_init__(self):
+        names = [task.value for task in TASKS]
+        for task in self.tasks:
+            if task not in TASKS and task not in names:
+                raise ValueError(f"unknown task {task!r}; tasks: {names}")
+        object.__setattr__(self, "tasks", tuple(map(Task, self.tasks)))
         if not self.tasks:
             raise ValueError("tasks must be non-empty")
         if len(set(self.tasks)) != len(self.tasks):
-            raise ValueError(
-                f"tasks must not repeat a task, got {[Task(t).value for t in self.tasks]}"
-            )
+            raise ValueError(f"tasks must not repeat a task, got {[t.value for t in self.tasks]}")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
         check_positive(self.learning_rate, "learning_rate")

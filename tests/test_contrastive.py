@@ -16,7 +16,6 @@ from lexjudge import (
     train_contrastive,
 )
 from lexjudge import apply_dropout_noise
-from lexjudge import autodiff as ad
 from lexjudge.contrastive import _sample_negatives, info_nce
 from lexjudge.encoder import clue_text, featurize
 from lexjudge.rng import derive
@@ -154,10 +153,10 @@ class TestGradients:
         )
         assert worst <= 1e-4
 
-    def test_zero_view_row_gives_nan_and_no_gradients(self, monkeypatch):
+    def test_zero_view_row_has_no_loss_term_and_no_gradient(self):
         """A row whose features are all zero, with a zero bias, projects to
-        a zero view row, which has no cosine: the loss is NaN, which
-        training reports as a divergence before any backward step runs, and
+        a zero view row in every view. Its cosines are 0 and its anchor has
+        no loss term, so the loss is finite, training runs to the end, and
         no RuntimeWarning is raised (one would be an error under this
         suite)."""
         features = np.ones((5, 4))
@@ -167,12 +166,58 @@ class TestGradients:
         )
         cfg = tiny_config(negatives_per_anchor=2)
         loss = contrastive_objective(features, params.projection, params.bias, cfg)
-        assert np.isnan(loss.value)
-        backward_calls = []
-        monkeypatch.setattr(ad.Tensor, "backward", lambda loss: backward_calls.append(loss))
-        with pytest.raises(DivergenceError, match="contrastive loss diverged at epoch 0"):
-            train_contrastive(params, features, cfg)
-        assert backward_calls == []
+        assert np.isfinite(loss.value)
+        assert all(np.isfinite(g).all() for g in loss.backward().values())
+        _, history = train_contrastive(params, features, cfg)
+        assert len(history) == cfg.epochs and np.isfinite(history).all()
+
+
+class TestZeroViewRows:
+    """``info_nce`` on views with a zero anchor, positive and negative row."""
+
+    TAU = 0.1
+    NEG_IDX = np.array([[0, 2], [1, 3], [0, 4], [2, 0], [1, 2]])
+
+    def views(self):
+        rng = np.random.default_rng(8)
+        anchors, positives, negatives = (rng.normal(size=(5, 6)) for _ in range(3))
+        anchors[1] = positives[3] = negatives[0] = 0.0
+        return anchors, positives, negatives
+
+    def test_value_is_the_mean_over_anchors_with_a_view(self):
+        anchors, positives, negatives = self.views()
+
+        def cos(u, v):
+            return cosine_sim(u, v) if u.any() and v.any() else 0.0
+
+        expected = np.mean([
+            loss_from_similarities(
+                cos(anchors[i], positives[i]),
+                [cos(anchors[i], negatives[j]) for j in self.NEG_IDX[i]],
+                self.TAU,
+            )
+            for i in (0, 2, 3, 4)
+        ])
+        value, _ = info_nce(anchors, positives, negatives, self.NEG_IDX, self.TAU)
+        assert value == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_rows_get_no_gradient_and_the_others_match_central_differences(self):
+        views = self.views()
+        grads = info_nce(*views, self.NEG_IDX, self.TAU)[1](1.0)
+        step = 1e-5
+        for view, grad, zero_row in zip(views, grads, (1, 3, 0)):
+            assert not grad[zero_row].any()
+            for i, j in np.ndindex(view.shape):
+                if i == zero_row:  # moving a zero row at all gives its anchor a term
+                    continue
+                original = view[i, j]
+                view[i, j] = original + step
+                up, _ = info_nce(*views, self.NEG_IDX, self.TAU)
+                view[i, j] = original - step
+                down, _ = info_nce(*views, self.NEG_IDX, self.TAU)
+                view[i, j] = original
+                numeric = (up - down) / (2 * step)
+                assert abs(grad[i, j] - numeric) <= 1e-6 * max(abs(numeric), 1.0)
 
 
 class TestObjectiveMatchesOracle:

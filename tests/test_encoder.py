@@ -14,7 +14,6 @@ from lexjudge import (
     Provenance,
     apply_dropout_noise,
     encode_fact,
-    encode_label,
     featurize,
     load_embedding_table,
 )
@@ -180,8 +179,8 @@ class TestEncode:
 
     def test_distinct_labels_distinct_vectors(self):
         params = small_params(dim=16, buckets=512)
-        a = encode_label("robbery", params)
-        b = encode_label("robbery2", params)
+        a = project_features(featurize("robbery", params), params)
+        b = project_features(featurize("robbery2", params), params)
         assert not np.array_equal(a, b)
 
     def test_separator_distinguishes_field_boundaries(self):

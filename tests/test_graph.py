@@ -14,9 +14,10 @@ from lexjudge import (
     gat_forward,
     case_clues,
     encode_fact,
-    encode_label,
+    featurize,
     init_features,
 )
+from lexjudge.encoder import project_features
 from lexjudge.autodiff import Tensor
 from lexjudge.graph import (
     FactNode,
@@ -110,7 +111,9 @@ def encoded(corpus, clue_sets, params):
     """Fact vectors and per-task label-vector matrices from the hashed encoder."""
     facts = np.stack([encode_fact(clues, params) for clues in clue_sets])
     labels = {
-        task: np.stack([encode_label(s, params) for s in corpus.vocab(task).entries])
+        task: np.stack([
+            project_features(featurize(s, params), params) for s in corpus.vocab(task).entries
+        ])
         for task in Task
     }
     return facts, labels
@@ -132,7 +135,7 @@ class TestInitFeatures:
             for row, node_idx in zip(
                 range(vocab.size), graph.label_indices(task)
             ):
-                expected = encode_label(vocab.surface(row), params)
+                expected = project_features(featurize(vocab.surface(row), params), params)
                 assert np.array_equal(features[node_idx], expected)
 
     def test_zero_projection_zero_features(self):
@@ -472,6 +475,28 @@ class TestAttentionExport:
         np.testing.assert_allclose(
             [r[4] for r in rows], [e[4] for e in expected], rtol=0, atol=1e-12
         )
+
+    def test_receivers_pass_collects_the_full_layers_only(self):
+        """A pass into some receivers collects the first layer's attention
+        only, one weight per edge, and exports the full pass's rows of that
+        layer bit for bit; the last layer's attention covers only the
+        edges into the receivers, so it is not collected."""
+        _, graph, features, params = random_instance(9)
+        full, partial = [], []
+        gat_forward(graph, features, params, collect_attention=full)
+        gat_forward_tensors(features, graph, params, partial, receivers=label_nodes(graph))
+        assert [(layer, head) for layer, head, _ in partial] == [(0, 0), (0, 1)]
+        assert all(len(alpha) == len(graph.edge_src) for _, _, alpha in partial)
+        first_layer = [row for row in attention_export(graph, full) if row[3] == 0]
+        assert attention_export(graph, partial) == first_layer
+
+    def test_short_alpha_rejected(self):
+        _, graph, features, params = random_instance(9)
+        collected = []
+        gat_forward(graph, features, params, collect_attention=collected)
+        layer, head, alpha = collected[0]
+        with pytest.raises(ValueError):
+            attention_export(graph, [(layer, head, alpha[:-1])])
 
 
 class TestGraphGradients:

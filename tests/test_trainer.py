@@ -39,7 +39,7 @@ from lexjudge import (
 )
 from lexjudge.corpus import LabelVocab
 from lexjudge.encoder import (
-    EmbeddingTable, apply_dropout_noise, encode_fact, encode_label, label_key,
+    EmbeddingTable, apply_dropout_noise, encode_fact, featurize, label_key, project_features,
 )
 from lexjudge.graph import (
     FactNode, GatParams, LabelNode, ReasoningGraph, build_graph, init_features,
@@ -712,7 +712,7 @@ class TestPrecomputedBackend:
             contrastive_cfg=small_contrastive(epochs=3),
             train_cfg=train_cfg,
         )
-        model = hashed.model
+        model, params = hashed.model, hashed.model.encoder_params
         table_path = tmp_path / "embeddings.tsv"
         with open(table_path, "w", encoding="utf-8") as fh:
             fh.write(f"#dim {model.dim}\n")
@@ -722,7 +722,7 @@ class TestPrecomputedBackend:
             for task in TASKS:
                 vocab = corpus.vocab(task)
                 for label_id in range(vocab.size):
-                    vec = encode_label(vocab.surface(label_id), model.encoder_params)
+                    vec = project_features(featurize(vocab.surface(label_id), params), params)
                     fh.write(
                         label_key(task, label_id) + "\t"
                         + " ".join(repr(float(v)) for v in vec) + "\n"
@@ -761,6 +761,27 @@ class TestTrainConfigValidation:
         message = r"tasks must not repeat a task, got \['charge', 'article', 'charge'\]"
         with pytest.raises(ValueError, match=message):
             TrainConfig(tasks=(Task.CHARGE, Task.ARTICLE, Task.CHARGE))
+
+    def test_task_names_become_tasks(self):
+        """Tasks may be given by name, as a config file names them, and a
+        fit then runs on them."""
+        train_cfg = TrainConfig(epochs=1, heads=2, tasks=["charge", Task.ARTICLE])
+        assert train_cfg.tasks == (Task.CHARGE, Task.ARTICLE)
+        corpus, lexicon, anchors = synth_corpus(cases_per_charge=2)
+        result = fit_model(
+            corpus,
+            encoder_params=HashedEncoderParams.initialize(output_dim=8, bucket_count=64, seed=1),
+            lexicon=lexicon,
+            anchors=anchors,
+            contrastive_cfg=small_contrastive(epochs=1),
+            train_cfg=train_cfg,
+        )
+        assert result.model.tasks == (Task.CHARGE, Task.ARTICLE)
+
+    def test_unknown_task_name_refused(self):
+        message = r"unknown task 'sentence'; tasks: \['imprisonment', 'charge', 'article'\]"
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(tasks=("charge", "sentence"))
 
     def test_negative_epochs(self):
         with pytest.raises(ValueError):
@@ -901,7 +922,10 @@ class TestStage3Objective:
             graph,
             np.stack([encode_fact(clues, params) for clues in clue_sets]),
             {
-                task: np.stack([encode_label(s, params) for s in corpus.vocab(task).entries])
+                task: np.stack([
+                    project_features(featurize(s, params), params)
+                    for s in corpus.vocab(task).entries
+                ])
                 for task in TASKS
             },
         )
