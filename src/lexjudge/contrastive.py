@@ -5,10 +5,20 @@ projection they form the anchor and its positive. Negatives are randomly
 sampled other cases, one dropout view per case per epoch. The loss is the
 temperature-scaled softmax over cosine similarities with the positive term
 kept in the denominator, and one full-batch Adam step runs per epoch on
-the projection and bias, through ``trainer.descend``. An epoch's loss is
-four steps, each with its closed-form backward: the tanh projection of
-each view and ``info_nce``, whose gradient runs back through the row
-normalization. ``contrastive_objective`` returns the epoch's loss handle.
+the bias and the projection's used columns (those some case's features
+touch), through ``trainer.descend``. An epoch's loss is four steps, each
+with its closed-form backward: the tanh projection of each view and
+``info_nce``, whose gradient runs back through the row normalization.
+``contrastive_objective`` returns the epoch's loss handle.
+
+Hashed features are sparse, so the fit plans its rows once
+(``encoder.HashedRows``): each view is drawn as a compact block over the
+used columns, the projection's backward sums over that block, and the
+forward multiplies the view, written into one dense buffer, by the full
+projection, as a dense fit would. Every output is the dense fit's, bit for
+bit: an unused column's gradient is exactly 0 at every epoch, so Adam
+would leave it unchanged. An epoch's negatives are drawn for every anchor
+at once, from each anchor's own counter-based stream.
 """
 
 from __future__ import annotations
@@ -18,11 +28,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .encoder import DropoutSpec, HashedEncoderParams, apply_dropout_noise, tanh_projection
+from .encoder import DropoutSpec, HashedEncoderParams, HashedRows, tanh_projection
 from .encoder import featurize  # unused here; bench/spans.py wraps this name
 from .errors import ConfigError
 from .predictor import softmax_cross_entropy
-from .rng import SplitMix64, derive
+from .rng import derive, derive_each, stream_u64_at
 from .validation import check_positive, check_seed
 
 
@@ -46,10 +56,32 @@ class ContrastiveConfig:
 
 
 def _sample_negatives(n: int, count: int, seed: int) -> np.ndarray:
-    idx = np.empty((n, count), dtype=np.intp)
-    for anchor in range(n):
-        rng = SplitMix64(derive(seed, "negatives", anchor))
-        idx[anchor] = rng.sample_distinct(n, count, exclude=anchor)
+    """Each anchor's ``count`` distinct negatives, as
+    ``SplitMix64(derive(seed, "negatives", anchor)).sample_distinct(n,
+    count, exclude=anchor)`` draws them, for every anchor at once. Each
+    pass takes the next output of every unfinished anchor's stream: one at
+    or above ``randbelow``'s rejection limit is skipped, as is a value
+    (the output mod n) that is the anchor or was already taken; any other
+    value is taken, in order."""
+    if not n:  # no anchor, so no draw (and no error)
+        return np.empty((0, count), dtype=np.intp)
+    if count > n - 1:
+        raise ValueError(f"cannot draw {count} distinct values from {n - 1}")
+    seeds = derive_each(derive(seed, "negatives"), np.arange(n))
+    limit = (1 << 64) - (1 << 64) % n  # 2**64, so nothing rejected, when n is a power of two
+    idx = np.full((n, count), -1, dtype=np.intp)  # -1 until taken: equal to no value
+    taken = np.zeros(n, dtype=np.intp)
+    draw = 0
+    while (rows := np.flatnonzero(taken < count)).size:
+        u = stream_u64_at(seeds[rows], np.full(rows.size, draw))
+        value = (u % np.uint64(n)).astype(np.intp)
+        take = (value != rows) & ~(idx[rows] == value[:, None]).any(axis=1)
+        if limit < 1 << 64:
+            take &= u < np.uint64(limit)
+        rows, value = rows[take], value[take]
+        idx[rows, taken[rows]] = value
+        taken[rows] += 1
+        draw += 1
     return idx
 
 
@@ -110,26 +142,25 @@ def contrastive_objective(
     bias: np.ndarray,
     cfg: ContrastiveConfig,
     epoch: int = 0,
-    nonzero: np.ndarray | None = None,
+    rows: HashedRows | None = None,
 ) -> ad.Tensor:
     """Mean contrastive loss of one epoch over hashed feature rows, as a loss
-    handle whose ``backward()`` gives the projection and bias gradients:
-    InfoNCE's backward step, then each view's projection step, summed
-    view 0 + view 1 + view 2. ``nonzero`` is ``np.flatnonzero(features)``,
-    computed here when not given."""
+    handle whose ``backward()`` gives the gradients of the bias and of the
+    projection's columns ``rows.used``: InfoNCE's backward step, then each
+    view's projection step, summed view 0 + view 1 + view 2. ``rows`` is
+    ``HashedRows`` of ``features``, planned once per fit; without it the
+    gradient covers every column."""
     features = np.asarray(features, dtype=np.float64)
     projection = np.asarray(projection, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
     base = derive(cfg.dropout.seed, "contrastive-views", epoch)
-    if nonzero is None:
-        nonzero = np.flatnonzero(features)
-    views = [
-        tanh_projection(
-            apply_dropout_noise(features, replace(cfg.dropout, seed=derive(base, view)), nonzero),
-            projection, bias,
-        )
-        for view in range(3)
-    ]
+    if rows is None:
+        rows = HashedRows(features, slice(None))
+    views = []
+    for view in range(3):
+        # each forward reads the shared dense buffer before the next view rewrites it
+        block = rows.dropout(replace(cfg.dropout, seed=derive(base, view)))
+        views.append(tanh_projection(rows.dense(block), block, projection, bias))
     neg_idx = _sample_negatives(
         len(features), cfg.negatives_per_anchor, derive(cfg.seed, "epoch", epoch)
     )
@@ -150,7 +181,13 @@ def train_contrastive(
     """Train the encoder projection contrastively on hashed feature rows,
     one (``bucket_count``,) row per case as ``featurize`` makes them;
     returns the updated params and the mean loss per epoch (measured
-    entering the epoch)."""
+    entering the epoch).
+
+    Adam runs over the bias and the projection's used columns, those that
+    some row touches. Every other column's gradient is exactly 0 at every
+    epoch, so Adam would leave it unchanged anyway. Each epoch writes the
+    used columns into one full projection, so the forward product is the
+    dense one, on the same values."""
     from .trainer import descend  # deferred: trainer imports this module
 
     n = len(features)
@@ -159,12 +196,17 @@ def train_contrastive(
             f"negatives_per_anchor={cfg.negatives_per_anchor} requires more "
             f"than {cfg.negatives_per_anchor} cases, corpus has {n}"
         )
-    nonzero = np.flatnonzero(features)  # the same every epoch
+    rows = HashedRows(features, np.flatnonzero(np.any(features, axis=0)))
+    projection = params.projection.copy()
+
+    def objective(theta, epoch):
+        projection[:, rows.used] = theta["projection"]
+        return contrastive_objective(features, projection, theta["bias"], cfg, epoch, rows)
+
     theta, _, history = descend(
-        lambda theta, epoch: contrastive_objective(
-            features, theta["projection"], theta["bias"], cfg, epoch, nonzero
-        ),
-        {"projection": params.projection, "bias": params.bias},
+        objective,
+        {"projection": params.projection[:, rows.used], "bias": params.bias},
         cfg.epochs, cfg.learning_rate, "contrastive loss",
     )
-    return replace(params, projection=theta["projection"], bias=theta["bias"]), history
+    projection[:, rows.used] = theta["projection"]
+    return replace(params, projection=projection, bias=theta["bias"]), history

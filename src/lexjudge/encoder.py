@@ -16,6 +16,13 @@ The hashed encoder maps a case's clue set (``encode_fact``), and a label's
 surface text is ``project_features`` of its ``featurize``; the table keys
 a case by its id and a label by ``label_key``. Either way the vectors
 share one dimension: the projection's row count or the table's ``#dim``.
+
+Training reads the hashed rows through ``HashedRows``, planned once per
+fit: inverted dropout (``apply_dropout_noise``, the one implementation)
+draws only at the nonzero features, and ``tanh_projection``'s backward
+sums over the bucket columns the rows use, since every other column's
+gradient is exactly zero. The forward product stays dense, so its bits do
+not depend on which columns are used.
 """
 
 from __future__ import annotations
@@ -153,26 +160,62 @@ class DropoutSpec:
 
 
 def apply_dropout_noise(
-    features: np.ndarray, spec: DropoutSpec, nonzero: np.ndarray | None = None
+    features: np.ndarray, spec: DropoutSpec, index: np.ndarray | None = None
 ) -> np.ndarray:
     """Bernoulli(1 - rate) mask with survivors scaled by 1 / (1 - rate).
 
-    The mask at flat index k is uniform k of the splitmix64 stream for
-    ``spec.seed``, so a given spec always produces the same mask. Zero
-    features stay zero either way, so uniforms are drawn only at the
-    nonzero flat indices, ``np.flatnonzero(features)``; a caller that
-    masks the same features several times passes them as ``nonzero``. At
-    rate 0 every uniform, being below 1, keeps its entry, and each entry is
-    divided by 1.0: the features come back unchanged, as a new array.
+    The mask of the entry at flat index k is uniform ``index[k]`` of the
+    splitmix64 stream for ``spec.seed``, by default uniform k, so a given
+    spec always produces the same mask. Zero features stay zero either
+    way, so ``HashedRows`` masks only the nonzero entries of a feature
+    matrix: their values, at their flat indices. At rate 0 every uniform,
+    being below 1, keeps its entry, and each entry is divided by 1.0: the
+    features come back unchanged, as a new array.
     """
     features = np.asarray(features, dtype=np.float64)
-    if nonzero is None:
-        nonzero = np.flatnonzero(features)
-    flat = features.ravel()
-    kept = nonzero[to_uniform(stream_u64_at(spec.seed, nonzero)) >= spec.rate]
+    if index is None:
+        index = np.arange(features.size)
+    kept = to_uniform(stream_u64_at(spec.seed, index)) >= spec.rate
     out = np.zeros(features.shape)
-    out.ravel()[kept] = flat[kept] / (1.0 - spec.rate)
+    np.divide(features, 1.0 - spec.rate, out=out, where=kept.reshape(features.shape))
     return out
+
+
+class HashedRows:
+    """Hashed feature rows, planned once per fit for the dropout views that
+    train the projection over ``used``: the bucket columns that some row
+    touches (an index array, or ``slice(None)`` for every column).
+
+    ``dropout`` gives a view's compact (rows, ``len(used)``) block, and
+    ``dense`` writes a block into the one (rows, ``bucket_count``) buffer
+    kept for the fit. A nonzero entry sits at the same place in both
+    layouts' row-major order, since ``used`` is increasing and covers every
+    nonzero, so it is drawn once, at its flat index in the full rows.
+    """
+
+    def __init__(self, features: np.ndarray, used: np.ndarray | slice):
+        features = np.asarray(features, dtype=np.float64)
+        self.used = used
+        self._index = np.flatnonzero(features)
+        self._values = features.ravel()[self._index]
+        block = features[:, used]
+        self._block_shape = block.shape
+        self._compact = np.flatnonzero(block)
+        self._dense = np.zeros(features.shape)
+
+    def dropout(self, spec: DropoutSpec) -> np.ndarray:
+        """The compact block of a dropout view, with ``apply_dropout_noise``'s
+        mask of the full rows, as a new array."""
+        block = np.zeros(self._block_shape)
+        block.ravel()[self._compact] = apply_dropout_noise(self._values, spec, self._index)
+        return block
+
+    def dense(self, block: np.ndarray) -> np.ndarray:
+        """``block`` in the full rows: the fit's one buffer, rewritten by every
+        call. Each call writes every nonzero entry of the rows, and no
+        other entry is ever written, so the rest of the buffer stays zero."""
+        self._dense.ravel()[self._index] = block.ravel()[self._compact]
+        return self._dense
 
 
 def clue_text(clues: ClueSet) -> str:
@@ -190,15 +233,21 @@ def project_features(features: np.ndarray, params: HashedEncoderParams) -> np.nd
     return np.tanh(params.projection @ features + params.bias)
 
 
-def tanh_projection(features: np.ndarray, projection: np.ndarray, bias: np.ndarray):
+def tanh_projection(
+    features: np.ndarray, block: np.ndarray, projection: np.ndarray, bias: np.ndarray
+):
     """``project_features`` over the rows of ``features``:
     tanh(features @ projectionᵀ + bias), and the backward step mapping the
-    output's gradient to the gradients of ``projection`` and ``bias``."""
+    output's gradient to the gradients of ``bias`` and of the projection's
+    columns that ``block`` holds. ``block`` is ``features`` on those
+    columns, and ``features`` are zero outside them, so the gradient of
+    every other column is exactly zero, and the backward sums over the
+    rows of ``block`` alone."""
     out = np.tanh(features @ projection.T + bias)
 
     def backward(g):
         g_pre = g * (1.0 - out * out)
-        return t_matmul(features, g_pre).T, g_pre.sum(axis=0)
+        return t_matmul(block, g_pre).T, g_pre.sum(axis=0)
 
     return out, backward
 

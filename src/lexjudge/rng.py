@@ -59,17 +59,34 @@ def derive(seed: int, *tags: int | str) -> int:
     return h
 
 
-def stream_u64_at(seed: int, indices) -> np.ndarray:
-    """Output ``k+1`` of the splitmix64 sequence for each index ``k`` of
-    ``indices``, vectorized."""
-    z = np.asarray(indices, dtype=np.uint64) * np.uint64(GOLDEN)
-    z += np.uint64((seed + GOLDEN) & MASK64)
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """``mix64`` of every entry of a uint64 array, in place."""
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX_A)
     z ^= z >> np.uint64(27)
     z *= np.uint64(_MIX_B)
     z ^= z >> np.uint64(31)
     return z
+
+
+def derive_each(seed: int, tags: np.ndarray) -> np.ndarray:
+    """``derive(seed, tag)`` for each integer tag of ``tags``, vectorized, as
+    a uint64 array."""
+    return _mix64_array(
+        np.asarray(tags, dtype=np.uint64) ^ np.uint64((seed + GOLDEN) & MASK64)
+    )
+
+
+def stream_u64_at(seed: int | np.ndarray, indices) -> np.ndarray:
+    """Output ``k+1`` of the splitmix64 sequence for each index ``k`` of
+    ``indices``, vectorized. ``seed`` is one seed, or a uint64 array of
+    seeds, one per index."""
+    z = np.asarray(indices, dtype=np.uint64) * np.uint64(GOLDEN)
+    if isinstance(seed, np.ndarray):
+        z += seed + np.uint64(GOLDEN)  # wraps mod 2**64, as arrays do
+    else:
+        z += np.uint64((seed + GOLDEN) & MASK64)
+    return _mix64_array(z)
 
 
 def stream_u64(seed: int, count: int, start: int = 0) -> np.ndarray:

@@ -35,7 +35,7 @@ from .encoder import (
     DropoutSpec,
     EmbeddingTable,
     HashedEncoderParams,
-    apply_dropout_noise,
+    HashedRows,
     clue_text,
     encode_fact,
     label_key,
@@ -86,7 +86,11 @@ def adam_step(
     grads: Mapping[str, np.ndarray],
     state: AdamState,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One Adam update; returns new parameters and the advanced state."""
+    """One Adam update; returns new parameters and the advanced state.
+
+    An entry whose gradient is exactly 0 on every step keeps its value bit
+    for bit: its moments stay 0, so its step is 0. Contrastive training
+    therefore steps only the projection columns that some row touches."""
     if set(params) != set(grads) or set(params) != set(state.m):
         raise ValueError("params, grads, and state must share the same keys")
     t = state.t + 1
@@ -236,9 +240,12 @@ def stage3_objective(
     facts = fact_vectors
     if unfrozen:
         weights = theta["encoder.projection"], theta["encoder.bias"]
-        facts, project_facts = tanh_projection(encoder_inputs[0], *weights)
+        # over every column: each input is its own block
+        facts, project_facts = tanh_projection(encoder_inputs[0], encoder_inputs[0], *weights)
         if gat is not None:
-            labels, project_labels = tanh_projection(encoder_inputs[1], *weights)
+            labels, project_labels = tanh_projection(
+                encoder_inputs[1], encoder_inputs[1], *weights
+            )
             nodes = np.concatenate([facts, labels], axis=0)
     if gat is None:
         label_mats = {task: theta[f"labels.{task.value}"] for task in tasks}
@@ -484,7 +491,7 @@ def fit_model(
         golds = {task: np.array(train_corpus.gold_ids(task), dtype=np.intp) for task in tasks}
         unfrozen = hashed and not train_cfg.freeze_encoder_after_contrastive
         if unfrozen:
-            fact_nonzero = np.flatnonzero(text_features[:n_train])
+            fact_rows = HashedRows(text_features[:n_train], slice(None))
 
         theta: dict[str, np.ndarray] = {}
         gat: GatParams | None = None
@@ -509,7 +516,7 @@ def fit_model(
                     train_cfg.dropout_rate, derive(train_cfg.seed, "stage3-dropout", epoch)
                 )
                 encoder_inputs = (
-                    apply_dropout_noise(text_features[:n_train], dropout, fact_nonzero),
+                    fact_rows.dropout(dropout),
                     text_features[n_train:],
                 )
             rows = None

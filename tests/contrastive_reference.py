@@ -5,13 +5,17 @@ similarities: the temperature-scaled softmax with the positive kept in the
 denominator, computed with a max shift. The production objective batches
 every anchor of an epoch into one InfoNCE step with a closed-form
 backward; tests hold its value to the mean of this per-anchor loss.
-Nothing here uses ``lexjudge.autodiff``.
+
+The negatives of an epoch, drawn one anchor at a time from its own
+sequential stream, are the oracle for the vectorized draw. Nothing here
+uses ``lexjudge.autodiff``; the draw uses ``lexjudge.rng`` only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from lexjudge.rng import SplitMix64, derive
 from lexjudge.validation import check_vector
 
 
@@ -50,3 +54,14 @@ def contrastive_loss(anchor, positive, negatives, temperature: float) -> float:
     pos = cosine_sim(anchor, positive)
     negs = [cosine_sim(anchor, n) for n in negatives]
     return loss_from_similarities(pos, negs, temperature)
+
+
+def negatives_reference(n: int, count: int, seed: int) -> np.ndarray:
+    """Each anchor's ``count`` distinct negatives among ``n`` cases, other
+    than itself: ``sample_distinct`` on the anchor's own stream, one anchor
+    after another."""
+    idx = np.empty((n, count), dtype=np.intp)
+    for anchor in range(n):
+        rng = SplitMix64(derive(seed, "negatives", anchor))
+        idx[anchor] = rng.sample_distinct(n, count, exclude=anchor)
+    return idx

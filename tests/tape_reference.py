@@ -20,8 +20,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from contrastive_reference import negatives_reference
 from lexjudge.encoder import apply_dropout_noise
-from lexjudge.rng import SplitMix64, derive
+from lexjudge.rng import derive
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -411,15 +412,6 @@ def stage3_composed(
     return loss_t.item(), {k: leaf.grad for k, leaf in leaves.items()}
 
 
-def negatives_drawn(n: int, count: int, seed: int) -> np.ndarray:
-    """Each anchor's ``count`` distinct negatives, drawn from its own stream."""
-    idx = np.empty((n, count), dtype=np.intp)
-    for anchor in range(n):
-        rng = SplitMix64(derive(seed, "negatives", anchor))
-        idx[anchor] = rng.sample_distinct(n, count, exclude=anchor)
-    return idx
-
-
 def contrastive_composed(
     features: np.ndarray, projection: np.ndarray, bias: np.ndarray, cfg, epoch: int = 0
 ) -> tuple[float, dict[str, np.ndarray]]:
@@ -436,7 +428,7 @@ def contrastive_composed(
         ).tanh())
         for view in range(3)
     )
-    neg_idx = negatives_drawn(n, count, derive(cfg.seed, "epoch", epoch))
+    neg_idx = negatives_reference(n, count, derive(cfg.seed, "epoch", epoch))
     anchor_rep = gather_rows(anchors, np.repeat(np.arange(n), count))
     neg_rows = gather_rows(negatives, neg_idx.reshape(-1))
     pos_sim = (anchors * positives).sum(axis=1) * (1.0 / cfg.temperature)

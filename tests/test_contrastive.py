@@ -1,8 +1,10 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import synth
 from lexjudge import (
@@ -15,12 +17,15 @@ from lexjudge import (
     case_clues,
     train_contrastive,
 )
-from lexjudge import apply_dropout_noise
+from lexjudge import AdamState, adam_step, apply_dropout_noise
+from lexjudge.autodiff import t_matmul
 from lexjudge.contrastive import _sample_negatives, info_nce
 from lexjudge.encoder import clue_text, featurize
 from lexjudge.rng import derive
 
-from contrastive_reference import contrastive_loss, cosine_sim, loss_from_similarities
+from contrastive_reference import (
+    contrastive_loss, cosine_sim, loss_from_similarities, negatives_reference,
+)
 from gradcheck import worst_gradient_error
 
 
@@ -303,6 +308,107 @@ class TestTrainContrastive:
         b, hist_b = train_contrastive(params, features, cfg)
         assert hist_a == hist_b
         assert np.array_equal(a.projection, b.projection)
+
+
+class TestSampleNegatives:
+    """The vectorized draw against ``negatives_reference``, which draws one
+    anchor at a time from its own sequential stream."""
+
+    @given(
+        shape=st.integers(0, 80).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(0, n + 1))
+        ),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(shape=(64, 7), seed=11)  # n a power of two: the rejection limit is 2**64
+    @example(shape=(1, 1), seed=0)  # a power of two, and n <= count
+    @example(shape=(16, 15), seed=2)  # count = n - 1, n a power of two
+    @example(shape=(13, 12), seed=3)  # count = n - 1: every other case
+    @example(shape=(120, 7), seed=derive(4242, "contrastive"))  # the bench shape
+    @example(shape=(7, 7), seed=5)  # n <= count
+    @example(shape=(0, 3), seed=5)  # no anchors: nothing to draw
+    def test_equals_the_sequential_draws(self, shape, seed):
+        n, count = shape
+        try:
+            expected = negatives_reference(n, count, seed)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                _sample_negatives(n, count, seed)
+            return
+        drawn = _sample_negatives(n, count, seed)
+        assert drawn.dtype == np.intp
+        assert np.array_equal(drawn, expected)
+
+
+def dense_training(params, features, cfg):
+    """``train_contrastive`` as a dense loop: every view's dropout drawn at
+    every flat index, the projection gradient over every column, and
+    ``adam_step`` over the whole projection."""
+    theta = {"projection": params.projection, "bias": params.bias}
+    state = AdamState.initialize(theta, learning_rate=cfg.learning_rate)
+    history = []
+    for epoch in range(cfg.epochs):
+        base = derive(cfg.dropout.seed, "contrastive-views", epoch)
+        views = [
+            apply_dropout_noise(features, replace(cfg.dropout, seed=derive(base, view)))
+            for view in range(3)
+        ]
+        outs = [np.tanh(view @ theta["projection"].T + theta["bias"]) for view in views]
+        neg_idx = _sample_negatives(
+            len(features), cfg.negatives_per_anchor, derive(cfg.seed, "epoch", epoch)
+        )
+        value, backward = info_nce(*outs, neg_idx, cfg.temperature)
+        if not np.isfinite(value):
+            raise DivergenceError(f"contrastive loss diverged at epoch {epoch}")
+        history.append(float(value))
+        g_pre = [g * (1.0 - out * out) for g, out in zip(backward(1.0), outs)]
+        g_p = [t_matmul(view, g).T for view, g in zip(views, g_pre)]
+        g_b = [g.sum(axis=0) for g in g_pre]
+        grads = {"projection": g_p[0] + g_p[1] + g_p[2], "bias": g_b[0] + g_b[1] + g_b[2]}
+        theta, state = adam_step(theta, grads, state)
+    return theta, history
+
+
+class TestCompactTraining:
+    """``train_contrastive`` trains only the used bucket columns, and
+    matches the dense loop bit for bit."""
+
+    def check(self, features, params, cfg):
+        theta, expected = dense_training(params, features, cfg)
+        trained, history = train_contrastive(params, features, cfg)
+        assert history == expected
+        for got, want in ((trained.projection, theta["projection"]), (trained.bias, theta["bias"])):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        return trained
+
+    def test_rows_with_unused_buckets(self):
+        params = HashedEncoderParams.initialize(output_dim=8, bucket_count=256, seed=2)
+        features = TestTrainContrastive().build_features(params, n_per=13)  # 39 rows
+        unused = ~features.any(axis=0)
+        assert len(features) % 32 and 0 < unused.sum() < 256
+        trained = self.check(features, params, tiny_config(epochs=4, negatives_per_anchor=7))
+        assert np.array_equal(trained.projection[:, unused], params.projection[:, unused])
+        assert not np.array_equal(trained.projection[:, ~unused], params.projection[:, ~unused])
+
+    def test_rows_that_use_every_bucket(self):
+        rng = np.random.default_rng(13)
+        features = rng.uniform(0.0, 1.0, size=(21, 32))
+        params = HashedEncoderParams(
+            projection=rng.normal(size=(6, 32)) * 0.3, bias=rng.normal(size=6) * 0.1,
+            bucket_count=32,
+        )
+        self.check(features, params, tiny_config(epochs=3, dropout=DropoutSpec(0.3, 4)))
+
+    def test_all_zero_rows_diverge_at_epoch_0(self):
+        """No row touches a bucket, so no column is used; every view is
+        zero, and so is every view row with a zero bias."""
+        params = HashedEncoderParams.initialize(output_dim=4, bucket_count=16, seed=3)
+        features = np.zeros((6, 16))
+        message = "^contrastive loss diverged at epoch 0$"
+        with pytest.raises(DivergenceError, match=message):
+            dense_training(params, features, tiny_config())
+        with pytest.raises(DivergenceError, match=message):
+            train_contrastive(params, features, tiny_config())
 
 
 class TestConfigValidation:

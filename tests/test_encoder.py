@@ -18,7 +18,7 @@ from lexjudge import (
     load_embedding_table,
 )
 from lexjudge.encoder import (
-    CLUE_SEPARATOR, clue_text, label_key, project_features, write_embedding_table,
+    CLUE_SEPARATOR, HashedRows, clue_text, label_key, project_features, write_embedding_table,
 )
 from lexjudge.corpus import Task
 from lexjudge.rng import derive, fnv1a_64, stream_uniform
@@ -231,24 +231,32 @@ class TestDropout:
 
     @pytest.mark.parametrize("rate", [0.0, 0.1, 0.5])
     def test_nonzero_draws_match_the_dense_mask(self, rate):
-        """Uniforms drawn only at nonzero features give the mask a uniform
-        at every cell gives: an all-zero row, a fully dense row, a sparse
-        row and the last flat index."""
+        """Uniforms drawn only at nonzero features, at their flat indices,
+        give the mask a uniform at every cell gives: an all-zero row, a
+        fully dense row, a sparse row and the last flat index. So does
+        ``HashedRows``' compact block over the used columns, and its dense
+        buffer, also when an earlier view kept entries this one drops."""
         rng = np.random.default_rng(11)
         features = np.zeros((4, 50))
-        features[1] = rng.uniform(0.1, 1.0, 50)
+        features[1, :45] = rng.uniform(0.1, 1.0, 45)
         features[2, [0, 7, 33]] = [0.5, 2.0, 1e-300]
         features[3, -1] = 3.0
         spec = DropoutSpec(rate=rate, seed=derive(5, "view"))
         u = stream_uniform(spec.seed, features.size).reshape(features.shape)
         dense = np.where(u >= rate, features / (1.0 - rate), 0.0)
-        for out in (
-            apply_dropout_noise(features, spec),
-            apply_dropout_noise(features, spec, np.flatnonzero(features)),
-        ):
+        nonzero = np.flatnonzero(features)
+        sparse = np.zeros(features.shape)
+        sparse.ravel()[nonzero] = apply_dropout_noise(features.ravel()[nonzero], spec, nonzero)
+        used = np.flatnonzero(features.any(axis=0))
+        rows = HashedRows(features, used)
+        rows.dense(rows.dropout(DropoutSpec(rate=0.0, seed=1)))
+        block = rows.dropout(spec)
+        assert block.shape == (4, len(used)) and len(used) < 50
+        assert np.array_equal(block.view(np.int64), dense[:, used].view(np.int64))
+        for out in (apply_dropout_noise(features, spec), sparse, rows.dense(block)):
             assert np.array_equal(out.view(np.int64), dense.view(np.int64))
         if rate:
-            assert 0 < np.count_nonzero(dense[1]) < 50
+            assert 0 < np.count_nonzero(dense[1]) < 45
 
 
 class TestEmbeddingTable:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import lexjudge.autodiff as ad
 import lexjudge.contrastive
@@ -130,6 +131,31 @@ class TestAdam:
                     after = (params[k], state.m[k], state.v[k])
                     assert all(a is not b for a, b in zip(arrays, after))
         assert state.t == 3
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 6),
+        learning_rate=st.sampled_from([1e-3, 0.01, 0.5]),
+    )
+    def test_entry_with_zero_gradient_on_every_step_keeps_its_bits(
+        self, seed, steps, learning_rate
+    ):
+        """Entries whose gradient is 0 or -0.0 on every step, signed zero
+        entries among them, keep their bits while their neighbours move."""
+        rng = np.random.default_rng(seed)
+        shape = (4, 6)
+        params = {"w": rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, shape)}
+        params["w"][0, :2] = 0.0, -0.0
+        frozen = rng.random(shape) < 0.4
+        frozen[0, :3] = True, True, False
+        original = params["w"].copy()
+        state = AdamState.initialize(params, learning_rate=learning_rate)
+        for _ in range(steps):
+            grads = rng.normal(size=shape)
+            grads[frozen] = np.copysign(0.0, rng.normal(size=int(frozen.sum())))
+            params, state = adam_step(params, {"w": grads}, state)
+        assert np.array_equal(params["w"][frozen].view(np.int64), original[frozen].view(np.int64))
+        assert (params["w"][~frozen] != original[~frozen]).all()
 
     def test_fixed_constants_are_not_fields(self):
         """Only the moments, step count and learning rate are state; β1, β2
