@@ -14,22 +14,26 @@ The graph holds structure only, and the edge plans derived from it.
 ``init_features`` returns the (N, d) node matrix, and every pass takes
 that matrix as an argument. Each layer is one step that returns its
 output with its closed-form backward and writes nothing else.
-``_forward_layer`` gives every node's row, and also returns its attention
-over every edge: it projects every node and aggregates the projected
-messages over every edge. A pass that asks for some receivers only ends
-in ``_receiver_layer`` instead, which aggregates the layer's inputs over
-the edges into those receivers and then projects only their rows; stage 3
-asks for the label rows, the only rows its loss reads. The two layers'
-rows agree up to rounding. ``gat_forward_tensors`` composes the layers
-for training and is the one place that collects attention, from full
-layers only; ``gat_forward`` runs the full pass without gradients.
+``_edge_attention`` is a layer's attention over every edge: it projects
+every node and takes each edge's softmax weight from its projected
+endpoints. ``_forward_layer`` starts with it, then aggregates the
+projected messages over every edge into every node's row. A pass that
+asks for some receivers only ends in ``_receiver_layer`` instead, which
+aggregates the layer's inputs over the edges into those receivers and
+then projects only their rows; stage 3 asks for the label rows, the only
+rows its loss reads. The two layers' rows agree up to rounding.
+``gat_forward_tensors`` composes the layers for training and is the one
+place that collects attention: every layer's, over every edge, the last
+layer's of a pass into some receivers from ``_edge_attention`` alone, so
+one pass gives the fit's label rows and its attention. ``gat_forward``
+runs the full pass without gradients.
 The node-by-node oracle the passes are checked against lives in
 ``tests/gat_reference.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -71,19 +75,15 @@ class ReasoningGraph:
             raise ValueError("nodes and neighbors must align")
         self.nodes: list[NodeKind] = list(nodes)
         self.neighbors: list[list[int]] = [list(ns) for ns in neighbors]
-        edges = {(i, j) for i, ns in enumerate(self.neighbors) for j in ns}
+        pairs = [(i, j) for i, ns in enumerate(self.neighbors) for j in ns]
+        edges = set(pairs)
         for i, ns in enumerate(self.neighbors):
             if (i, i) not in edges:
                 raise ValueError(f"node {i} is missing its self-loop")
             for j in ns:
                 if (j, i) not in edges:
                     raise ValueError(f"edge {i}->{j} has no reverse")
-        self.edge_src = np.array(
-            [i for i, ns in enumerate(self.neighbors) for _ in ns], dtype=np.intp
-        )
-        self.edge_dst = np.array(
-            [j for ns in self.neighbors for j in ns], dtype=np.intp
-        )
+        self.edge_src, self.edge_dst = np.array(pairs, dtype=np.intp).reshape((-1, 2)).T.copy()
         labels: dict[Task, list[tuple[int, int]]] = {}
         for i, node in enumerate(self.nodes):
             if isinstance(node, LabelNode):
@@ -105,7 +105,14 @@ class ReasoningGraph:
     def plan(self, receivers: np.ndarray | None = None) -> tuple[ad.Segments, ad.Segments]:
         """The edges a pass into ``receivers`` (distinct node indices in
         output row order; all nodes when None) aggregates, grouped by
-        output row and by sending node; made on first use."""
+        output row and by sending node; made on first use. The receivers
+        are keyed as a 1-D ``intp`` array, so the same nodes give the same
+        plan in any integer dtype; an array that is not 1-D or not of
+        integers raises ``ValueError``."""
+        if receivers is not None:
+            if receivers.ndim != 1 or not np.issubdtype(receivers.dtype, np.integer):
+                raise ValueError("receivers must be a 1-D integer array")
+            receivers = receivers.astype(np.intp, copy=False)
         key = None if receivers is None else receivers.tobytes()
         if key not in self._plans:
             self._plans[key] = plan_edges(self, receivers)
@@ -258,18 +265,14 @@ class GatParams:
 
     def to_param_dict(self) -> dict[str, np.ndarray]:
         """Two entries per layer, ``gat.layer{l}.W`` and ``gat.layer{l}.omega``."""
-        out: dict[str, np.ndarray] = {}
-        for li, layer in enumerate(self.layers):
-            out[f"gat.layer{li}.W"] = layer.W
-            out[f"gat.layer{li}.omega"] = layer.omega
-        return out
+        return {
+            f"gat.layer{li}.{name}": getattr(layer, name)
+            for li, layer in enumerate(self.layers) for name in ("W", "omega")
+        }
 
     def with_param_dict(self, params: Mapping[str, np.ndarray]) -> "GatParams":
         return GatParams([
-            LayerParams(
-                params[f"gat.layer{li}.W"], params[f"gat.layer{li}.omega"],
-                layer.combine, layer.leaky_slope,
-            )
+            replace(layer, W=params[f"gat.layer{li}.W"], omega=params[f"gat.layer{li}.omega"])
             for li, layer in enumerate(self.layers)
         ])
 
@@ -314,26 +317,35 @@ def _elu_combine(summed: np.ndarray, combine: str):
     return out, backward
 
 
-def _forward_layer(x: np.ndarray, graph: ReasoningGraph, layer: LayerParams):
-    """One layer over every node, with its H heads stacked: projections
-    ``(N, H, d)``, edge logits and attention ``(E, H)``, messages
-    ``(E, H, d)``, then ELU and the heads concatenated or averaged. Returns
-    the output, the attention in graph edge order and the backward step:
-    ``backward(g, input_grad)`` maps the output's gradient to those of
-    ``x`` (None unless ``input_grad``), ``layer.W`` and ``layer.omega``.
+def _edge_attention(x: np.ndarray, graph: ReasoningGraph, layer: LayerParams):
+    """One layer's attention over every edge, with its H heads stacked:
+    projections ``(N, H, d)``, edge logits, then ``_edge_softmax``. Returns
+    the projections, the attention ``(E, H)`` in graph edge order and the
+    softmax's backward step. No message is formed: an edge's weight
+    depends only on its projected endpoints.
 
     The edge logit ``omega·[Wh_i ‖ Wh_j]`` is the sum of a source score
     ``omega[:d]·Wh_i`` and a destination score ``omega[d:]·Wh_j``, so both
     are computed once per node."""
-    w, omega = layer.W, layer.omega
-    n, (n_heads, width, d_in) = graph.num_nodes, w.shape
+    n, (n_heads, width, d_in) = graph.num_nodes, layer.W.shape
+    by_src, by_dst = graph.plan()
+    projected = (x @ layer.W.reshape((n_heads * width, d_in)).T).reshape((n, n_heads, width))
+    scores = (projected[:, :, None, :] * layer.omega.reshape((n_heads, 2, width))).sum(axis=3)
+    raw = scores[by_src.ids, :, 0] + scores[by_dst.ids, :, 1]
+    alpha, softmax_backward = _edge_softmax(raw, by_src, layer.leaky_slope)
+    return projected, alpha, softmax_backward
+
+
+def _forward_layer(x: np.ndarray, graph: ReasoningGraph, layer: LayerParams):
+    """One layer over every node: ``_edge_attention``, then the messages
+    ``(E, H, d)``, their sums, ELU and the heads concatenated or averaged.
+    Returns the output, the attention in graph edge order and the backward
+    step: ``backward(g, input_grad)`` maps the output's gradient to those
+    of ``x`` (None unless ``input_grad``), ``layer.W`` and ``layer.omega``."""
+    projected, alpha, softmax_backward = _edge_attention(x, graph, layer)
+    w, omega, (n, n_heads, width) = layer.W, layer.omega, projected.shape
     by_src, by_dst = graph.plan()
     src, dst = by_src.ids, by_dst.ids
-    w_flat = w.reshape((n_heads * width, d_in))
-    a_src, a_dst = omega[:, :width], omega[:, width:]
-    projected = (x @ w_flat.T).reshape((n, n_heads, width))
-    raw = (projected * a_src).sum(axis=2)[src] + (projected * a_dst).sum(axis=2)[dst]
-    alpha, softmax_backward = _edge_softmax(raw, by_src, layer.leaky_slope)
     sent = projected[dst]
     out, combine_backward = _elu_combine(
         by_src.reduce(np.add, sent * alpha[:, :, None], 0.0), layer.combine
@@ -346,13 +358,13 @@ def _forward_layer(x: np.ndarray, graph: ReasoningGraph, layer: LayerParams):
         g_dst = by_dst.reduce(np.add, g_raw, 0.0)[:, :, None]
         g_proj = (
             by_dst.reduce(np.add, g_msg * alpha[:, :, None], 0.0)
-            + g_src * a_src + g_dst * a_dst
+            + g_src * omega[:, :width] + g_dst * omega[:, width:]
         ).reshape((n, n_heads * width))
         g_omega = np.concatenate(
             [(g_src * projected).sum(axis=0), (g_dst * projected).sum(axis=0)], axis=1
         )
         g_w = ad.t_matmul(x, g_proj).T.reshape(w.shape)
-        return (g_proj @ w_flat if input_grad else None), g_w, g_omega
+        return (g_proj @ w.reshape((n_heads * width, -1)) if input_grad else None), g_w, g_omega
 
     return out, alpha, backward
 
@@ -427,21 +439,24 @@ def gat_forward_tensors(
     """Both layers of ``params`` over the (N, d) node matrix ``features``.
     With ``receivers`` (distinct node indices, in any order) the last layer
     is ``_receiver_layer``, which computes only their rows, in that order.
-    Each full layer's attention is appended to ``collect``, when given, as
-    one ``(layer, head, alpha)`` entry per head, with one weight per edge.
-    Returns the output and ``backward(g, input_grad)``, which runs the
-    layers' steps last to first and returns the gradient of ``features``
-    (None unless ``input_grad``) and those of the weights, keyed as
-    ``GatParams.to_param_dict``."""
+    Given ``collect``, every layer's attention over every edge is appended
+    to it, one ``(layer, head, alpha)`` entry per head. A pass into some
+    receivers takes its last layer's from ``_edge_attention`` on that
+    layer's inputs: the full layer's weights, bit for bit, without its
+    messages. Returns the output and ``backward(g, input_grad)``, which
+    runs the layers' steps last to first and returns the gradient of
+    ``features`` (None unless ``input_grad``) and those of the weights,
+    keyed as ``GatParams.to_param_dict``."""
     x, steps = features, []
-    last = len(params.layers) - 1
     for li, layer in enumerate(params.layers):
-        if li == last and receivers is not None:
+        if li == len(params.layers) - 1 and receivers is not None:
+            if collect is not None:
+                alpha = _edge_attention(x, graph, layer)[1]
             x, step = _receiver_layer(x, graph, layer, receivers)
         else:
             x, alpha, step = _forward_layer(x, graph, layer)
-            if collect is not None:
-                collect.extend((li, h, alpha[:, h].copy()) for h in range(alpha.shape[1]))
+        if collect is not None:
+            collect.extend((li, h, alpha[:, h].copy()) for h in range(alpha.shape[1]))
         steps.append(step)
 
     def backward(g, input_grad):

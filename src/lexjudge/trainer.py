@@ -47,7 +47,6 @@ from .graph import (
     ReasoningGraph,
     attention_export,
     build_graph,
-    gat_forward,
     gat_forward_tensors,
     init_features,
 )
@@ -192,14 +191,18 @@ class TrainConfig:
 
 
 def graph_label_matrices(
-    nodes: np.ndarray, graph: ReasoningGraph, gat: GatParams, tasks: Sequence[Task]
+    nodes: np.ndarray, graph: ReasoningGraph, gat: GatParams, tasks: Sequence[Task],
+    collect: list | None = None,
 ) -> tuple[dict[Task, np.ndarray], Callable]:
     """Each task's enhanced label matrix from the graph pass over the node
     matrix ``nodes``, and the pass's backward. The loss reads only label
     rows, so the last layer computes only the label nodes of ``tasks``,
-    task by task: each task's matrix is one block of its output."""
+    task by task: each task's matrix is one block of its output. Given
+    ``collect``, the pass appends every layer's attention over every edge
+    to it, as ``gat_forward_tensors`` does."""
     blocks = [graph.label_indices(task) for task in tasks]
-    out, backward = gat_forward_tensors(nodes, graph, gat, receivers=np.concatenate(blocks))
+    receivers = np.concatenate(blocks)
+    out, backward = gat_forward_tensors(nodes, graph, gat, collect=collect, receivers=receivers)
     ends = np.cumsum([len(block) for block in blocks])
     return dict(zip(tasks, np.split(out, ends[:-1]))), backward
 
@@ -545,10 +548,10 @@ def fit_model(
         if train_cfg.use_graph:
             gat = gat.with_param_dict(theta)
             collected: list = []
-            gat_forward(graph, nodes, gat, collect_attention=collected)
+            # the label matrices come from the pass the loss read them from,
+            # which also collects the attention over every edge
+            label_matrices, _ = graph_label_matrices(nodes, graph, gat, tasks, collected)
             attention = attention_export(graph, collected)
-            # the label matrices come from the pass the loss read them from
-            label_matrices, _ = graph_label_matrices(nodes, graph, gat, tasks)
         else:
             label_matrices = {task: theta[f"labels.{task.value}"].copy() for task in tasks}
 

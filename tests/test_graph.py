@@ -450,6 +450,32 @@ class TestInvalidReceivers:
     def test_out_of_range_receivers_rejected(self):
         self.check([0, 3], r"node indices in \[0, 3\)")
 
+    def test_float_receivers_rejected(self):
+        self.check([0.0, 1.0], "1-D integer array")
+
+    def test_boolean_receivers_rejected(self):
+        self.check([True, False, True], "1-D integer array")
+
+    def test_two_dimensional_receivers_rejected(self):
+        self.check([[0], [1]], "1-D integer array")
+
+    def test_receiver_dtype_does_not_pick_another_plan(self):
+        """Receivers of another integer dtype whose bytes begin like an
+        earlier set's are a set of their own: int64 [1] is the first 8
+        bytes of int32 [1, 0]."""
+        graph = star_graph([[0, 1, 2], [1, 0], [2, 0]])
+        features = np.random.default_rng(0).normal(size=(3, 4))
+        params = GatParams.initialize(dim=4, heads=2, seed=1)
+
+        def rows(receivers):
+            return gat_forward_tensors(features, graph, params, receivers=receivers)[0]
+
+        first = rows(np.array([1], dtype=np.int64))
+        second = rows(np.array([1, 0], dtype=np.int32))
+        assert second.shape == (2, 4)
+        np.testing.assert_allclose(second[:1], first, rtol=0, atol=1e-12)
+        assert np.array_equal(second, rows(np.array([1, 0], dtype=np.int64)))
+
 
 class TestAttentionExport:
     def test_alphas_match_reference_attention_rows(self):
@@ -476,19 +502,18 @@ class TestAttentionExport:
             [r[4] for r in rows], [e[4] for e in expected], rtol=0, atol=1e-12
         )
 
-    def test_receivers_pass_collects_the_full_layers_only(self):
-        """A pass into some receivers collects the first layer's attention
-        only, one weight per edge, and exports the full pass's rows of that
-        layer bit for bit; the last layer's attention covers only the
-        edges into the receivers, so it is not collected."""
+    def test_receivers_pass_collects_every_layer(self):
+        """A pass into some receivers collects both layers' attention, one
+        weight per edge, and exports the full pass's rows bit for bit: the
+        last layer's weights come from its projected endpoints alone, not
+        from the receivers' messages."""
         _, graph, features, params = random_instance(9)
         full, partial = [], []
         gat_forward(graph, features, params, collect_attention=full)
         gat_forward_tensors(features, graph, params, partial, receivers=label_nodes(graph))
-        assert [(layer, head) for layer, head, _ in partial] == [(0, 0), (0, 1)]
+        assert [(layer, head) for layer, head, _ in partial] == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert all(len(alpha) == len(graph.edge_src) for _, _, alpha in partial)
-        first_layer = [row for row in attention_export(graph, full) if row[3] == 0]
-        assert attention_export(graph, partial) == first_layer
+        assert attention_export(graph, partial) == attention_export(graph, full)
 
     def test_short_alpha_rejected(self):
         _, graph, features, params = random_instance(9)

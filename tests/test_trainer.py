@@ -43,7 +43,8 @@ from lexjudge.encoder import (
     EmbeddingTable, apply_dropout_noise, encode_fact, featurize, label_key, project_features,
 )
 from lexjudge.graph import (
-    FactNode, GatParams, LabelNode, ReasoningGraph, build_graph, init_features,
+    FactNode, GatParams, LabelNode, ReasoningGraph, attention_export, build_graph,
+    init_features,
 )
 from lexjudge.rng import derive
 from lexjudge.trainer import FitResult, FittedModel, descend, stage3_objective
@@ -442,8 +443,9 @@ class TestFitWork:
     """Counted the way the benchmark's tracer wraps module names: a hashed
     fit with contrastive epochs featurizes each clue text and each label
     surface once, frozen or not, for the contrastive stage and stage 3
-    together, and runs the full-graph forward pass once, for the attention;
-    the final label matrices come from the label-only pass."""
+    together, and runs no full-graph forward pass. The final label
+    matrices and the attention come from one label-only pass, whose first
+    layer runs once and whose last layer forms no full-width messages."""
 
     @pytest.mark.parametrize("freeze", [True, False], ids=["frozen", "unfrozen"])
     def test_featurize_calls_and_full_passes(self, monkeypatch, freeze):
@@ -481,13 +483,39 @@ class TestFitWork:
             ),
         )
         n, labels = len(corpus), sum(corpus.vocab(task).size for task in TASKS)
-        assert counts == {"featurize": n + labels, "full passes": 1}
+        assert counts == {"featurize": n + labels, "full passes": 0}
+
+    def test_final_pass_runs_layer_one_once(self, monkeypatch):
+        """A full layer with messages runs once per epoch (layer 1) and
+        once in the final pass (layer 1): no full last layer runs, and the
+        attention is not a second pass."""
+        corpus, lexicon, anchors = synth_corpus(cases_per_charge=2)
+        calls = []
+        real = lexjudge.graph._forward_layer
+
+        def forward_layer(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(lexjudge.graph, "_forward_layer", forward_layer)
+        epochs = 4
+        result = fit_model(
+            corpus,
+            encoder_params=HashedEncoderParams.initialize(output_dim=8, bucket_count=64, seed=1),
+            lexicon=lexicon,
+            anchors=anchors,
+            contrastive_cfg=small_contrastive(epochs=0),
+            train_cfg=TrainConfig(epochs=epochs, seed=3, heads=2),
+        )
+        assert len(calls) == epochs + 1
+        assert all(layer.combine == "concat" for layer in calls)
+        assert {row[3] for row in result.attention} == {0, 1}
 
     def test_each_pass_is_planned_once(self, monkeypatch):
         """The graph plans its edges once per receiver set: over 250 epochs,
-        one plan for every full layer (the first of each pass, and the final
-        full pass) and one for the label-only last layer, which the final
-        label matrices reuse."""
+        one plan for every full layer and every attention step (the first
+        layer of each pass, and the final pass's last-layer attention) and
+        one for the label-only last layer, which the final pass reuses."""
         corpus, lexicon, anchors = synth_corpus(cases_per_charge=2)
         planned = []
 
@@ -536,8 +564,9 @@ class TestFinalLabelMatrices:
         assert len(calls) == 3 + 1  # one per epoch, then the final pass
         (nodes, graph, gat), kwargs = calls[-1]
         receivers = np.concatenate([graph.label_indices(task) for task in tasks])
-        assert kwargs.keys() == {"receivers"}
+        assert kwargs.keys() == {"collect", "receivers"}
         assert np.array_equal(kwargs["receivers"], receivers)
+        assert result.attention == attention_export(graph, kwargs["collect"])
         rows, _ = real(nodes, graph, gat, receivers=receivers)
         path = tmp_path / "checkpoint.json"
         save_checkpoint(path, result.model, result.optimizer_state)
