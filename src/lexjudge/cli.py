@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 training
 divergence. The ``SEMDR_SEED`` environment variable overrides the config
-seed; an explicit ``--seed`` flag outranks both.
+seed; an explicit ``--seed`` flag outranks both. ``evaluate`` takes the
+seed of the checkpoint it scores.
 """
 
 from __future__ import annotations
@@ -268,6 +269,8 @@ def cmd_evaluate(args) -> int:
     if not checkpoint_path:
         raise ConfigError("evaluate needs --checkpoint or paths.checkpoint")
     model = _load_trained(checkpoint_path)
+    # the split and the scenario cap of the run that wrote the checkpoint
+    cfg = replace(cfg, seed=model.seed)
     corpus = _load_inputs(cfg)
     part = _split_by_name(corpus, cfg.split_spec(), args.split)
     if len(part) == 0:

@@ -150,10 +150,7 @@ class RunConfig:
 
     @_section_values("train")
     def train_config(self) -> TrainConfig:
-        values = self._given("train")
-        if "freeze_encoder" in values:
-            values["freeze_encoder_after_contrastive"] = values.pop("freeze_encoder")
-        return TrainConfig(**values, seed=self.seed)
+        return TrainConfig(**self._given("train"), seed=self.seed)
 
     @_section_values("scenario")
     def scenario_spec(self, corpus: Corpus) -> ScenarioSpec | None:

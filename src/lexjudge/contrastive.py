@@ -56,13 +56,13 @@ class ContrastiveConfig:
 
 
 def _sample_negatives(n: int, count: int, seed: int) -> np.ndarray:
-    """Each anchor's ``count`` distinct negatives, as
-    ``SplitMix64(derive(seed, "negatives", anchor)).sample_distinct(n,
-    count, exclude=anchor)`` draws them, for every anchor at once. Each
-    pass takes the next output of every unfinished anchor's stream: one at
-    or above ``randbelow``'s rejection limit is skipped, as is a value
-    (the output mod n) that is the anchor or was already taken; any other
-    value is taken, in order."""
+    """Each anchor's ``count`` distinct negatives, for every anchor at once,
+    as the sequential spec in ``tests/contrastive_reference.py`` draws them
+    one anchor at a time from ``SplitMix64(derive(seed, "negatives",
+    anchor))``. Each pass takes the next output of every unfinished
+    anchor's stream: one at or above ``randbelow``'s rejection limit is
+    skipped, as is a value (the output mod n) that is the anchor or was
+    already taken; any other value is taken, in order."""
     if not n:  # no anchor, so no draw (and no error)
         return np.empty((0, count), dtype=np.intp)
     if count > n - 1:
@@ -137,32 +137,27 @@ def info_nce(
 
 
 def contrastive_objective(
-    features: np.ndarray,
+    rows: HashedRows,
     projection: np.ndarray,
     bias: np.ndarray,
     cfg: ContrastiveConfig,
     epoch: int = 0,
-    rows: HashedRows | None = None,
 ) -> ad.Tensor:
-    """Mean contrastive loss of one epoch over hashed feature rows, as a loss
-    handle whose ``backward()`` gives the gradients of the bias and of the
-    projection's columns ``rows.used``: InfoNCE's backward step, then each
-    view's projection step, summed view 0 + view 1 + view 2. ``rows`` is
-    ``HashedRows`` of ``features``, planned once per fit; without it the
-    gradient covers every column."""
-    features = np.asarray(features, dtype=np.float64)
+    """Mean contrastive loss of one epoch over hashed feature rows, planned
+    once per fit as ``rows``, as a loss handle whose ``backward()`` gives
+    the gradients of the bias and of the projection's columns ``rows.used``:
+    InfoNCE's backward step, then each view's projection step, summed
+    view 0 + view 1 + view 2."""
     projection = np.asarray(projection, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
     base = derive(cfg.dropout.seed, "contrastive-views", epoch)
-    if rows is None:
-        rows = HashedRows(features, slice(None))
     views = []
     for view in range(3):
         # each forward reads the shared dense buffer before the next view rewrites it
         block = rows.dropout(replace(cfg.dropout, seed=derive(base, view)))
         views.append(tanh_projection(rows.dense(block), block, projection, bias))
     neg_idx = _sample_negatives(
-        len(features), cfg.negatives_per_anchor, derive(cfg.seed, "epoch", epoch)
+        rows.count, cfg.negatives_per_anchor, derive(cfg.seed, "epoch", epoch)
     )
     value, info_nce_backward = info_nce(*(out for out, _ in views), neg_idx, cfg.temperature)
 
@@ -201,7 +196,7 @@ def train_contrastive(
 
     def objective(theta, epoch):
         projection[:, rows.used] = theta["projection"]
-        return contrastive_objective(features, projection, theta["bias"], cfg, epoch, rows)
+        return contrastive_objective(rows, projection, theta["bias"], cfg, epoch)
 
     theta, _, history = descend(
         objective,

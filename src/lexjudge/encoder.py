@@ -184,7 +184,8 @@ def apply_dropout_noise(
 class HashedRows:
     """Hashed feature rows, planned once per fit for the dropout views that
     train the projection over ``used``: the bucket columns that some row
-    touches (an index array, or ``slice(None)`` for every column).
+    touches (an index array, or ``slice(None)`` for every column), and
+    ``count``, the number of rows.
 
     ``dropout`` gives a view's compact (rows, ``len(used)``) block, and
     ``dense`` writes a block into the one (rows, ``bucket_count``) buffer
@@ -196,6 +197,7 @@ class HashedRows:
     def __init__(self, features: np.ndarray, used: np.ndarray | slice):
         features = np.asarray(features, dtype=np.float64)
         self.used = used
+        self.count = len(features)
         self._index = np.flatnonzero(features)
         self._values = features.ravel()[self._index]
         block = features[:, used]

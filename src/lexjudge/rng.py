@@ -140,17 +140,3 @@ class SplitMix64:
         for i in range(len(items) - 1, 0, -1):
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def sample_distinct(self, n: int, k: int, exclude: int | None = None) -> list[int]:
-        """k distinct integers in [0, n), optionally excluding one value."""
-        available = n if exclude is None else n - 1
-        if k > available:
-            raise ValueError(f"cannot draw {k} distinct values from {available}")
-        chosen: list[int] = []
-        seen = set() if exclude is None else {exclude}
-        while len(chosen) < k:
-            r = self.randbelow(n)
-            if r not in seen:
-                seen.add(r)
-                chosen.append(r)
-        return chosen

@@ -161,7 +161,7 @@ class TrainConfig:
     use_clue_tracing: bool = True
     use_contrastive: bool = True
     use_graph: bool = True
-    freeze_encoder_after_contrastive: bool = True
+    freeze_encoder: bool = True
     heads: int = 4
     leaky_slope: float = 0.2
     batch_size: int | None = None
@@ -232,13 +232,13 @@ def stage3_objective(
     ``gat`` is set, so are the labels, their concatenation being the node
     matrix. That concatenation relies on ``build_graph``'s node
     order: facts first, then labels task by task in vocabulary order.
-    ``rows`` selects the minibatch.
+    ``rows``, distinct case indices, selects the minibatch.
 
     The gradients of ``graph_label_matrices``' blocks, concatenated, are
     its output's gradient. The backward steps run in a fixed order, and
     each sum adds in task order: every task's cross-entropy, the graph,
-    and the encoder, whose fact gradient is the tasks' (scattered back
-    from the minibatch) plus the graph's."""
+    and the encoder, whose fact gradient is the tasks' (written back at
+    the minibatch's rows) plus the graph's."""
     unfrozen = encoder_inputs is not None
     facts = fact_vectors
     if unfrozen:
@@ -276,8 +276,10 @@ def stage3_objective(
             grads.update(gat_grads)
         if unfrozen:
             g_facts = reduce(operator.add, [g @ label_mats[t] for t, g in zip(tasks, g_scores)])
-            if rows is not None:
-                g_facts = ad.Segments(rows, len(facts)).reduce(np.add, g_facts, 0.0)
+            if rows is not None:  # each distinct row's gradient, written once
+                out = np.zeros(facts.shape)
+                out[rows] = g_facts
+                g_facts = out
             g_projection, g_bias = project_facts(
                 g_facts if gat is None else g_facts + g_nodes[: len(facts)]
             )
@@ -492,7 +494,7 @@ def fit_model(
         nodes = node_matrix(encoder_params)
         tasks = train_cfg.tasks
         golds = {task: np.array(train_corpus.gold_ids(task), dtype=np.intp) for task in tasks}
-        unfrozen = hashed and not train_cfg.freeze_encoder_after_contrastive
+        unfrozen = hashed and not train_cfg.freeze_encoder
         if unfrozen:
             fact_rows = HashedRows(text_features[:n_train], slice(None))
 

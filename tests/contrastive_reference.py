@@ -7,8 +7,9 @@ every anchor of an epoch into one InfoNCE step with a closed-form
 backward; tests hold its value to the mean of this per-anchor loss.
 
 The negatives of an epoch, drawn one anchor at a time from its own
-sequential stream, are the oracle for the vectorized draw. Nothing here
-uses ``lexjudge.autodiff``; the draw uses ``lexjudge.rng`` only.
+sequential stream by ``sample_distinct``, are the spec and oracle for the
+vectorized draw. Nothing here uses ``lexjudge.autodiff``; the draw uses
+``lexjudge.rng`` only.
 """
 
 from __future__ import annotations
@@ -56,6 +57,23 @@ def contrastive_loss(anchor, positive, negatives, temperature: float) -> float:
     return loss_from_similarities(pos, negs, temperature)
 
 
+def sample_distinct(rng: SplitMix64, n: int, k: int, exclude: int | None = None) -> list[int]:
+    """k distinct integers in [0, n), optionally excluding one value: the
+    ``randbelow(n)`` draws of ``rng`` in order, each taken the first time
+    it occurs."""
+    available = n if exclude is None else n - 1
+    if k > available:
+        raise ValueError(f"cannot draw {k} distinct values from {available}")
+    chosen: list[int] = []
+    seen = set() if exclude is None else {exclude}
+    while len(chosen) < k:
+        r = rng.randbelow(n)
+        if r not in seen:
+            seen.add(r)
+            chosen.append(r)
+    return chosen
+
+
 def negatives_reference(n: int, count: int, seed: int) -> np.ndarray:
     """Each anchor's ``count`` distinct negatives among ``n`` cases, other
     than itself: ``sample_distinct`` on the anchor's own stream, one anchor
@@ -63,5 +81,5 @@ def negatives_reference(n: int, count: int, seed: int) -> np.ndarray:
     idx = np.empty((n, count), dtype=np.intp)
     for anchor in range(n):
         rng = SplitMix64(derive(seed, "negatives", anchor))
-        idx[anchor] = rng.sample_distinct(n, count, exclude=anchor)
+        idx[anchor] = sample_distinct(rng, n, count, exclude=anchor)
     return idx

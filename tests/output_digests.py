@@ -70,25 +70,25 @@ from lexjudge.rng import derive  # noqa: E402
 BRANCHES = {
     "graph, frozen": {},
     "graph, unfrozen, dropout 0.2": {
-        "freeze_encoder_after_contrastive": False, "dropout_rate": 0.2,
+        "freeze_encoder": False, "dropout_rate": 0.2,
     },
     "graph, unfrozen, dropout 0": {
-        "freeze_encoder_after_contrastive": False, "dropout_rate": 0.0,
+        "freeze_encoder": False, "dropout_rate": 0.0,
     },
     "graph, minibatch 7": {"batch_size": 7},
     "graph, unfrozen, minibatch 7, dropout 0.3": {
-        "freeze_encoder_after_contrastive": False, "batch_size": 7, "dropout_rate": 0.3,
+        "freeze_encoder": False, "batch_size": 7, "dropout_rate": 0.3,
     },
     "label fine-tune, frozen": {"use_graph": False},
     "label fine-tune, unfrozen, dropout 0.5": {
-        "use_graph": False, "freeze_encoder_after_contrastive": False, "dropout_rate": 0.5,
+        "use_graph": False, "freeze_encoder": False, "dropout_rate": 0.5,
     },
     "graph, no clue tracing, no contrastive": {
         "use_clue_tracing": False, "use_contrastive": False,
     },
     "graph, tasks article and charge": {"tasks": (Task.ARTICLE, Task.CHARGE)},
     "graph, tasks article and charge, unfrozen, minibatch 7": {
-        "tasks": (Task.ARTICLE, Task.CHARGE), "freeze_encoder_after_contrastive": False,
+        "tasks": (Task.ARTICLE, Task.CHARGE), "freeze_encoder": False,
         "batch_size": 7,
     },
 }

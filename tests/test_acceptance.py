@@ -33,6 +33,7 @@ from lexjudge import (
     run_pipeline,
 )
 from lexjudge.cli import main
+from lexjudge.encoder import HashedRows
 from lexjudge.graph import FactNode, LabelNode, LayerParams
 from lexjudge.rng import derive
 from lexjudge.trainer import stage3_objective
@@ -81,7 +82,9 @@ def test_criterion_1_gradient_oracle():
         dropout=DropoutSpec(rate=0.1, seed=4), seed=9,
     )
     worst = worst_gradient_error(
-        lambda theta: contrastive_objective(features, theta["projection"], bias, cfg, 0),
+        lambda theta: contrastive_objective(
+            HashedRows(features, slice(None)), theta["projection"], bias, cfg, 0
+        ),
         {"projection": projection}, ["projection"], step,
     )
 

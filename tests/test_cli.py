@@ -16,6 +16,7 @@ from lexjudge import (
     TASKS, DivergenceError, GatParams, SplitSpec, load_corpus, load_lexicon, split,
 )
 from lexjudge.encoder import label_key
+from lexjudge.rng import derive
 
 TRAIN_SECTION = {
     "epochs": 25,
@@ -391,6 +392,38 @@ class TestEvaluateAndPredict:
         for section in doc.values():
             assert 0.0 <= section["acc"] <= 1.0
 
+    def test_evaluate_scores_the_split_the_checkpoint_held_out(
+        self, tmp_path, trace_corpus_path, lexicon_path, monkeypatch
+    ):
+        """A checkpoint trained with ``--seed 5`` on a config whose seed is
+        7 is scored on the test split of seed 5, which holds no case of its
+        training split."""
+        scored = []
+
+        def recording_evaluate(model, corpus, *args, **kwargs):
+            scored.append(corpus.ids())
+            return trainer.evaluate_model(model, corpus, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate_model", recording_evaluate)
+        config_path, out_dir = write_config(
+            tmp_path, seed=7,
+            paths={"corpus": trace_corpus_path, "lexicon": lexicon_path,
+                   "output_dir": str(tmp_path / "out")},
+            split={"train_fraction": 0.6},
+            train={**TRAIN_SECTION, "epochs": 2},
+            contrastive={"epochs": 1, "negatives_per_anchor": 4},
+        )
+        assert main(["train", "--config", str(config_path), "--seed", "5"]) == 0
+        assert main([
+            "evaluate", "--config", str(config_path),
+            "--checkpoint", str(out_dir / "checkpoint.json"), "--split", "test",
+        ]) == 0
+        train_part, _, test_part = split(
+            load_corpus(trace_corpus_path), SplitSpec(0.6, seed=derive(5, "split"))
+        )
+        assert scored[-1] == test_part.ids()
+        assert not set(scored[-1]) & set(train_part.ids())
+
     def test_predict_roundtrip_covers_every_id(self, tmp_path):
         config_path, out_dir = write_config(tmp_path)
         assert main(["train", "--config", str(config_path)]) == 0
@@ -478,6 +511,11 @@ MALFORMED_ARRAYS = {
     "shape-byte-count-mismatch": (
         "graph.label_matrices.article",
         lambda value: {**value, "shape": [value["shape"][0] + 1, value["shape"][1]]},
+        " holds ",
+    ),
+    "shape-short-of-the-bytes": (
+        "graph.label_matrices.article",
+        lambda value: {**value, "shape": [value["shape"][0] - 1, value["shape"][1]]},
         " holds ",
     ),
     "shape-bool-entry": (

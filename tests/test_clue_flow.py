@@ -32,7 +32,7 @@ def fit(corpus, lexicon, anchors, freeze=True):
             epochs=2, negatives_per_anchor=3, dropout=DropoutSpec(0.1, 4), seed=5
         ),
         train_cfg=TrainConfig(
-            epochs=2, seed=6, heads=2, freeze_encoder_after_contrastive=freeze
+            epochs=2, seed=6, heads=2, freeze_encoder=freeze
         ),
     )
 

@@ -20,11 +20,11 @@ from lexjudge import (
 from lexjudge import AdamState, adam_step, apply_dropout_noise
 from lexjudge.autodiff import t_matmul
 from lexjudge.contrastive import _sample_negatives, info_nce
-from lexjudge.encoder import clue_text, featurize
-from lexjudge.rng import derive
+from lexjudge.encoder import HashedRows, clue_text, featurize
+from lexjudge.rng import SplitMix64, derive
 
 from contrastive_reference import (
-    contrastive_loss, cosine_sim, loss_from_similarities, negatives_reference,
+    contrastive_loss, cosine_sim, loss_from_similarities, negatives_reference, sample_distinct,
 )
 from gradcheck import worst_gradient_error
 
@@ -153,7 +153,9 @@ class TestGradients:
         bias = rng.normal(size=8) * 0.1
         cfg = tiny_config(epochs=1)
         worst = worst_gradient_error(
-            lambda theta: contrastive_objective(features, theta["projection"], bias, cfg, 0),
+            lambda theta: contrastive_objective(
+                HashedRows(features, slice(None)), theta["projection"], bias, cfg, 0
+            ),
             {"projection": projection}, ["projection"], step=1e-4,
         )
         assert worst <= 1e-4
@@ -170,7 +172,9 @@ class TestGradients:
             projection=np.full((3, 4), 0.1), bias=np.zeros(3), bucket_count=4
         )
         cfg = tiny_config(negatives_per_anchor=2)
-        loss = contrastive_objective(features, params.projection, params.bias, cfg)
+        loss = contrastive_objective(
+            HashedRows(features, slice(None)), params.projection, params.bias, cfg
+        )
         assert np.isfinite(loss.value)
         assert all(np.isfinite(g).all() for g in loss.backward().values())
         _, history = train_contrastive(params, features, cfg)
@@ -235,7 +239,9 @@ class TestObjectiveMatchesOracle:
         projection = rng.normal(size=(8, 24)) * 0.3
         bias = rng.normal(size=8) * 0.1
         cfg = tiny_config(negatives_per_anchor=4)
-        value = contrastive_objective(features, projection, bias, cfg, epoch).value
+        value = contrastive_objective(
+            HashedRows(features, slice(None)), projection, bias, cfg, epoch
+        ).value
 
         base = derive(cfg.dropout.seed, "contrastive-views", epoch)
         anchors, positives, negatives = (
@@ -338,6 +344,21 @@ class TestSampleNegatives:
         drawn = _sample_negatives(n, count, seed)
         assert drawn.dtype == np.intp
         assert np.array_equal(drawn, expected)
+
+
+class TestSampleDistinct:
+    """The sequential spec of one anchor's negatives, in the oracle module."""
+
+    def test_sample_distinct_excludes(self):
+        gen = SplitMix64(9)
+        sample = sample_distinct(gen, 10, 5, exclude=3)
+        assert len(sample) == len(set(sample)) == 5
+        assert 3 not in sample
+        assert all(0 <= v < 10 for v in sample)
+
+    def test_sample_distinct_overdraw_rejected(self):
+        with pytest.raises(ValueError):
+            sample_distinct(SplitMix64(9), 4, 4, exclude=0)
 
 
 def dense_training(params, features, cfg):

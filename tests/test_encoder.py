@@ -229,6 +229,16 @@ class TestDropout:
         with pytest.raises(ValueError):
             DropoutSpec(rate=1.0, seed=0)
 
+    def test_uniform_equal_to_the_rate_keeps_its_entry(self):
+        """An entry is kept when its uniform is at or above the rate, so a
+        rate equal to one entry's uniform keeps that entry."""
+        seed = derive(5, "tie")
+        u = stream_uniform(seed, 16)
+        rate = float(np.sort(u)[8])
+        out = apply_dropout_noise(np.ones(16), DropoutSpec(rate=rate, seed=seed))
+        assert np.array_equal(out != 0.0, u >= rate)
+        assert out[u == rate] == 1.0 / (1.0 - rate)
+
     @pytest.mark.parametrize("rate", [0.0, 0.1, 0.5])
     def test_nonzero_draws_match_the_dense_mask(self, rate):
         """Uniforms drawn only at nonzero features, at their flat indices,

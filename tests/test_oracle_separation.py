@@ -32,6 +32,7 @@ MOVED_OR_DELETED = (
     "elu", "leaky_relu", "segment_softmax", "logsumexp", "l2_normalize_rows",
     "_mean_ce", "_onehot",
     "concat", "gather_rows", "_cross_entropy",
+    "sample_distinct",
 )
 
 
@@ -77,8 +78,14 @@ def test_no_production_module_defines_them():
         if info.name == "__main__":
             continue
         module = importlib.import_module(f"lexjudge.{info.name}")
+        # the module's names, and those of the classes it defines
+        scopes = {info.name: vars(module)}
+        scopes.update(
+            (f"{info.name}.{key}", vars(value)) for key, value in vars(module).items()
+            if isinstance(value, type) and value.__module__ == module.__name__
+        )
         defined += [
-            f"{info.name}.{name}" for name in MOVED_OR_DELETED + ("_scores_of",)
-            if name in vars(module)
+            f"{scope}.{name}" for scope, names in scopes.items()
+            for name in MOVED_OR_DELETED + ("_scores_of",) if name in names
         ]
     assert not defined

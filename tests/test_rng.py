@@ -76,17 +76,6 @@ class TestRandbelowAndShuffle:
         SplitMix64(2).shuffle(b)
         assert a != b
 
-    def test_sample_distinct_excludes(self):
-        gen = SplitMix64(9)
-        sample = gen.sample_distinct(10, 5, exclude=3)
-        assert len(sample) == len(set(sample)) == 5
-        assert 3 not in sample
-        assert all(0 <= v < 10 for v in sample)
-
-    def test_sample_distinct_overdraw_rejected(self):
-        with pytest.raises(ValueError):
-            SplitMix64(9).sample_distinct(4, 4, exclude=0)
-
 
 class TestDerive:
     def test_order_sensitive(self):

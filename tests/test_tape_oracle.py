@@ -30,7 +30,7 @@ from lexjudge import (
 from lexjudge.clues import full_text_clues
 from lexjudge.contrastive import info_nce
 from lexjudge.corpus import TASKS, Task
-from lexjudge.encoder import clue_text, featurize
+from lexjudge.encoder import HashedRows, clue_text, featurize
 from lexjudge.graph import GatParams, build_graph, gat_forward
 
 from contrastive_reference import contrastive_loss
@@ -93,7 +93,7 @@ def test_stage3_closed_form_equals_the_composed_tape(monkeypatch, name):
     assert len(calls) == 3
     for args, kwargs, loss in calls:
         assert (kwargs["gat"] is None) == (overrides.get("use_graph") is False)
-        unfrozen = overrides.get("freeze_encoder_after_contrastive") is False
+        unfrozen = overrides.get("freeze_encoder") is False
         assert (kwargs["encoder_inputs"] is not None) == unfrozen
         assert (kwargs["rows"] is not None) == ("batch_size" in overrides)
         assert_same(loss, *ref.stage3_composed(*args, **kwargs))
@@ -115,7 +115,9 @@ def test_contrastive_closed_form_equals_the_composed_tape(epoch):
         negatives_per_anchor=3, dropout=DropoutSpec(rate=0.1, seed=5), seed=6
     )
     assert_same(
-        contrastive_objective(features, params.projection, params.bias, cfg, epoch),
+        contrastive_objective(
+            HashedRows(features, slice(None)), params.projection, params.bias, cfg, epoch
+        ),
         *ref.contrastive_composed(features, params.projection, params.bias, cfg, epoch),
     )
 

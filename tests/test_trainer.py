@@ -386,7 +386,7 @@ class TestFitModel:
             anchors=anchors,
             contrastive_cfg=small_contrastive(epochs=0),
             train_cfg=TrainConfig(
-                epochs=4, seed=3, freeze_encoder_after_contrastive=False,
+                epochs=4, seed=3, freeze_encoder=False,
                 dropout_rate=0.2,
             ),
         )
@@ -479,7 +479,7 @@ class TestFitWork:
             anchors=anchors,
             contrastive_cfg=small_contrastive(epochs=2),
             train_cfg=TrainConfig(
-                epochs=2, seed=3, heads=2, freeze_encoder_after_contrastive=freeze
+                epochs=2, seed=3, heads=2, freeze_encoder=freeze
             ),
         )
         n, labels = len(corpus), sum(corpus.vocab(task).size for task in TASKS)
@@ -535,6 +535,37 @@ class TestFitWork:
         )
         assert len(planned) == 2
         assert planned[0] is None and planned[1] is not None
+
+    def test_minibatch_builds_no_grouping_per_epoch(self, monkeypatch):
+        """An unfrozen minibatch fit writes each batch row's fact gradient
+        at its row, so it builds as many ``autodiff.Segments`` (the graph's
+        plans) over 2 epochs as over 6."""
+        corpus, lexicon, anchors = synth_corpus(cases_per_charge=2)
+        built = []
+
+        class Segments(ad.Segments):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(ad, "Segments", Segments)
+        counts = []
+        for epochs in (2, 6):
+            built.clear()
+            fit_model(
+                corpus,
+                encoder_params=HashedEncoderParams.initialize(
+                    output_dim=4, bucket_count=32, seed=1
+                ),
+                lexicon=lexicon,
+                anchors=anchors,
+                contrastive_cfg=small_contrastive(epochs=0),
+                train_cfg=TrainConfig(
+                    epochs=epochs, seed=3, heads=2, freeze_encoder=False, batch_size=3
+                ),
+            )
+            counts.append(len(built))
+        assert counts[0] == counts[1] > 0
 
 
 class TestFinalLabelMatrices:
@@ -603,7 +634,7 @@ class TestFitResultFactVectors:
             contrastive_cfg=small_contrastive(epochs=2),
             train_cfg=TrainConfig(
                 epochs=3, seed=3, heads=2,
-                freeze_encoder_after_contrastive=setup != "unfrozen hashed",
+                freeze_encoder=setup != "unfrozen hashed",
             ),
         )
         expected = np.stack([result.model.fact_vector(case) for case in corpus])
