@@ -23,6 +23,7 @@ import base64
 import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 
@@ -104,7 +105,7 @@ def build_checkpoint(model: FittedModel, optimizer: AdamState | None = None) -> 
             task.value: list(model.vocabs[task].entries) for task in TASKS if task in model.vocabs
         },
         "lexicon": model.lexicon.to_dict() if model.lexicon is not None else None,
-        "anchors": model.anchors.to_dict() if model.anchors is not None else None,
+        "anchors": asdict(model.anchors) if model.anchors is not None else None,
         "embeddings_path": model.embeddings_path,
     }
     if model.encoder_params is not None:
@@ -169,7 +170,9 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
     against the checkpoint's own directory. Format versions 1 and 2 load.
     ``decode_array`` checks each stored array, ``FittedModel`` checks the
     tasks and label matrices against the vocabularies and the encoder, and
-    ``meta.backend`` and ``meta.dim`` must agree with the encoder loaded;
+    ``meta.backend`` and ``meta.dim`` must agree with the encoder loaded,
+    and ``encoder.output_dim`` must be an integer equal to the projection's
+    row count;
     the toggles must be booleans, ``meta.tasks`` a non-empty list of
     distinct tasks, ``meta.seed`` an unsigned 64-bit integer,
     ``meta.heads`` a positive integer and ``meta.leaky_slope`` a number.
@@ -208,6 +211,12 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
                 ngram_min=encoder_doc["ngram_min"],
                 ngram_max=encoder_doc["ngram_max"],
             )
+            output_dim = check_kind(encoder_doc.get("output_dim"), int, "encoder.output_dim")
+            if output_dim != encoder_params.output_dim:
+                raise ValueError(
+                    f"encoder.output_dim {output_dim} contradicts the "
+                    f"{encoder_params.output_dim} rows of encoder.projection"
+                )
         graph = check_object(doc["graph"], "graph")
         matrices = check_object(graph.get("label_matrices", {}), "graph.label_matrices")
         label_matrices = {

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_run_config
@@ -187,13 +187,8 @@ def cmd_trace(args) -> int:
         out_path = os.path.join(_out_dir(cfg, None), "clues.jsonl")
     clue_sets = [case_clues(case, lexicon, anchors, cfg.threshold, True) for case in corpus]
     _write_jsonl(out_path, (
-        {
-            "id": case.id,
-            "motivation": clue.motivation,
-            "action": clue.action,
-            "harm": clue.harm,
-            "provenance": {k: v.value for k, v in clue.provenance.items()},
-        }
+        {"id": case.id, **asdict(clue),
+         "provenance": {k: v.value for k, v in clue.provenance.items()}}
         for case, clue in zip(corpus, clue_sets)
     ))
     print(f"traced {len(corpus)} cases -> {out_path}")

@@ -79,9 +79,6 @@ class SectionAnchors:
             raise ValueError(f"{name} lacks the anchor(s) of section(s) {missing}")
         return cls(*(obj[section] for section in SECTION_NAMES))
 
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in SECTION_NAMES}
-
 
 @dataclass(frozen=True)
 class AreaTemplate:

@@ -335,7 +335,16 @@ def load_embedding_table(path) -> EmbeddingTable:
 def write_embedding_table(path, dim: int, rows: Iterable[tuple[str, np.ndarray]]) -> None:
     """Write ``(id, vector)`` rows as the TSV ``load_embedding_table`` reads,
     each value as its shortest round-trip ``repr``, so vectors reload
-    bit-identically and in order."""
-    lines = [f"#dim {dim}\n"]
-    lines += [key + "\t" + " ".join(repr(float(v)) for v in vec) + "\n" for key, vec in rows]
-    write_output(path, "".join(lines))
+    bit-identically and in order. A key the reader would refuse (empty,
+    holding a tab, CR or LF, or written twice) raises ``DataError`` naming
+    it, before the file is opened."""
+    lines = {}
+    for key, vec in rows:
+        if not key or any(c in key for c in "\t\r\n"):
+            raise DataError(
+                f"embedding table {path}: id {key!r} is empty or holds a tab or line break"
+            )
+        if key in lines:
+            raise DataError(f"embedding table {path}: id {key!r} is written twice")
+        lines[key] = key + "\t" + " ".join(repr(float(v)) for v in vec) + "\n"
+    write_output(path, f"#dim {dim}\n" + "".join(lines.values()))

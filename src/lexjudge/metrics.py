@@ -7,7 +7,7 @@ precision/recall are defined as 0, as is F1 when both components vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,24 +34,10 @@ class MetricsReport:
     task: Task | None = None
 
     def as_dict(self) -> dict:
-        out = {
-            "acc": self.acc,
-            "mp": self.mp,
-            "mr": self.mr,
-            "f1": self.f1,
-            "per_class": [
-                {
-                    "label_id": c.label_id,
-                    "precision": c.precision,
-                    "recall": c.recall,
-                    "f1": c.f1,
-                    "support": c.support,
-                }
-                for c in self.per_class
-            ],
-        }
-        if self.task is not None:
-            out["task"] = self.task.value
+        out = asdict(self)
+        task = out.pop("task")
+        if task is not None:
+            out["task"] = task.value
         return out
 
 

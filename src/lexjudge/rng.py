@@ -89,28 +89,17 @@ def stream_u64_at(seed: int | np.ndarray, indices) -> np.ndarray:
     return _mix64_array(z)
 
 
-def stream_u64(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """Outputs ``start+1 .. start+count`` of the splitmix64 sequence, vectorized."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    return stream_u64_at(seed, np.arange(start, start + count, dtype=np.uint64))
-
-
 def to_uniform(outputs: np.ndarray) -> np.ndarray:
     """Uniform doubles in [0, 1) from the top 53 bits of 64-bit outputs."""
     return (outputs >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
-def stream_uniform(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """``count`` uniform doubles in [0, 1) from the splitmix64 stream."""
-    return to_uniform(stream_u64(seed, count, start))
-
-
 def glorot_uniform(shape: tuple[int, ...], fan_in: int, fan_out: int, seed: int) -> np.ndarray:
-    """Uniform init in +-sqrt(6 / (fan_in + fan_out)), drawn from the seeded stream."""
+    """Uniform init in +-sqrt(6 / (fan_in + fan_out)), entry i (row-major)
+    drawn from output i+1 of the seeded stream."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     size = int(np.prod(shape)) if shape else 1
-    u = stream_uniform(seed, size)
+    u = to_uniform(stream_u64_at(seed, np.arange(size)))
     return ((2.0 * u - 1.0) * limit).reshape(shape)
 
 

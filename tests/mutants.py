@@ -135,7 +135,8 @@ MUTANTS = (
     Mutant(
         "receiver layer's unpadded product", "graph.py",
         "z = ad.t_matmul(block, x)", "z = (block.T @ x)",
-        ("tests/test_blas_threads.py",),
+        ("tests/test_blas_threads.py",
+         "tests/test_graph.py::TestLabelOnlyLastLayer::test_block_product_goes_through_t_matmul"),
     ),
     Mutant(
         "receiver layer's heads swapped in the block", "graph.py",
@@ -162,7 +163,8 @@ MUTANTS = (
     Mutant(
         "t_matmul without padding", "autodiff.py",
         "pad = -a.shape[-2] % 32", "pad = 0",
-        ("tests/test_blas_threads.py",),
+        ("tests/test_blas_threads.py",
+         "tests/test_autodiff.py::TestTMatmul::test_product_operands_have_rows_padded_to_32"),
     ),
     # the contrastive objective
     Mutant(
@@ -211,6 +213,30 @@ MUTANTS = (
         "shifted = np.exp(scores - scores.max())", "shifted = np.exp(scores)",
         ("tests/test_predictor.py::TestPredictProba",),
     ),
+    Mutant(
+        "glorot draws from the second output on", "rng.py",
+        "u = to_uniform(stream_u64_at(seed, np.arange(size)))",
+        "u = to_uniform(stream_u64_at(seed, np.arange(1, size + 1)))",
+        ("tests/test_rng.py::TestGlorotAndFnv::test_glorot_draws_the_stream_in_order",),
+    ),
+    Mutant(
+        "metrics document without its task", "metrics.py",
+        "if task is not None:", "if False:",
+        ("tests/test_metrics.py::TestReport::test_as_dict_is_the_json_document",),
+    ),
+    # the embedding table's writer
+    Mutant(
+        "embedding id with a carriage return written", "encoder.py",
+        r'any(c in key for c in "\t\r\n")', r'any(c in key for c in "\t\n")',
+        ("tests/test_encoder.py::TestEmbeddingTable::test_writer_refuses_a_key_its_reader_would",
+         "tests/test_cli.py::TestTrainCommand::test_unwritable_embedding_id_exits_3"),
+    ),
+    Mutant(
+        "embedding id written twice", "encoder.py",
+        "if key in lines:", "if key in ():",
+        ("tests/test_encoder.py::TestEmbeddingTable::test_writer_refuses_a_key_its_reader_would",
+         "tests/test_cli.py::TestTrainCommand::test_unwritable_embedding_id_exits_3"),
+    ),
     # checkpoint validation
     Mutant(
         "array with surplus bytes accepted", "checkpoint.py",
@@ -227,6 +253,11 @@ MUTANTS = (
         'if (meta["backend"], meta["dim"]) != (model.backend_kind, model.dim):',
         'if meta["backend"] != model.backend_kind:',
         ("tests/test_cli.py::TestCheckpointValidation::test_mismatched_meta_dim_exits_3",),
+    ),
+    Mutant(
+        "encoder.output_dim not checked against the projection", "checkpoint.py",
+        "if output_dim != encoder_params.output_dim:", "if output_dim < 1:",
+        ("tests/test_cli.py::TestCheckpointValidation::test_bad_encoder_output_dim_exits_3",),
     ),
 )
 

@@ -127,6 +127,42 @@ class TestMatmul:
         check(lambda t: (t.T @ ref.Tensor(b)).sum(), (2, 3), seed=16)
 
 
+class TestTMatmul:
+    """``t_matmul`` zero-pads both operands' rows to a multiple of 32 before
+    the product. ``tests/test_blas_threads.py`` shows why only on a host
+    where one and two BLAS threads round apart; this checks the operands
+    on any host."""
+
+    @pytest.mark.parametrize(
+        "shape_a, shape_b",
+        [((45, 3), (45, 5)), ((2, 33, 3), (2, 33, 4)), ((64, 2), (64, 1))],
+        ids=["45-rows", "stacked-33-rows", "64-rows"],
+    )
+    def test_product_operands_have_rows_padded_to_32(self, monkeypatch, shape_a, shape_b):
+        products = []
+
+        class Recorded(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                products.append((ufunc, [x.shape for x in inputs]))
+                return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+        class Numpy:  # numpy, with the transposed operand recording its product
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def swapaxes(self, a, *axes):
+                return np.swapaxes(a, *axes).view(Recorded)
+
+        monkeypatch.setattr(ad, "np", Numpy())
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=shape_a), rng.normal(size=shape_b)
+        out = ad.t_matmul(a, b)
+        rows = -(-shape_a[-2] // 32) * 32
+        operands = [shape_a[:-2] + (shape_a[-1], rows), shape_b[:-2] + (rows, shape_b[-1])]
+        assert products == [(np.matmul, operands)]
+        np.testing.assert_allclose(out, np.swapaxes(a, -1, -2) @ b, rtol=0, atol=1e-12)
+
+
 class TestStructuralOps:
     """A row gather's gradient is ``Segments``'; the rest are the oracle's."""
 

@@ -342,6 +342,42 @@ class TestTrainCommand:
         embedded = (out_dir / "embeddings.tsv").read_text(encoding="utf-8").split("\n")[1:17]
         assert [line.split("\t")[0] for line in embedded] == train_part.ids()
 
+    @pytest.mark.parametrize(
+        "new_id, message",
+        [
+            ("trace\t000", "is empty or holds a tab or line break"),
+            ("trace\r000", "is empty or holds a tab or line break"),
+            ("trace\n000", "is empty or holds a tab or line break"),
+            ("charge:0", "is written twice"),
+        ],
+        ids=["tab", "carriage-return", "line-feed", "label-key"],
+    )
+    def test_unwritable_embedding_id_exits_3(
+        self, tmp_path, trace_corpus_path, lexicon_path, capsys, new_id, message
+    ):
+        """A training case id that ``embeddings.tsv`` cannot hold, so that
+        its reader would refuse the file ``train`` wrote: a tab or line
+        break splits its row, and a label key's name repeats a row."""
+        with open(trace_corpus_path, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        train_id = split(load_corpus(trace_corpus_path), SplitSpec(0.8, seed=13))[0].ids()[0]
+        for record in records:
+            if record["id"] == train_id:
+                record["id"] = new_id
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text(
+            "".join(json.dumps(record) + "\n" for record in records), encoding="utf-8"
+        )
+        assert new_id in split(load_corpus(corpus_path), SplitSpec(0.8, seed=13))[0].ids()
+        paths = {"corpus": str(corpus_path), "lexicon": lexicon_path}
+        config_path, out_dir = write_config(
+            tmp_path, paths={**paths, "output_dir": str(tmp_path / "out")}
+        )
+        assert main(["train", "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"id {new_id!r} {message}" in err
+        assert not (out_dir / "embeddings.tsv").exists()
+
     def test_divergence_exit_code(self, tmp_path, monkeypatch):
         config_path, _ = write_config(tmp_path)
 
@@ -710,6 +746,32 @@ class TestCheckpointValidation:
 
         assert self.predict_with(trained_checkpoint, tmp_path, corrupt) == 3
         assert "meta.dim" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda encoder: encoder.update(output_dim=999),
+             "encoder.output_dim 999 contradicts the 16 rows of encoder.projection"),
+            (lambda encoder: encoder.update(output_dim="x"),
+             "encoder.output_dim must be an integer, got 'x'"),
+            (lambda encoder: encoder.update(output_dim=None),
+             "encoder.output_dim must be an integer, got None"),
+            (lambda encoder: encoder.pop("output_dim"),
+             "encoder.output_dim must be an integer, got None"),
+        ],
+        ids=["999", "string", "null", "deleted"],
+    )
+    def test_bad_encoder_output_dim_exits_3(
+        self, trained_checkpoint, tmp_path, capsys, edit, message
+    ):
+        """``encoder.output_dim`` is checked as ``meta.dim`` is: it must be an
+        integer equal to the projection's row count."""
+        def corrupt(doc):
+            edit(doc["encoder"])
+
+        assert self.predict_with(trained_checkpoint, tmp_path, corrupt) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
 
     @pytest.mark.parametrize(
         "section, key",

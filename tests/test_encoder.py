@@ -21,7 +21,7 @@ from lexjudge.encoder import (
     CLUE_SEPARATOR, HashedRows, clue_text, label_key, project_features, write_embedding_table,
 )
 from lexjudge.corpus import Task
-from lexjudge.rng import derive, fnv1a_64, stream_uniform
+from lexjudge.rng import derive, fnv1a_64, stream_u64_at, to_uniform
 
 
 def clues(m="greed", a="seized the bag", h="injury"):
@@ -233,7 +233,7 @@ class TestDropout:
         """An entry is kept when its uniform is at or above the rate, so a
         rate equal to one entry's uniform keeps that entry."""
         seed = derive(5, "tie")
-        u = stream_uniform(seed, 16)
+        u = to_uniform(stream_u64_at(seed, np.arange(16)))
         rate = float(np.sort(u)[8])
         out = apply_dropout_noise(np.ones(16), DropoutSpec(rate=rate, seed=seed))
         assert np.array_equal(out != 0.0, u >= rate)
@@ -252,7 +252,8 @@ class TestDropout:
         features[2, [0, 7, 33]] = [0.5, 2.0, 1e-300]
         features[3, -1] = 3.0
         spec = DropoutSpec(rate=rate, seed=derive(5, "view"))
-        u = stream_uniform(spec.seed, features.size).reshape(features.shape)
+        u = to_uniform(stream_u64_at(spec.seed, np.arange(features.size)))
+        u = u.reshape(features.shape)
         dense = np.where(u >= rate, features / (1.0 - rate), 0.0)
         nonzero = np.flatnonzero(features)
         sparse = np.zeros(features.shape)
@@ -295,6 +296,27 @@ class TestEmbeddingTable:
         ]
         for key, vector in rows:
             assert (table[key].view(np.int64) == vector.view(np.int64)).all()
+
+    @pytest.mark.parametrize(
+        "keys, refused",
+        [
+            (["case-1", ""], "''"),
+            (["case\t1"], "'case\\t1'"),
+            (["case\r1"], "'case\\r1'"),
+            (["case\n1"], "'case\\n1'"),
+            (["case-1", "charge:0", "case-1"], "'case-1' is written twice"),
+        ],
+        ids=["empty", "tab", "carriage-return", "line-feed", "repeated"],
+    )
+    def test_writer_refuses_a_key_its_reader_would(self, tmp_path, keys, refused):
+        """Each of these keys makes a file ``load_embedding_table`` refuses,
+        so the writer names it and leaves the path as it was."""
+        path = tmp_path / "emb.tsv"
+        path.write_text("before", encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            write_embedding_table(path, 2, [(key, np.zeros(2)) for key in keys])
+        assert f"embedding table {path}: id {refused}" in str(info.value)
+        assert path.read_text(encoding="utf-8") == "before"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read embedding file .*missing.tsv"):

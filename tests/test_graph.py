@@ -18,6 +18,7 @@ from lexjudge import (
     init_features,
 )
 from lexjudge.encoder import project_features
+from lexjudge import autodiff as ad
 from lexjudge.autodiff import Tensor
 from lexjudge.graph import (
     FactNode,
@@ -398,6 +399,25 @@ class TestLabelOnlyLastLayer:
                 features, graph, params, receivers=in_task_order[order]
             )
             assert np.array_equal(partial, rows[order])
+
+    def test_block_product_goes_through_t_matmul(self, bench_graphs, monkeypatch):
+        """The block product sums over every node's row, so it is one of
+        the products ``autodiff.t_matmul`` pads; its bits then hold at any
+        BLAS thread count (``tests/test_blas_threads.py``)."""
+        _, params, graphs = bench_graphs
+        graph, features = graphs["labels interleaved"]
+        receivers = label_nodes(graph)
+        heads = params.layers[-1].W.shape[0]
+        left_shapes = []
+        t_matmul = ad.t_matmul
+
+        def recording(a, b):
+            left_shapes.append(a.shape)
+            return t_matmul(a, b)
+
+        monkeypatch.setattr(ad, "t_matmul", recording)
+        gat_forward_tensors(features, graph, params, receivers=receivers)
+        assert left_shapes == [(graph.num_nodes, heads * len(receivers))]
 
     def test_repeated_edge_counts_each_time(self):
         """A neighbourhood may list a node twice: the block adds both

@@ -62,6 +62,20 @@ class TestReport:
         assert [c.support for c in r.per_class] == [2, 1]
         assert r.task is Task.CHARGE
 
+    def test_as_dict_is_the_json_document(self):
+        """The report's fields in order, each class as an object, and the
+        task as its name last; a report without a task has no task entry."""
+        r = report([0, 0, 1], [0, 1, 1], 2, task=Task.CHARGE)
+        classes = [
+            {"label_id": 0, "precision": 1.0, "recall": 0.5, "f1": 2 / 3, "support": 2},
+            {"label_id": 1, "precision": 0.5, "recall": 1.0, "f1": 2 / 3, "support": 1},
+        ]
+        doc = r.as_dict()
+        assert list(doc) == ["acc", "mp", "mr", "f1", "per_class", "task"]
+        assert doc["task"] == "charge" and list(doc["per_class"]) == classes
+        assert (doc["acc"], doc["mp"], doc["mr"], doc["f1"]) == (r.acc, r.mp, r.mr, r.f1)
+        assert list(report([0, 1], [0, 1], 2).as_dict()) == ["acc", "mp", "mr", "f1", "per_class"]
+
     @given(
         st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=60)
     )

@@ -33,6 +33,7 @@ MOVED_OR_DELETED = (
     "_mean_ce", "_onehot",
     "concat", "gather_rows", "_cross_entropy",
     "sample_distinct",
+    "stream_u64", "stream_uniform",
 )
 
 

@@ -10,9 +10,8 @@ from lexjudge.rng import (
     fnv1a_64,
     glorot_uniform,
     mix64,
-    stream_u64,
     stream_u64_at,
-    stream_uniform,
+    to_uniform,
 )
 
 
@@ -20,31 +19,32 @@ class TestSplitMix64:
     def test_published_seed0_vectors(self):
         # reference outputs of splitmix64 for seed 0
         expected = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
-        assert [int(v) for v in stream_u64(0, 3)] == expected
+        assert [int(v) for v in stream_u64_at(0, np.arange(3))] == expected
 
     def test_sequential_matches_vectorized(self):
         gen = SplitMix64(987654321)
         sequential = [gen.next_u64() for _ in range(40)]
-        assert sequential == [int(v) for v in stream_u64(987654321, 40)]
+        assert sequential == [int(v) for v in stream_u64_at(987654321, np.arange(40))]
 
     def test_stream_offset_windows_agree(self):
-        whole = stream_u64(5, 30)
-        tail = stream_u64(5, 10, start=20)
+        whole = stream_u64_at(5, np.arange(30))
+        tail = stream_u64_at(5, np.arange(20, 30))
         assert np.array_equal(whole[20:], tail)
 
     def test_draws_at_indices_are_the_stream_at_those_positions(self):
-        whole = stream_u64(9, 300)
+        gen = SplitMix64(9)
+        whole = np.array([gen.next_u64() for _ in range(300)], dtype=np.uint64)
         picks = np.array([299, 0, 17, 17, 150, 1], dtype=np.int64)
         assert np.array_equal(stream_u64_at(9, picks), whole[picks])
-        assert np.array_equal(stream_u64_at(9, np.arange(40, 90)), stream_u64(9, 50, start=40))
+        assert np.array_equal(stream_u64_at(9, np.arange(40, 90)), whole[40:90])
         assert stream_u64_at(9, np.zeros(0, dtype=np.int64)).shape == (0,)
 
     def test_kth_output_definition(self):
         seed = 42
-        assert stream_u64(seed, 1)[0] == mix64((seed + GOLDEN) & MASK64)
+        assert stream_u64_at(seed, [0])[0] == mix64((seed + GOLDEN) & MASK64)
 
     def test_uniform_in_unit_interval(self):
-        u = stream_uniform(7, 5000)
+        u = to_uniform(stream_u64_at(7, np.arange(5000)))
         assert np.all(u >= 0.0) and np.all(u < 1.0)
         assert abs(u.mean() - 0.5) < 0.02
 
@@ -97,6 +97,14 @@ class TestGlorotAndFnv:
         assert w.shape == (10, 30)
         assert np.all(np.abs(w) <= limit)
         assert abs(w.mean()) < limit / 5  # roughly centered
+
+    def test_glorot_draws_the_stream_in_order(self):
+        """Entry i in row-major order comes from output i+1 of the stream."""
+        gen = SplitMix64(5)
+        u = np.array([(gen.next_u64() >> 11) * 2.0**-53 for _ in range(12)])
+        limit = np.sqrt(6.0 / 7)
+        expected = ((2.0 * u - 1.0) * limit).reshape((3, 4))
+        assert np.array_equal(glorot_uniform((3, 4), 3, 4, seed=5), expected)
 
     def test_fnv_empty_is_offset_basis(self):
         assert fnv1a_64(b"") == 0xCBF29CE484222325
