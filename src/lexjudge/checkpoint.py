@@ -170,9 +170,9 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
     against the checkpoint's own directory. Format versions 1 and 2 load.
     ``decode_array`` checks each stored array, ``FittedModel`` checks the
     tasks and label matrices against the vocabularies and the encoder, and
-    ``meta.backend`` and ``meta.dim`` must agree with the encoder loaded,
-    and ``encoder.output_dim`` must be an integer equal to the projection's
-    row count;
+    ``meta.backend`` and ``meta.dim``, an integer, must agree with the
+    encoder loaded, and ``encoder.output_dim`` must be an integer equal to
+    the projection's row count;
     the toggles must be booleans, ``meta.tasks`` a non-empty list of
     distinct tasks, ``meta.seed`` an unsigned 64-bit integer,
     ``meta.heads`` a positive integer and ``meta.leaky_slope`` a number.
@@ -248,7 +248,8 @@ def load_checkpoint(path) -> tuple[FittedModel, dict]:
             seed=check_seed(meta["seed"], "meta.seed"),
             table=table,
         )
-        if (meta["backend"], meta["dim"]) != (model.backend_kind, model.dim):
+        dim = check_kind(meta["dim"], int, "meta.dim")
+        if (meta["backend"], dim) != (model.backend_kind, model.dim):
             raise DataError(
                 f"checkpoint {path}: meta.backend {meta['backend']!r} and meta.dim "
                 f"{meta['dim']!r} contradict its {model.backend_kind} encoder of "

@@ -190,15 +190,6 @@ class MatchResult:
             raise ValueError("MatchResult kind must be exact or fuzzy")
 
 
-@dataclass(frozen=True)
-class AreaSpan:
-    """A slice of the process section (code-point offsets)."""
-
-    start: int
-    end: int
-    text: str
-
-
 def segment_sections(doc_text: str, anchors: SectionAnchors) -> SectionMap:
     """Split a document into its four sections by literal anchor phrases.
 
@@ -228,14 +219,14 @@ def segment_sections(doc_text: str, anchors: SectionAnchors) -> SectionMap:
     return SectionMap(**texts)
 
 
-def locate_search_area(process_text: str, templates: Sequence[AreaTemplate]) -> AreaSpan:
-    """Narrow the process section to the clue search area.
+def locate_search_area(process_text: str, templates: Sequence[AreaTemplate]) -> str:
+    """Narrow the process section to the clue search area's text.
 
-    The first template whose start anchor occurs wins; the span runs from
+    The first template whose start anchor occurs wins; the area runs from
     the end of the start anchor to the start of the end anchor (end of
-    text when the end anchor is absent or not found), trimmed of
+    text when the end anchor is absent or not found), stripped of
     surrounding whitespace. With no matching template, or when the
-    delimited span is blank, the whole process text is the area.
+    delimited area is blank, the whole process text is the area.
     """
     if not process_text:
         raise ValueError("process_text must be non-empty")
@@ -249,14 +240,11 @@ def locate_search_area(process_text: str, templates: Sequence[AreaTemplate]) -> 
             closing = process_text.find(template.end_anchor, start)
             if closing >= 0:
                 end = closing
-        while start < end and process_text[start].isspace():
-            start += 1
-        while end > start and process_text[end - 1].isspace():
-            end -= 1
-        if start < end:
-            return AreaSpan(start, end, process_text[start:end])
+        area = process_text[start:end].strip()
+        if area:
+            return area
         break
-    return AreaSpan(0, len(process_text), process_text)
+    return process_text
 
 
 def _bit_distances(text: str, term: str, anchored: bool) -> list[int]:
@@ -447,12 +435,12 @@ def trace_sections(
     values: dict[str, str] = {}
     provenance: dict[str, Provenance] = {}
     for name in CLUE_FIELDS:
-        found = match_element(area.text, lexicon.terms_for(name), threshold)
+        found = match_element(area, lexicon.terms_for(name), threshold)
         if found is not None:
             values[name] = found.text
             provenance[name] = found.kind
         else:
-            values[name] = area.text
+            values[name] = area
             provenance[name] = Provenance.FALLBACK_AREA
     return ClueSet(provenance=provenance, **values)
 

@@ -216,7 +216,7 @@ def stage3_objective(
     gat: GatParams | None = None,
     fact_vectors: np.ndarray | None = None,
     nodes: np.ndarray | None = None,
-    encoder_inputs: tuple[np.ndarray, np.ndarray] | None = None,
+    encoder_inputs: np.ndarray | None = None,
     rows: np.ndarray | None = None,
 ) -> ad.Tensor:
     """Sum over ``tasks`` of the batch-mean cross-entropy of case-label dot
@@ -227,29 +227,27 @@ def stage3_objective(
     layer structure, with ``theta``'s ``gat.*`` weights, else
     ``theta["labels.<task>"]``. Cases are the frozen ``fact_vectors``, with
     the (N, d) node matrix ``nodes`` feeding the graph, or, given
-    ``encoder_inputs`` (fact and label features), the facts are encoded
-    through ``theta``'s ``encoder.projection``/``encoder.bias`` and, when
-    ``gat`` is set, so are the labels, their concatenation being the node
-    matrix. That concatenation relies on ``build_graph``'s node
-    order: facts first, then labels task by task in vocabulary order.
-    ``rows``, distinct case indices, selects the minibatch.
+    ``encoder_inputs``, the rows of one ``tanh_projection`` step through
+    ``theta``'s ``encoder.projection``/``encoder.bias``: hashed rows in
+    ``build_graph``'s node order, the facts first (one per gold id), then,
+    when ``gat`` is set, the labels task by task in vocabulary order, the
+    step's output being the node matrix. ``rows``, distinct case indices,
+    selects the minibatch.
 
     The gradients of ``graph_label_matrices``' blocks, concatenated, are
     its output's gradient. The backward steps run in a fixed order, and
     each sum adds in task order: every task's cross-entropy, the graph,
-    and the encoder, whose fact gradient is the tasks' (written back at
-    the minibatch's rows) plus the graph's."""
+    and the encoder step, whose output's gradient is the graph's node
+    gradient (zeros without the graph) with the tasks' fact gradient added
+    at the fact rows, or at the minibatch's rows."""
     unfrozen = encoder_inputs is not None
     facts = fact_vectors
     if unfrozen:
-        weights = theta["encoder.projection"], theta["encoder.bias"]
-        # over every column: each input is its own block
-        facts, project_facts = tanh_projection(encoder_inputs[0], encoder_inputs[0], *weights)
-        if gat is not None:
-            labels, project_labels = tanh_projection(
-                encoder_inputs[1], encoder_inputs[1], *weights
-            )
-            nodes = np.concatenate([facts, labels], axis=0)
+        # over every column: the input is its own block
+        nodes, project = tanh_projection(
+            encoder_inputs, encoder_inputs, theta["encoder.projection"], theta["encoder.bias"]
+        )
+        facts = nodes[: len(golds[tasks[0]])]
     if gat is None:
         label_mats = {task: theta[f"labels.{task.value}"] for task in tasks}
     else:
@@ -275,18 +273,13 @@ def stage3_objective(
             g_nodes, gat_grads = graph_backward(np.concatenate(list(g_labels.values())), unfrozen)
             grads.update(gat_grads)
         if unfrozen:
-            g_facts = reduce(operator.add, [g @ label_mats[t] for t, g in zip(tasks, g_scores)])
-            if rows is not None:  # each distinct row's gradient, written once
-                out = np.zeros(facts.shape)
-                out[rows] = g_facts
-                g_facts = out
-            g_projection, g_bias = project_facts(
-                g_facts if gat is None else g_facts + g_nodes[: len(facts)]
+            if gat is None:
+                g_nodes = np.zeros(nodes.shape)
+            # the rows are distinct, so each row's gradient is added once
+            g_nodes[slice(len(facts)) if rows is None else rows] += reduce(
+                operator.add, [g @ label_mats[t] for t, g in zip(tasks, g_scores)]
             )
-            if gat is not None:
-                g_p, g_b = project_labels(g_nodes[len(facts):])
-                g_projection, g_bias = g_projection + g_p, g_bias + g_b
-            grads["encoder.projection"], grads["encoder.bias"] = g_projection, g_bias
+            grads["encoder.projection"], grads["encoder.bias"] = project(g_nodes)
         return {key: grads[key] for key in theta}
 
     return ad.Tensor(float(reduce(operator.add, values)), backward)
@@ -520,10 +513,9 @@ def fit_model(
                 dropout = DropoutSpec(
                     train_cfg.dropout_rate, derive(train_cfg.seed, "stage3-dropout", epoch)
                 )
-                encoder_inputs = (
-                    fact_rows.dropout(dropout),
-                    text_features[n_train:],
-                )
+                encoder_inputs = fact_rows.dropout(dropout)
+                if gat is not None:
+                    encoder_inputs = np.concatenate([encoder_inputs, text_features[n_train:]])
             rows = None
             if train_cfg.batch_size is not None and train_cfg.batch_size < n_train:
                 order = list(range(n_train))

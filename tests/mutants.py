@@ -103,8 +103,9 @@ MUTANTS = (
     ),
     Mutant(
         "unfrozen encoder's projection gradient scaled by 1.001", "trainer.py",
-        'grads["encoder.projection"], grads["encoder.bias"] = g_projection, g_bias',
-        'grads["encoder.projection"], grads["encoder.bias"] = g_projection * 1.001, g_bias',
+        'grads["encoder.projection"], grads["encoder.bias"] = project(g_nodes)',
+        ('g_p, grads["encoder.bias"] = project(g_nodes); '
+         'grads["encoder.projection"] = g_p * 1.001'),
         ("tests/test_trainer.py::TestStage3Objective::"
          "test_unfrozen_encoder_gradients_with_fixed_dropout_mask",),
     ),
@@ -127,9 +128,26 @@ MUTANTS = (
     ),
     Mutant(
         "minibatch gradient written at the first rows", "trainer.py",
-        "out[rows] = g_facts", "out[: len(rows)] = g_facts",
+        "slice(len(facts)) if rows is None else rows]",
+        "slice(len(facts)) if rows is None else slice(len(rows))]",
         ("tests/test_tape_oracle.py::test_stage3_closed_form_equals_the_composed_tape"
          "[graph, unfrozen, minibatch 7, dropout 0.3]",),
+    ),
+    Mutant(
+        "fact gradient assigned over the graph's node gradient", "trainer.py",
+        "else rows] += reduce(", "else rows] = reduce(",
+        ("tests/test_trainer.py::TestStage3Objective::"
+         "test_unfrozen_encoder_gradients_with_fixed_dropout_mask",
+         "tests/test_tape_oracle.py::test_stage3_closed_form_equals_the_composed_tape"
+         "[graph, unfrozen, dropout 0.2]"),
+    ),
+    Mutant(
+        "fact gradient added at the fact rows shifted by one", "trainer.py",
+        "g_nodes[slice(len(facts)) if", "g_nodes[slice(1, len(facts) + 1) if",
+        ("tests/test_trainer.py::TestStage3Objective::"
+         "test_unfrozen_encoder_gradients_with_fixed_dropout_mask",
+         "tests/test_tape_oracle.py::test_stage3_closed_form_equals_the_composed_tape"
+         "[graph, unfrozen, dropout 0.2]"),
     ),
     # graph attention layers
     Mutant(
@@ -250,9 +268,14 @@ MUTANTS = (
     ),
     Mutant(
         "encoder dimension not checked against the meta", "checkpoint.py",
-        'if (meta["backend"], meta["dim"]) != (model.backend_kind, model.dim):',
+        'if (meta["backend"], dim) != (model.backend_kind, model.dim):',
         'if meta["backend"] != model.backend_kind:',
         ("tests/test_cli.py::TestCheckpointValidation::test_mismatched_meta_dim_exits_3",),
+    ),
+    Mutant(
+        "meta.dim's type not checked", "checkpoint.py",
+        'dim = check_kind(meta["dim"], int, "meta.dim")', 'dim = meta["dim"]',
+        ("tests/test_cli.py::TestCheckpointValidation::test_mistyped_meta_field_exits_3",),
     ),
     Mutant(
         "encoder.output_dim not checked against the projection", "checkpoint.py",

@@ -364,18 +364,24 @@ def stage3_composed(
     gat=None,
     fact_vectors: np.ndarray | None = None,
     nodes: np.ndarray | None = None,
-    encoder_inputs: tuple[np.ndarray, np.ndarray] | None = None,
+    encoder_inputs: np.ndarray | None = None,
     rows: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """The stage-3 loss and its gradients, with the arguments of
-    ``lexjudge.trainer``'s objective."""
+    ``lexjudge.trainer``'s objective. The encoder inputs' fact rows (one
+    per gold id) and label rows are projected as two products, and the
+    node matrix is their concatenation."""
     leaves = {k: Tensor(v, requires_grad=True) for k, v in theta.items()}
     if encoder_inputs is None:
         facts = Tensor(fact_vectors)
         node_t = Tensor(nodes)
     else:
         projection, bias = leaves["encoder.projection"], leaves["encoder.bias"]
-        facts, labels = ((Tensor(x) @ projection.T + bias).tanh() for x in encoder_inputs)
+        n_facts = len(golds[tasks[0]])
+        facts, labels = (
+            (Tensor(x) @ projection.T + bias).tanh()
+            for x in (encoder_inputs[:n_facts], encoder_inputs[n_facts:])
+        )
         node_t = concat([facts, labels], axis=0)
     if gat is None:
         label_mats = {task: leaves[f"labels.{task.value}"] for task in tasks}

@@ -605,6 +605,7 @@ MISTYPED_META = {
     "heads-bool": (lambda meta: meta.update(heads=True), "meta.heads must be an integer"),
     "heads-zero": (lambda meta: meta.update(heads=0), "meta.heads must be an integer"),
     "heads-float": (lambda meta: meta.update(heads=4.0), "meta.heads must be an integer"),
+    "dim-float": (lambda meta: meta.update(dim=16.0), "meta.dim must be an integer, got 16.0"),
     "leaky-slope-string": (
         lambda meta: meta.update(leaky_slope="steep"),
         "meta.leaky_slope must be a number, got 'steep'",

@@ -67,21 +67,26 @@ class TestLocateSearchArea:
             "court finds: X did Y. sentencing:",
             [AreaTemplate("court finds:", "sentencing:")],
         )
-        assert area.text == "X did Y."
+        assert area == "X did Y."
 
     def test_no_template_matches_full_text(self):
         area = locate_search_area("whole process text", [AreaTemplate("absent")])
-        assert area.text == "whole process text"
-        assert (area.start, area.end) == (0, len("whole process text"))
+        assert area == "whole process text"
+
+    def test_blank_area_is_the_full_text(self):
+        """A start anchor followed only by whitespace up to its end anchor
+        delimits nothing, so the whole process text is the area."""
+        text = "lead court finds: \n\t sentencing: rest"
+        assert locate_search_area(text, [AreaTemplate("court finds:", "sentencing:")]) == text
 
     def test_earlier_template_in_list_wins(self):
         templates = [AreaTemplate("first:", "end"), AreaTemplate("second:", "end")]
         area = locate_search_area("second: b end first: a end", templates)
-        assert area.text == "a"
+        assert area == "a"
 
     def test_missing_end_anchor_runs_to_end(self):
         area = locate_search_area("start: tail words", [AreaTemplate("start:")])
-        assert area.text == "tail words"
+        assert area == "tail words"
 
 
 class TestFuzzyScore:

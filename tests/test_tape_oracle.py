@@ -171,7 +171,7 @@ class TestExtremeScores:
         assert np.abs(logits).max() > 1e3
         loss = trainer.stage3_objective(
             theta, None, {Task.CHARGE: gold}, (Task.CHARGE,),
-            encoder_inputs=(features, np.zeros((0, 6))),
+            encoder_inputs=features,
         )
         value, grads = loss.value, loss.backward()
         shift = logits.max(axis=1)

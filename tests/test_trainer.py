@@ -920,6 +920,20 @@ def stage3_instance(seed=123):
     return graph, node_matrix, gat, encoder, features, {Task.CHARGE: [0, 1, 2]}
 
 
+def counted_projections(monkeypatch) -> list:
+    """A list that gains one entry per ``tanh_projection`` call the
+    trainer makes."""
+    calls = []
+    original = lexjudge.trainer.tanh_projection
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(lexjudge.trainer, "tanh_projection", counting)
+    return calls
+
+
 class TestStage3Objective:
     tasks = (Task.CHARGE,)
 
@@ -930,7 +944,8 @@ class TestStage3Objective:
 
         def objective(theta):
             return stage3_objective(
-                theta, graph, golds, self.tasks, gat=gat, encoder_inputs=(view, features[3:])
+                theta, graph, golds, self.tasks, gat=gat,
+                encoder_inputs=np.concatenate([view, features[3:]]),
             )
 
         assert worst_gradient_error(objective, theta, list(encoder)) <= 1e-4
@@ -972,21 +987,33 @@ class TestStage3Objective:
         graph, _, _, encoder, features, golds = stage3_instance()
         labels = np.random.default_rng(6).normal(size=(3, 8)) * 0.5
         theta = {"labels.charge": labels, **encoder}
-        calls = []
-        original = lexjudge.trainer.tanh_projection
-
-        def counting(*args):
-            calls.append(None)
-            return original(*args)
-
-        monkeypatch.setattr(lexjudge.trainer, "tanh_projection", counting)
+        calls = counted_projections(monkeypatch)
         value = stage3_objective(
-            theta, graph, golds, self.tasks, encoder_inputs=(features[:3], features[3:])
+            theta, graph, golds, self.tasks, encoder_inputs=features[:3]
         ).value
         assert len(calls) == 1
         hf = np.tanh(features[:3] @ encoder["encoder.projection"].T + encoder["encoder.bias"])
         expected = total_loss(hf, golds, {Task.CHARGE: labels}, self.tasks)
         assert value == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("rows", [None, np.array([0, 2])], ids=["full", "minibatch"])
+    def test_unfrozen_graph_projects_the_node_inputs_in_one_step(self, monkeypatch, rows):
+        """With ``gat`` the fact and label inputs are one matrix, projected
+        by one step whose output is the node matrix the frozen path reads."""
+        graph, _, gat, encoder, features, golds = stage3_instance()
+        theta = {**gat.to_param_dict(), **encoder}
+        calls = counted_projections(monkeypatch)
+        loss = stage3_objective(
+            theta, graph, golds, self.tasks, gat=gat, encoder_inputs=features, rows=rows
+        )
+        loss.backward()
+        assert len(calls) == 1
+        nodes = np.tanh(features @ encoder["encoder.projection"].T + encoder["encoder.bias"])
+        frozen = stage3_objective(
+            gat.to_param_dict(), graph, golds, self.tasks, gat=gat,
+            fact_vectors=nodes[:3], nodes=nodes, rows=rows,
+        )
+        assert loss.value == frozen.value
 
     def test_fit_model_logs_the_checked_objective(self):
         """The first graph loss of a frozen, full-batch fit is
